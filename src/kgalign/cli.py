@@ -6,6 +6,7 @@ import argparse
 import logging
 import sys
 import time
+import typing
 from dataclasses import fields, replace
 from io import BytesIO
 from pathlib import Path
@@ -19,18 +20,27 @@ from .symbolic import SubrelationTable, compute_functionalities, dump_subrelatio
 logger = logging.getLogger(__name__)
 
 
-def _coerce(value: str, template) -> object:
-    if isinstance(template, bool):
+def _coerce(key: str, value: str, owner: type) -> object:
+    """Parse a config-file value as the type annotated on ``owner``'s field.
+
+    An optional field (``int | None``) takes its non-None type.
+    """
+    hint = typing.get_type_hints(owner)[key.rsplit(".", 1)[-1]]
+    kind = next((k for k in typing.get_args(hint) if k is not type(None)), hint)
+    if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise data.DatasetError(f"expected a boolean, got {value!r}")
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return value
+        raise data.DatasetError(f"config key {key!r}: expected a boolean, got {value!r}")
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            raise data.DatasetError(
+                f"config key {key!r}: expected {kind.__name__}, got {value!r}"
+            ) from None
+    raise data.DatasetError(f"unknown config key {key!r}")
 
 
 def _build_config(args: argparse.Namespace) -> em.EmConfig:
@@ -44,16 +54,16 @@ def _build_config(args: argparse.Namespace) -> em.EmConfig:
                 name = key[len("neural.") :]
                 if name not in {f.name for f in fields(Hyperparams)}:
                     raise data.DatasetError(f"unknown config key {key!r}")
-                neural_kwargs[name] = _coerce(value, getattr(config.neural, name))
+                neural_kwargs[name] = _coerce(key, value, Hyperparams)
             elif key in ("train_ratio", "valid_ratio"):
                 continue  # split settings, handled by the caller
-            elif hasattr(config, key):
-                setattr(config, key, _coerce(value, getattr(config, key)))
+            elif key in {f.name for f in fields(em.EmConfig)}:
+                setattr(config, key, _coerce(key, value, em.EmConfig))
             else:
                 raise data.DatasetError(f"unknown config key {key!r}")
         if neural_kwargs:
             config.neural = replace(config.neural, **neural_kwargs)
-    for flag in ("delta", "iterations", "rule_length", "seed", "workers"):
+    for flag in ("delta", "iterations", "rule_length", "seed"):
         value = getattr(args, flag, None)
         if value is not None:
             setattr(config, flag, value)
@@ -297,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--train-ratio", type=float, default=None, dest="train_ratio")
     p_align.add_argument("--valid-ratio", type=float, default=None, dest="valid_ratio")
     p_align.add_argument("--seed", type=int, default=None)
-    p_align.add_argument("--workers", type=int, default=None)
     p_align.add_argument("--symbolic-only", action="store_true", dest="symbolic_only")
     p_align.add_argument("--out", default=None, help="output directory (default: timestamped)")
     p_align.add_argument("--config", default=None, help="key=value config file")

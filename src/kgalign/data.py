@@ -219,7 +219,6 @@ def build_manifest(
         "rule_length": config.rule_length,
         "retention_rho": config.retention_rho,
         "seed": config.seed,
-        "workers": config.workers,
         "symbolic_only": config.symbolic_only,
         "hidden_weight": config.hidden_weight,
         "top_c": config.top_c,

@@ -46,6 +46,7 @@ class EmConfig:
     rule_length: int = 2
     retention_rho: float = 1.0
     seed: int = 0
+    # Pinned to 1 by validate(); kept only for callers that still pass it.
     workers: int = 1
     symbolic_only: bool = False
     neural: Hyperparams = field(default_factory=Hyperparams)
@@ -66,6 +67,16 @@ class EmConfig:
             raise ValueError(f"retention factor must be in (0, 1], got {self.retention_rho}")
         if self.top_c < 1:
             raise ValueError(f"top_c must be >= 1, got {self.top_c}")
+        if self.hidden_weight < 0.0:
+            raise ValueError(f"hidden_weight must be >= 0, got {self.hidden_weight}")
+        if not 0.0 <= self.confidence_floor < 1.0:
+            raise ValueError(f"confidence_floor must be in [0, 1), got {self.confidence_floor}")
+        if self.rank_depth < 1:
+            raise ValueError(f"rank_depth must be >= 1, got {self.rank_depth}")
+        if self.pseudo_budget is not None and self.pseudo_budget < 0:
+            raise ValueError(f"pseudo_budget must be >= 0, got {self.pseudo_budget}")
+        if self.workers != 1:
+            raise ValueError(f"sweeps run in one process; workers must be 1, got {self.workers}")
         self.neural.validate()
 
 
@@ -134,7 +145,6 @@ def e_step(state: EmState, config: EmConfig) -> EmState:
         seeds=state.truth_scores,
         sweeps=config.rule_length,
         rho=config.retention_rho,
-        workers=config.workers,
     )
     # Labels come from the retained table: lazy inference only ever
     # commits each entity's best-scoring counterparts, so entries pruned

@@ -73,6 +73,12 @@ class Hyperparams:
             raise ValueError("hard_negative_fraction must be in [0, 1]")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.margin <= 0.0:
+            raise ValueError(f"margin must be > 0, got {self.margin}")
+        if self.triple_weight < 0.0:
+            raise ValueError(f"triple_weight must be >= 0, got {self.triple_weight}")
 
 
 @dataclass

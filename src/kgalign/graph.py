@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 
@@ -74,15 +76,22 @@ class AlignmentSeed:
         return len(self.pairs)
 
 
+class DirectedAdjacency(NamedTuple):
+    """Directed edges in CSR form: entity e owns ``rel``/``nbr`` slots ``indptr[e]:indptr[e+1]``."""
+
+    indptr: np.ndarray
+    rel: np.ndarray
+    nbr: np.ndarray
+
+
 class KnowledgeGraph:
     """An indexed triple store over interned entity/relation labels.
 
-    The graph is immutable after construction.  ``out_index[h]`` holds the
-    (relation, tail) pairs of triples leaving ``h`` and ``in_index[t]`` the
-    (relation, head) pairs of triples entering ``t``; both are sorted.
-    ``directed_adj[e]`` merges the two views into (packed directed
-    relation, neighbor) pairs, which is what the propagation sweeps and
-    the path search iterate over.
+    The graph is immutable after construction.  ``directed_adj`` lists
+    every triple twice, as a forward edge at its head and an inverse edge
+    at its tail, as (packed directed relation, neighbor) pairs per
+    entity, ordered by (base relation, neighbor, direction) so that the
+    propagation sweeps and the path search are deterministic.
     """
 
     def __init__(
@@ -97,28 +106,16 @@ class KnowledgeGraph:
         self.relation_ids: dict[str, int] = {lab: i for i, lab in enumerate(self.relation_labels)}
         self.triples: tuple[tuple[int, int, int], ...] = tuple(triples)
 
-        n = len(self.entity_labels)
-        out_index: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        in_index: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for h, r, t in self.triples:
-            out_index[h].append((r, t))
-            in_index[t].append((r, h))
-        self.out_index: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(edges)) for edges in out_index
+        h, r, t = np.array(self.triples, dtype=np.int64).reshape(-1, 3).T
+        owner, nbr = np.concatenate([h, t]), np.concatenate([t, h])
+        rel = np.concatenate([2 * r, 2 * r + 1])
+        order = np.lexsort((rel, nbr, rel >> 1, owner))
+        self.directed_adj = DirectedAdjacency(
+            indptr=np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.n_entities))]),
+            rel=rel[order],
+            nbr=nbr[order],
         )
-        self.in_index: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(edges)) for edges in in_index
-        )
-        # (packed directed relation, neighbor) per entity, ordered by
-        # (base relation, neighbor, direction) to keep sweeps and BFS
-        # deterministic.
-        adj: list[tuple[tuple[int, int], ...]] = []
-        for e in range(n):
-            edges = [(r, t, 0) for r, t in self.out_index[e]]
-            edges += [(r, h, 1) for r, h in self.in_index[e]]
-            edges.sort()
-            adj.append(tuple((pack_direction(r, bool(d)), nbr) for r, nbr, d in edges))
-        self.directed_adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(adj)
+        self._directions = tuple(unpack_direction(d) for d in range(2 * self.n_relations))
 
     @property
     def n_entities(self) -> int:
@@ -140,7 +137,9 @@ class KnowledgeGraph:
         """
         if not 0 <= e < self.n_entities:
             raise KeyError(f"unknown entity id {e}")
-        return [(unpack_direction(d), nbr) for d, nbr in self.directed_adj[e]]
+        lo, hi = self.directed_adj.indptr[e : e + 2].tolist()
+        edges = zip(self.directed_adj.rel[lo:hi].tolist(), self.directed_adj.nbr[lo:hi].tolist())
+        return [(self._directions[d], nbr) for d, nbr in edges]
 
     def directed_label(self, packed: int) -> str:
         """Readable token for a packed directed relation, e.g. ``spouse^-1``."""

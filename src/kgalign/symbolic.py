@@ -19,9 +19,10 @@ number of entities rather than the number of pairs.
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -49,9 +50,6 @@ class FunctionalityTable:
 
     def __init__(self, values: np.ndarray):
         self.values = values  # indexed by packed directed relation id
-
-    def eta(self, rel: DirectedRelation) -> float:
-        return float(self.values[rel.packed])
 
     def __contains__(self, rel: DirectedRelation) -> bool:
         return self.values[rel.packed] > 0.0
@@ -167,47 +165,21 @@ class TruthScoreTable:
 # Entity-score propagation (one sweep of unit-length rules)
 # ---------------------------------------------------------------------------
 
-# Sweep context handed to forked workers.  Read-only after the fork.
-_SWEEP_CTX: dict | None = None
+# Most terms a sweep block expands before filtering; a larger entity is its own block.
+SWEEP_BLOCK_TERMS = 1 << 14
 
 
-def _score_rows(sources: Sequence[int]) -> dict[int, dict[int, float]]:
-    """Compute fresh score rows for a block of source entities.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range index i and value of each element of ranges starts[i] + (0 .. counts[i])."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum(counts) - counts
+    return owner, starts[owner] + np.arange(len(owner)) - offsets[owner]
 
-    Every row depends only on the sweep context (previous table and the
-    frozen rule tables), never on other rows, so blocks can be evaluated
-    in any process and in any partition without changing a single bit.
-    """
-    ctx = _SWEEP_CTX
-    assert ctx is not None
-    adj_s = ctx["adj_source"]
-    adj_t = ctx["adj_target"]
-    eta_s = ctx["eta_source_rev"]  # indexed by traversed direction
-    eta_t = ctx["eta_target_rev"]
-    sub = ctx["sub"]
-    sup = ctx["sup"]
-    prev_rows = ctx["prev_rows"]
 
-    out: dict[int, dict[int, float]] = {}
-    for e in sources:
-        survivors: dict[int, float] = {}
-        for d, e_t in adj_s[e]:
-            row = prev_rows.get(e_t)
-            if not row:
-                continue
-            eta_d = eta_s[d]
-            for e_t2, v in row.items():
-                for d2_raw, e2 in adj_t[e_t2]:
-                    d2 = d2_raw ^ 1  # directed triple (e2, d2, e_t2)
-                    s_fwd = eta_d * sub.get((d, d2), 0.0) * v
-                    s_bwd = eta_t[d2] * sup.get((d2, d), 0.0) * v
-                    if s_fwd == 0.0 and s_bwd == 0.0:
-                        continue
-                    acc = survivors.get(e2, 1.0)
-                    survivors[e2] = acc * (1.0 - s_fwd) * (1.0 - s_bwd)
-        row_out = {t: 1.0 - f for t, f in survivors.items() if 1.0 - f > 0.0}
-        if row_out:
-            out[e] = row_out
+def _dense(entries: Mapping[tuple[int, int], float], shape: tuple[int, int]) -> np.ndarray:
+    out = np.zeros(shape)
+    for key, v in entries.items():
+        out[key] = v
     return out
 
 
@@ -217,7 +189,6 @@ def propagate_entity_scores(
     eta_target: FunctionalityTable,
     psub: SubrelationTable,
     prev: TruthScoreTable,
-    workers: int = 1,
 ) -> TruthScoreTable:
     """One synchronous sweep of unit-rule inference.
 
@@ -232,44 +203,68 @@ def propagate_entity_scores(
     where eta is taken for the direction pointing back at the scored
     entity.  ``prev`` is read-only; the result is a fresh table with the
     observed pairs re-pinned at 1.
+
+    The triples are joined as arrays, a block of source entities at a
+    time.  Each product runs in source-edge, ``prev``-row and target-edge
+    order and each row lists counterparts by first term, so a sweep over
+    its own output repeats the same arithmetic bit for bit.
     """
-    global _SWEEP_CTX
-    ctx = {
-        "adj_source": pair.source.directed_adj,
-        "adj_target": pair.target.directed_adj,
-        "eta_source_rev": eta_source.reverse_values,
-        "eta_target_rev": eta_target.reverse_values,
-        "sub": psub.source_in_target,
-        "sup": psub.target_in_source,
-        "prev_rows": prev.rows,
-    }
-
-    # Candidates live one hop from any currently scored source entity.
-    candidates: set[int] = set()
     adj_s = pair.source.directed_adj
-    for e_t in prev.rows:
-        for _, nbr in adj_s[e_t]:
-            candidates.add(nbr)
-    ordered = sorted(candidates)
+    adj_t = pair.target.directed_adj
+    eta_s = eta_source.reverse_values  # indexed by traversed direction
+    eta_t = eta_target.reverse_values
+    shape = (2 * pair.source.n_relations, 2 * pair.target.n_relations)
+    sub = _dense(psub.source_in_target, shape)
+    sup = _dense(psub.target_in_source, shape[::-1])
 
-    _SWEEP_CTX = ctx
-    try:
-        if workers <= 1 or len(ordered) < 2:
-            rows = _score_rows(ordered)
-        else:
-            chunks = [
-                [int(e) for e in block]
-                for block in np.array_split(ordered, workers)
-                if len(block)
-            ]
-            with mp.get_context("fork").Pool(processes=len(chunks)) as pool:
-                results = pool.map(_score_rows, chunks)
-            rows = {}
-            for part in results:
-                rows.update(part)
-    finally:
-        _SWEEP_CTX = None
+    # prev as CSR over source entities, each row in its dict order.
+    n_s, n_t = pair.source.n_entities, pair.target.n_entities
+    scored = sorted(prev.rows)
+    row_len = np.zeros(n_s, dtype=np.int64)
+    row_len[scored] = [len(prev.rows[e_t]) for e_t in scored]
+    row_start = np.cumsum(row_len) - row_len
+    prev_tgt = np.array([t for e_t in scored for t in prev.rows[e_t]], dtype=np.int64)
+    prev_val = np.array([v for e_t in scored for v in prev.rows[e_t].values()], dtype=np.float64)
 
+    # Terms per source edge, cumulated at entity boundaries, set the blocks.
+    tgt_deg = np.diff(adj_t.indptr)
+    per_row = np.bincount(np.repeat(np.arange(n_s), row_len), tgt_deg[prev_tgt], n_s)
+    before = np.concatenate([[0], np.cumsum(per_row[adj_s.nbr])])[adj_s.indptr]
+    edge_owner = np.repeat(np.arange(n_s), np.diff(adj_s.indptr))
+
+    rows: dict[int, dict[int, float]] = {}
+    lo = 0
+    while lo < n_s:
+        hi = max(int(np.searchsorted(before, before[lo] + SWEEP_BLOCK_TERMS, "right")) - 1, lo + 1)
+        edges = np.arange(adj_s.indptr[lo], adj_s.indptr[hi])
+        lo = hi
+
+        # Expand source edge x prev row entry x target edge.
+        e_t = adj_s.nbr[edges]
+        via_edge, entry = _ranges(row_start[e_t], row_len[e_t])
+        e_t2 = prev_tgt[entry]
+        via_entry, tgt_edge = _ranges(adj_t.indptr[e_t2], tgt_deg[e_t2])
+        src_edge = edges[via_edge[via_entry]]
+        d = adj_s.rel[src_edge]
+        d2 = adj_t.rel[tgt_edge] ^ 1  # directed triple (e2, d2, e_t2)
+        v = prev_val[entry[via_entry]]
+        s_fwd = eta_s[d] * sub[d, d2] * v
+        s_bwd = eta_t[d2] * sup[d2, d] * v
+        keep = (s_fwd != 0.0) | (s_bwd != 0.0)
+
+        # Group terms by (e, e'), keeping term order inside each group.
+        key = edge_owner[src_edge[keep]] * n_t + adj_t.nbr[tgt_edge[keep]]
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        factors = np.stack([1.0 - s_fwd[keep], 1.0 - s_bwd[keep]], axis=1)[order].ravel()
+        score = 1.0 - np.multiply.reduceat(factors, 2 * first)
+
+        # Emit each row's counterparts in the order of their first term.
+        emit = np.argsort(order[first])
+        emit = emit[score[emit] > 0.0]
+        e, e2 = divmod(key[order[first[emit]]], n_t)
+        for row, terms in groupby(zip(e.tolist(), e2.tolist(), score[emit].tolist()), itemgetter(0)):
+            rows[row] = {t: val for _, t, val in terms}
     return TruthScoreTable(rows=rows, pinned=prev.pinned)
 
 
@@ -311,7 +306,6 @@ def run_symbolic_inference(
     seeds: TruthScoreTable,
     sweeps: int,
     rho: float = 1.0,
-    workers: int = 1,
 ) -> TruthScoreTable:
     """Run ``sweeps`` propagation passes with lazy retention in between.
 
@@ -324,7 +318,7 @@ def run_symbolic_inference(
         raise ValueError(f"sweep count must be >= 1, got {sweeps}")
     table = seeds
     for i in range(sweeps):
-        table = propagate_entity_scores(pair, eta_source, eta_target, psub, table, workers)
+        table = propagate_entity_scores(pair, eta_source, eta_target, psub, table)
         if i + 1 < sweeps:
             table = retain_best(table, rho)
     return table
@@ -333,13 +327,6 @@ def run_symbolic_inference(
 # ---------------------------------------------------------------------------
 # Subrelation probability re-estimation
 # ---------------------------------------------------------------------------
-
-
-def _directed_triples(kg: KnowledgeGraph, d: int) -> list[tuple[int, int]]:
-    base, inv = d >> 1, d & 1
-    if inv:
-        return [(t, h) for h, r, t in kg.triples if r == base]
-    return [(h, t) for h, r, t in kg.triples if r == base]
 
 
 def _estimate_one_way(

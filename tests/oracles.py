@@ -101,6 +101,51 @@ def brute_propagate(
     return out
 
 
+def loop_propagate(
+    pair: KnowledgeGraphPair,
+    eta_source_rev,
+    eta_target_rev,
+    sub: dict[tuple[int, int], float],
+    sup: dict[tuple[int, int], float],
+    prev_rows: dict[int, dict[int, float]],
+) -> dict[int, dict[int, float]]:
+    """One sweep as a per-term dict loop, in the engine's term order.
+
+    Walks, for every source entity e in id order, its adjacency in graph
+    order, then each scored counterpart row of the neighbor in dict
+    order, then the counterpart's adjacency, multiplying each candidate's
+    miss product term by term.  Rows list counterparts by first
+    supporting term.  ``eta_*_rev`` are indexed by traversed direction
+    (``FunctionalityTable.reverse_values``).  The array sweep must match
+    this bit for bit, including row and key order.
+    """
+
+    def adjacency(kg: KnowledgeGraph, e: int) -> list[tuple[int, int]]:
+        return [(rel.packed, nbr) for rel, nbr in kg.neighbors(e)]
+
+    out: dict[int, dict[int, float]] = {}
+    for e in range(pair.source.n_entities):
+        survivors: dict[int, float] = {}
+        for d, e_t in adjacency(pair.source, e):
+            row = prev_rows.get(e_t)
+            if not row:
+                continue
+            eta_d = eta_source_rev[d]
+            for e_t2, v in row.items():
+                for d2_raw, e2 in adjacency(pair.target, e_t2):
+                    d2 = d2_raw ^ 1  # directed triple (e2, d2, e_t2)
+                    s_fwd = eta_d * sub.get((d, d2), 0.0) * v
+                    s_bwd = eta_target_rev[d2] * sup.get((d2, d), 0.0) * v
+                    if s_fwd == 0.0 and s_bwd == 0.0:
+                        continue
+                    acc = survivors.get(e2, 1.0)
+                    survivors[e2] = acc * (1.0 - s_fwd) * (1.0 - s_bwd)
+        row_out = {t: 1.0 - f for t, f in survivors.items() if 1.0 - f > 0.0}
+        if row_out:
+            out[e] = row_out
+    return out
+
+
 def brute_subrelation(
     pair: KnowledgeGraphPair,
     labels: dict[tuple[int, int], float],

@@ -231,14 +231,13 @@ def test_long_rule_realization(capsys):
     )
 
 
-def _sweep(pair, psub, prev, workers: int = 1) -> TruthScoreTable:
+def _sweep(pair, psub, prev) -> TruthScoreTable:
     return propagate_entity_scores(
         pair,
         compute_functionalities(pair.source),
         compute_functionalities(pair.target),
         psub,
         prev,
-        workers=workers,
     )
 
 
@@ -281,18 +280,30 @@ def _monotone_cases(rng, n: int) -> str:
     return f"monotonicity:{n}"
 
 
-def _worker_cases(rng, n: int) -> str:
+def _loop_reference_cases(rng, n: int) -> str:
     from conftest import random_psub
 
     for case in range(n):
         pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
         psub = random_psub(rng, pair)
-        prev = TruthScoreTable(rows=_rows(random_labels(rng, pair, 6)))
-        lone = _as_dict(_sweep(pair, psub, prev, workers=1))
-        workers = 3 if case % 200 == 0 else 2
-        split_run = _as_dict(_sweep(pair, psub, prev, workers=workers))
-        assert split_run == lone, f"worker count {workers} changed sweep output"
-    return f"worker-identity:{n}"
+        labels = random_labels(rng, pair, 6)
+        prev = TruthScoreTable(rows=_rows(labels), pinned=frozenset(list(labels)[: case % 3]))
+        swept = _sweep(pair, psub, prev)
+        looped = TruthScoreTable(
+            rows=oracles.loop_propagate(
+                pair,
+                compute_functionalities(pair.source).reverse_values,
+                compute_functionalities(pair.target).reverse_values,
+                psub.source_in_target,
+                psub.target_in_source,
+                prev.rows,
+            ),
+            pinned=prev.pinned,
+        )
+        assert [(s, list(row.items())) for s, row in swept.rows.items()] == [
+            (s, list(row.items())) for s, row in looped.rows.items()
+        ], "array sweep differs from the dict-loop reference"
+    return f"loop-reference:{n}"
 
 
 def _greedy_cases(rng, n: int) -> str:
@@ -399,7 +410,7 @@ def test_invariant_suite(capsys, tmp_path):
     try:
         checks.append(_bounds_cases(rng, 1000))
         checks.append(_monotone_cases(rng, 1000))
-        checks.append(_worker_cases(rng, 1000))
+        checks.append(_loop_reference_cases(rng, 1000))
         checks.append(_greedy_cases(rng, 1000))
         checks.append(_ranking_cases(rng, 1000))
         checks.append(_norm_cases(rng, 1000))

@@ -114,6 +114,41 @@ class TestAlign:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "neural.learning_rate=-1",
+            "neural.margin=0",
+            "neural.triple_weight=-0.5",
+            "hidden_weight=-1",
+            "confidence_floor=7",
+            "rank_depth=0",
+            "pseudo_budget=-1",
+            "pseudo_budget=ten",
+            "workers=2",
+        ],
+    )
+    def test_bad_config_value_fails(self, dataset_dir, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        rc = main(
+            ["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--config", str(conf)]
+        )
+        assert rc == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert any(msg.startswith("error:") for msg in err_lines)
+        assert not (tmp_path / "x").exists()
+
+    def test_optional_config_value_typed(self, dataset_dir, tmp_path):
+        conf = tmp_path / "budget.conf"
+        base = (dataset_dir / "run.conf").read_text(encoding="utf-8")
+        conf.write_text(base + "pseudo_budget=10\n", encoding="utf-8")
+        rc = main(
+            ["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--iterations", "1",
+             "--config", str(conf)]
+        )
+        assert rc == 0
+
     def test_bad_delta_fails(self, dataset_dir, tmp_path, capsys):
         rc = main(
             ["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--delta", "1.5"]

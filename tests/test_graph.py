@@ -33,8 +33,9 @@ class TestLoadGraph:
         b = kg.entity_ids["b"]
         s, c = kg.relation_ids["s"], kg.entity_ids["c"]
         r, a = kg.relation_ids["r"], kg.entity_ids["a"]
-        assert kg.out_index[b] == ((s, c),)
-        assert kg.in_index[b] == ((r, a),)
+        edges = kg.neighbors(b)
+        assert [(rel.base, nbr) for rel, nbr in edges if not rel.inverse] == [(s, c)]
+        assert [(rel.base, nbr) for rel, nbr in edges if rel.inverse] == [(r, a)]
 
     def test_wrong_arity_names_record(self):
         with pytest.raises(IngestError, match="record 2"):
@@ -52,7 +53,7 @@ class TestLoadGraph:
     def test_self_loops_kept(self):
         kg = load_graph([("a", "r", "a")])
         assert kg.n_triples == 1
-        assert kg.out_index[0] == ((0, 0),)
+        assert kg.neighbors(0) == [(DirectedRelation(0, False), 0), (DirectedRelation(0, True), 0)]
 
 
 class TestNeighbors:

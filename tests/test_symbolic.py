@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kgalign import symbolic
 from kgalign.graph import KnowledgeGraphPair, load_graph, pack_direction
 from kgalign.symbolic import (
     FunctionalityTable,
@@ -206,17 +207,59 @@ class TestPropagate:
             for (s, t), v in as_dict(base).items():
                 assert as_dict(more).get((s, t), 0.0) >= v - 1e-12
 
-    def test_worker_count_bit_identical(self, rng):
-        for _ in range(5):
+    def test_matches_loop_reference(self, rng, monkeypatch):
+        for case in range(60):
+            # a small block puts block boundaries between entities
+            monkeypatch.setattr(symbolic, "SWEEP_BLOCK_TERMS", 3 if case % 2 else 1 << 14)
             pair = random_pair(rng, n_entities=12, n_relations=3, n_triples=30)
-            psub = random_psub(rng, pair)
-            prev = TruthScoreTable(rows=_rows_from(random_labels(rng, pair, 8)))
-            eta_s = compute_functionalities(pair.source)
-            eta_t = compute_functionalities(pair.target)
-            single = propagate_entity_scores(pair, eta_s, eta_t, psub, prev, workers=1)
-            for workers in (2, 3, 5):
-                multi = propagate_entity_scores(pair, eta_s, eta_t, psub, prev, workers=workers)
-                assert as_dict(single) == as_dict(multi)
+            psub = random_psub(rng, pair, density=0.6)
+            labels = random_labels(rng, pair, 8 if case % 10 else 0)
+            pinned = frozenset(list(labels)[:2])
+            _assert_matches_loop(pair, psub, TruthScoreTable(rows=_rows_from(labels), pinned=pinned))
+
+    def test_matches_loop_reference_isolated_and_hub(self, rng, monkeypatch):
+        # a hub whose terms outnumber small blocks, next to an unlabeled
+        # component whose entities get no terms at all
+        def graph(prefix, perm):
+            records = [(f"{prefix}hub", f"r{i % 3}", f"{prefix}{perm[i]}") for i in range(40)]
+            records += [(f"{prefix}{perm[i]}", "r1", f"{prefix}{perm[i + 1]}") for i in range(39)]
+            records += [(f"{prefix}x", "r0", f"{prefix}y"), (f"{prefix}y", "r2", f"{prefix}z")]
+            return load_graph(records)
+
+        src, tgt = graph("a", range(40)), graph("b", rng.permutation(40))
+        pair = KnowledgeGraphPair(source=src, target=tgt)
+        psub = random_psub(rng, pair, density=0.8)
+        spokes = [(src.entity_ids[f"a{i}"], tgt.entity_ids[f"b{i}"]) for i in range(40)]
+        labels = {spokes[int(i)]: float(rng.uniform(0.05, 1.0)) for i in rng.permutation(40)[:25]}
+        prev = TruthScoreTable(rows=_rows_from(labels), pinned=frozenset(list(labels)[:3]))
+        isolated = {src.entity_ids[f"a{x}"] for x in "xyz"}
+        for block in (1 << 14, 64, 7, 1):
+            monkeypatch.setattr(symbolic, "SWEEP_BLOCK_TERMS", block)
+            table = prev
+            for _ in range(3):
+                table = _assert_matches_loop(pair, psub, table)
+                assert not isolated & set(table.rows)
+
+
+def _ordered(table: TruthScoreTable) -> list[tuple[int, list[tuple[int, float]]]]:
+    return [(s, list(row.items())) for s, row in table.rows.items()]
+
+
+def _assert_matches_loop(pair, psub, prev: TruthScoreTable) -> TruthScoreTable:
+    """The array sweep equals the dict loop: values, row and key order."""
+    eta_s = compute_functionalities(pair.source)
+    eta_t = compute_functionalities(pair.target)
+    got = propagate_entity_scores(pair, eta_s, eta_t, psub, prev)
+    rows = oracles.loop_propagate(
+        pair,
+        eta_s.reverse_values,
+        eta_t.reverse_values,
+        psub.source_in_target,
+        psub.target_in_source,
+        prev.rows,
+    )
+    assert _ordered(got) == _ordered(TruthScoreTable(rows=rows, pinned=prev.pinned))
+    return got
 
 
 def _rows_from(labels: dict[tuple[int, int], float]) -> dict[int, dict[int, float]]:
