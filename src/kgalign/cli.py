@@ -222,6 +222,8 @@ def _lookup_pair(pair: KnowledgeGraphPair, s_label: str, t_label: str) -> tuple[
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    if args.top is not None and args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     bundle = data.load_dataset(args.dataset)
     state_dir = Path(args.state)
     psub = _load_state_tables(state_dir, bundle.pair)
@@ -260,8 +262,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_ks(text: str) -> tuple[int, ...]:
+    """Comma-separated cutoffs for hit@k, each an integer >= 1."""
+    try:
+        ks = tuple(int(k) for k in text.split(","))
+    except ValueError:
+        ks = ()
+    if not ks or min(ks) < 1:
+        raise ValueError(f"--ks expects integers >= 1 separated by commas, got {text!r}")
+    return ks
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ks = tuple(int(k) for k in args.ks.split(","))
+    ks = _parse_ks(args.ks)
     gold_pairs = data.load_label_pairs(args.gold)
     rankings, pairs = data.load_prediction_file(args.predictions)
     if rankings is not None:

@@ -185,29 +185,15 @@ def _top_candidates(
     sources: Sequence[int],
     targets: Sequence[int],
     top_c: int,
-    block: int = 1024,
 ) -> list[tuple[int, int, float]]:
-    """Each source's top-C targets by cosine, scored in row blocks."""
+    """(source, target, cosine) for each source's top-C targets, sources in
+    the given order, each source's targets by descending score, ties by
+    ascending target id."""
     if not sources or not targets:
         return []
-    tgt = np.asarray(targets, dtype=np.int64)
-    tmat = model.ent_target[tgt]
-    tmat = tmat / np.maximum(np.linalg.norm(tmat, axis=1, keepdims=True), 1e-12)
-    out: list[tuple[int, int, float]] = []
-    c = min(top_c, len(tgt))
-    for start in range(0, len(sources), block):
-        chunk = np.asarray(sources[start : start + block], dtype=np.int64)
-        smat = model.ent_source[chunk]
-        smat = smat / np.maximum(np.linalg.norm(smat, axis=1, keepdims=True), 1e-12)
-        scores = np.clip(smat @ tmat.T, -1.0, 1.0)
-        # argpartition narrows, lexsort fixes score ties by target id
-        part = np.argpartition(-scores, c - 1, axis=1)[:, :c]
-        for i, src in enumerate(chunk):
-            cols = part[i]
-            order = np.lexsort((tgt[cols], -scores[i, cols]))
-            for j in cols[order]:
-                out.append((int(src), int(tgt[j]), float(scores[i, j])))
-    return out
+    ids, scores = emb.top_k(model, sources, targets, top_c)
+    src = np.repeat(np.asarray(sources, dtype=np.int64), ids.shape[1])
+    return list(zip(src.tolist(), ids.ravel().tolist(), scores.ravel().tolist()))
 
 
 def m_step(state: EmState, config: EmConfig) -> EmState:
@@ -321,10 +307,12 @@ def fuse_predictions(
 
     Binary set: observed pairs, then greedy one-to-one over symbolic
     positives, then the embedder's matches over whatever entities are
-    still free (confidence floor applies).  Ranked lists: embedder
-    ranking over targets outside the observed set, with the binary
-    counterpart of a source promoted to the top of its list; without a
-    model the truth-score rows are ranked instead.
+    still free (confidence floor applies).  Ranked lists: each sorted
+    rank source's top ``rank_depth`` targets outside the observed set by
+    embedder score, ties by ascending target id, all ranked in one
+    ``rank_candidates`` call; without a model the truth-score rows are
+    ranked instead.  The binary counterpart of a source is promoted to
+    the top of its list.
     """
     if state.last_split is None:
         raise RuntimeError("fuse_predictions requires at least one completed round")
@@ -362,17 +350,17 @@ def fuse_predictions(
         rank_sources = [e for e in range(state.pair.source.n_entities) if e not in obs_src]
     open_targets = [e for e in range(state.pair.target.n_entities) if e not in obs_tgt]
 
+    sources = sorted(rank_sources)
+    if state.model is not None and open_targets:
+        ranked_lists = emb.rank_candidates(state.model, sources, open_targets, config.rank_depth)
+    else:
+        ranked_lists = []
+        for s in sources:
+            row = sorted(state.truth_scores.counterparts(s).items(), key=lambda kv: (-kv[1], kv[0]))
+            ranked_lists.append([t for t, _ in row if t not in obs_tgt][: config.rank_depth])
+
     rankings: dict[int, list[int]] = {}
-    for s in sorted(rank_sources):
-        if state.model is not None and open_targets:
-            ranked = emb.rank_candidates(state.model, s, open_targets)[: config.rank_depth]
-        else:
-            row = state.truth_scores.counterparts(s)
-            ranked = [
-                t
-                for t, _ in sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
-                if t not in obs_tgt
-            ][: config.rank_depth]
+    for s, ranked in zip(sources, ranked_lists):
         confirmed = by_source.get(s)
         if confirmed is not None:
             if confirmed in ranked:

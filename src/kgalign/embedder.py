@@ -292,22 +292,64 @@ def score_pair(model: NeuralModel, e: int, e_prime: int) -> float:
     return float(np.clip(np.dot(u, v) / denom, -1.0, 1.0))
 
 
-def score_against(model: NeuralModel, e: int, candidates: np.ndarray) -> np.ndarray:
-    """Cosine scores of source entity e against an array of target ids."""
-    u = model.ent_source[e]
-    u = u / max(np.linalg.norm(u), 1e-12)
-    mat = _unit_rows(model.ent_target[candidates])
-    return np.clip(mat @ u, -1.0, 1.0)
+# Score cells (sources x candidates) one block of the top-k kernel holds;
+# the block's row count follows from the candidate count, so memory stays
+# flat as the target side grows.
+TOP_K_BLOCK_CELLS = 1 << 22
 
 
-def rank_candidates(model: NeuralModel, e: int, candidates: Sequence[int]) -> list[int]:
-    """Candidates sorted by descending score, ties by ascending target id."""
+def top_k(
+    model: NeuralModel,
+    sources: Sequence[int],
+    candidates: Sequence[int],
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each source's k best candidates by cosine, ties by ascending target id.
+
+    Returns target ids and their clipped cosine scores, both shaped
+    (len(sources), min(k, len(candidates))), each row in descending score
+    order.  Scores come from one matrix product per block of source rows;
+    ``argpartition`` narrows each row to k columns, and a row holding more
+    than k scores at or above its k-th value re-selects among them by
+    (score, id) so the cut keeps the lowest ids of an exact tie.
+    """
     if len(candidates) == 0:
         raise ValueError("candidate set must be non-empty")
-    cand = np.asarray(sorted(candidates), dtype=np.int64)
-    scores = score_against(model, e, cand)
-    order = np.lexsort((cand, -scores))
-    return [int(c) for c in cand[order]]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    cand = np.sort(np.asarray(candidates, dtype=np.int64))
+    src = np.asarray(sources, dtype=np.int64)
+    k = min(k, len(cand))
+    tmat = _unit_rows(model.ent_target[cand])
+    cols = np.empty((len(src), k), dtype=np.int64)
+    vals = np.empty((len(src), k), dtype=np.float64)
+    rows = max(1, TOP_K_BLOCK_CELLS // len(cand))
+    for start in range(0, len(src), rows):
+        smat = _unit_rows(model.ent_source[src[start : start + rows]])
+        scores = np.clip(smat @ tmat.T, -1.0, 1.0)
+        part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(scores, part[:, -1:], axis=1)
+        for r in np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k):
+            # columns ascend with target id, so a stable sort keeps id order
+            near = np.flatnonzero(scores[r] >= kth[r])
+            part[r] = near[np.argsort(-scores[r, near], kind="stable")[:k]]
+        top = np.take_along_axis(scores, part, axis=1)
+        order = np.lexsort((part, -top))
+        cols[start : start + rows] = np.take_along_axis(part, order, axis=1)
+        vals[start : start + rows] = np.take_along_axis(top, order, axis=1)
+    return cand[cols], vals
+
+
+def rank_candidates(
+    model: NeuralModel,
+    sources: Sequence[int],
+    candidates: Sequence[int],
+    depth: int,
+) -> list[list[int]]:
+    """Per source, the top ``depth`` candidates by descending score, ties by
+    ascending target id; an empty candidate set is a ``ValueError``."""
+    ids, _ = top_k(model, sources, candidates, depth)
+    return ids.tolist()
 
 
 def greedy_one_to_one(

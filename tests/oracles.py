@@ -17,6 +17,10 @@ estimator guarantees and hand-built test tables must respect.
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair
 
 
@@ -144,6 +148,23 @@ def loop_propagate(
         if row_out:
             out[e] = row_out
     return out
+
+
+def loop_rank(model, e: int, candidates: Sequence[int]) -> list[int]:
+    """All candidates by descending cosine with source e, ties by
+    ascending target id, from one matrix-vector product for this source
+    alone.  The batched ranking must equal a prefix of this list.
+    """
+    if len(candidates) == 0:
+        raise ValueError("candidate set must be non-empty")
+    cand = np.asarray(sorted(candidates), dtype=np.int64)
+    u = model.ent_source[e]
+    u = u / max(np.linalg.norm(u), 1e-12)
+    mat = model.ent_target[cand]
+    mat = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+    scores = np.clip(mat @ u, -1.0, 1.0)
+    order = np.lexsort((cand, -scores))
+    return [int(c) for c in cand[order]]
 
 
 def brute_subrelation(

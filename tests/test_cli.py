@@ -201,6 +201,24 @@ class TestExplain:
         assert rc == 0
         assert "mode=soft" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_bad_top_fails(self, dataset_dir, run_dir, capsys, top):
+        rc = main(
+            [
+                "explain",
+                str(dataset_dir),
+                "--pairs",
+                str(dataset_dir / "query_pairs"),
+                "--state",
+                str(run_dir),
+                f"--top={top}",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --top must be >= 1, got {top}"]
+
     def test_state_without_dumps_fails(self, dataset_dir, tmp_path, capsys):
         rc = main(
             [
@@ -249,6 +267,26 @@ class TestEval:
         assert "hit@1\t" in out
         assert "hit@5\t" in out
         assert "mrr\t" in out
+
+
+    @pytest.mark.parametrize("ks", ["0", "-1", "1,0", "1.5", "x", "1,"])
+    def test_bad_ks_fails(self, dataset_dir, run_dir, capsys, ks):
+        rc = main(
+            [
+                "eval",
+                "--predictions",
+                str(run_dir / "rankings.tsv"),
+                "--gold",
+                str(run_dir / "splits" / "test_links"),
+                f"--ks={ks}",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --ks expects integers >= 1 separated by commas, got {ks!r}"
+        ]
 
 
 class TestSplit:

@@ -288,3 +288,34 @@ class TestFusion:
         targets = [t for _, t in keys]
         assert len(set(sources)) == len(sources)
         assert len(set(targets)) == len(targets)
+
+    @staticmethod
+    def _count_rank_calls(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = em.emb.rank_candidates
+
+        def counting(model, sources, candidates, depth):
+            calls.append(len(sources))
+            return real(model, sources, candidates, depth)
+
+        monkeypatch.setattr(em.emb, "rank_candidates", counting)
+        return calls
+
+    def test_joint_fuse_ranks_in_one_call(self, monkeypatch):
+        pair, gold = isomorphic_pair(23, n_entities=30, n_relations=3, n_triples=80)
+        train, _ = split_gold(gold, 0.3, seed=4)
+        config = EmConfig(iterations=1, rule_length=2, neural=tiny_neural(epochs=3))
+        state = run_em(pair, train, config)
+        calls = self._count_rank_calls(monkeypatch)
+        fused = fuse_predictions(state, config)
+        assert calls == [len(fused.rankings)]
+        assert len(fused.rankings) > 1
+
+    def test_model_less_fuse_never_ranks(self, monkeypatch):
+        pair = chain_fixture()
+        config = EmConfig(iterations=2, rule_length=2, symbolic_only=True)
+        state = run_em(pair, train_seed([(1, 1), (2, 2)]), config)
+        calls = self._count_rank_calls(monkeypatch)
+        fused = fuse_predictions(state, config)
+        assert calls == []
+        assert fused.rankings

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kgalign import embedder
+from kgalign.em import _top_candidates
 from kgalign.embedder import (
     Hyperparams,
     Origin,
@@ -15,12 +17,12 @@ from kgalign.embedder import (
     load_model,
     rank_candidates,
     save_model,
-    score_against,
     score_pair,
     train,
 )
 from kgalign.graph import KnowledgeGraphPair, load_graph
 
+import oracles
 from conftest import isomorphic_pair, random_pair, split_gold
 
 
@@ -123,7 +125,7 @@ class TestTrain:
         train(model, pair, observed(*[(s, t, 1.0) for s, t in train_seed.pairs]))
         targets = list(range(pair.target.n_entities))
         hits = sum(
-            1 for s, t in train_seed.pairs if t in rank_candidates(model, s, targets)[:3]
+            1 for s, t in train_seed.pairs if t in rank_candidates(model, [s], targets, 3)[0]
         )
         assert hits >= int(0.7 * len(train_seed.pairs))
 
@@ -199,37 +201,124 @@ class TestScoring:
         model = self._model_with_rows({0: [-1.0, 0.0]})
         assert score_pair(model, 0, 0) == -1.0
 
-    def test_score_against_matches_score_pair(self):
-        model = self._model_with_rows({0: [1.0, 0.0], 1: [0.0, 1.0]})
-        got = score_against(model, 0, np.array([0, 1]))
-        np.testing.assert_allclose(got, [score_pair(model, 0, 0), score_pair(model, 0, 1)], atol=1e-12)
+    def test_top_candidates_scores_match_score_pair(self, rng):
+        pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
+        model = init_model(pair, Hyperparams(dim=8), seed=5)
+        model.ent_target[3] *= 2.5  # scoring must not assume unit rows
+        got = _top_candidates(model, [0, 4, 7], list(range(12)), top_c=5)
+        assert len(got) == 15
+        for s, t, v in got:
+            assert abs(v - score_pair(model, s, t)) <= 1e-12
 
     def test_rank_by_score(self):
         model = self._model_with_rows({2: [0.9, np.sqrt(1 - 0.81)], 5: [0.1, np.sqrt(1 - 0.01)]})
-        assert rank_candidates(model, 0, [5, 2]) == [2, 5]
+        assert rank_candidates(model, [0], [5, 2], 2)[0] == [2, 5]
 
     def test_rank_tie_by_id(self):
         v = [0.6, 0.8]
         model = self._model_with_rows({3: v, 7: v})
-        assert rank_candidates(model, 0, [7, 3]) == [3, 7]
+        assert rank_candidates(model, [0], [7, 3], 2)[0] == [3, 7]
 
     def test_rank_singleton(self):
         model = self._model_with_rows({4: [1.0, 0.0]})
-        assert rank_candidates(model, 0, [4]) == [4]
+        assert rank_candidates(model, [0], [4], 1)[0] == [4]
 
     def test_rank_empty_rejected(self):
         model = self._model_with_rows({})
         with pytest.raises(ValueError, match="non-empty"):
-            rank_candidates(model, 0, [])
+            rank_candidates(model, [0], [], 1)
 
     def test_rank_permutation_invariant(self, rng):
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
         model = init_model(pair, Hyperparams(dim=8), seed=5)
         cands = list(range(12))
-        base = rank_candidates(model, 3, cands)
+        base = rank_candidates(model, [3], cands, 12)[0]
         for _ in range(10):
             shuffled = [cands[i] for i in rng.permutation(len(cands))]
-            assert rank_candidates(model, 3, shuffled) == base
+            assert rank_candidates(model, [3], shuffled, 12)[0] == base
+
+
+def tied_model(rng, n_entities: int, dim: int = 4):
+    """A random model whose target rows repeat in groups, with some source
+    rows copying a repeated target row, so that exact score ties sit at
+    the top of those rows and straddle small cuts."""
+    pair = random_pair(rng, n_entities=n_entities, n_relations=2, n_triples=2 * n_entities)
+    model = init_model(pair, Hyperparams(dim=dim), seed=int(rng.integers(1 << 30)))
+    n_t = model.ent_target.shape[0]
+    for _ in range(int(rng.integers(1, 4))):
+        group = rng.choice(n_t, size=int(rng.integers(2, min(6, n_t) + 1)), replace=False)
+        model.ent_target[group] = model.ent_target[group[0]]
+        n_copy = int(rng.integers(0, model.ent_source.shape[0] // 2 + 1))
+        for s in rng.choice(model.ent_source.shape[0], size=n_copy, replace=False):
+            model.ent_source[s] = 3.0 * model.ent_target[group[0]]
+    return model
+
+
+class TestTopK:
+    """Batched ranking and m-step candidates against exact references."""
+
+    def _check_against_loop(self, rng, model) -> int:
+        """Rank a random subset of sources over a shuffled subset of targets
+        at a depth up to two past the candidate count; returns how many
+        rows cut through a group of tied targets."""
+        n_s, n_t = model.ent_source.shape[0], model.ent_target.shape[0]
+        sources = [int(s) for s in rng.permutation(n_s)[: int(rng.integers(1, n_s + 1))]]
+        cands = [int(t) for t in rng.permutation(n_t)[: int(rng.integers(1, n_t + 1))]]
+        depth = int(rng.integers(1, len(cands) + 3))
+        got = rank_candidates(model, sources, cands, depth)
+        assert len(got) == len(sources)
+        straddled = 0
+        for s, ranked in zip(sources, got):
+            full = oracles.loop_rank(model, s, cands)
+            assert ranked == full[:depth]
+            last = model.ent_target[full[min(depth, len(full)) - 1]]
+            dropped = full[depth:]
+            straddled += any(np.array_equal(model.ent_target[t], last) for t in dropped)
+        return straddled
+
+    def test_matches_loop_reference(self, rng):
+        straddled = 0
+        for _ in range(200):
+            model = tied_model(rng, int(rng.integers(2, 25)))
+            straddled += self._check_against_loop(rng, model)
+        assert straddled > 20  # exact ties did fall across the cut
+
+    def test_matches_loop_reference_one_row_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(embedder, "TOP_K_BLOCK_CELLS", 1)
+        for _ in range(100):
+            self._check_against_loop(rng, tied_model(rng, int(rng.integers(2, 15))))
+
+    def test_depth_beyond_candidates(self, rng):
+        model = tied_model(rng, 10)
+        cands = [9, 1, 4, 4, 0, 7]
+        got = rank_candidates(model, [0, 1, 2], cands, 50)
+        for s, ranked in zip([0, 1, 2], got):
+            assert ranked == oracles.loop_rank(model, s, cands)
+            assert sorted(ranked) == sorted(cands)
+
+    def test_empty_sources(self, rng):
+        model = tied_model(rng, 6)
+        assert rank_candidates(model, [], [0, 1], 3) == []
+
+    def test_top_candidates_match_lexsort_reference(self, rng):
+        for _ in range(300):
+            model = tied_model(rng, int(rng.integers(2, 20)))
+            n_s, n_t = model.ent_source.shape[0], model.ent_target.shape[0]
+            sources = [int(s) for s in rng.permutation(n_s)[: int(rng.integers(1, n_s + 1))]]
+            targets = sorted(int(t) for t in rng.permutation(n_t)[: int(rng.integers(1, n_t + 1))])
+            top_c = int(rng.integers(1, n_t + 1))
+            got = _top_candidates(model, sources, targets, top_c)
+
+            tgt = np.asarray(targets)
+            smat, tmat = model.ent_source[sources], model.ent_target[tgt]
+            smat = smat / np.linalg.norm(smat, axis=1, keepdims=True)
+            tmat = tmat / np.linalg.norm(tmat, axis=1, keepdims=True)
+            scores = np.clip(smat @ tmat.T, -1.0, 1.0)
+            want = []
+            for i, s in enumerate(sources):
+                for j in np.lexsort((tgt, -scores[i]))[:top_c]:
+                    want.append((s, int(tgt[j]), float(scores[i, j])))
+            assert got == want
 
 
 class TestGreedyMatching:
