@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 import typing
@@ -93,8 +94,15 @@ def _psub_from_dump(path: Path, left, right) -> dict[tuple[int, int], float]:
         return pack_direction(base, inverse)
 
     entries: dict[tuple[int, int], float] = {}
-    for a, b, v in data.read_tsv_rows(path, 3):
-        entries[(parse_directed(a, left), parse_directed(b, right))] = float(v)
+    for lineno, (a, b, v) in data.read_tsv_rows(path, 3):
+        try:
+            p = float(v)
+        except ValueError:
+            p = math.nan
+        if not 0.0 <= p <= 1.0:
+            msg = f"{path.name}:{lineno}: p_sub must be a number in [0, 1], got {v!r}"
+            raise data.DatasetError(msg)
+        entries[(parse_directed(a, left), parse_directed(b, right))] = p
     return entries
 
 

@@ -13,7 +13,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +54,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def read_tsv_rows(path: Path, n_fields: int) -> list[list[str]]:
-    rows: list[list[str]] = []
+def read_tsv_rows(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank rows of a TSV file with their 1-based line numbers, read lazily."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -67,8 +67,7 @@ def read_tsv_rows(path: Path, n_fields: int) -> list[list[str]]:
                     f"{path.name}:{lineno}: expected {n_fields} non-empty "
                     f"tab-separated fields, got {line!r}"
                 )
-            rows.append(fields)
-    return rows
+            yield lineno, fields
 
 
 def load_dataset(directory: str | Path) -> DatasetBundle:
@@ -81,7 +80,7 @@ def load_dataset(directory: str | Path) -> DatasetBundle:
     graphs = []
     for name in TRIPLE_FILES:
         try:
-            graphs.append(load_graph(read_tsv_rows(root / name, 3)))
+            graphs.append(load_graph(fields for _, fields in read_tsv_rows(root / name, 3)))
         except IngestError as exc:
             raise DatasetError(f"{name}: {exc}") from exc
     pair = KnowledgeGraphPair(source=graphs[0], target=graphs[1])
@@ -283,7 +282,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def load_label_pairs(path: str | Path) -> list[tuple[str, str]]:
-    return [(a, b) for a, b in read_tsv_rows(Path(path), 2)]
+    return [(a, b) for _, (a, b) in read_tsv_rows(Path(path), 2)]
 
 
 def load_prediction_file(

@@ -11,7 +11,7 @@ as packed ints (``base * 2 + inverse``) inside the engines.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,11 +44,6 @@ def pack_direction(base: int, inverse: bool) -> int:
 
 def unpack_direction(packed: int) -> DirectedRelation:
     return DirectedRelation(packed >> 1, bool(packed & 1))
-
-
-def flip_packed(packed: int) -> int:
-    """Packed-id counterpart of :meth:`DirectedRelation.flip`."""
-    return packed ^ 1
 
 
 class SeedRole(Enum):
@@ -202,28 +197,25 @@ def load_graph(triple_records: Iterable[Sequence[str]]) -> KnowledgeGraph:
 
 @dataclass(frozen=True)
 class KnowledgeGraphPair:
-    """The two graphs being aligned; `source` owns E, `target` owns E'."""
+    """The two graphs being aligned; `source` owns E, `target` owns E'.
+
+    The pair holds nothing but the two graphs: every index over them is
+    derived from their ``directed_adj`` arrays.
+    """
 
     source: KnowledgeGraph
     target: KnowledgeGraph
 
-    # (head, tail) -> packed directed relations connecting them, per graph;
-    # built lazily because only the subrelation update needs it.
-    _edge_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    def edge_relations(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """Directed edges of one graph: sorted keys ``u * n_entities + v`` and packed relations.
 
-    def edge_relations(self, side: str) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Map (u, v) -> packed directed relations with a directed triple u->v."""
-        cached = self._edge_cache.get(side)
-        if cached is not None:
-            return cached
+        Parallel relations of one (u, v) are adjacent and ascending; built afresh on each call.
+        """
         kg = self.source if side == "source" else self.target
-        edges: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in kg.triples:
-            edges.setdefault((h, t), []).append(pack_direction(r, False))
-            edges.setdefault((t, h), []).append(pack_direction(r, True))
-        frozen = {k: tuple(sorted(v)) for k, v in edges.items()}
-        self._edge_cache[side] = frozen
-        return frozen
+        adj = kg.directed_adj
+        keys = np.repeat(np.arange(kg.n_entities), np.diff(adj.indptr)) * kg.n_entities + adj.nbr
+        order = np.argsort(keys, kind="stable")
+        return keys[order], adj.rel[order]
 
 
 def validate_seed_sets(

@@ -26,12 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graph import (
-    DirectedRelation,
-    KnowledgeGraph,
-    KnowledgeGraphPair,
-    flip_packed,
-)
+from .graph import DirectedRelation, KnowledgeGraph, KnowledgeGraphPair
 
 logger = logging.getLogger(__name__)
 
@@ -331,8 +326,9 @@ def run_symbolic_inference(
 
 def _estimate_one_way(
     kg_from: KnowledgeGraph,
-    edges_to: dict[tuple[int, int], tuple[int, ...]],
-    labels_by_from: dict[int, dict[int, float]],
+    kg_to: KnowledgeGraph,
+    edges_to: tuple[np.ndarray, np.ndarray],
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray],
     eps: float,
     min_support: float,
 ) -> dict[tuple[int, int], float]:
@@ -344,44 +340,52 @@ def _estimate_one_way(
     pairs whether connected or not.  Only labeled counterparts contribute
     (absent labels read as 0, i.e. factor 1).  Inverse-direction entries
     mirror the forward ones, so only forward triples are walked.
+
+    ``labels`` holds (own entity, counterpart, value) arrays.  Each product
+    runs in ascending counterpart order and each sum in triple order.
     """
-    numerators: dict[tuple[int, int], float] = {}
-    denominators: dict[int, float] = {}
+    n_rel_to = 2 * kg_to.n_relations
+    own, other, val = labels
+    by_row = np.lexsort((other, own))
+    other, val = other[by_row], val[by_row]
+    row_len = np.bincount(own, minlength=kg_from.n_entities)
+    row_start = np.cumsum(row_len) - row_len
+    h, r, t = np.array(kg_from.triples, dtype=np.int64).reshape(-1, 3).T
 
-    for h, r, t in kg_from.triples:
-        row_h = labels_by_from.get(h)
-        row_t = labels_by_from.get(t)
-        if not row_h or not row_t:
-            continue
-        d_fwd = 2 * r
-        # Factor products per reachable counterpart relation, this triple.
-        connected: dict[int, float] = {}
-        miss = 1.0
-        for h2 in sorted(row_h):
-            v_h = row_h[h2]
-            for t2 in sorted(row_t):
-                f = 1.0 - v_h * row_t[t2]
-                miss *= f
-                for d2 in edges_to.get((h2, t2), ()):
-                    connected[d2] = connected.get(d2, 1.0) * f
-        den_term = 1.0 - miss
-        if den_term <= 0.0:
-            continue
-        denominators[d_fwd] = denominators.get(d_fwd, 0.0) + den_term
-        for d2, prod in connected.items():
-            key = (d_fwd, d2)
-            numerators[key] = numerators.get(key, 0.0) + (1.0 - prod)
+    # Expand forward triple x label row at h x label row at t.
+    via_h, at_h = _ranges(row_start[h], row_len[h])
+    via_t, at_t = _ranges(row_start[t[via_h]], row_len[t[via_h]])
+    triple, at_h = via_h[via_t], at_h[via_t]
+    f = 1.0 - val[at_h] * val[at_t]
+    n_terms = row_len[h] * row_len[t]
+    den_term = np.zeros(len(h))
+    has = np.flatnonzero(n_terms)
+    den_term[has] = 1.0 - np.multiply.reduceat(f, (np.cumsum(n_terms) - n_terms)[has])
+    ok = den_term > 0.0
+    denominator = np.bincount(r[ok], den_term[ok], kg_from.n_relations)
 
-    result: dict[tuple[int, int], float] = {}
-    for (d, d2), num in numerators.items():
-        if num < min_support:
-            continue
-        p = num / (denominators[d] + eps)
-        result[(d, d2)] = p
-        # A triple (u,v) of d with counterparts joined by d' is identically a
-        # triple (v,u) of flip(d) with counterparts joined by flip(d').
-        result[(flip_packed(d), flip_packed(d2))] = p
-    return result
+    # Look each counterpart pair (u', v') of a kept triple up in kg_to's edge index.
+    kept = ok[triple]
+    pair_key = other[at_h[kept]] * kg_to.n_entities + other[at_t[kept]]
+    lo, hi = np.searchsorted(edges_to[0], [pair_key, pair_key + 1])
+    via_term, slot = _ranges(lo, hi - lo)
+
+    # One noisy-OR per (triple, d'), then numerators summed in triple order;
+    # every (d, d') a kept triple reaches keeps its key, even at sum 0.
+    group = triple[kept][via_term] * n_rel_to + edges_to[1][slot]
+    order = np.argsort(group, kind="stable")
+    first = np.flatnonzero(np.diff(group[order], prepend=-1))
+    tri, d2 = np.divmod(group[order][first], n_rel_to)
+    keys, where = np.unique(2 * r[tri] * n_rel_to + d2, return_inverse=True)
+    numerator = np.bincount(where, 1.0 - np.multiply.reduceat(f[kept][via_term][order], first))
+
+    d, d2 = np.divmod(keys, n_rel_to)
+    p = numerator / (denominator[d >> 1] + eps)
+    keep = numerator >= min_support
+    # A triple (u,v) of d with counterparts joined by d' is identically a
+    # triple (v,u) of flip(d) with counterparts joined by flip(d').
+    d, d2, p = np.r_[d[keep], d[keep] ^ 1], np.r_[d2[keep], d2[keep] ^ 1], np.r_[p[keep], p[keep]]
+    return dict(zip(zip(d.tolist(), d2.tolist()), p.tolist()))
 
 
 def update_subrelation_probs(
@@ -397,16 +401,13 @@ def update_subrelation_probs(
     support falls below ``min_support`` are dropped; ``eps`` smooths the
     denominator against division by zero.
     """
-    labels_by_target: dict[int, dict[int, float]] = {}
-    for s, row in labels.rows.items():
-        for t, v in row.items():
-            labels_by_target.setdefault(t, {})[s] = v
-
+    s, t, v = np.array(list(labels.items()), dtype=np.float64).reshape(-1, 3).T
+    src, tgt = s.astype(np.int64), t.astype(np.int64)
     forward = _estimate_one_way(
-        pair.source, pair.edge_relations("target"), labels.rows, eps, min_support
+        pair.source, pair.target, pair.edge_relations("target"), (src, tgt, v), eps, min_support
     )
     backward = _estimate_one_way(
-        pair.target, pair.edge_relations("source"), labels_by_target, eps, min_support
+        pair.target, pair.source, pair.edge_relations("source"), (tgt, src, v), eps, min_support
     )
     return SubrelationTable(source_in_target=forward, target_in_source=backward)
 

@@ -213,6 +213,72 @@ def brute_subrelation(
     return forward, backward
 
 
+def loop_subrelation(
+    pair: KnowledgeGraphPair,
+    label_rows: dict[int, dict[int, float]],
+    eps: float = 1e-9,
+    min_support: float = 1e-6,
+) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
+    """The subrelation update as a per-triple dict loop, both orientations.
+
+    Walks the forward triples in graph order and, per triple, the product
+    of its two label rows in ascending counterpart order, looking each
+    counterpart pair up in a dict edge index.  Numerators and
+    denominators accumulate in triple order.  The array estimator must
+    match this bit for bit, including the keys whose numerator sums to 0.
+    """
+
+    def edge_index(kg: KnowledgeGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+        edges: dict[tuple[int, int], list[int]] = {}
+        for h, r, t in kg.triples:
+            edges.setdefault((h, t), []).append(2 * r)
+            edges.setdefault((t, h), []).append(2 * r + 1)
+        return {k: tuple(sorted(v)) for k, v in edges.items()}
+
+    def one_way(kg_from: KnowledgeGraph, edges_to, labels_by_from) -> dict[tuple[int, int], float]:
+        numerators: dict[tuple[int, int], float] = {}
+        denominators: dict[int, float] = {}
+        for h, r, t in kg_from.triples:
+            row_h = labels_by_from.get(h)
+            row_t = labels_by_from.get(t)
+            if not row_h or not row_t:
+                continue
+            d_fwd = 2 * r
+            connected: dict[int, float] = {}
+            miss = 1.0
+            for h2 in sorted(row_h):
+                v_h = row_h[h2]
+                for t2 in sorted(row_t):
+                    f = 1.0 - v_h * row_t[t2]
+                    miss *= f
+                    for d2 in edges_to.get((h2, t2), ()):
+                        connected[d2] = connected.get(d2, 1.0) * f
+            den_term = 1.0 - miss
+            if den_term <= 0.0:
+                continue
+            denominators[d_fwd] = denominators.get(d_fwd, 0.0) + den_term
+            for d2, prod in connected.items():
+                key = (d_fwd, d2)
+                numerators[key] = numerators.get(key, 0.0) + (1.0 - prod)
+
+        result: dict[tuple[int, int], float] = {}
+        for (d, d2), num in numerators.items():
+            if num < min_support:
+                continue
+            p = num / (denominators[d] + eps)
+            result[(d, d2)] = p
+            result[(d ^ 1, d2 ^ 1)] = p
+        return result
+
+    by_target: dict[int, dict[int, float]] = {}
+    for s, row in label_rows.items():
+        for t, v in row.items():
+            by_target.setdefault(t, {})[s] = v
+    forward = one_way(pair.source, edge_index(pair.target), label_rows)
+    backward = one_way(pair.target, edge_index(pair.source), by_target)
+    return forward, backward
+
+
 def joint_reachable(
     pair: KnowledgeGraphPair,
     seeds: set[tuple[int, int]],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from kgalign.cli import main
@@ -218,6 +220,41 @@ class TestExplain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: --top must be >= 1, got {top}"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("psub_source_in_target.tsv", "7.0"),
+            ("psub_target_in_source.tsv", "-0.5"),
+            ("psub_target_in_source.tsv", "nan"),
+            ("psub_source_in_target.tsv", "inf"),
+            ("psub_source_in_target.tsv", "abc"),
+        ],
+    )
+    def test_bad_psub_value_fails(self, dataset_dir, run_dir, tmp_path, capsys, name, value):
+        state = tmp_path / "state"
+        shutil.copytree(run_dir, state)
+        lines = (state / name).read_text(encoding="utf-8").splitlines()
+        assert len(lines) >= 2
+        a, b, _ = lines[1].split("\t")
+        lines[1] = f"{a}\t{b}\t{value}"
+        (state / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(
+            [
+                "explain",
+                str(dataset_dir),
+                "--pairs",
+                str(dataset_dir / "query_pairs"),
+                "--state",
+                str(state),
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {name}:2: p_sub must be a number in [0, 1], got {value!r}"
+        ]
 
     def test_state_without_dumps_fails(self, dataset_dir, tmp_path, capsys):
         rc = main(

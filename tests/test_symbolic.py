@@ -326,6 +326,31 @@ class TestSubrelationUpdate:
             for (d, d2), v in psub.source_in_target.items():
                 assert psub.source_in_target[(d ^ 1, d2 ^ 1)] == v
 
+    def test_matches_loop_reference(self, rng):
+        zero_keys = 0
+        for _ in range(120):
+            # few relations give parallel edges and many triples per (d, d') sum
+            pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=30)
+            # and self loops on both sides
+            src = load_graph(pair.source.triple_records() + [("a0", "r0", "a0"), ("a3", "r1", "a3")])
+            tgt = load_graph(pair.target.triple_records() + [("b0", "s0", "b0"), ("b3", "s1", "b3")])
+            pair = KnowledgeGraphPair(source=src, target=tgt)
+            # rows of 0 to 3 counterparts, some labels exactly 0 or 1
+            rows: dict[int, dict[int, float]] = {}
+            for s in range(pair.source.n_entities):
+                targets = rng.choice(pair.target.n_entities, int(rng.integers(0, 4)), replace=False)
+                values = rng.choice([0.0, 1.0, *rng.uniform(0.05, 1.0, 4)], len(targets))
+                rows[s] = {int(t): float(v) for t, v in zip(targets, values)}
+            table = TruthScoreTable(rows=rows)
+            for kwargs in ({}, {"eps": 0.0, "min_support": 0.0}):
+                got = update_subrelation_probs(pair, table, **kwargs)
+                fwd, bwd = oracles.loop_subrelation(pair, rows, **kwargs)
+                assert set(got.source_in_target) == set(fwd)
+                assert set(got.target_in_source) == set(bwd)
+                assert got.source_in_target == fwd and got.target_in_source == bwd
+                zero_keys += sum(v == 0.0 for v in (*fwd.values(), *bwd.values()))
+        assert zero_keys > 0  # keys whose numerator sums to exactly 0 were compared
+
     def test_values_bounded(self, rng):
         for _ in range(30):
             pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
