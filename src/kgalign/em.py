@@ -215,7 +215,7 @@ def m_step(state: EmState, config: EmConfig) -> EmState:
     floor = config.confidence_floor
     scored = [
         (s, t, q)
-        for (s, t), cos in sorted(candidates.items())
+        for (s, t), cos in candidates.items()
         if (q := (cos + 1.0) / 2.0) > floor
     ]
     budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)

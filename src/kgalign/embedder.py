@@ -7,9 +7,11 @@ shapes the space so that alignment evidence propagates through the
 relational structure.  Scoring is plain cosine similarity.
 
 The trainer is full-batch and deterministic: negatives are drawn from
-the generator persisted on the model, and gradients are accumulated
-with ``np.add.at`` in a fixed order, so a fixed seed reproduces training
-bit for bit.
+the generator persisted on the model, and each gradient array is one
+sparse incidence product that adds its terms in a fixed order, so a
+fixed seed reproduces training bit for bit.  ``scipy.sparse`` is
+imported on the first training call only, so runs without an embedder
+never load it.
 """
 
 from __future__ import annotations
@@ -136,14 +138,114 @@ def init_model(pair: KnowledgeGraphPair, hyperparams: Hyperparams, seed: int) ->
 
 def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head/relation/tail index arrays with both directions materialized."""
-    if not kg.triples:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    h, r, t = (np.array(col, dtype=np.int64) for col in zip(*kg.triples))
-    heads = np.concatenate([h, t])
-    rels = np.concatenate([2 * r, 2 * r + 1])
-    tails = np.concatenate([t, h])
-    return heads, rels, tails
+    h, r, t = kg.triple_columns
+    return np.concatenate([h, t]), np.concatenate([2 * r, 2 * r + 1]), np.concatenate([t, h])
+
+
+def _hard_pools(
+    negatives_pool: Iterable[tuple[int, int, float]], src_idx: np.ndarray, n_sources: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every source's distinct pooled targets, ascending, in one flat array.
+
+    Returns that array with each positive's (start, length) slice of it;
+    a positive whose source has no pool gets length 0.
+    """
+    pairs = np.array([(s, t) for s, t, _ in negatives_pool], dtype=np.int64).reshape(-1, 2)
+    pairs = np.unique(pairs, axis=0)
+    length = np.bincount(pairs[:, 0], minlength=n_sources)
+    start = np.cumsum(length) - length
+    return pairs[:, 1], start[src_idx], length[src_idx]
+
+
+def _scatter(
+    values: np.ndarray, n_out: int, segments: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """``out[target] += weight * values[row]`` for every term, as one sparse product.
+
+    ``segments`` holds (targets, weights) arrays shaped (rows, m), which
+    give the next ``rows`` rows of ``values`` m terms each.  Terms land
+    row by row and left to right within a row, the order of one
+    ``np.add.at`` call per segment, so every sum rounds the same way.  A
+    zero-weight term would add a signed zero to a sum that starts at +0
+    and can never become -0, so it is dropped.
+    """
+    from scipy.sparse import csr_array  # deferred: symbolic-only runs never load scipy
+
+    counts, cols, data = [], [], []
+    for targets, weights in segments:
+        keep = weights != 0.0
+        counts.append(np.count_nonzero(keep, axis=1))
+        cols.append(targets[keep])
+        data.append(weights[keep])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    rows = len(indptr) - 1
+    incidence = csr_array(
+        (np.concatenate(data), np.concatenate(cols), indptr), shape=(rows, n_out)
+    )
+    # The transpose is CSC over the same arrays; its product adds the
+    # terms of value row 0, then of row 1, and so on into a zeroed result.
+    # That matches np.add.at bit for bit while scipy's kernel rounds each
+    # weight * value before adding it (no fused multiply-add), which
+    # TestTrainMatchesReference checks on the installed build.
+    return incidence.T @ values[:rows]
+
+
+def _side_gradients(
+    buf: np.ndarray,
+    align_terms: list[tuple[np.ndarray, np.ndarray]],
+    ents: np.ndarray,
+    rels: np.ndarray,
+    triples: tuple[np.ndarray, np.ndarray, np.ndarray],
+    hp: Hyperparams,
+    rng: np.random.Generator,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One graph's triple loss and its entity and relation gradients.
+
+    ``buf`` starts with the alignment term values of this graph's
+    entities, one row per row of the ``align_terms`` segments.  The
+    triple term appends three blocks after them: the head and relation
+    update ``pull - push``, the tail update ``pull`` (weight -1) and the
+    corrupted residuals (weight 2 * triple_weight where the hinge is
+    active).
+    """
+    hh, rr, tt = triples
+    n2, k, cw = len(hh), hp.negatives, hp.triple_weight
+    loss = 0.0
+    ent_terms = list(align_terms)
+    g_rel = np.zeros_like(rels)
+    rows = sum(len(targets) for targets, _ in align_terms)
+    if n2 and cw > 0.0:
+        corrupt = rng.integers(0, ents.shape[0], size=(n2, k))
+        hr = ents[hh] + rels[rr]
+        resid = hr - ents[tt]
+        g_head, pull = buf[rows : rows + n2], buf[rows + n2 : rows + 2 * n2]
+        tail = buf[rows + 2 * n2 : rows + (2 + k) * n2]
+        # corrupt holds draws below ents.shape[0], so clipping never acts;
+        # it only spares np.take the copy it makes of ``out`` under "raise"
+        np.take(ents, corrupt.reshape(-1), axis=0, out=tail, mode="clip")
+        resid_neg = tail.reshape(n2, k, -1)
+        np.subtract(hr[:, None, :], resid_neg, out=resid_neg)
+        d_pos = np.einsum("id,id->i", resid, resid)
+        d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
+        hinge = hp.margin + d_pos[:, None] - d_neg
+        active = hinge > 0.0
+        loss = cw * float(np.maximum(hinge, 0.0).sum())
+
+        # einsum adds the k weighted residuals of a triple in k order, the
+        # rounding of summing a materialized (2T, k, d) push over axis 1
+        push_w = np.where(active, cw * 2.0, 0.0)
+        np.multiply(cw * 2.0, resid, out=pull)
+        pull *= np.count_nonzero(active, axis=1)[:, None]
+        np.subtract(pull, np.einsum("ik,ikd->id", push_w, resid_neg), out=g_head)
+        ones = np.ones((n2, 1))
+        ent_terms += [
+            (hh[:, None], ones),
+            (tt[:, None], -ones),
+            (corrupt.reshape(-1, 1), push_w.reshape(-1, 1)),
+        ]
+        g_rel = _scatter(g_head, rels.shape[0], [(rr[:, None], ones)])
+        rows += (2 + k) * n2
+    return loss, _scatter(buf[:rows], ents.shape[0], ent_terms), g_rel
 
 
 def train(
@@ -171,6 +273,10 @@ def train(
 
     Term weights multiply the pair's confidence by an optional
     per-origin weight (default 1 for every origin).
+
+    Each epoch builds each gradient array as one sparse incidence product
+    over the term values, which sit in one buffer reused by both graphs:
+    alignment terms first, then the triple terms of that graph.
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
@@ -192,93 +298,70 @@ def train(
     tgt_idx = np.array(pos_tgt, dtype=np.int64)
     w = np.array(pos_w, dtype=np.float64)
 
-    pools: dict[int, np.ndarray] = {}
-    staged: dict[int, set[int]] = {}
-    for s, t, _ in negatives_pool:
-        staged.setdefault(s, set()).add(t)
-    for s, ts in staged.items():
-        pools[s] = np.array(sorted(ts), dtype=np.int64)
-
-    h1, r1, t1 = _directed_triple_arrays(pair.source)
-    h2, r2, t2 = _directed_triple_arrays(pair.target)
-
     k = hp.negatives
+    if k == 0:
+        return TrainReport(epoch_losses=[0.0] * hp.epochs)
     gamma = hp.margin
     lr = hp.learning_rate
     rng = model.rng
     n_t = model.ent_target.shape[0]
     n_hard = int(round(k * hp.hard_negative_fraction))
     n_pos = len(src_idx)
-    n_terms = k * (n_pos + len(h1) + len(h2))
+    ones = np.ones((n_pos, 1))
+
+    # One draw per hard slot of every positive whose source has a pool,
+    # in positive order: the same draws as rng.choice(pool, n_hard) per positive.
+    pool_ids, pool_start, pool_len = _hard_pools(negatives_pool, src_idx, len(model.ent_source))
+    hard = np.flatnonzero(pool_len) if n_hard > 0 else np.empty(0, dtype=np.int64)
+    hard_start = np.repeat(pool_start[hard], n_hard)
+    hard_len = np.repeat(pool_len[hard], n_hard)
+
+    trip_s = _directed_triple_arrays(pair.source)
+    trip_t = _directed_triple_arrays(pair.target)
+    n_terms = k * (n_pos + len(trip_s[0]) + len(trip_t[0]))
+    per_triple = 2 + k if hp.triple_weight > 0.0 else 0
+    rows = max(n_pos + per_triple * len(trip_s[0]), 2 * n_pos + per_triple * len(trip_t[0]))
+    buf = np.empty((rows, model.ent_source.shape[1]))
 
     losses: list[float] = []
     for _ in range(hp.epochs):
-        loss_sum = 0.0
-        g_es = np.zeros_like(model.ent_source)
-        g_et = np.zeros_like(model.ent_target)
+        neg = rng.integers(0, n_t, size=(n_pos, k))
+        if len(hard):
+            picks = pool_ids[hard_start + rng.integers(0, hard_len)]
+            neg[hard, :n_hard] = picks.reshape(-1, n_hard)
+        # A sampled negative equal to the true counterpart carries no
+        # signal; nudge it to the next id.
+        clash = neg == tgt_idx[:, None]
+        neg[clash] = (neg[clash] + 1) % n_t
 
-        if k > 0:
-            neg = rng.integers(0, n_t, size=(n_pos, k))
-            for i in range(n_pos):
-                pool = pools.get(int(src_idx[i]))
-                if pool is not None and n_hard > 0:
-                    neg[i, :n_hard] = rng.choice(pool, size=n_hard)
-            # A sampled negative equal to the true counterpart carries no
-            # signal; nudge it to the next id.
-            clash = neg == tgt_idx[:, None]
-            neg[clash] = (neg[clash] + 1) % n_t
+        su = model.ent_source[src_idx]
+        tv = model.ent_target[tgt_idx]
+        nt = model.ent_target[neg]
+        pos_score = np.einsum("id,id->i", su, tv)
+        neg_score = np.einsum("id,ikd->ik", su, nt)
+        hinge = gamma - pos_score[:, None] + neg_score
+        active = hinge > 0.0
+        loss_sum = float((w[:, None] * np.maximum(hinge, 0.0)).sum())
 
-            su = model.ent_source[src_idx]
-            tv = model.ent_target[tgt_idx]
-            nt = model.ent_target[neg]
-            pos_score = np.einsum("id,id->i", su, tv)
-            neg_score = np.einsum("id,ikd->ik", su, nt)
-            hinge = gamma - pos_score[:, None] + neg_score
-            active = hinge > 0.0
-            loss_sum += float((w[:, None] * np.maximum(hinge, 0.0)).sum())
+        act_w = np.where(active, w[:, None], 0.0)
+        act_count = act_w.sum(axis=1)
+        # Each graph fills the buffer with its alignment rows, then its
+        # triple rows, and is scattered before the next graph reuses it.
+        buf[:n_pos] = -tv * act_count[:, None] + np.einsum("ik,ikd->id", act_w, nt)
+        align = [(src_idx[:, None], ones)]
+        loss, g_es, g_rs = _side_gradients(buf, align, model.ent_source, model.rel_source, trip_s, hp, rng)
+        loss_sum += loss
+        buf[:n_pos] = -su * act_count[:, None]
+        buf[n_pos : 2 * n_pos] = su
+        align = [(tgt_idx[:, None], ones), (neg, act_w)]
+        loss, g_et, g_rt = _side_gradients(buf, align, model.ent_target, model.rel_target, trip_t, hp, rng)
+        loss_sum += loss
 
-            act_w = np.where(active, w[:, None], 0.0)
-            act_count = act_w.sum(axis=1)
-            g_su = -tv * act_count[:, None] + np.einsum("ik,ikd->id", act_w, nt)
-            np.add.at(g_es, src_idx, g_su)
-            np.add.at(g_et, tgt_idx, -su * act_count[:, None])
-            np.add.at(g_et, neg.reshape(-1), (act_w[:, :, None] * su[:, None, :]).reshape(-1, su.shape[1]))
-
-        g_rs = np.zeros_like(model.rel_source)
-        g_rt = np.zeros_like(model.rel_target)
-        if k > 0 and hp.triple_weight > 0.0:
-            for ents, rels, grads_e, grads_r, (hh, rr, tt) in (
-                (model.ent_source, model.rel_source, g_es, g_rs, (h1, r1, t1)),
-                (model.ent_target, model.rel_target, g_et, g_rt, (h2, r2, t2)),
-            ):
-                if len(hh) == 0:
-                    continue
-                corrupt = rng.integers(0, ents.shape[0], size=(len(hh), k))
-                resid = ents[hh] + rels[rr] - ents[tt]
-                resid_neg = (ents[hh] + rels[rr])[:, None, :] - ents[corrupt]
-                d_pos = np.einsum("id,id->i", resid, resid)
-                d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
-                hinge = gamma + d_pos[:, None] - d_neg
-                active = (hinge > 0.0).astype(np.float64)
-                loss_sum += hp.triple_weight * float(np.maximum(hinge, 0.0).sum())
-
-                cw = hp.triple_weight
-                n_active = active.sum(axis=1)
-                pull = cw * 2.0 * resid * n_active[:, None]
-                push = cw * 2.0 * (active[:, :, None] * resid_neg)
-                push_total = push.sum(axis=1)
-                np.add.at(grads_e, hh, pull - push_total)
-                np.add.at(grads_r, rr, pull - push_total)
-                np.add.at(grads_e, tt, -pull)
-                np.add.at(grads_e, corrupt.reshape(-1), push.reshape(-1, ents.shape[1]))
-
-        if k > 0:
-            model.ent_source = _unit_rows(model.ent_source - lr * g_es)
-            model.ent_target = _unit_rows(model.ent_target - lr * g_et)
-            model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
-            model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
-
-        losses.append(loss_sum / n_terms if n_terms else 0.0)
+        model.ent_source = _unit_rows(model.ent_source - lr * g_es)
+        model.ent_target = _unit_rows(model.ent_target - lr * g_et)
+        model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
+        model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
+        losses.append(loss_sum / n_terms)
     return TrainReport(epoch_losses=losses)
 
 
@@ -361,11 +444,15 @@ def greedy_one_to_one(
     Ties are broken by source id then target id, so the sweep is fully
     deterministic.  At most ``budget`` pairs are accepted when given.
     """
-    ordered = sorted(scored_pairs, key=lambda p: (-p[2], p[0], p[1]))
+    offers = list(scored_pairs)
+    src = np.array([p[0] for p in offers], dtype=np.int64)
+    tgt = np.array([p[1] for p in offers], dtype=np.int64)
+    score = np.array([p[2] for p in offers], dtype=np.float64)
+    order = np.lexsort((tgt, src, -score))
     used_src: set[int] = set()
     used_tgt: set[int] = set()
     accepted: list[tuple[int, int, float]] = []
-    for s, t, v in ordered:
+    for s, t, v in zip(src[order].tolist(), tgt[order].tolist(), score[order].tolist()):
         if budget is not None and len(accepted) >= budget:
             break
         if s in used_src or t in used_tgt:

@@ -87,6 +87,8 @@ class KnowledgeGraph:
     at its tail, as (packed directed relation, neighbor) pairs per
     entity, ordered by (base relation, neighbor, direction) so that the
     propagation sweeps and the path search are deterministic.
+    ``triple_columns`` holds the triples once more as read-only int64
+    head, relation and tail arrays in triple order.
     """
 
     def __init__(
@@ -101,7 +103,10 @@ class KnowledgeGraph:
         self.relation_ids: dict[str, int] = {lab: i for i, lab in enumerate(self.relation_labels)}
         self.triples: tuple[tuple[int, int, int], ...] = tuple(triples)
 
-        h, r, t = np.array(self.triples, dtype=np.int64).reshape(-1, 3).T
+        columns = np.array(self.triples, dtype=np.int64).reshape(-1, 3).T.copy()
+        columns.flags.writeable = False
+        h, r, t = columns
+        self.triple_columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (h, r, t)
         owner, nbr = np.concatenate([h, t]), np.concatenate([t, h])
         rel = np.concatenate([2 * r, 2 * r + 1])
         order = np.lexsort((rel, nbr, rel >> 1, owner))

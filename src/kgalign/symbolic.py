@@ -350,7 +350,7 @@ def _estimate_one_way(
     other, val = other[by_row], val[by_row]
     row_len = np.bincount(own, minlength=kg_from.n_entities)
     row_start = np.cumsum(row_len) - row_len
-    h, r, t = np.array(kg_from.triples, dtype=np.int64).reshape(-1, 3).T
+    h, r, t = kg_from.triple_columns
 
     # Expand forward triple x label row at h x label row at t.
     via_h, at_h = _ranges(row_start[h], row_len[h])

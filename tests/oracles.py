@@ -3,7 +3,8 @@
 Everything here recomputes the definitions literally: dense loops over
 all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
-table types beyond plain graphs, so agreement with the engine is
+table types beyond plain graphs (the reference trainer takes the
+embedder's label and report types), so agreement with the engine is
 evidence rather than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
@@ -17,10 +18,11 @@ estimator guarantees and hand-built test tables must respect.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
 from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair
 
 
@@ -340,3 +342,158 @@ def rule_confidence(
             / 2.0
         )
     return w
+
+
+def _loop_directed_triples(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head/relation/tail index arrays with both directions materialized."""
+    if not kg.triples:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    h, r, t = (np.array(col, dtype=np.int64) for col in zip(*kg.triples))
+    heads = np.concatenate([h, t])
+    rels = np.concatenate([2 * r, 2 * r + 1])
+    tails = np.concatenate([t, h])
+    return heads, rels, tails
+
+
+def loop_train(
+    model,
+    pair: KnowledgeGraphPair,
+    positives,
+    negatives_pool: Iterable[tuple[int, int, float]] = (),
+    origin_weights=None,
+) -> TrainReport:
+    """The trainer written with one ``np.add.at`` scatter per term family,
+    hard negatives drawn by ``rng.choice`` in a per-positive loop.
+
+    Same loss, same draws and the same summation order as
+    ``embedder.train``, so the two must agree bit for bit: every weight
+    array, every epoch loss and the generator state afterwards.
+    """
+    hp = model.hyperparams
+    sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
+    weights = dict(origin_weights or {})
+
+    pos_src: list[int] = []
+    pos_tgt: list[int] = []
+    pos_w: list[float] = []
+    for ls in sets:
+        w_set = weights.get(ls.origin, 1.0)
+        for s, t, conf in ls.pairs:
+            pos_src.append(s)
+            pos_tgt.append(t)
+            pos_w.append(w_set * conf)
+    if not pos_src:
+        raise TrainingError("no positive pairs to train on")
+
+    src_idx = np.array(pos_src, dtype=np.int64)
+    tgt_idx = np.array(pos_tgt, dtype=np.int64)
+    w = np.array(pos_w, dtype=np.float64)
+
+    pools: dict[int, np.ndarray] = {}
+    staged: dict[int, set[int]] = {}
+    for s, t, _ in negatives_pool:
+        staged.setdefault(s, set()).add(t)
+    for s, ts in staged.items():
+        pools[s] = np.array(sorted(ts), dtype=np.int64)
+
+    h1, r1, t1 = _loop_directed_triples(pair.source)
+    h2, r2, t2 = _loop_directed_triples(pair.target)
+
+    k = hp.negatives
+    gamma = hp.margin
+    lr = hp.learning_rate
+    rng = model.rng
+    n_t = model.ent_target.shape[0]
+    n_hard = int(round(k * hp.hard_negative_fraction))
+    n_pos = len(src_idx)
+    n_terms = k * (n_pos + len(h1) + len(h2))
+
+    losses: list[float] = []
+    for _ in range(hp.epochs):
+        loss_sum = 0.0
+        g_es = np.zeros_like(model.ent_source)
+        g_et = np.zeros_like(model.ent_target)
+
+        if k > 0:
+            neg = rng.integers(0, n_t, size=(n_pos, k))
+            for i in range(n_pos):
+                pool = pools.get(int(src_idx[i]))
+                if pool is not None and n_hard > 0:
+                    neg[i, :n_hard] = rng.choice(pool, size=n_hard)
+            # A sampled negative equal to the true counterpart carries no
+            # signal; nudge it to the next id.
+            clash = neg == tgt_idx[:, None]
+            neg[clash] = (neg[clash] + 1) % n_t
+
+            su = model.ent_source[src_idx]
+            tv = model.ent_target[tgt_idx]
+            nt = model.ent_target[neg]
+            pos_score = np.einsum("id,id->i", su, tv)
+            neg_score = np.einsum("id,ikd->ik", su, nt)
+            hinge = gamma - pos_score[:, None] + neg_score
+            active = hinge > 0.0
+            loss_sum += float((w[:, None] * np.maximum(hinge, 0.0)).sum())
+
+            act_w = np.where(active, w[:, None], 0.0)
+            act_count = act_w.sum(axis=1)
+            g_su = -tv * act_count[:, None] + np.einsum("ik,ikd->id", act_w, nt)
+            np.add.at(g_es, src_idx, g_su)
+            np.add.at(g_et, tgt_idx, -su * act_count[:, None])
+            np.add.at(g_et, neg.reshape(-1), (act_w[:, :, None] * su[:, None, :]).reshape(-1, su.shape[1]))
+
+        g_rs = np.zeros_like(model.rel_source)
+        g_rt = np.zeros_like(model.rel_target)
+        if k > 0 and hp.triple_weight > 0.0:
+            for ents, rels, grads_e, grads_r, (hh, rr, tt) in (
+                (model.ent_source, model.rel_source, g_es, g_rs, (h1, r1, t1)),
+                (model.ent_target, model.rel_target, g_et, g_rt, (h2, r2, t2)),
+            ):
+                if len(hh) == 0:
+                    continue
+                corrupt = rng.integers(0, ents.shape[0], size=(len(hh), k))
+                resid = ents[hh] + rels[rr] - ents[tt]
+                resid_neg = (ents[hh] + rels[rr])[:, None, :] - ents[corrupt]
+                d_pos = np.einsum("id,id->i", resid, resid)
+                d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
+                hinge = gamma + d_pos[:, None] - d_neg
+                active = (hinge > 0.0).astype(np.float64)
+                loss_sum += hp.triple_weight * float(np.maximum(hinge, 0.0).sum())
+
+                cw = hp.triple_weight
+                n_active = active.sum(axis=1)
+                pull = cw * 2.0 * resid * n_active[:, None]
+                push = cw * 2.0 * (active[:, :, None] * resid_neg)
+                push_total = push.sum(axis=1)
+                np.add.at(grads_e, hh, pull - push_total)
+                np.add.at(grads_r, rr, pull - push_total)
+                np.add.at(grads_e, tt, -pull)
+                np.add.at(grads_e, corrupt.reshape(-1), push.reshape(-1, ents.shape[1]))
+
+        if k > 0:
+            model.ent_source = _unit_rows(model.ent_source - lr * g_es)
+            model.ent_target = _unit_rows(model.ent_target - lr * g_et)
+            model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
+            model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
+
+        losses.append(loss_sum / n_terms if n_terms else 0.0)
+    return TrainReport(epoch_losses=losses)
+
+
+def sorted_greedy(
+    scored_pairs: Iterable[tuple[int, int, float]], budget: int | None = None
+) -> list[tuple[int, int, float]]:
+    """Greedy one-to-one over the offers in (-score, source, target) order
+    from one Python key sort; returns the accepted (s, t, score) list."""
+    used_src: set[int] = set()
+    used_tgt: set[int] = set()
+    accepted: list[tuple[int, int, float]] = []
+    for s, t, v in sorted(scored_pairs, key=lambda p: (-p[2], p[0], p[1])):
+        if budget is not None and len(accepted) >= budget:
+            break
+        if s in used_src or t in used_tgt:
+            continue
+        used_src.add(s)
+        used_tgt.add(t)
+        accepted.append((s, t, v))
+    return accepted

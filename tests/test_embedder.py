@@ -20,10 +20,10 @@ from kgalign.embedder import (
     score_pair,
     train,
 )
-from kgalign.graph import KnowledgeGraphPair, load_graph
+from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair, load_graph
 
 import oracles
-from conftest import isomorphic_pair, random_pair, split_gold
+from conftest import isomorphic_pair, random_graph, random_pair, split_gold
 
 
 def tiny_pair() -> KnowledgeGraphPair:
@@ -177,6 +177,106 @@ class TestTrain:
         train(b, pair, observed((0, 0, 1.0), (1, 1, 1.0)))
         assert np.array_equal(a.ent_source, b.ent_source)
         assert np.array_equal(a.ent_target, b.ent_target)
+
+
+def assert_trains_like_reference(pair, hp, seed, positives, pool=(), origin_weights=None):
+    """``train`` and the ``np.add.at`` reference, run from the same seed,
+    agree bit for bit: weights, epoch losses and the next generator draw."""
+    got, ref = init_model(pair, hp, seed), init_model(pair, hp, seed)
+    rep_got = train(got, pair, positives, pool, origin_weights)
+    rep_ref = oracles.loop_train(ref, pair, positives, pool, origin_weights)
+    for name in ("ent_source", "ent_target", "rel_source", "rel_target"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert rep_got.epoch_losses == rep_ref.epoch_losses
+    assert got.rng.integers(1 << 62) == ref.rng.integers(1 << 62)
+
+
+def bare_graph(prefix: str, n_entities: int, triples=()) -> KnowledgeGraph:
+    return KnowledgeGraph([f"{prefix}{i}" for i in range(n_entities)], ["r"], list(triples))
+
+
+class TestTrainMatchesReference:
+    """The sparse-product trainer against the loop trainer in ``oracles``."""
+
+    def test_random_family(self, rng):
+        mixed = 0
+        for _ in range(60):
+            pair = random_pair(
+                rng,
+                n_entities=int(rng.integers(2, 30)),
+                n_relations=int(rng.integers(1, 4)),
+                n_triples=int(rng.integers(0, 60)),
+            )
+            n_s, n_t = pair.source.n_entities, pair.target.n_entities
+            hp = Hyperparams(
+                dim=int(rng.integers(2, 9)),
+                negatives=int(rng.integers(0, 6)),
+                epochs=int(rng.integers(1, 5)),
+                hard_negative_fraction=float(rng.choice([0.0, 0.5, 1.0])),
+                triple_weight=float(rng.choice([0.0, 0.25, 1.0])),
+            )
+            pairs = [
+                (int(rng.integers(n_s)), int(rng.integers(n_t)), float(rng.choice([1.0, 0.5, 0.0])))
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            pairs += pairs[: int(rng.integers(0, 3))]  # duplicate positives
+            pooled = rng.choice(n_s, size=int(rng.integers(0, n_s + 1)), replace=False)
+            pool = [
+                (int(s), int(rng.integers(n_t)), 0.1)
+                for s in pooled
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            has_pool = {s for s, _, _ in pool}
+            mixed += len({s in has_pool for s, _, _ in pairs}) == 2
+            cut = int(rng.integers(0, len(pairs) + 1))
+            sets = [
+                PseudoLabelSet(pairs=tuple(pairs[:cut]), origin=Origin.OBSERVED),
+                PseudoLabelSet(pairs=tuple(pairs[cut:]), origin=Origin.SYMBOLIC),
+            ]
+            weights = {Origin.SYMBOLIC: float(rng.choice([1.0, 0.7]))}
+            assert_trains_like_reference(pair, hp, int(rng.integers(1 << 30)), sets, pool, weights)
+        assert mixed > 20  # positives with and without a pool in one call
+
+    @pytest.mark.parametrize("empty_side", ["source", "target"])
+    def test_one_graph_without_triples(self, rng, empty_side):
+        full = random_graph(rng, 12, 2, 30)
+        empty = bare_graph("x", 12)
+        pair = (
+            KnowledgeGraphPair(source=empty, target=full)
+            if empty_side == "source"
+            else KnowledgeGraphPair(source=full, target=empty)
+        )
+        hp = Hyperparams(dim=6, negatives=3, epochs=3, triple_weight=0.5)
+        pool = [(0, 5, 0.2), (0, 7, 0.1), (3, 2, 0.3)]
+        assert_trains_like_reference(pair, hp, 5, observed((0, 1, 1.0), (2, 2, 0.8), (3, 4, 1.0)), pool)
+
+    def test_pools_of_one_to_three_thousand(self, rng):
+        n_t = 3000
+        pair = KnowledgeGraphPair(
+            source=random_graph(rng, 12, 2, 20), target=bare_graph("b", n_t, [(0, 0, 1), (1, 0, 2)])
+        )
+        pool, pairs = [], []
+        for s, size in enumerate([1, 2, 3, 17, 255, 256, 257, 1000, 2999, 3000]):
+            for t in rng.choice(n_t, size=size, replace=False):
+                pool.append((s, int(t), 0.1))
+            pool.append(pool[-1])  # a repeated pool entry counts once
+            pairs.append((s, int(rng.integers(n_t)), 1.0))
+        pairs.append((11, 0, 1.0))  # no pool
+        for fraction in (0.5, 1.0):
+            hp = Hyperparams(dim=2, negatives=5, epochs=3, hard_negative_fraction=fraction, triple_weight=0.25)
+            assert_trains_like_reference(pair, hp, 9, observed(*pairs), pool)
+
+    def test_one_call_draws_like_choice_loop(self, rng):
+        # the identity the trainer's sampler rests on
+        for _ in range(100):
+            lens = rng.integers(1, 3001, size=int(rng.integers(1, 6)))
+            n_hard = int(rng.integers(1, 5))
+            seed = int(rng.integers(1 << 30))
+            loop, one = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [loop.choice(np.arange(n), size=n_hard) for n in lens]
+            got = one.integers(0, np.repeat(lens, n_hard)).reshape(-1, n_hard)
+            assert np.array_equal(np.array(want), got)
+            assert loop.integers(1 << 62) == one.integers(1 << 62)
 
 
 class TestScoring:
@@ -362,6 +462,20 @@ class TestGreedyMatching:
                     (s2 == s or t2 == t) and (-v2, s2, t2) <= (-v, s, t)
                     for s2, t2, v2 in got.pairs
                 )
+
+    def test_matches_sorted_reference(self, rng):
+        # scores from a small set plant exact ties; repeated and
+        # re-scored offers and budgets cut the sweep short
+        for _ in range(300):
+            offers = [
+                (int(rng.integers(8)), int(rng.integers(8)), float(rng.choice([0.25, 0.5, 0.75, 0.0])))
+                for _ in range(int(rng.integers(0, 40)))
+            ]
+            offers += [offers[int(i)] for i in rng.integers(0, len(offers), size=min(len(offers), 5))]
+            offers += [(s, t, 1.0 - v) for s, t, v in offers[:3]]
+            budget = None if rng.random() < 0.3 else int(rng.integers(0, 10))
+            got = greedy_one_to_one(offers, budget=budget)
+            assert list(got.pairs) == oracles.sorted_greedy(offers, budget=budget)
 
 
 class TestCheckpoint:

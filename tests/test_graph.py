@@ -9,6 +9,7 @@ from kgalign.graph import (
     AlignmentSeed,
     DirectedRelation,
     IngestError,
+    KnowledgeGraph,
     KnowledgeGraphPair,
     SeedRole,
     load_graph,
@@ -35,6 +36,19 @@ class TestLoadGraph:
         edges = kg.neighbors(b)
         assert [(rel.base, nbr) for rel, nbr in edges if not rel.inverse] == [(s, c)]
         assert [(rel.base, nbr) for rel, nbr in edges if rel.inverse] == [(r, a)]
+
+    def test_triple_columns_read_only_in_triple_order(self, rng):
+        kg = random_graph(rng, 10, 3, 25)
+        h, r, t = kg.triple_columns
+        assert list(zip(h.tolist(), r.tolist(), t.tolist())) == list(kg.triples)
+        for col in (h, r, t):
+            assert col.dtype == np.int64 and not col.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h[0] = 0
+
+    def test_triple_columns_without_triples(self):
+        kg = KnowledgeGraph(["a"], ["r"], [])
+        assert [len(col) for col in kg.triple_columns] == [0, 0, 0]
 
     def test_wrong_arity_names_record(self):
         with pytest.raises(IngestError, match="record 2"):
