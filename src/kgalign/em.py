@@ -172,12 +172,26 @@ def e_step(state: EmState, config: EmConfig) -> EmState:
     return state
 
 
-def _unlabeled_entities(state: EmState) -> tuple[list[int], list[int]]:
-    seen_src = {s for s, _ in state.train.pairs}
-    seen_tgt = {t for _, t in state.train.pairs}
-    sources = [e for e in range(state.pair.source.n_entities) if e not in seen_src]
-    targets = [e for e in range(state.pair.target.n_entities) if e not in seen_tgt]
-    return sources, targets
+def _observed(state: EmState) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the source and target entities in the observed pairs."""
+    pairs = np.array(state.train.pairs, dtype=np.int64).reshape(-1, 2)
+    obs_src = np.zeros(state.pair.source.n_entities, dtype=bool)
+    obs_tgt = np.zeros(state.pair.target.n_entities, dtype=bool)
+    obs_src[pairs[:, 0]] = True
+    obs_tgt[pairs[:, 1]] = True
+    return obs_src, obs_tgt
+
+
+def _no_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+
+
+def _columns(labels: PseudoLabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source, target and confidence arrays of a label set."""
+    if not labels.pairs:
+        return _no_pairs()
+    s, t, v = zip(*labels.pairs)
+    return np.array(s, dtype=np.int64), np.array(t, dtype=np.int64), np.array(v, dtype=np.float64)
 
 
 def _top_candidates(
@@ -185,15 +199,14 @@ def _top_candidates(
     sources: Sequence[int],
     targets: Sequence[int],
     top_c: int,
-) -> list[tuple[int, int, float]]:
-    """(source, target, cosine) for each source's top-C targets, sources in
-    the given order, each source's targets by descending score, ties by
-    ascending target id."""
-    if not sources or not targets:
-        return []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source, target and cosine arrays of each source's top-C targets,
+    sources in the given order, each source's targets by descending
+    score, ties by ascending target id."""
+    if not len(sources) or not len(targets):
+        return _no_pairs()
     ids, scores = emb.top_k(model, sources, targets, top_c)
-    src = np.repeat(np.asarray(sources, dtype=np.int64), ids.shape[1])
-    return list(zip(src.tolist(), ids.ravel().tolist(), scores.ravel().tolist()))
+    return np.repeat(np.asarray(sources, dtype=np.int64), ids.shape[1]), ids.ravel(), scores.ravel()
 
 
 def m_step(state: EmState, config: EmConfig) -> EmState:
@@ -202,48 +215,51 @@ def m_step(state: EmState, config: EmConfig) -> EmState:
     if state.model is None:
         return _m_step_symbolic(state, config)
 
-    sources, targets = _unlabeled_entities(state)
-    target_set = set(targets)
-    candidates: dict[tuple[int, int], float] = {}
-    src_set = set(sources)
-    for s, t, _ in state.truth_scores.nonpinned_items():
-        if s in src_set and t in target_set:
-            candidates[(s, t)] = emb.score_pair(state.model, s, t)
-    for s, t, v in _top_candidates(state.model, sources, targets, config.top_c):
-        candidates.setdefault((s, t), v)
-
-    floor = config.confidence_floor
-    scored = [
-        (s, t, q)
-        for (s, t), cos in candidates.items()
-        if (q := (cos + 1.0) / 2.0) > floor
-    ]
+    obs_src, obs_tgt = _observed(state)
+    sources, targets = np.flatnonzero(~obs_src), np.flatnonzero(~obs_tgt)
+    # Truth-table pairs between unlabeled entities are scored one by one;
+    # the top-C lists offer every other pair at its batched cosine.
+    table = state.truth_scores
+    own = ~obs_src[table.src] & ~obs_tgt[table.tgt]
+    t_src, t_tgt = table.src[own], table.tgt[own]
+    t_cos = np.array(
+        [emb.score_pair(state.model, s, t) for s, t in zip(t_src.tolist(), t_tgt.tolist())],
+        dtype=np.float64,
+    )
+    c_src, c_tgt, c_cos = _top_candidates(state.model, sources, targets, config.top_c)
+    new = ~np.isin((c_src << 32) | c_tgt, (t_src << 32) | t_tgt)
+    src = np.concatenate([t_src, c_src[new]])
+    tgt = np.concatenate([t_tgt, c_tgt[new]])
+    q = (np.concatenate([t_cos, c_cos[new]]) + 1.0) / 2.0
+    ok = q > config.confidence_floor
     budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
-    pseudo = emb.greedy_one_to_one(scored, budget=budget)
+    pseudo = emb.greedy_one_to_one(src[ok], tgt[ok], q[ok], budget=budget)
 
-    labels = _label_table(state, pseudo)
-    state.psub = update_subrelation_probs(state.pair, labels)
+    state.psub = update_subrelation_probs(state.pair, _label_table(state, pseudo))
     return state
 
 
 def _m_step_symbolic(state: EmState, config: EmConfig) -> EmState:
     """Rule-weight update without a model: greedy over inferred positives."""
-    positives = state.last_split.positives if state.last_split else ()
-    sources, _ = _unlabeled_entities(state)
-    budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
-    matched = emb.greedy_one_to_one(positives, budget=budget)
-    labels = _label_table(state, matched)
-    state.psub = update_subrelation_probs(state.pair, labels)
+    split = state.last_split
+    offers = split.positive_columns if split else _no_pairs()
+    obs_src, _ = _observed(state)
+    unlabeled = int(np.count_nonzero(~obs_src))
+    budget = config.pseudo_budget if config.pseudo_budget is not None else unlabeled
+    matched = emb.greedy_one_to_one(*offers, budget=budget)
+    state.psub = update_subrelation_probs(state.pair, _label_table(state, matched))
     return state
 
 
 def _label_table(state: EmState, pseudo: PseudoLabelSet) -> TruthScoreTable:
-    rows: dict[int, dict[int, float]] = {}
-    for s, t in state.train.pairs:
-        rows.setdefault(s, {})[t] = 1.0
-    for s, t, conf in pseudo.pairs:
-        rows.setdefault(s, {})[t] = conf
-    return TruthScoreTable(rows=rows, pinned=frozenset(state.train.pairs))
+    """The observed pairs at 1, then the pseudo-labels."""
+    obs = np.array(state.train.pairs, dtype=np.int64).reshape(-1, 2)
+    src, tgt, val = _columns(pseudo)
+    return TruthScoreTable.from_arrays(
+        np.concatenate([obs[:, 0], src]),
+        np.concatenate([obs[:, 1], tgt]),
+        np.concatenate([np.ones(len(obs)), val]),
+    )
 
 
 def _validation_precision(split: ThresholdSplit, validation: AlignmentSeed | None) -> float | None:
@@ -316,48 +332,39 @@ def fuse_predictions(
     """
     if state.last_split is None:
         raise RuntimeError("fuse_predictions requires at least one completed round")
-    obs_src = {s for s, _ in state.train.pairs}
-    obs_tgt = {t for _, t in state.train.pairs}
+    obs_src, obs_tgt = _observed(state)
 
     binary: list[tuple[int, int, float, Origin]] = [
         (s, t, 1.0, Origin.OBSERVED) for s, t in state.train.pairs
     ]
-    free_positives = [
-        (s, t, v)
-        for s, t, v in state.last_split.positives
-        if s not in obs_src and t not in obs_tgt
-    ]
-    symbolic = emb.greedy_one_to_one(free_positives)
+    src, tgt, val = state.last_split.positive_columns
+    free = ~obs_src[src] & ~obs_tgt[tgt]
+    symbolic = emb.greedy_one_to_one(src[free], tgt[free], val[free])
     binary.extend((s, t, v, Origin.SYMBOLIC) for s, t, v in symbolic.pairs)
 
-    used_src = obs_src | {s for s, _, _ in symbolic.pairs}
-    used_tgt = obs_tgt | {t for _, t, _ in symbolic.pairs}
     if state.model is not None:
-        rem_src = [e for e in range(state.pair.source.n_entities) if e not in used_src]
-        rem_tgt = [e for e in range(state.pair.target.n_entities) if e not in used_tgt]
-        scored = [
-            (s, t, q)
-            for s, t, cos in _top_candidates(state.model, rem_src, rem_tgt, config.top_c)
-            if (q := (cos + 1.0) / 2.0) > config.confidence_floor
-        ]
-        neural = emb.greedy_one_to_one(scored, budget=len(rem_src))
+        used_src, used_tgt = obs_src.copy(), obs_tgt.copy()
+        sym_src, sym_tgt, _ = _columns(symbolic)
+        used_src[sym_src] = True
+        used_tgt[sym_tgt] = True
+        rem_src = np.flatnonzero(~used_src)
+        c_src, c_tgt, c_cos = _top_candidates(state.model, rem_src, np.flatnonzero(~used_tgt), config.top_c)
+        q = (c_cos + 1.0) / 2.0
+        ok = q > config.confidence_floor
+        neural = emb.greedy_one_to_one(c_src[ok], c_tgt[ok], q[ok], budget=len(rem_src))
         binary.extend((s, t, q, Origin.NEURAL) for s, t, q in neural.pairs)
 
     binary.sort(key=lambda p: (p[0], p[1]))
     by_source = {s: t for s, t, _, _ in binary}
 
     if rank_sources is None:
-        rank_sources = [e for e in range(state.pair.source.n_entities) if e not in obs_src]
-    open_targets = [e for e in range(state.pair.target.n_entities) if e not in obs_tgt]
-
+        rank_sources = np.flatnonzero(~obs_src).tolist()
     sources = sorted(rank_sources)
-    if state.model is not None and open_targets:
+    open_targets = np.flatnonzero(~obs_tgt)
+    if state.model is not None and len(open_targets):
         ranked_lists = emb.rank_candidates(state.model, sources, open_targets, config.rank_depth)
     else:
-        ranked_lists = []
-        for s in sources:
-            row = sorted(state.truth_scores.counterparts(s).items(), key=lambda kv: (-kv[1], kv[0]))
-            ranked_lists.append([t for t, _ in row if t not in obs_tgt][: config.rank_depth])
+        ranked_lists = _rank_truth_scores(state.truth_scores, obs_tgt, sources, config.rank_depth)
 
     rankings: dict[int, list[int]] = {}
     for s, ranked in zip(sources, ranked_lists):
@@ -369,3 +376,18 @@ def fuse_predictions(
             ranked = ranked[: config.rank_depth]
         rankings[s] = ranked
     return FusedPredictions(binary=tuple(binary), rankings=rankings)
+
+
+def _rank_truth_scores(
+    table: TruthScoreTable, obs_tgt: np.ndarray, sources: list[int], depth: int
+) -> list[list[int]]:
+    """Per sorted source, its top ``depth`` unobserved targets by descending
+    truth score, ties by ascending target id."""
+    keep = ~obs_tgt[table.tgt]
+    src, tgt = table.src[keep], table.tgt[keep]
+    order = np.lexsort((tgt, -table.val[keep], src))
+    src, tgt = src[order], tgt[order]
+    rank = np.arange(len(src)) - np.searchsorted(src, src)
+    src, tgt = src[rank < depth], tgt[rank < depth].tolist()
+    lo, hi = np.searchsorted(src, sources, "left"), np.searchsorted(src, sources, "right")
+    return [tgt[a:b] for a, b in zip(lo.tolist(), hi.tolist())]

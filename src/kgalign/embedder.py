@@ -436,18 +436,20 @@ def rank_candidates(
 
 
 def greedy_one_to_one(
-    scored_pairs: Iterable[tuple[int, int, float]],
+    src: np.ndarray,
+    tgt: np.ndarray,
+    score: np.ndarray,
     budget: int | None = None,
 ) -> PseudoLabelSet:
-    """Highest-score-first matching; each entity is used at most once.
+    """Highest-score-first matching over offers (src[i], tgt[i], score[i]);
+    each entity is used at most once.
 
     Ties are broken by source id then target id, so the sweep is fully
     deterministic.  At most ``budget`` pairs are accepted when given.
     """
-    offers = list(scored_pairs)
-    src = np.array([p[0] for p in offers], dtype=np.int64)
-    tgt = np.array([p[1] for p in offers], dtype=np.int64)
-    score = np.array([p[2] for p in offers], dtype=np.float64)
+    src = np.asarray(src, dtype=np.int64)
+    tgt = np.asarray(tgt, dtype=np.int64)
+    score = np.asarray(score, dtype=np.float64)
     order = np.lexsort((tgt, src, -score))
     used_src: set[int] = set()
     used_tgt: set[int] = set()

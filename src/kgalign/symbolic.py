@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,18 +65,15 @@ class FunctionalityTable:
 
 def compute_functionalities(kg: KnowledgeGraph) -> FunctionalityTable:
     """Count distinct endpoints per relation to get both directed ratios."""
-    heads: list[set[int]] = [set() for _ in range(kg.n_relations)]
-    tails: list[set[int]] = [set() for _ in range(kg.n_relations)]
-    pairs = np.zeros(kg.n_relations, dtype=np.int64)
-    for h, r, t in kg.triples:
-        heads[r].add(h)
-        tails[r].add(t)
-        pairs[r] += 1  # triples are deduplicated, so each is a distinct (h, t)
-    values = np.zeros(2 * kg.n_relations, dtype=np.float64)
-    for r in range(kg.n_relations):
-        if pairs[r]:
-            values[2 * r] = len(heads[r]) / pairs[r]
-            values[2 * r + 1] = len(tails[r]) / pairs[r]
+    h, r, t = kg.triple_columns
+    n_rel = kg.n_relations
+    pairs = np.bincount(r, minlength=n_rel)  # triples are deduplicated: distinct (h, t)
+    heads = np.bincount(np.unique(r * kg.n_entities + h) // kg.n_entities, minlength=n_rel)
+    tails = np.bincount(np.unique(r * kg.n_entities + t) // kg.n_entities, minlength=n_rel)
+    values = np.zeros(2 * n_rel, dtype=np.float64)
+    has = pairs > 0
+    values[0::2][has] = heads[has] / pairs[has]
+    values[1::2][has] = tails[has] / pairs[has]
     return FunctionalityTable(values)
 
 
@@ -110,8 +106,35 @@ class SubrelationTable:
         return len(self.source_in_target) + len(self.target_in_source)
 
 
+def _pair_keys(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """One int64 key per (source, target) pair, ordered as the pairs are."""
+    return (src << 32) | tgt
+
+
+def _seed_keys(pinned: frozenset[tuple[int, int]]) -> np.ndarray:
+    """The pinned pairs' keys, sorted."""
+    return np.unique(np.fromiter((s << 32 | t for s, t in pinned), np.int64, len(pinned)))
+
+
+def _lookup(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in the sorted ``table`` and whether it is there."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    at = np.searchsorted(table, keys)
+    return at, table[np.minimum(at, len(table) - 1)] == keys
+
+
 class TruthScoreTable:
-    """Sparse (source entity, target entity) -> alignment probability map.
+    """Sparse (source entity, target entity) -> alignment probability table.
+
+    The entries are three arrays grouped by row: ``src`` is
+    non-decreasing, so each source entity's counterparts form one run of
+    ``tgt`` and ``val``.  Within a row, entries keep the order they were
+    made in: a sweep lists counterparts by first supporting term, then
+    every pinned pair it did not emit, by ascending target; a table built
+    from ``rows`` keeps each row's dict order.  Retention keeps that
+    order, and the next sweep multiplies in it, so the within-row order
+    is part of the bit-for-bit result.
 
     Observed seed pairs are pinned: they always score exactly 1 and no
     sweep or retention pass may alter or drop them.
@@ -119,41 +142,91 @@ class TruthScoreTable:
 
     def __init__(
         self,
-        rows: dict[int, dict[int, float]] | None = None,
+        rows: Mapping[int, Mapping[int, float]] | None = None,
         pinned: frozenset[tuple[int, int]] = frozenset(),
     ):
-        self.rows: dict[int, dict[int, float]] = rows if rows is not None else {}
-        self.pinned = pinned
-        for s, t in pinned:
-            self.rows.setdefault(s, {})[t] = 1.0
+        rows = rows if rows is not None else {}
+        sources = sorted(rows)
+        src = np.repeat(np.array(sources, dtype=np.int64), [len(rows[s]) for s in sources])
+        tgt = np.fromiter((t for s in sources for t in rows[s]), np.int64, len(src))
+        val = np.fromiter((v for s in sources for v in rows[s].values()), np.float64, len(src))
+        self._hold(pinned, _seed_keys(pinned), src, tgt, val)
 
     @classmethod
     def from_seeds(cls, pairs: Iterable[tuple[int, int]]) -> "TruthScoreTable":
         return cls(pinned=frozenset(pairs))
 
-    def score(self, source: int, target: int) -> float:
-        return self.rows.get(source, {}).get(target, 0.0)
+    @classmethod
+    def from_arrays(
+        cls,
+        src: np.ndarray,
+        tgt: np.ndarray,
+        val: np.ndarray,
+        pinned: frozenset[tuple[int, int]] = frozenset(),
+    ) -> "TruthScoreTable":
+        """Table of distinct (src, tgt) pairs, each row in the order given."""
+        order = np.argsort(src, kind="stable")
+        out = object.__new__(cls)
+        out._hold(pinned, _seed_keys(pinned), src[order], tgt[order], val[order])
+        return out
 
-    def counterparts(self, source: int) -> dict[int, float]:
-        return self.rows.get(source, {})
+    def derive(self, src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> "TruthScoreTable":
+        """A table with this one's pinned pairs over new row-grouped entries."""
+        out = object.__new__(TruthScoreTable)
+        out._hold(self.pinned, self._pin_keys, src, tgt, val)
+        return out
+
+    def _hold(
+        self,
+        pinned: frozenset[tuple[int, int]],
+        pin_keys: np.ndarray,
+        src: np.ndarray,
+        tgt: np.ndarray,
+        val: np.ndarray,
+    ) -> None:
+        """Keep row-grouped entries with every pinned pair at 1; missing ones close their row."""
+        at, hit = _lookup(_pair_keys(src, tgt), pin_keys)
+        val = np.where(hit, 1.0, val)
+        missing = np.ones(len(pin_keys), dtype=bool)
+        missing[at[hit]] = False
+        if missing.any():
+            extra = pin_keys[missing]
+            src = np.concatenate([src, extra >> 32])
+            tgt = np.concatenate([tgt, extra & 0xFFFFFFFF])
+            val = np.concatenate([val, np.ones(len(extra))])
+            order = np.argsort(src, kind="stable")
+            src, tgt, val = src[order], tgt[order], val[order]
+        self.pinned, self._pin_keys = pinned, pin_keys
+        self.src, self.tgt, self.val = src, tgt, val
+
+    def pinned_mask(self) -> np.ndarray:
+        """Which entries are pinned pairs."""
+        return _lookup(_pair_keys(self.src, self.tgt), self._pin_keys)[1]
+
+    @property
+    def rows(self) -> dict[int, dict[int, float]]:
+        """The entries as a fresh ``{source: {target: score}}`` dict, in table order."""
+        rows: dict[int, dict[int, float]] = {}
+        for s, t, v in zip(self.src.tolist(), self.tgt.tolist(), self.val.tolist()):
+            rows.setdefault(s, {})[t] = v
+        return rows
+
+    def score(self, source: int, target: int) -> float:
+        lo, hi = np.searchsorted(self.src, [source, source + 1])
+        hit = np.flatnonzero(self.tgt[lo:hi] == target)
+        return float(self.val[lo + hit[0]]) if len(hit) else 0.0
 
     def items(self) -> Iterable[tuple[int, int, float]]:
-        for s in sorted(self.rows):
-            row = self.rows[s]
-            for t in sorted(row):
-                yield s, t, row[t]
-
-    def nonpinned_items(self) -> Iterable[tuple[int, int, float]]:
-        for s, t, v in self.items():
-            if (s, t) not in self.pinned:
-                yield s, t, v
+        """(source, target, score) ascending by source, then target."""
+        order = np.lexsort((self.tgt, self.src))
+        return zip(self.src[order].tolist(), self.tgt[order].tolist(), self.val[order].tolist())
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        return len(self.src)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        s, t = pair
-        return t in self.rows.get(s, {})
+        lo, hi = np.searchsorted(self.src, [pair[0], pair[0] + 1])
+        return bool((self.tgt[lo:hi] == pair[1]).any())
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +279,30 @@ def propagate_entity_scores(
     """
     adj_s = pair.source.directed_adj
     adj_t = pair.target.directed_adj
-    eta_s = eta_source.reverse_values  # indexed by traversed direction
-    eta_t = eta_target.reverse_values
-    shape = (2 * pair.source.n_relations, 2 * pair.target.n_relations)
-    sub = _dense(psub.source_in_target, shape)
-    sup = _dense(psub.target_in_source, shape[::-1])
+    n_rel_t = 2 * pair.target.n_relations
+    shape = (2 * pair.source.n_relations, n_rel_t)
+    # A term's two evidence strengths are w_fwd[d, d2] * v and w_bwd[d, d2] * v,
+    # the very products (eta(d) * p_sub(d in d2)) * v and (eta(d2) * p_sub(d2 in d)) * v;
+    # eta is indexed by traversed direction.
+    w_fwd = (eta_source.reverse_values[:, None] * _dense(psub.source_in_target, shape)).ravel()
+    w_bwd = (eta_target.reverse_values[:, None] * _dense(psub.target_in_source, shape[::-1])).T.ravel()
+    weighted = (w_fwd != 0.0) | (w_bwd != 0.0)
+    src_rel = adj_s.rel * n_rel_t
+    tgt_rel = adj_t.rel ^ 1  # directed triple (e2, d2, e_t2)
 
-    # prev as CSR over source entities, each row in its dict order.
+    # prev's row-grouped entries are a CSR over source entities.
     n_s, n_t = pair.source.n_entities, pair.target.n_entities
-    scored = sorted(prev.rows)
-    row_len = np.zeros(n_s, dtype=np.int64)
-    row_len[scored] = [len(prev.rows[e_t]) for e_t in scored]
+    row_len = np.bincount(prev.src, minlength=n_s)
     row_start = np.cumsum(row_len) - row_len
-    prev_tgt = np.array([t for e_t in scored for t in prev.rows[e_t]], dtype=np.int64)
-    prev_val = np.array([v for e_t in scored for v in prev.rows[e_t].values()], dtype=np.float64)
+    prev_tgt, prev_val = prev.tgt, prev.val
 
     # Terms per source edge, cumulated at entity boundaries, set the blocks.
     tgt_deg = np.diff(adj_t.indptr)
-    per_row = np.bincount(np.repeat(np.arange(n_s), row_len), tgt_deg[prev_tgt], n_s)
+    per_row = np.bincount(prev.src, tgt_deg[prev_tgt], n_s)
     before = np.concatenate([[0], np.cumsum(per_row[adj_s.nbr])])[adj_s.indptr]
     edge_owner = np.repeat(np.arange(n_s), np.diff(adj_s.indptr))
 
-    rows: dict[int, dict[int, float]] = {}
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
     lo = 0
     while lo < n_s:
         hi = max(int(np.searchsorted(before, before[lo] + SWEEP_BLOCK_TERMS, "right")) - 1, lo + 1)
@@ -239,28 +314,30 @@ def propagate_entity_scores(
         via_edge, entry = _ranges(row_start[e_t], row_len[e_t])
         e_t2 = prev_tgt[entry]
         via_entry, tgt_edge = _ranges(adj_t.indptr[e_t2], tgt_deg[e_t2])
-        src_edge = edges[via_edge[via_entry]]
-        d = adj_s.rel[src_edge]
-        d2 = adj_t.rel[tgt_edge] ^ 1  # directed triple (e2, d2, e_t2)
-        v = prev_val[entry[via_entry]]
-        s_fwd = eta_s[d] * sub[d, d2] * v
-        s_bwd = eta_t[d2] * sup[d2, d] * v
+        # A term whose relation pair carries no weight is 0 whatever its v.
+        rel = src_rel[edges][via_edge][via_entry] + tgt_rel[tgt_edge]
+        term = np.flatnonzero(weighted[rel])
+        rel, v = rel[term], prev_val[entry[via_entry[term]]]
+        s_fwd = w_fwd[rel] * v
+        s_bwd = w_bwd[rel] * v
         keep = (s_fwd != 0.0) | (s_bwd != 0.0)
+        term, s_fwd, s_bwd = term[keep], s_fwd[keep], s_bwd[keep]
 
         # Group terms by (e, e'), keeping term order inside each group.
-        key = edge_owner[src_edge[keep]] * n_t + adj_t.nbr[tgt_edge[keep]]
+        key = edge_owner[edges][via_edge[via_entry[term]]] * n_t + adj_t.nbr[tgt_edge[term]]
         order = np.argsort(key, kind="stable")
         first = np.flatnonzero(np.diff(key[order], prepend=-1))
-        factors = np.stack([1.0 - s_fwd[keep], 1.0 - s_bwd[keep]], axis=1)[order].ravel()
+        factors = np.empty(2 * len(order))
+        factors[0::2], factors[1::2] = 1.0 - s_fwd[order], 1.0 - s_bwd[order]
         score = 1.0 - np.multiply.reduceat(factors, 2 * first)
 
-        # Emit each row's counterparts in the order of their first term.
+        # Emit each row's counterparts in the order of their first term;
+        # blocks and the terms inside them run by ascending source entity.
         emit = np.argsort(order[first])
         emit = emit[score[emit] > 0.0]
-        e, e2 = divmod(key[order[first[emit]]], n_t)
-        for row, terms in groupby(zip(e.tolist(), e2.tolist(), score[emit].tolist()), itemgetter(0)):
-            rows[row] = {t: val for _, t, val in terms}
-    return TruthScoreTable(rows=rows, pinned=prev.pinned)
+        e, e2 = np.divmod(key[order[first[emit]]], n_t)
+        blocks.append((e, e2, score[emit]))
+    return prev.derive(*(np.concatenate(col) for col in zip(*blocks)))
 
 
 def retain_best(table: TruthScoreTable, rho: float = 1.0) -> TruthScoreTable:
@@ -268,29 +345,21 @@ def retain_best(table: TruthScoreTable, rho: float = 1.0) -> TruthScoreTable:
 
     A pair survives when its score is within factor ``rho`` of the best
     score of its source row or of its target column (``rho = 1.0`` keeps
-    argmax entries only; ties are all retained).  Pinned pairs always
-    survive.
+    argmax entries only; ties are all retained).  A best starts at 0, so
+    a pair scored exactly 0 is kept too.  Pinned pairs always survive,
+    and the kept entries keep their order.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"retention factor must be in (0, 1], got {rho}")
-    row_best: dict[int, float] = {}
-    col_best: dict[int, float] = {}
-    for s, row in table.rows.items():
-        for t, v in row.items():
-            if v > row_best.get(s, 0.0):
-                row_best[s] = v
-            if v > col_best.get(t, 0.0):
-                col_best[t] = v
-    rows: dict[int, dict[int, float]] = {}
-    for s, row in table.rows.items():
-        kept = {
-            t: v
-            for t, v in row.items()
-            if (s, t) in table.pinned or v >= rho * row_best[s] or v >= rho * col_best[t]
-        }
-        if kept:
-            rows[s] = kept
-    return TruthScoreTable(rows=rows, pinned=table.pinned)
+    src, tgt, val = table.src, table.tgt, table.val
+    if not len(src):
+        return table
+    row_best = np.zeros(src[-1] + 1)
+    np.maximum.at(row_best, src, val)
+    col_best = np.zeros(tgt.max() + 1)
+    np.maximum.at(col_best, tgt, val)
+    keep = table.pinned_mask() | (val >= rho * row_best[src]) | (val >= rho * col_best[tgt])
+    return table.derive(src[keep], tgt[keep], val[keep])
 
 
 def run_symbolic_inference(
@@ -364,10 +433,14 @@ def _estimate_one_way(
     ok = den_term > 0.0
     denominator = np.bincount(r[ok], den_term[ok], kg_from.n_relations)
 
-    # Look each counterpart pair (u', v') of a kept triple up in kg_to's edge index.
+    # Look each counterpart pair (u', v') of a kept triple up in kg_to's edge
+    # index, in key order, which keeps the binary searches cache-friendly.
     kept = ok[triple]
     pair_key = other[at_h[kept]] * kg_to.n_entities + other[at_t[kept]]
-    lo, hi = np.searchsorted(edges_to[0], [pair_key, pair_key + 1])
+    by_key = np.argsort(pair_key)
+    lo, hi = np.empty_like(by_key), np.empty_like(by_key)
+    lo[by_key] = np.searchsorted(edges_to[0], pair_key[by_key])
+    hi[by_key] = np.searchsorted(edges_to[0], pair_key[by_key], "right")
     via_term, slot = _ranges(lo, hi - lo)
 
     # One noisy-OR per (triple, d'), then numerators summed in triple order;
@@ -401,8 +474,7 @@ def update_subrelation_probs(
     support falls below ``min_support`` are dropped; ``eps`` smooths the
     denominator against division by zero.
     """
-    s, t, v = np.array(list(labels.items()), dtype=np.float64).reshape(-1, 3).T
-    src, tgt = s.astype(np.int64), t.astype(np.int64)
+    src, tgt, v = labels.src, labels.tgt, labels.val
     forward = _estimate_one_way(
         pair.source, pair.target, pair.edge_relations("target"), (src, tgt, v), eps, min_support
     )
@@ -417,12 +489,36 @@ def update_subrelation_probs(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdSplit:
-    """Scored non-pinned pairs split at the positive threshold."""
+    """Scored non-pinned pairs split at the positive threshold.
 
-    positives: tuple[tuple[int, int, float], ...]
-    negatives: tuple[tuple[int, int, float], ...]
+    ``src``, ``tgt`` and ``val`` hold the non-pinned entries ascending by
+    (source, target), and ``positive`` marks those above the threshold.
+    ``positives`` and ``negatives`` are the two sides as (source, target,
+    score) tuples in the same order.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    val: np.ndarray
+    positive: np.ndarray
+
+    def _columns(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.src[mask], self.tgt[mask], self.val[mask]
+
+    @property
+    def positive_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positives as source, target and score arrays."""
+        return self._columns(self.positive)
+
+    @cached_property
+    def positives(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(*(col.tolist() for col in self.positive_columns)))
+
+    @cached_property
+    def negatives(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(*(col.tolist() for col in self._columns(~self.positive))))
 
 
 def extract_positive_pairs(scores: TruthScoreTable, delta: float) -> ThresholdSplit:
@@ -434,14 +530,11 @@ def extract_positive_pairs(scores: TruthScoreTable, delta: float) -> ThresholdSp
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {delta}")
-    positives: list[tuple[int, int, float]] = []
-    negatives: list[tuple[int, int, float]] = []
-    for s, t, v in scores.nonpinned_items():
-        if v > delta:
-            positives.append((s, t, v))
-        else:
-            negatives.append((s, t, v))
-    return ThresholdSplit(positives=tuple(positives), negatives=tuple(negatives))
+    free = ~scores.pinned_mask()
+    src, tgt, val = scores.src[free], scores.tgt[free], scores.val[free]
+    order = np.lexsort((tgt, src))
+    src, tgt, val = src[order], tgt[order], val[order]
+    return ThresholdSplit(src, tgt, val, val > delta)
 
 
 def dump_truth_scores(table: TruthScoreTable, labels_source, labels_target) -> str:

@@ -152,6 +152,72 @@ def loop_propagate(
     return out
 
 
+def loop_functionalities(kg: KnowledgeGraph) -> np.ndarray:
+    """Functionality values by packed direction from per-relation Python sets.
+
+    Index 2r holds (distinct heads) / (triples of r), index 2r + 1
+    (distinct tails) / (triples of r); relations without triples hold 0.
+    """
+    heads: list[set[int]] = [set() for _ in range(kg.n_relations)]
+    tails: list[set[int]] = [set() for _ in range(kg.n_relations)]
+    pairs = np.zeros(kg.n_relations, dtype=np.int64)
+    for h, r, t in kg.triples:
+        heads[r].add(h)
+        tails[r].add(t)
+        pairs[r] += 1
+    values = np.zeros(2 * kg.n_relations, dtype=np.float64)
+    for r in range(kg.n_relations):
+        if pairs[r]:
+            values[2 * r] = len(heads[r]) / pairs[r]
+            values[2 * r + 1] = len(tails[r]) / pairs[r]
+    return values
+
+
+def loop_retain(
+    rows: dict[int, dict[int, float]],
+    pinned: frozenset[tuple[int, int]],
+    rho: float,
+) -> dict[int, dict[int, float]]:
+    """Retention as a dict loop: a pair stays when pinned or within factor
+    ``rho`` of its row's or its column's best score, each best starting
+    at 0.  Rows and the entries inside them keep their order."""
+    row_best: dict[int, float] = {}
+    col_best: dict[int, float] = {}
+    for s, row in rows.items():
+        for t, v in row.items():
+            if v > row_best.get(s, 0.0):
+                row_best[s] = v
+            if v > col_best.get(t, 0.0):
+                col_best[t] = v
+    out: dict[int, dict[int, float]] = {}
+    for s, row in rows.items():
+        kept = {
+            t: v
+            for t, v in row.items()
+            if (s, t) in pinned or v >= rho * row_best.get(s, 0.0) or v >= rho * col_best.get(t, 0.0)
+        }
+        if kept:
+            out[s] = kept
+    return out
+
+
+def loop_extract(
+    rows: dict[int, dict[int, float]],
+    pinned: frozenset[tuple[int, int]],
+    delta: float,
+) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
+    """Non-pinned (s, t, score) entries ascending by (s, t), split into
+    those scoring above ``delta`` and the rest."""
+    positives: list[tuple[int, int, float]] = []
+    negatives: list[tuple[int, int, float]] = []
+    for s in sorted(rows):
+        for t in sorted(rows[s]):
+            if (s, t) not in pinned:
+                v = rows[s][t]
+                (positives if v > delta else negatives).append((s, t, v))
+    return positives, negatives
+
+
 def loop_rank(model, e: int, candidates: Sequence[int]) -> list[int]:
     """All candidates by descending cosine with source e, ties by
     ascending target id, from one matrix-vector product for this source
@@ -497,3 +563,18 @@ def sorted_greedy(
         used_tgt.add(t)
         accepted.append((s, t, v))
     return accepted
+
+
+def offer_columns(
+    offers: Iterable[tuple[int, int, float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source, target and score arrays of (s, t, score) offers, in order."""
+    offers = list(offers)
+    src = np.array([s for s, _, _ in offers], dtype=np.int64)
+    tgt = np.array([t for _, t, _ in offers], dtype=np.int64)
+    return src, tgt, np.array([v for _, _, v in offers], dtype=np.float64)
+
+
+def column_tuples(columns: Iterable[np.ndarray]) -> list[tuple]:
+    """Equal-length columns as a list of row tuples of Python scalars."""
+    return list(zip(*(col.tolist() for col in columns)))

@@ -317,7 +317,7 @@ def _greedy_cases(rng, n: int) -> str:
             )
             for _ in range(m)
         ]
-        full = emb.greedy_one_to_one(cands)
+        full = emb.greedy_one_to_one(*oracles.offer_columns(cands))
         used_s = [s for s, _, _ in full.pairs]
         used_t = [t for _, t, _ in full.pairs]
         assert len(used_s) == len(set(used_s)) and len(used_t) == len(set(used_t))
@@ -333,7 +333,7 @@ def _greedy_cases(rng, n: int) -> str:
                 assert s in blocked_s or t in blocked_t, "greedy skipped a free pair"
         if case % 3 == 0 and full.pairs:
             budget = int(rng.integers(1, len(full.pairs) + 1))
-            capped = emb.greedy_one_to_one(cands, budget=budget)
+            capped = emb.greedy_one_to_one(*oracles.offer_columns(cands), budget=budget)
             assert capped.pairs == full.pairs[:budget], "budget is not a prefix cut"
     return f"greedy-matching:{n}"
 

@@ -16,9 +16,11 @@ from kgalign.em import (
 )
 from kgalign.embedder import Hyperparams, Origin, TrainReport
 from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, SeedRole, load_graph
-from kgalign.symbolic import ThresholdSplit
+from kgalign import symbolic
+from kgalign.symbolic import SubrelationTable, ThresholdSplit, TruthScoreTable, extract_positive_pairs
 
-from conftest import isomorphic_pair, matched_psub, split_gold
+import oracles
+from conftest import isomorphic_pair, matched_psub, random_pair, split_gold
 
 
 def chain_fixture(n: int = 3):
@@ -263,7 +265,7 @@ class TestFusion:
         # the model prefers target 2 for source 1, but the symbolic
         # engine called (1, 1); fusion must put 1 first regardless
         state.model.ent_target = np.vstack([eye[0], eye[5], eye[1], eye[6]]).copy()
-        state.last_split = ThresholdSplit(positives=((1, 1, 0.95),), negatives=())
+        state.last_split = extract_positive_pairs(TruthScoreTable(rows={1: {1: 0.95}}), 0.9)
         fused = fuse_predictions(state, config)
         by_pair = {(s, t): origin for s, t, _, origin in fused.binary}
         assert by_pair[(1, 1)] is Origin.SYMBOLIC
@@ -319,3 +321,72 @@ class TestFusion:
         fused = fuse_predictions(state, config)
         assert calls == []
         assert fused.rankings
+
+
+def _loop_sweep(pair, eta_source, eta_target, psub, prev):
+    rows = oracles.loop_propagate(
+        pair,
+        eta_source.reverse_values,
+        eta_target.reverse_values,
+        psub.source_in_target,
+        psub.target_in_source,
+        prev.rows,
+    )
+    return TruthScoreTable(rows=rows, pinned=prev.pinned)
+
+
+def _loop_retain(table, rho=1.0):
+    return TruthScoreTable(rows=oracles.loop_retain(table.rows, table.pinned, rho), pinned=table.pinned)
+
+
+def _loop_extract(table, delta):
+    positives, negatives = oracles.loop_extract(table.rows, table.pinned, delta)
+    entries = sorted([(s, t, v, True) for s, t, v in positives] + [(s, t, v, False) for s, t, v in negatives])
+    src, tgt, val = oracles.offer_columns([entry[:3] for entry in entries])
+    return ThresholdSplit(src, tgt, val, np.array([entry[3] for entry in entries], dtype=bool))
+
+
+def _loop_psub(pair, labels, **kwargs):
+    fwd, bwd = oracles.loop_subrelation(pair, labels.rows, **kwargs)
+    return SubrelationTable(source_in_target=fwd, target_in_source=bwd)
+
+
+class TestLoopReferences:
+    """A symbolic-only run on the array path equals the same run with every
+    symbolic layer replaced by its dict-loop reference."""
+
+    @staticmethod
+    def _run(pair, train, config):
+        state = run_em(pair, train, config)
+        return state, fuse_predictions(state, config)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.8])
+    @pytest.mark.parametrize("kind", ["isomorphic", "unrelated"])
+    def test_symbolic_run_matches_loop_references(self, monkeypatch, kind, rho):
+        if kind == "isomorphic":
+            pair, gold = isomorphic_pair(31, n_entities=60, n_relations=4, n_triples=150)
+        else:
+            rng = np.random.default_rng(31)
+            pair = random_pair(rng, n_entities=40, n_relations=3, n_triples=90)
+            gold = {s: int(t) for s, t in enumerate(rng.permutation(40))}
+        train, _ = split_gold(gold, 0.2, seed=5)
+        config = EmConfig(iterations=2, rule_length=2, retention_rho=rho, delta=0.5, symbolic_only=True)
+        arrays, fused_arrays = self._run(pair, train, config)
+
+        monkeypatch.setattr(symbolic, "propagate_entity_scores", _loop_sweep)
+        monkeypatch.setattr(symbolic, "retain_best", _loop_retain)
+        monkeypatch.setattr(em, "retain_best", _loop_retain)
+        monkeypatch.setattr(em, "extract_positive_pairs", _loop_extract)
+        monkeypatch.setattr(em, "update_subrelation_probs", _loop_psub)
+        loops, fused_loops = self._run(pair, train, config)
+
+        assert len(arrays.truth_scores) > len(train)
+        assert [(s, list(r.items())) for s, r in arrays.truth_scores.rows.items()] == [
+            (s, list(r.items())) for s, r in loops.truth_scores.rows.items()
+        ]
+        assert arrays.psub.source_in_target == loops.psub.source_in_target
+        assert arrays.psub.target_in_source == loops.psub.target_in_source
+        assert arrays.last_split.positives == loops.last_split.positives
+        assert fused_arrays.binary == fused_loops.binary
+        assert fused_arrays.rankings == fused_loops.rankings
+

@@ -305,7 +305,7 @@ class TestScoring:
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
         model = init_model(pair, Hyperparams(dim=8), seed=5)
         model.ent_target[3] *= 2.5  # scoring must not assume unit rows
-        got = _top_candidates(model, [0, 4, 7], list(range(12)), top_c=5)
+        got = oracles.column_tuples(_top_candidates(model, [0, 4, 7], list(range(12)), top_c=5))
         assert len(got) == 15
         for s, t, v in got:
             assert abs(v - score_pair(model, s, t)) <= 1e-12
@@ -407,7 +407,7 @@ class TestTopK:
             sources = [int(s) for s in rng.permutation(n_s)[: int(rng.integers(1, n_s + 1))]]
             targets = sorted(int(t) for t in rng.permutation(n_t)[: int(rng.integers(1, n_t + 1))])
             top_c = int(rng.integers(1, n_t + 1))
-            got = _top_candidates(model, sources, targets, top_c)
+            got = oracles.column_tuples(_top_candidates(model, sources, targets, top_c))
 
             tgt = np.asarray(targets)
             smat, tmat = model.ent_source[sources], model.ent_target[tgt]
@@ -423,22 +423,22 @@ class TestTopK:
 
 class TestGreedyMatching:
     def test_second_best_displaced(self):
-        got = greedy_one_to_one([(0, 0, 0.9), (0, 1, 0.8), (1, 1, 0.7)])
+        got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (0, 1, 0.8), (1, 1, 0.7)]))
         assert [(s, t) for s, t, _ in got.pairs] == [(0, 0), (1, 1)]
 
     def test_loser_shares_target(self):
-        got = greedy_one_to_one([(0, 0, 0.9), (1, 0, 0.8)])
+        got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (1, 0, 0.8)]))
         assert [(s, t) for s, t, _ in got.pairs] == [(0, 0)]
 
     def test_empty(self):
-        assert greedy_one_to_one([]).pairs == ()
+        assert greedy_one_to_one(*oracles.offer_columns([])).pairs == ()
 
     def test_budget(self):
-        got = greedy_one_to_one([(0, 0, 0.9), (1, 1, 0.8), (2, 2, 0.7)], budget=2)
+        got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (1, 1, 0.8), (2, 2, 0.7)]), budget=2)
         assert len(got) == 2
 
     def test_tie_broken_by_ids(self):
-        got = greedy_one_to_one([(1, 1, 0.5), (0, 0, 0.5), (0, 1, 0.5)])
+        got = greedy_one_to_one(*oracles.offer_columns([(1, 1, 0.5), (0, 0, 0.5), (0, 1, 0.5)]))
         assert [(s, t) for s, t, _ in got.pairs] == [(0, 0), (1, 1)]
 
     def test_matching_valid_and_greedy(self, rng):
@@ -448,7 +448,7 @@ class TestGreedyMatching:
                 (int(rng.integers(8)), int(rng.integers(8)), float(rng.uniform()))
                 for _ in range(n)
             ]
-            got = greedy_one_to_one(scored)
+            got = greedy_one_to_one(*oracles.offer_columns(scored))
             sources = [s for s, _, _ in got.pairs]
             targets = [t for _, t, _ in got.pairs]
             assert len(set(sources)) == len(sources)
@@ -474,8 +474,17 @@ class TestGreedyMatching:
             offers += [offers[int(i)] for i in rng.integers(0, len(offers), size=min(len(offers), 5))]
             offers += [(s, t, 1.0 - v) for s, t, v in offers[:3]]
             budget = None if rng.random() < 0.3 else int(rng.integers(0, 10))
-            got = greedy_one_to_one(offers, budget=budget)
+            got = greedy_one_to_one(*oracles.offer_columns(offers), budget=budget)
             assert list(got.pairs) == oracles.sorted_greedy(offers, budget=budget)
+
+    def test_edge_cases_match_sorted_reference(self):
+        duplicated = [(0, 0, 0.5), (0, 0, 0.5), (1, 0, 0.5), (0, 0, 0.9), (1, 1, 0.5), (1, 1, 0.5)]
+        for offers in ([], duplicated):
+            for budget in (None, 0, 1, 5):
+                got = greedy_one_to_one(*oracles.offer_columns(offers), budget=budget)
+                assert list(got.pairs) == oracles.sorted_greedy(offers, budget=budget)
+        assert greedy_one_to_one(*oracles.offer_columns(duplicated), budget=0).pairs == ()
+        assert list(greedy_one_to_one(*oracles.offer_columns(duplicated)).pairs) == [(0, 0, 0.9), (1, 1, 0.5)]
 
 
 class TestCheckpoint:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgalign import symbolic
-from kgalign.graph import KnowledgeGraphPair, load_graph, pack_direction
+from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair, load_graph, pack_direction
 from kgalign.symbolic import (
     FunctionalityTable,
     SubrelationTable,
@@ -61,6 +61,17 @@ class TestFunctionalities:
             for d, expected in brute.items():
                 np.testing.assert_allclose(eta.values[d ^ 1], expected, rtol=0, atol=0)
                 np.testing.assert_allclose(eta.reverse_values[d], expected, rtol=0, atol=0)
+
+    def test_matches_loop_reference(self, rng):
+        # integer ratios, so the counts must give exactly the set loop's values
+        for _ in range(200):
+            kg = load_graph(_random_records(rng))
+            assert np.array_equal(compute_functionalities(kg).values, oracles.loop_functionalities(kg))
+        # a relation without triples stays 0 on both sides
+        kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1), (1, 0, 0)])
+        values = compute_functionalities(kg).values
+        assert np.array_equal(values, oracles.loop_functionalities(kg))
+        assert values.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_bounds_invariant(self, rng):
         for _ in range(60):
@@ -476,6 +487,40 @@ class TestRetention:
         with pytest.raises(ValueError, match="retention factor"):
             retain_best(TruthScoreTable(), rho=0.0)
 
+    def test_zero_scores_kept(self):
+        # a best starts at 0, so an entry scored 0 ties its empty column
+        kept = retain_best(TruthScoreTable(rows={0: {0: 0.0}, 1: {1: 0.5}}))
+        assert as_dict(kept) == {(0, 0): 0.0, (1, 1): 0.5}
+        kept = retain_best(TruthScoreTable(rows={0: {0: 0.0, 1: 0.2}}))
+        assert as_dict(kept) == {(0, 0): 0.0, (0, 1): 0.2}
+
+    def test_matches_loop_reference(self, rng):
+        for case in range(300):
+            rows, pinned = _random_table_rows(rng, case)
+            table = TruthScoreTable(rows=rows, pinned=pinned)
+            rho = 1.0 if case % 2 else float(rng.choice([0.5, 0.8, 0.95]))
+            got = retain_best(table, rho)
+            want = oracles.loop_retain(table.rows, pinned, rho)
+            assert _ordered(got) == _ordered(TruthScoreTable(rows=want, pinned=pinned))
+            assert got.pinned is table.pinned
+
+    def test_sweep_output_matches_loop_reference(self, rng):
+        # rows in first-term order with re-pinned pairs appended
+        for case in range(60):
+            pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
+            labels = random_labels(rng, pair, 6)
+            pinned = frozenset(list(labels)[: case % 3]) | {(7, int(rng.integers(8)))}
+            table = propagate_entity_scores(
+                pair,
+                compute_functionalities(pair.source),
+                compute_functionalities(pair.target),
+                random_psub(rng, pair),
+                TruthScoreTable(rows=_rows_from(labels), pinned=pinned),
+            )
+            for rho in (1.0, 0.7):
+                want = oracles.loop_retain(table.rows, pinned, rho)
+                assert _ordered(retain_best(table, rho)) == _ordered(TruthScoreTable(rows=want))
+
 
 class TestExtractPositives:
     def test_split_by_threshold(self):
@@ -502,3 +547,49 @@ class TestExtractPositives:
     def test_delta_validated(self):
         with pytest.raises(ValueError, match="threshold"):
             extract_positive_pairs(TruthScoreTable(), 1.0)
+
+    def test_matches_loop_reference(self, rng):
+        for case in range(300):
+            rows, pinned = _random_table_rows(rng, case)
+            table = TruthScoreTable(rows=rows, pinned=pinned)
+            delta = float(rng.choice([0.25, 0.5, 0.75, 0.9]))
+            split = extract_positive_pairs(table, delta)
+            positives, negatives = oracles.loop_extract(table.rows, pinned, delta)
+            assert split.positives == tuple(positives)
+            assert split.negatives == tuple(negatives)
+            assert oracles.column_tuples(split.positive_columns) == positives
+
+
+class TestCountedShapes:
+    """The shapes the benchmark tracer counts: table entries and split tuples."""
+
+    def test_len_counts_entries(self, rng):
+        for case in range(50):
+            rows, pinned = _random_table_rows(rng, case)
+            table = TruthScoreTable(rows=rows, pinned=pinned)
+            assert len(table) == len(list(table.items())) == sum(map(len, table.rows.values()))
+            assert len(retain_best(table)) == len(list(retain_best(table).items()))
+
+    def test_positives_are_ascending_tuples(self, rng):
+        for case in range(50):
+            rows, pinned = _random_table_rows(rng, case)
+            split = extract_positive_pairs(TruthScoreTable(rows=rows, pinned=pinned), 0.5)
+            assert isinstance(split.positives, tuple)
+            assert list(split.positives) == sorted(split.positives)
+            for s, t, v in split.positives:
+                assert type(s) is int and type(t) is int and type(v) is float
+
+
+def _random_table_rows(rng, case: int) -> tuple[dict[int, dict[int, float]], frozenset[tuple[int, int]]]:
+    """Rows in random key order over a small value set (ties at row and
+    column maxima, some exact 0s), plus pinned pairs of which some are
+    missing from the rows; every tenth case is empty."""
+    rows: dict[int, dict[int, float]] = {}
+    if case % 10:
+        for s in rng.permutation(6)[: int(rng.integers(1, 7))]:
+            targets = rng.permutation(6)[: int(rng.integers(0, 5))]
+            rows[int(s)] = {int(t): float(rng.choice([0.0, 0.3, 0.6, 0.95, 1.0])) for t in targets}
+    entries = [(s, t) for s, row in rows.items() for t in row]
+    chosen = [entries[int(i)] for i in rng.permutation(len(entries))[: int(rng.integers(0, 3))]]
+    missing = [(int(rng.integers(8)), int(rng.integers(8))) for _ in range(int(rng.integers(0, 3)))]
+    return rows, frozenset(chosen + missing)
