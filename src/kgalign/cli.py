@@ -12,6 +12,8 @@ from dataclasses import fields, replace
 from io import BytesIO
 from pathlib import Path
 
+import numpy as np
+
 from . import data, em, metrics as met
 from .embedder import Hyperparams, save_model
 from .explain import explain, hard_anchors, render_report, soft_anchors
@@ -84,7 +86,9 @@ def _split_ratios(args, file_items: dict[str, str]) -> tuple[float, float]:
     return train, valid
 
 
-def _psub_from_dump(path: Path, left, right) -> dict[tuple[int, int], float]:
+def _psub_from_dump(path: Path, left, right) -> np.ndarray:
+    """A ``(2R_left, 2R_right)`` p_sub array read from a dump; unlisted pairs hold 0."""
+
     def parse_directed(label: str, kg) -> int:
         inverse = label.endswith("^-1")
         base_label = label[:-3] if inverse else label
@@ -93,7 +97,7 @@ def _psub_from_dump(path: Path, left, right) -> dict[tuple[int, int], float]:
             raise data.DatasetError(f"{path.name}: unknown relation label {base_label!r}")
         return pack_direction(base, inverse)
 
-    entries: dict[tuple[int, int], float] = {}
+    weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
     for lineno, (a, b, v) in data.read_tsv_rows(path, 3):
         try:
             p = float(v)
@@ -102,8 +106,8 @@ def _psub_from_dump(path: Path, left, right) -> dict[tuple[int, int], float]:
         if not 0.0 <= p <= 1.0:
             msg = f"{path.name}:{lineno}: p_sub must be a number in [0, 1], got {v!r}"
             raise data.DatasetError(msg)
-        entries[(parse_directed(a, left), parse_directed(b, right))] = p
-    return entries
+        weights[parse_directed(a, left), parse_directed(b, right)] = p
+    return weights
 
 
 def _load_state_tables(state_dir: Path, pair: KnowledgeGraphPair) -> SubrelationTable:

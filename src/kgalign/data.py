@@ -9,6 +9,7 @@ every parse error is reported with its file and line number.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -87,28 +88,18 @@ def load_dataset(directory: str | Path) -> DatasetBundle:
 
     links: list[tuple[int, int]] = []
     links_path = root / LINKS_FILE
-    with open(links_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or any(not f for f in fields):
-                raise DatasetError(
-                    f"{links_path.name}:{lineno}: expected source<TAB>target, got {line!r}"
-                )
-            src, tgt = fields
-            s = pair.source.entity_ids.get(src)
-            t = pair.target.entity_ids.get(tgt)
-            if s is None:
-                raise DatasetError(
-                    f"{links_path.name}:{lineno}: link references unknown source entity {src!r}"
-                )
-            if t is None:
-                raise DatasetError(
-                    f"{links_path.name}:{lineno}: link references unknown target entity {tgt!r}"
-                )
-            links.append((s, t))
+    for lineno, (src, tgt) in read_tsv_rows(links_path, 2):
+        s = pair.source.entity_ids.get(src)
+        t = pair.target.entity_ids.get(tgt)
+        if s is None:
+            raise DatasetError(
+                f"{links_path.name}:{lineno}: link references unknown source entity {src!r}"
+            )
+        if t is None:
+            raise DatasetError(
+                f"{links_path.name}:{lineno}: link references unknown target entity {tgt!r}"
+            )
+        links.append((s, t))
 
     provenance = {name: _sha256(root / name) for name in (*TRIPLE_FILES, LINKS_FILE)}
     return DatasetBundle(pair=pair, links=tuple(links), provenance=provenance)
@@ -213,16 +204,9 @@ def build_manifest(
         f"timestamp\t{time.strftime('%Y-%m-%dT%H:%M:%S')}",
     ]
     items: dict[str, object] = {
-        "delta": config.delta,
-        "iterations": config.iterations,
-        "rule_length": config.rule_length,
-        "retention_rho": config.retention_rho,
-        "seed": config.seed,
-        "symbolic_only": config.symbolic_only,
-        "hidden_weight": config.hidden_weight,
-        "top_c": config.top_c,
-        "confidence_floor": config.confidence_floor,
-        "rank_depth": config.rank_depth,
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(config)
+        if f.name not in ("neural", "workers")
     }
     items.update({f"neural.{k}": v for k, v in config.neural.__dict__.items()})
     items.update(extra or {})

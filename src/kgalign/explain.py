@@ -36,14 +36,15 @@ class AnchorSet:
     mode: AnchorMode
 
     def __post_init__(self):
-        sources = [s for s, _ in self.pairs]
-        targets = [t for _, t in self.pairs]
-        if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
+        targets = dict(self.pairs)
+        if len(targets) != len(self.pairs) or len(set(targets.values())) != len(self.pairs):
             raise ValueError("anchor pairs must be one-to-one")
+        object.__setattr__(self, "_targets", targets)
 
     @property
     def by_source(self) -> dict[int, int]:
-        return dict(self.pairs)
+        """A fresh source -> target anchor dict."""
+        return dict(self._targets)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def path_confidence(
         w *= (
             eta_source.values[d]
             * eta_target.values[dp]
-            * (psub.sub(d, dp) + psub.sup(dp, d))
+            * (psub.source_in_target[d, dp] + psub.target_in_source[dp, d])
             / 2.0
         )
     return w
@@ -147,7 +148,9 @@ def explain(
     anchor; ``exhaustive`` enumerates every walk pair instead (this
     grows exponentially and is meant for small studies).  Anchor pairs
     whose two paths have different lengths carry confidence 0 and are
-    dropped.  Zero-confidence explanations are not emitted.
+    dropped.  Zero-confidence explanations are not emitted.  Only the
+    anchors reachable from the query source are visited; the sort key is
+    total, so the result does not depend on the visiting order.
     """
     e_q, e_q_prime = query
     if exhaustive:
@@ -158,8 +161,9 @@ def explain(
         tgt_paths = {k: [v] for k, v in bfs_reachable(pair.target, e_q_prime, max_len).items()}
 
     results: list[RuleExplanation] = []
-    for a, a_prime in anchors.pairs:
-        if a not in src_paths or a_prime not in tgt_paths:
+    for a in src_paths.keys() & anchors._targets.keys():
+        a_prime = anchors._targets[a]
+        if a_prime not in tgt_paths:
             continue
         for sp in src_paths[a]:
             for tp in tgt_paths[a_prime]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +89,8 @@ class KnowledgeGraph:
     entity, ordered by (base relation, neighbor, direction) so that the
     propagation sweeps and the path search are deterministic.
     ``triple_columns`` holds the triples once more as read-only int64
-    head, relation and tail arrays in triple order.
+    head, relation and tail arrays in triple order, and ``edge_index``
+    the directed edges keyed by endpoint pair.
     """
 
     def __init__(
@@ -128,6 +130,19 @@ class KnowledgeGraph:
     @property
     def n_triples(self) -> int:
         return len(self.triples)
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed edges as read-only sorted keys ``u * n_entities + v`` and packed relations.
+
+        Parallel relations of one (u, v) are adjacent and ascending.  Built on first use.
+        """
+        adj = self.directed_adj
+        keys = np.repeat(np.arange(self.n_entities), np.diff(adj.indptr)) * self.n_entities + adj.nbr
+        order = np.argsort(keys, kind="stable")
+        keys, rel = keys[order], adj.rel[order]
+        keys.flags.writeable = rel.flags.writeable = False
+        return keys, rel
 
     def neighbors(self, e: int) -> list[tuple[DirectedRelation, int]]:
         """All directed edges leaving ``e``: out-edges forward, in-edges inverse.
@@ -205,22 +220,15 @@ class KnowledgeGraphPair:
     """The two graphs being aligned; `source` owns E, `target` owns E'.
 
     The pair holds nothing but the two graphs: every index over them is
-    derived from their ``directed_adj`` arrays.
+    kept on the graphs themselves.
     """
 
     source: KnowledgeGraph
     target: KnowledgeGraph
 
     def edge_relations(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """Directed edges of one graph: sorted keys ``u * n_entities + v`` and packed relations.
-
-        Parallel relations of one (u, v) are adjacent and ascending; built afresh on each call.
-        """
-        kg = self.source if side == "source" else self.target
-        adj = kg.directed_adj
-        keys = np.repeat(np.arange(kg.n_entities), np.diff(adj.indptr)) * kg.n_entities + adj.nbr
-        order = np.argsort(keys, kind="stable")
-        return keys[order], adj.rel[order]
+        """The ``edge_index`` of the ``"source"`` or ``"target"`` graph."""
+        return (self.source if side == "source" else self.target).edge_index
 
 
 def validate_seed_sets(

@@ -77,33 +77,24 @@ def compute_functionalities(kg: KnowledgeGraph) -> FunctionalityTable:
     return FunctionalityTable(values)
 
 
+@dataclass(frozen=True, eq=False)
 class SubrelationTable:
     """Directed subrelation probabilities between the two graphs.
 
-    Both orientations are stored: ``source_in_target[(d, d')]`` estimates
+    Both orientations are dense float64 arrays indexed by packed directed
+    relation: ``source_in_target[d, d']`` (shape 2R x 2R') estimates
     P(d implies d') for a directed relation d of the source graph and d'
-    of the target graph, and ``target_in_source[(d', d)]`` the converse.
-    Absent entries read as 0.
+    of the target graph, and ``target_in_source[d', d]`` (shape 2R' x 2R)
+    the converse.  A pair that was never estimated holds 0, which reads
+    the same as an estimate of 0.
     """
 
-    def __init__(
-        self,
-        source_in_target: Mapping[tuple[int, int], float] | None = None,
-        target_in_source: Mapping[tuple[int, int], float] | None = None,
-    ):
-        self.source_in_target: dict[tuple[int, int], float] = dict(source_in_target or {})
-        self.target_in_source: dict[tuple[int, int], float] = dict(target_in_source or {})
-
-    def sub(self, d: int, d_prime: int) -> float:
-        """P(source directed relation d is a subrelation of target d')."""
-        return self.source_in_target.get((d, d_prime), 0.0)
-
-    def sup(self, d_prime: int, d: int) -> float:
-        """P(target directed relation d' is a subrelation of source d)."""
-        return self.target_in_source.get((d_prime, d), 0.0)
+    source_in_target: np.ndarray
+    target_in_source: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.source_in_target) + len(self.target_in_source)
+        """Number of non-zero entries over both orientations."""
+        return int(np.count_nonzero(self.source_in_target) + np.count_nonzero(self.target_in_source))
 
 
 def _pair_keys(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
@@ -244,13 +235,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owner, starts[owner] + np.arange(len(owner)) - offsets[owner]
 
 
-def _dense(entries: Mapping[tuple[int, int], float], shape: tuple[int, int]) -> np.ndarray:
-    out = np.zeros(shape)
-    for key, v in entries.items():
-        out[key] = v
-    return out
-
-
 def propagate_entity_scores(
     pair: KnowledgeGraphPair,
     eta_source: FunctionalityTable,
@@ -280,12 +264,11 @@ def propagate_entity_scores(
     adj_s = pair.source.directed_adj
     adj_t = pair.target.directed_adj
     n_rel_t = 2 * pair.target.n_relations
-    shape = (2 * pair.source.n_relations, n_rel_t)
     # A term's two evidence strengths are w_fwd[d, d2] * v and w_bwd[d, d2] * v,
     # the very products (eta(d) * p_sub(d in d2)) * v and (eta(d2) * p_sub(d2 in d)) * v;
     # eta is indexed by traversed direction.
-    w_fwd = (eta_source.reverse_values[:, None] * _dense(psub.source_in_target, shape)).ravel()
-    w_bwd = (eta_target.reverse_values[:, None] * _dense(psub.target_in_source, shape[::-1])).T.ravel()
+    w_fwd = (eta_source.reverse_values[:, None] * psub.source_in_target).ravel()
+    w_bwd = (eta_target.reverse_values[:, None] * psub.target_in_source).T.ravel()
     weighted = (w_fwd != 0.0) | (w_bwd != 0.0)
     src_rel = adj_s.rel * n_rel_t
     tgt_rel = adj_t.rel ^ 1  # directed triple (e2, d2, e_t2)
@@ -400,8 +383,8 @@ def _estimate_one_way(
     labels: tuple[np.ndarray, np.ndarray, np.ndarray],
     eps: float,
     min_support: float,
-) -> dict[tuple[int, int], float]:
-    """Estimate P(d implies d') for all directed d of ``kg_from``.
+) -> np.ndarray:
+    """Estimate P(d implies d') for all directed d of ``kg_from`` as a (2R, 2R') array.
 
     For each directed triple (u, v) of d, the numerator term is the
     noisy-OR over counterpart pairs (u', v') that are themselves connected
@@ -443,8 +426,7 @@ def _estimate_one_way(
     hi[by_key] = np.searchsorted(edges_to[0], pair_key[by_key], "right")
     via_term, slot = _ranges(lo, hi - lo)
 
-    # One noisy-OR per (triple, d'), then numerators summed in triple order;
-    # every (d, d') a kept triple reaches keeps its key, even at sum 0.
+    # One noisy-OR per (triple, d'), then numerators summed in triple order.
     group = triple[kept][via_term] * n_rel_to + edges_to[1][slot]
     order = np.argsort(group, kind="stable")
     first = np.flatnonzero(np.diff(group[order], prepend=-1))
@@ -452,13 +434,14 @@ def _estimate_one_way(
     keys, where = np.unique(2 * r[tri] * n_rel_to + d2, return_inverse=True)
     numerator = np.bincount(where, 1.0 - np.multiply.reduceat(f[kept][via_term][order], first))
 
-    d, d2 = np.divmod(keys, n_rel_to)
-    p = numerator / (denominator[d >> 1] + eps)
     keep = numerator >= min_support
+    d, d2 = np.divmod(keys[keep], n_rel_to)
+    out = np.zeros((2 * kg_from.n_relations, n_rel_to))
+    out[d, d2] = numerator[keep] / (denominator[d >> 1] + eps)
     # A triple (u,v) of d with counterparts joined by d' is identically a
     # triple (v,u) of flip(d) with counterparts joined by flip(d').
-    d, d2, p = np.r_[d[keep], d[keep] ^ 1], np.r_[d2[keep], d2[keep] ^ 1], np.r_[p[keep], p[keep]]
-    return dict(zip(zip(d.tolist(), d2.tolist()), p.tolist()))
+    out[d ^ 1, d2 ^ 1] = out[d, d2]
+    return out
 
 
 def update_subrelation_probs(
@@ -549,12 +532,13 @@ def dump_truth_scores(table: TruthScoreTable, labels_source, labels_target) -> s
 def dump_subrelations(
     psub: SubrelationTable, source: KnowledgeGraph, target: KnowledgeGraph
 ) -> tuple[str, str]:
-    """Dumps of both orientations as ``r<TAB>r'<TAB>p_sub`` text."""
+    """Dumps of both orientations as ``r<TAB>r'<TAB>p_sub`` text, non-zero entries row-major."""
 
-    def fmt(entries: dict[tuple[int, int], float], left: KnowledgeGraph, right: KnowledgeGraph) -> str:
+    def fmt(weights: np.ndarray, left: KnowledgeGraph, right: KnowledgeGraph) -> str:
+        a, b = np.nonzero(weights)
         lines = [
-            f"{left.directed_label(a)}\t{right.directed_label(b)}\t{entries[(a, b)]:.6f}"
-            for a, b in sorted(entries)
+            f"{left.directed_label(x)}\t{right.directed_label(y)}\t{p:.6f}"
+            for x, y, p in zip(a.tolist(), b.tolist(), weights[a, b].tolist())
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -16,6 +16,33 @@ from kgalign.graph import (
 from kgalign.symbolic import SubrelationTable, TruthScoreTable
 
 
+def psub_table(
+    source: KnowledgeGraph,
+    target: KnowledgeGraph,
+    fwd: dict[tuple[int, int], float],
+    bwd: dict[tuple[int, int], float],
+) -> SubrelationTable:
+    """Dense subrelation table from the dict form the oracles use; unlisted pairs hold 0."""
+    shape = (2 * source.n_relations, 2 * target.n_relations)
+    arrays = np.zeros(shape), np.zeros(shape[::-1])
+    for weights, entries in zip(arrays, (fwd, bwd)):
+        for key, v in entries.items():
+            weights[key] = v
+    return SubrelationTable(*arrays)
+
+
+def psub_dicts(
+    psub: SubrelationTable,
+) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
+    """Both orientations' non-zero entries as the oracles' ``{(d, d'): p}`` dicts."""
+
+    def entries(weights: np.ndarray) -> dict[tuple[int, int], float]:
+        a, b = np.nonzero(weights)
+        return dict(zip(zip(a.tolist(), b.tolist()), weights[a, b].tolist()))
+
+    return entries(psub.source_in_target), entries(psub.target_in_source)
+
+
 def matched_psub(
     source: KnowledgeGraph,
     target: KnowledgeGraph,
@@ -35,7 +62,7 @@ def matched_psub(
             d2 = pack_direction(r2, inv)
             fwd[(d, d2)] = value
             bwd[(d2, d)] = value
-    return SubrelationTable(source_in_target=fwd, target_in_source=bwd)
+    return psub_table(source, target, fwd, bwd)
 
 
 def chain_pair() -> tuple[KnowledgeGraphPair, SubrelationTable, TruthScoreTable]:
@@ -162,7 +189,7 @@ def random_psub(
                         v = float(rng.uniform(0.05, 1.0))
                         bwd[(d2, d)] = v
                         bwd[(d2 ^ 1, d ^ 1)] = v
-    return SubrelationTable(source_in_target=fwd, target_in_source=bwd)
+    return psub_table(pair.source, pair.target, fwd, bwd)
 
 
 def isomorphic_pair(

@@ -4,8 +4,9 @@ Everything here recomputes the definitions literally: dense loops over
 all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
-embedder's label and report types), so agreement with the engine is
-evidence rather than tautology.
+embedder's label and report types, and the explain loop the explainer's
+path search and rule weight), so agreement with the engine is evidence
+rather than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
 into directed triples (h, 2r, t) and (t, 2r+1, h).  The functionality
@@ -23,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
+from kgalign.explain import RuleExplanation, _reverse, _walks, bfs_reachable, path_confidence
 from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair
 
 
@@ -293,7 +295,8 @@ def loop_subrelation(
     of its two label rows in ascending counterpart order, looking each
     counterpart pair up in a dict edge index.  Numerators and
     denominators accumulate in triple order.  The array estimator must
-    match this bit for bit, including the keys whose numerator sums to 0.
+    match this bit for bit; a key whose numerator sums to 0 matches a 0
+    entry of its array.
     """
 
     def edge_index(kg: KnowledgeGraph) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -578,3 +581,43 @@ def offer_columns(
 def column_tuples(columns: Iterable[np.ndarray]) -> list[tuple]:
     """Equal-length columns as a list of row tuples of Python scalars."""
     return list(zip(*(col.tolist() for col in columns)))
+
+
+def loop_explain(
+    pair: KnowledgeGraphPair,
+    query: tuple[int, int],
+    anchor_pairs: Sequence[tuple[int, int]],
+    eta_source,
+    eta_target,
+    psub,
+    max_len: int,
+    exhaustive: bool = False,
+) -> list[RuleExplanation]:
+    """``explain`` as a loop over every anchor pair, reachable or not.
+
+    Each anchor whose two sides sit in the query's two frontiers
+    contributes one explanation per equal-length path pair with positive
+    weight; the result is sorted by (-confidence, anchor, source path,
+    target path).
+    """
+    e_q, e_q_prime = query
+    if exhaustive:
+        src_paths = _walks(pair.source, e_q, max_len)
+        tgt_paths = _walks(pair.target, e_q_prime, max_len)
+    else:
+        src_paths = {k: [v] for k, v in bfs_reachable(pair.source, e_q, max_len).items()}
+        tgt_paths = {k: [v] for k, v in bfs_reachable(pair.target, e_q_prime, max_len).items()}
+    results = []
+    for a, a_prime in anchor_pairs:
+        if a not in src_paths or a_prime not in tgt_paths:
+            continue
+        for sp in src_paths[a]:
+            for tp in tgt_paths[a_prime]:
+                if len(sp) != len(tp):
+                    continue
+                rev_s, rev_t = _reverse(sp, e_q), _reverse(tp, e_q_prime)
+                w = path_confidence(rev_s, rev_t, eta_source, eta_target, psub)
+                if w > 0.0:
+                    results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
+    results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
+    return results

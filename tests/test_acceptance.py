@@ -21,6 +21,7 @@ import oracles
 from conftest import (
     isomorphic_pair,
     matched_psub,
+    psub_dicts,
     random_labels,
     random_pair,
     split_gold,
@@ -88,16 +89,11 @@ def test_symbolic_oracle_equivalence(capsys):
 
         est = update_subrelation_probs(pair, prev)
         exp_fwd, exp_bwd = oracles.brute_subrelation(pair, labels)
-        for key in set(est.source_in_target) | set(exp_fwd):
-            worst = max(
-                worst,
-                abs(est.source_in_target.get(key, 0.0) - exp_fwd.get(key, 0.0)),
-            )
-        for key in set(est.target_in_source) | set(exp_bwd):
-            worst = max(
-                worst,
-                abs(est.target_in_source.get(key, 0.0) - exp_bwd.get(key, 0.0)),
-            )
+        est_fwd, est_bwd = psub_dicts(est)
+        for key in set(est_fwd) | set(exp_fwd):
+            worst = max(worst, abs(est_fwd.get(key, 0.0) - exp_fwd.get(key, 0.0)))
+        for key in set(est_bwd) | set(exp_bwd):
+            worst = max(worst, abs(est_bwd.get(key, 0.0) - exp_bwd.get(key, 0.0)))
 
         swept = propagate_entity_scores(
             pair,
@@ -106,9 +102,7 @@ def test_symbolic_oracle_equivalence(capsys):
             est,
             prev,
         )
-        dense = oracles.brute_propagate(
-            pair, est.source_in_target, est.target_in_source, labels, pinned
-        )
+        dense = oracles.brute_propagate(pair, est_fwd, est_bwd, labels, pinned)
         got = _as_dict(swept)
         for key in set(got) | set(dense):
             worst = max(worst, abs(got.get(key, 0.0) - dense.get(key, 0.0)))
@@ -187,9 +181,7 @@ def test_long_rule_realization(capsys):
                 sweeps=sweeps,
             )
             got = {(s, t) for s, t, _ in table.items()}
-            expected = oracles.joint_reachable(
-                pair, seeds, psub.source_in_target, psub.target_in_source, sweeps
-            )
+            expected = oracles.joint_reachable(pair, seeds, *psub_dicts(psub), sweeps)
             assert got == expected, f"pair set mismatch at {sweeps} sweeps"
             sets_checked += 1
 
@@ -215,8 +207,7 @@ def test_long_rule_realization(capsys):
                         pair,
                         src_chain,
                         tgt_chain,
-                        psub.source_in_target,
-                        psub.target_in_source,
+                        *psub_dicts(psub),
                     )
                     worst = max(worst, abs(ex.confidence - recomputed))
                     confidences_checked += 1
@@ -294,8 +285,7 @@ def _loop_reference_cases(rng, n: int) -> str:
                 pair,
                 compute_functionalities(pair.source).reverse_values,
                 compute_functionalities(pair.target).reverse_values,
-                psub.source_in_target,
-                psub.target_in_source,
+                *psub_dicts(psub),
                 prev.rows,
             ),
             pinned=prev.pinned,

@@ -17,10 +17,10 @@ from kgalign.em import (
 from kgalign.embedder import Hyperparams, Origin, TrainReport
 from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, SeedRole, load_graph
 from kgalign import symbolic
-from kgalign.symbolic import SubrelationTable, ThresholdSplit, TruthScoreTable, extract_positive_pairs
+from kgalign.symbolic import ThresholdSplit, TruthScoreTable, extract_positive_pairs
 
 import oracles
-from conftest import isomorphic_pair, matched_psub, random_pair, split_gold
+from conftest import isomorphic_pair, matched_psub, psub_dicts, psub_table, random_pair, split_gold
 
 
 def chain_fixture(n: int = 3):
@@ -82,7 +82,7 @@ class TestInitState:
         adjacent = init_state(
             pair, train_seed([(1, 1), (2, 2)]), EmConfig(symbolic_only=True)
         )
-        assert adjacent.psub.sub(0, 0) > 0.999
+        assert adjacent.psub.source_in_target[0, 0] > 0.999
 
 
 class TestEStep:
@@ -137,9 +137,10 @@ class TestEStep:
         pair = chain_fixture()
         config = EmConfig(symbolic_only=True)
         state = init_state(pair, train_seed([(1, 1), (2, 2)]), config)
-        before = (dict(state.psub.source_in_target), dict(state.psub.target_in_source))
+        before = (state.psub.source_in_target.copy(), state.psub.target_in_source.copy())
         e_step(state, config)
-        assert (dict(state.psub.source_in_target), dict(state.psub.target_in_source)) == before
+        assert np.array_equal(state.psub.source_in_target, before[0])
+        assert np.array_equal(state.psub.target_in_source, before[1])
 
 
 class TestMStep:
@@ -154,8 +155,8 @@ class TestMStep:
         state.model.ent_source = np.eye(8)[: pair.source.n_entities].copy()
         state.model.ent_target = np.eye(8)[: pair.target.n_entities].copy()
         m_step(state, config)
-        assert state.psub.sub(0, 0) > 0.999
-        assert state.psub.sup(0, 0) > 0.999
+        assert state.psub.source_in_target[0, 0] > 0.999
+        assert state.psub.target_in_source[0, 0] > 0.999
 
     def test_orthogonal_model_labels_nothing(self):
         config = EmConfig(neural=tiny_neural())
@@ -328,8 +329,7 @@ def _loop_sweep(pair, eta_source, eta_target, psub, prev):
         pair,
         eta_source.reverse_values,
         eta_target.reverse_values,
-        psub.source_in_target,
-        psub.target_in_source,
+        *psub_dicts(psub),
         prev.rows,
     )
     return TruthScoreTable(rows=rows, pinned=prev.pinned)
@@ -347,8 +347,7 @@ def _loop_extract(table, delta):
 
 
 def _loop_psub(pair, labels, **kwargs):
-    fwd, bwd = oracles.loop_subrelation(pair, labels.rows, **kwargs)
-    return SubrelationTable(source_in_target=fwd, target_in_source=bwd)
+    return psub_table(pair.source, pair.target, *oracles.loop_subrelation(pair, labels.rows, **kwargs))
 
 
 class TestLoopReferences:
@@ -384,8 +383,8 @@ class TestLoopReferences:
         assert [(s, list(r.items())) for s, r in arrays.truth_scores.rows.items()] == [
             (s, list(r.items())) for s, r in loops.truth_scores.rows.items()
         ]
-        assert arrays.psub.source_in_target == loops.psub.source_in_target
-        assert arrays.psub.target_in_source == loops.psub.target_in_source
+        assert np.array_equal(arrays.psub.source_in_target, loops.psub.source_in_target)
+        assert np.array_equal(arrays.psub.target_in_source, loops.psub.target_in_source)
         assert arrays.last_split.positives == loops.last_split.positives
         assert fused_arrays.binary == fused_loops.binary
         assert fused_arrays.rankings == fused_loops.rankings

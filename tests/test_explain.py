@@ -19,7 +19,7 @@ from kgalign.graph import DirectedRelation, KnowledgeGraphPair, load_graph
 from kgalign.symbolic import FunctionalityTable, compute_functionalities
 
 import oracles
-from conftest import matched_psub, random_pair, random_psub
+from conftest import matched_psub, psub_dicts, random_pair, random_psub
 
 
 def fwd(r: int) -> DirectedRelation:
@@ -232,8 +232,7 @@ class TestExplain:
                     pair,
                     src_chain,
                     tgt_chain,
-                    psub.source_in_target,
-                    psub.target_in_source,
+                    *psub_dicts(psub),
                 )
                 np.testing.assert_allclose(ex.confidence, expected, atol=1e-13, rtol=0)
 
@@ -279,6 +278,32 @@ class TestExplain:
             full_set = {(ex.anchor, ex.source_path, ex.target_path) for ex in full}
             assert short_set <= full_set
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_matches_all_anchor_loop(self, rng, exhaustive):
+        # sparse graphs leave most anchors unreachable, or reachable on one side only
+        one_sided = explained = 0
+        for _ in range(60):
+            pair = random_pair(rng, n_entities=30, n_relations=3, n_triples=28)
+            psub = random_psub(rng, pair, density=0.8)
+            eta_s = compute_functionalities(pair.source)
+            eta_t = compute_functionalities(pair.target)
+            query = (int(rng.integers(30)), int(rng.integers(30)))
+            targets = rng.permutation(30)
+            anchor_pairs = [(s, int(targets[s])) for s in range(30) if s != query[0]]
+            anchor_pairs = [anchor_pairs[i] for i in rng.permutation(len(anchor_pairs))]
+            anchors = AnchorSet(pairs=tuple(anchor_pairs), mode=AnchorMode.SOFT)
+            max_len = int(rng.integers(1, 4))
+            got = explain(pair, query, anchors, eta_s, eta_t, psub, max_len, exhaustive)
+            expected = oracles.loop_explain(
+                pair, query, anchor_pairs, eta_s, eta_t, psub, max_len, exhaustive
+            )
+            assert got == expected
+            src_seen = bfs_reachable(pair.source, query[0], max_len)
+            tgt_seen = bfs_reachable(pair.target, query[1], max_len)
+            one_sided += sum((a in src_seen) != (b in tgt_seen) for a, b in anchor_pairs)
+            explained += bool(got)
+        assert one_sided > 0 and explained > 0
+
     def test_deterministic(self, rng):
         pair = random_pair(rng, n_entities=8, n_relations=3, n_triples=18)
         psub = random_psub(rng, pair, density=0.8)
@@ -311,6 +336,11 @@ class TestAnchorSets:
         assert soft.by_source[0] == 0
         assert 1 not in soft.by_source
         assert soft.by_source[2] == 2
+
+    def test_by_source_is_a_copy(self):
+        anchors = hard_anchors([(0, 1), (2, 3)])
+        anchors.by_source[0] = 9
+        assert anchors.by_source == {0: 1, 2: 3}
 
     def test_hard_mode_tag(self):
         anchors = hard_anchors([(1, 1), (0, 0)])

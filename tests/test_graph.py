@@ -168,6 +168,17 @@ class TestEdgeRelations:
         assert _listed_relations(pair, "source", b, a) == [pack_direction(0, True)]
         assert _listed_relations(pair, "source", a, a) == []
 
+    def test_built_once_read_only(self):
+        src = load_graph([("a", "r", "b"), ("b", "s", "c")])
+        pair = KnowledgeGraphPair(source=src, target=load_graph([("x", "s", "y")]))
+        assert "edge_index" not in vars(src)  # built on first use, not at load
+        keys, rel = pair.edge_relations("source")
+        again = pair.edge_relations("source")
+        assert again[0] is keys and again[1] is rel
+        for arr in (keys, rel):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_matches_neighbors(self, rng):
         for _ in range(25):
             # few entities and relations make parallel edges likely; add self loops
