@@ -26,9 +26,11 @@ logger = logging.getLogger(__name__)
 def _coerce(key: str, value: str, owner: type) -> object:
     """Parse a config-file value as the type annotated on ``owner``'s field.
 
-    An optional field (``int | None``) takes its non-None type.
+    An optional field (``int | None``) takes ``None`` or its non-None type.
     """
     hint = typing.get_type_hints(owner)[key.rsplit(".", 1)[-1]]
+    if value == "None" and type(None) in typing.get_args(hint):
+        return None
     kind = next((k for k in typing.get_args(hint) if k is not type(None)), hint)
     if kind is bool:
         if value.lower() in ("true", "1", "yes"):
@@ -97,17 +99,20 @@ def _psub_from_dump(path: Path, left, right) -> np.ndarray:
             raise data.DatasetError(f"{path.name}: unknown relation label {base_label!r}")
         return pack_direction(base, inverse)
 
-    weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
-    for lineno, (a, b, v) in data.read_tsv_rows(path, 3):
-        try:
-            p = float(v)
-        except ValueError:
-            p = math.nan
-        if not 0.0 <= p <= 1.0:
-            msg = f"{path.name}:{lineno}: p_sub must be a number in [0, 1], got {v!r}"
-            raise data.DatasetError(msg)
-        weights[parse_directed(a, left), parse_directed(b, right)] = p
-    return weights
+    def parse(rows: data.TsvRows) -> np.ndarray:
+        weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
+        for row, (a, b, v) in enumerate(zip(*rows.columns)):
+            try:
+                p = float(v)
+            except ValueError:
+                p = math.nan
+            if not 0.0 <= p <= 1.0:
+                msg = f"{rows.where(row)}: p_sub must be a number in [0, 1], got {v!r}"
+                raise data.DatasetError(msg)
+            weights[parse_directed(a, left), parse_directed(b, right)] = p
+        return weights
+
+    return data.read_tsv(path, 3, parse)
 
 
 def _load_state_tables(state_dir: Path, pair: KnowledgeGraphPair) -> SubrelationTable:

@@ -13,8 +13,9 @@ import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +35,8 @@ FORMAT_VERSION = 1
 
 TRIPLE_FILES = ("rel_triples_1", "rel_triples_2")
 LINKS_FILE = "ent_links"
+
+T = TypeVar("T")
 
 
 class DatasetError(ValueError):
@@ -55,20 +58,62 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def read_tsv_rows(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """Non-blank rows of a TSV file with their 1-based line numbers, read lazily."""
+@dataclass(frozen=True)
+class TsvRows:
+    """The non-empty lines of a TSV file, split into ``columns`` of fields."""
+
+    name: str
+    columns: tuple[list[str], ...]
+    lines: list[str]  # every physical line, to name one in an error
+
+    def where(self, row: int) -> str:
+        """``file:line`` of the ``row``-th non-empty line, for an error message."""
+        numbers = (i for i, line in enumerate(self.lines, start=1) if line)
+        return f"{self.name}:{next(islice(numbers, row, None))}"
+
+
+def read_tsv(
+    path: Path, n_fields: int | None, parse: Callable[[TsvRows], T] = lambda rows: rows
+) -> T:
+    """Read a TSV file in one pass and return ``parse`` of its rows.
+
+    Lines end as in Python's universal newlines (``\\n``, ``\\r\\n`` or a
+    lone ``\\r``); only empty lines are blank.  Every other line must hold
+    ``n_fields`` non-empty tab-separated fields (with ``None``, as many as
+    the first one), or the read fails naming ``file:line``.  ``parse`` sees
+    the rows before such a line first, so that a fault it finds on an
+    earlier line is the one reported, as in a line-by-line read.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields or any(not f for f in fields):
-                raise DatasetError(
-                    f"{path.name}:{lineno}: expected {n_fields} non-empty "
-                    f"tab-separated fields, got {line!r}"
-                )
-            yield lineno, fields
+        lines = fh.read().split("\n")
+    rows = list(filter(None, lines))
+    if n_fields is None:
+        n_fields = rows[0].count("\t") + 1 if rows else 0
+    fields = "\t".join(rows).split("\t") if rows else []
+    if set(map(str.count, rows, repeat("\t"))) <= {n_fields - 1} and all(fields):
+        return parse(TsvRows(path.name, tuple(fields[i::n_fields] for i in range(n_fields)), lines))
+    bad = next(
+        i
+        for i, row in enumerate(rows)
+        if row.count("\t") != n_fields - 1 or not all(row.split("\t"))
+    )
+    end = bad * n_fields  # the rows before ``bad`` hold n_fields fields each
+    before = TsvRows(path.name, tuple(fields[i:end:n_fields] for i in range(n_fields)), lines)
+    parse(before)
+    raise DatasetError(
+        f"{before.where(bad)}: expected {n_fields} non-empty tab-separated fields, got {rows[bad]!r}"
+    )
+
+
+def _link_ids(rows: TsvRows, pair: KnowledgeGraphPair) -> tuple[tuple[int, int], ...]:
+    src_labels, tgt_labels = rows.columns
+    src = list(map(pair.source.entity_ids.get, src_labels))
+    tgt = list(map(pair.target.entity_ids.get, tgt_labels))
+    if None in src or None in tgt:
+        row = next(i for i, ids in enumerate(zip(src, tgt)) if None in ids)
+        side, label = ("source", src_labels[row]) if src[row] is None else ("target", tgt_labels[row])
+        raise DatasetError(f"{rows.where(row)}: link references unknown {side} entity {label!r}")
+    return tuple(zip(src, tgt))
 
 
 def load_dataset(directory: str | Path) -> DatasetBundle:
@@ -81,28 +126,15 @@ def load_dataset(directory: str | Path) -> DatasetBundle:
     graphs = []
     for name in TRIPLE_FILES:
         try:
-            graphs.append(load_graph(fields for _, fields in read_tsv_rows(root / name, 3)))
+            # Nothing else holds the fields, so they are freed once interned.
+            graphs.append(load_graph(zip(*read_tsv(root / name, 3).columns)))
         except IngestError as exc:
             raise DatasetError(f"{name}: {exc}") from exc
     pair = KnowledgeGraphPair(source=graphs[0], target=graphs[1])
-
-    links: list[tuple[int, int]] = []
-    links_path = root / LINKS_FILE
-    for lineno, (src, tgt) in read_tsv_rows(links_path, 2):
-        s = pair.source.entity_ids.get(src)
-        t = pair.target.entity_ids.get(tgt)
-        if s is None:
-            raise DatasetError(
-                f"{links_path.name}:{lineno}: link references unknown source entity {src!r}"
-            )
-        if t is None:
-            raise DatasetError(
-                f"{links_path.name}:{lineno}: link references unknown target entity {tgt!r}"
-            )
-        links.append((s, t))
+    links = read_tsv(root / LINKS_FILE, 2, lambda rows: _link_ids(rows, pair))
 
     provenance = {name: _sha256(root / name) for name in (*TRIPLE_FILES, LINKS_FILE)}
-    return DatasetBundle(pair=pair, links=tuple(links), provenance=provenance)
+    return DatasetBundle(pair=pair, links=links, provenance=provenance)
 
 
 def save_dataset(bundle: DatasetBundle, directory: str | Path) -> None:
@@ -266,43 +298,39 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def load_label_pairs(path: str | Path) -> list[tuple[str, str]]:
-    return [(a, b) for _, (a, b) in read_tsv_rows(Path(path), 2)]
+    return list(zip(*read_tsv(Path(path), 2).columns))
+
+
+def _parse_predictions(
+    rows: TsvRows,
+) -> tuple[dict[str, list[str]] | None, list[tuple[str, str]] | None]:
+    if not rows.columns:
+        return None, []
+    if len(rows.columns) == 3:
+        sources, ranks, targets = rows.columns
+        if not all(map(str.isdigit, ranks)):
+            row = next(i for i, rank in enumerate(ranks) if not rank.isdigit())
+            line = "\t".join(col[row] for col in rows.columns)
+            raise DatasetError(
+                f"{rows.where(row)}: expected source<TAB>rank<TAB>target, got {line!r}"
+            )
+        rankings: dict[str, list[str]] = {}
+        for s, t in zip(sources, targets):
+            rankings.setdefault(s, []).append(t)
+        return rankings, None
+    if len(rows.columns) == 4:
+        return None, list(zip(*rows.columns[:2]))
+    raise DatasetError(f"{rows.name}: unrecognized prediction format ({len(rows.columns)} columns)")
 
 
 def load_prediction_file(
     path: str | Path,
 ) -> tuple[dict[str, list[str]] | None, list[tuple[str, str]] | None]:
-    """Auto-detect a predictions file.
+    """Auto-detect a predictions file from the field count of its first line.
 
     Three columns with an integer middle field are ranked lists
     (``source<TAB>rank<TAB>target``); four columns are binary
     predictions (``source<TAB>target<TAB>score<TAB>origin``).  Returns
     (rankings, None) or (None, pairs).
     """
-    p = Path(path)
-    with open(p, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
-    if not lines:
-        return None, []
-    width = len(lines[0].split("\t"))
-    if width == 3:
-        rankings: dict[str, list[str]] = {}
-        for lineno, line in enumerate(lines, start=1):
-            fields = line.split("\t")
-            if len(fields) != 3 or not fields[1].isdigit():
-                raise DatasetError(
-                    f"{p.name}:{lineno}: expected source<TAB>rank<TAB>target, got {line!r}"
-                )
-            rankings.setdefault(fields[0], []).append(fields[2])
-        return rankings, None
-    if width == 4:
-        pairs: list[tuple[str, str]] = []
-        for lineno, line in enumerate(lines, start=1):
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DatasetError(
-                    f"{p.name}:{lineno}: expected 4 tab-separated fields, got {line!r}"
-                )
-            pairs.append((fields[0], fields[1]))
-        return None, pairs
-    raise DatasetError(f"{p.name}: unrecognized prediction format ({width} columns)")
+    return read_tsv(Path(path), None, _parse_predictions)

@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -97,21 +98,29 @@ class KnowledgeGraph:
         self,
         entity_labels: Sequence[str],
         relation_labels: Sequence[str],
-        triples: Sequence[tuple[int, int, int]],
+        triples: Sequence[tuple[int, int, int]] | np.ndarray,
     ):
+        """``triples`` holds (h, r, t) id rows, as tuples or a ``(T, 3)`` int array.
+
+        Rows are kept as given, duplicates included.
+        """
         self.entity_labels: tuple[str, ...] = tuple(entity_labels)
         self.relation_labels: tuple[str, ...] = tuple(relation_labels)
-        self.entity_ids: dict[str, int] = {lab: i for i, lab in enumerate(self.entity_labels)}
-        self.relation_ids: dict[str, int] = {lab: i for i, lab in enumerate(self.relation_labels)}
-        self.triples: tuple[tuple[int, int, int], ...] = tuple(triples)
+        self.entity_ids: dict[str, int] = dict(zip(self.entity_labels, range(self.n_entities)))
+        self.relation_ids: dict[str, int] = dict(zip(self.relation_labels, range(self.n_relations)))
+        check_key_space(self.n_entities, self.n_relations)
 
-        columns = np.array(self.triples, dtype=np.int64).reshape(-1, 3).T.copy()
+        columns = np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
         columns.flags.writeable = False
         h, r, t = columns
         self.triple_columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (h, r, t)
         owner, nbr = np.concatenate([h, t]), np.concatenate([t, h])
         rel = np.concatenate([2 * r, 2 * r + 1])
-        order = np.lexsort((rel, nbr, rel >> 1, owner))
+        # The packed (owner, base relation, neighbor, direction) key sorts
+        # in the order of those four keys.  Equal keys are duplicate edges
+        # with equal ``rel`` and ``nbr``, so the sort need not be stable.
+        key = ((owner * self.n_relations + (rel >> 1)) * self.n_entities + nbr) * 2 + (rel & 1)
+        order = np.argsort(key)
         self.directed_adj = DirectedAdjacency(
             indptr=np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.n_entities))]),
             rel=rel[order],
@@ -129,7 +138,12 @@ class KnowledgeGraph:
 
     @property
     def n_triples(self) -> int:
-        return len(self.triples)
+        return len(self.triple_columns[0])
+
+    @cached_property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The (h, r, t) id tuples in triple order, built on first use."""
+        return tuple(zip(*(col.tolist() for col in self.triple_columns)))
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,51 +182,63 @@ class KnowledgeGraph:
         return [(ent[h], rel[r], ent[t]) for h, r, t in self.triples]
 
 
+def check_key_space(n_entities: int, n_relations: int) -> None:
+    """Raise :class:`IngestError` when a packed edge key could overflow int64.
+
+    The largest key ``((owner * R + base) * E + nbr) * 2 + direction`` is
+    ``2 * E**2 * R - 1`` for E entities and R relations.
+    """
+    if 2 * n_entities**2 * n_relations >= 2**63:
+        raise IngestError(
+            f"{n_entities} entities and {n_relations} relations are too many for 64-bit "
+            f"edge keys (2 * entities^2 * relations must stay below 2^63)"
+        )
+
+
 def load_graph(triple_records: Iterable[Sequence[str]]) -> KnowledgeGraph:
     """Build a :class:`KnowledgeGraph` from (head, relation, tail) label records.
 
     Labels are interned in first-seen order; exact duplicate triples are
-    dropped (a count is logged) so that the noisy-OR evidence products do
-    not double-count.  Records with the wrong arity raise
-    :class:`IngestError` naming the 1-based record number.
+    dropped, the first kept (a count is logged), so that the noisy-OR
+    evidence products do not double-count.  A record with the wrong
+    arity or an empty field raises :class:`IngestError` naming the
+    1-based record number.
     """
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
-    entity_labels: list[str] = []
-    relation_labels: list[str] = []
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    dropped = 0
+    # The records are freed before the graph builds its indexes.
+    return KnowledgeGraph(*_intern(list(triple_records)))
 
-    def intern(label: str, ids: dict[str, int], labels: list[str]) -> int:
-        idx = ids.get(label)
-        if idx is None:
-            idx = len(labels)
-            ids[label] = idx
-            labels.append(label)
-        return idx
 
-    for lineno, record in enumerate(triple_records, start=1):
+def _intern(records: list[Sequence[str]]) -> tuple[list[str], list[str], np.ndarray]:
+    """Entity labels, relation labels and the ``(T, 3)`` id rows of the distinct triples."""
+    ends = list(chain.from_iterable(records))
+    if set(map(len, records)) - {3} or not all(ends):
+        lineno, record = next(
+            (i, rec) for i, rec in enumerate(records, start=1) if len(rec) != 3 or not all(rec)
+        )
         if len(record) != 3:
             raise IngestError(
                 f"record {lineno}: expected 3 fields (head, relation, tail), got {len(record)}"
             )
-        head, rel, tail = record
-        if not head or not rel or not tail:
-            raise IngestError(f"record {lineno}: empty field in triple {record!r}")
-        h = intern(head, entity_ids, entity_labels)
-        r = intern(rel, relation_ids, relation_labels)
-        t = intern(tail, entity_ids, entity_labels)
-        triple = (h, r, t)
-        if triple in seen:
-            dropped += 1
-            continue
-        seen.add(triple)
-        triples.append(triple)
+        raise IngestError(f"record {lineno}: empty field in triple {record!r}")
 
+    rels = ends[1::3]
+    del ends[1::3]  # leaves heads and tails interleaved, in first-seen order
+    entity_labels = list(dict.fromkeys(ends))
+    relation_labels = list(dict.fromkeys(rels))
+    n_entities, n_relations = len(entity_labels), len(relation_labels)
+    check_key_space(n_entities, n_relations)
+    entity_ids = dict(zip(entity_labels, range(n_entities)))
+    relation_ids = dict(zip(relation_labels, range(n_relations)))
+    end_ids = np.fromiter(map(entity_ids.__getitem__, ends), dtype=np.int64, count=len(ends))
+    h, t = end_ids[0::2], end_ids[1::2]
+    r = np.fromiter(map(relation_ids.__getitem__, rels), dtype=np.int64, count=len(rels))
+    _, first = np.unique((h * n_relations + r) * n_entities + t, return_index=True)
+    first.sort()
+
+    dropped = len(records) - len(first)
     if dropped:
         logger.info("dropped %d duplicate triples on ingest", dropped)
-    return KnowledgeGraph(entity_labels, relation_labels, triples)
+    return entity_labels, relation_labels, np.column_stack([h, r, t])[first]
 
 
 @dataclass(frozen=True)

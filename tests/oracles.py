@@ -5,7 +5,8 @@ all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
 embedder's label and report types, and the explain loop the explainer's
-path search and rule weight), so agreement with the engine is evidence
+path search and rule weight, and the ingest loops the data module's
+file names and error type), so agreement with the engine is evidence
 rather than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
@@ -19,13 +20,23 @@ estimator guarantees and hand-built test tables must respect.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetError
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
 from kgalign.explain import RuleExplanation, _reverse, _walks, bfs_reachable, path_confidence
-from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair
+from kgalign.graph import (
+    DirectedAdjacency,
+    IngestError,
+    KnowledgeGraph,
+    KnowledgeGraphPair,
+    pack_direction,
+)
 
 
 def directed_triples(kg: KnowledgeGraph) -> list[tuple[int, int, int]]:
@@ -621,3 +632,155 @@ def loop_explain(
                     results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
     results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
     return results
+
+
+def read_tsv_rows(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank rows of a TSV file with their 1-based line numbers, read lazily."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields or any(not f for f in fields):
+                raise DatasetError(
+                    f"{path.name}:{lineno}: expected {n_fields} non-empty "
+                    f"tab-separated fields, got {line!r}"
+                )
+            yield lineno, fields
+
+
+@dataclass(frozen=True)
+class LoopGraph:
+    """The label tables and indexes of a graph, built as :func:`loop_load_graph` does."""
+
+    entity_labels: tuple[str, ...]
+    relation_labels: tuple[str, ...]
+    entity_ids: dict[str, int]
+    triples: tuple[tuple[int, int, int], ...]
+    triple_columns: tuple[np.ndarray, np.ndarray, np.ndarray]
+    directed_adj: DirectedAdjacency
+    edge_index: tuple[np.ndarray, np.ndarray]
+
+
+def loop_index(
+    entity_labels: Sequence[str], relation_labels: Sequence[str], triples: Sequence[tuple[int, int, int]]
+) -> LoopGraph:
+    """Triple columns, the CSR ordered by a 4-key lexsort, and the edge index."""
+    n_entities = len(entity_labels)
+    columns = np.array(tuple(triples), dtype=np.int64).reshape(-1, 3).T.copy()
+    h, r, t = columns
+    owner, nbr = np.concatenate([h, t]), np.concatenate([t, h])
+    rel = np.concatenate([2 * r, 2 * r + 1])
+    order = np.lexsort((rel, nbr, rel >> 1, owner))
+    adj = DirectedAdjacency(
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n_entities))]),
+        rel=rel[order],
+        nbr=nbr[order],
+    )
+    keys = np.repeat(np.arange(n_entities), np.diff(adj.indptr)) * n_entities + adj.nbr
+    by_key = np.argsort(keys, kind="stable")
+    return LoopGraph(
+        entity_labels=tuple(entity_labels),
+        relation_labels=tuple(relation_labels),
+        entity_ids={lab: i for i, lab in enumerate(entity_labels)},
+        triples=tuple(triples),
+        triple_columns=(h, r, t),
+        directed_adj=adj,
+        edge_index=(keys[by_key], adj.rel[by_key]),
+    )
+
+
+def loop_load_graph(triple_records: Iterable[Sequence[str]]) -> LoopGraph:
+    """``load_graph`` interning one record at a time, with a ``seen`` set for duplicates."""
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    entity_labels: list[str] = []
+    relation_labels: list[str] = []
+    triples: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int, int]] = set()
+
+    def intern(label: str, ids: dict[str, int], labels: list[str]) -> int:
+        idx = ids.get(label)
+        if idx is None:
+            idx = len(labels)
+            ids[label] = idx
+            labels.append(label)
+        return idx
+
+    for lineno, record in enumerate(triple_records, start=1):
+        if len(record) != 3:
+            raise IngestError(
+                f"record {lineno}: expected 3 fields (head, relation, tail), got {len(record)}"
+            )
+        head, rel, tail = record
+        if not head or not rel or not tail:
+            raise IngestError(f"record {lineno}: empty field in triple {record!r}")
+        h = intern(head, entity_ids, entity_labels)
+        r = intern(rel, relation_ids, relation_labels)
+        t = intern(tail, entity_ids, entity_labels)
+        triple = (h, r, t)
+        if triple in seen:
+            continue
+        seen.add(triple)
+        triples.append(triple)
+
+    return loop_index(entity_labels, relation_labels, triples)
+
+
+def loop_load_dataset(
+    directory: Path,
+) -> tuple[LoopGraph, LoopGraph, tuple[tuple[int, int], ...]]:
+    """``load_dataset`` reading line by line: the source and target graphs and the links."""
+    root = Path(directory)
+    for name in (*TRIPLE_FILES, LINKS_FILE):
+        if not (root / name).is_file():
+            raise DatasetError(f"missing dataset file: {root / name}")
+
+    graphs = []
+    for name in TRIPLE_FILES:
+        try:
+            graphs.append(loop_load_graph(fields for _, fields in read_tsv_rows(root / name, 3)))
+        except IngestError as exc:
+            raise DatasetError(f"{name}: {exc}") from exc
+    source, target = graphs
+
+    links: list[tuple[int, int]] = []
+    links_path = root / LINKS_FILE
+    for lineno, (src, tgt) in read_tsv_rows(links_path, 2):
+        s = source.entity_ids.get(src)
+        t = target.entity_ids.get(tgt)
+        if s is None:
+            raise DatasetError(
+                f"{links_path.name}:{lineno}: link references unknown source entity {src!r}"
+            )
+        if t is None:
+            raise DatasetError(
+                f"{links_path.name}:{lineno}: link references unknown target entity {tgt!r}"
+            )
+        links.append((s, t))
+    return source, target, tuple(links)
+
+
+def loop_psub_from_dump(path: Path, left: KnowledgeGraph, right: KnowledgeGraph) -> np.ndarray:
+    """A p_sub dump read line by line into a ``(2R_left, 2R_right)`` array."""
+
+    def parse_directed(label: str, kg) -> int:
+        inverse = label.endswith("^-1")
+        base_label = label[:-3] if inverse else label
+        base = kg.relation_ids.get(base_label)
+        if base is None:
+            raise DatasetError(f"{path.name}: unknown relation label {base_label!r}")
+        return pack_direction(base, inverse)
+
+    weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
+    for lineno, (a, b, v) in read_tsv_rows(path, 3):
+        try:
+            p = float(v)
+        except ValueError:
+            p = math.nan
+        if not 0.0 <= p <= 1.0:
+            msg = f"{path.name}:{lineno}: p_sub must be a number in [0, 1], got {v!r}"
+            raise DatasetError(msg)
+        weights[parse_directed(a, left), parse_directed(b, right)] = p
+    return weights

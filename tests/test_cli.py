@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import shutil
 
+import numpy as np
 import pytest
 
-from kgalign.cli import main
-from kgalign.data import DatasetBundle, save_dataset
+from kgalign.cli import _coerce, _psub_from_dump, main
+from kgalign.data import DatasetBundle, DatasetError, save_dataset
+from kgalign.em import EmConfig
+from kgalign.graph import load_graph, pack_direction
 
+import oracles
 from conftest import isomorphic_pair
 
 
@@ -127,6 +131,7 @@ class TestAlign:
             "rank_depth=0",
             "pseudo_budget=-1",
             "pseudo_budget=ten",
+            "iterations=None",
             "workers=2",
         ],
     )
@@ -150,6 +155,20 @@ class TestAlign:
              "--config", str(conf)]
         )
         assert rc == 0
+
+    def test_optional_config_value_none(self, dataset_dir, tmp_path):
+        # The manifest writes an unset optional field as None; a config file can say so too.
+        conf = tmp_path / "budget.conf"
+        base = (dataset_dir / "run.conf").read_text(encoding="utf-8")
+        conf.write_text(base + "pseudo_budget=None\n", encoding="utf-8")
+        rc = main(
+            ["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--iterations", "1",
+             "--config", str(conf)]
+        )
+        assert rc == 0
+        manifest = (tmp_path / "x" / "manifest.txt").read_text(encoding="utf-8")
+        assert "config.pseudo_budget\tNone\n" in manifest
+        assert _coerce("pseudo_budget", "None", EmConfig) is None
 
     def test_bad_delta_fails(self, dataset_dir, tmp_path, capsys):
         rc = main(
@@ -361,3 +380,55 @@ class TestSplit:
         )
         assert rc == 2
         assert "--ratios" in capsys.readouterr().err
+
+
+DUMP_FAULTS = (
+    "r\tr'\t7.0",
+    "r\tr'\tabc",
+    "r\tr'\tnan",
+    "r\tr'",
+    "r\t\t0.5",
+    "\t",
+    " ",
+    "q\tr'\t0.5",
+    "r\tq'\t0.5",
+)
+
+
+class TestPsubDump:
+    """``explain --state`` p_sub dumps against the line-by-line ``oracles.loop_psub_from_dump``."""
+
+    left = load_graph([("a", "r", "b"), ("b", "s", "c")])
+    right = load_graph([("x", "r'", "y")])
+    good = ("r\tr'\t0.5", "s^-1\tr'^-1\t1", "", "r^-1\tr'\t0")
+
+    def read_both(self, path):
+        results = []
+        for read in (_psub_from_dump, oracles.loop_psub_from_dump):
+            try:
+                results.append(read(path, self.left, self.right))
+            except DatasetError as exc:
+                results.append(str(exc))
+        return results
+
+    def test_valid_dump_equal(self, tmp_path):
+        path = tmp_path / "psub_source_in_target.tsv"
+        path.write_text("\r\n".join(self.good), encoding="utf-8")
+        weights, reference = self.read_both(path)
+        assert np.array_equal(weights, reference)
+        assert weights[pack_direction(1, True), pack_direction(0, True)] == 1.0
+
+    @pytest.mark.parametrize("fault", DUMP_FAULTS)
+    def test_fault_same_message(self, tmp_path, fault):
+        path = tmp_path / "psub_source_in_target.tsv"
+        path.write_text("\n".join([*self.good, fault, "r\tr'\t0.25"]) + "\n", encoding="utf-8")
+        message, reference = self.read_both(path)
+        assert isinstance(message, str) and message == reference
+        assert message.startswith(f"{path.name}:5: ") or "unknown relation label" in message
+
+    @pytest.mark.parametrize("first, second", [("r\tr'\t2", "r\tr'"), ("r\tr'", "r\tr'\t2")])
+    def test_first_fault_wins(self, tmp_path, first, second):
+        path = tmp_path / "psub_target_in_source.tsv"
+        path.write_text("\n".join([first, "", second]), encoding="utf-8")
+        message, reference = self.read_both(path)
+        assert message == reference and message.startswith(f"{path.name}:1: ")

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from kgalign.data import (
+    LINKS_FILE,
+    TRIPLE_FILES,
     DatasetError,
     build_manifest,
     emit_report,
@@ -23,6 +26,15 @@ from kgalign.data import (
 from kgalign.em import EmConfig, IterationStats
 from kgalign.embedder import Origin
 from kgalign.graph import SeedRole, load_graph
+
+import oracles
+
+# Labels with spaces, non-ASCII text and characters that str.splitlines()
+# would take for line ends; the pool serves as entities and relations alike.
+LABELS = ("a", "b c", " lead", "trail ", "é", "日本語", "😀", "x\u2028y", "f\x0cg", "h\x85i", "1")
+ENDINGS = ("\n", "\r\n", "\r")
+TRIPLE_FAULTS = ("a\tb", "a\tr\tb\tc", "\tr\tb", "a\t\tb", "a\tr\t", "\t", "\t\t", " ", "  \t ", "a")
+LINK_FAULTS = ("a", "a\tb\tc", "\tb", "a\t", "\t", "\t\t", " ")
 
 
 def write_dataset(root, triples_1=None, triples_2=None, links=None):
@@ -93,6 +105,126 @@ class TestLoadDataset:
         assert again.pair.source.entity_labels == bundle.pair.source.entity_labels
         assert again.pair.target.triples == bundle.pair.target.triples
         assert again.links == bundle.links
+
+
+def write_lines(path, lines, rng) -> None:
+    """``lines`` with random line endings and empty lines; the last ending is optional."""
+    parts = []
+    for line in lines:
+        while rng.random() < 0.15:
+            parts.append(ENDINGS[rng.integers(3)])
+        parts += [line, ENDINGS[rng.integers(3)]]
+    if parts and rng.random() < 0.3:
+        parts.pop()
+    path.write_bytes("".join(parts).encode("utf-8"))
+
+
+def random_records(rng, prefix: str, n: int) -> list[tuple[str, str, str]]:
+    """Triples over shared labels, with self loops and repeated triples."""
+    pool = LABELS + tuple(f"{prefix}{i}" for i in range(6))
+    records: list[tuple[str, str, str]] = []
+    for _ in range(n):
+        if records and rng.random() < 0.2:
+            records.append(records[rng.integers(len(records))])
+            continue
+        h, r, t = (pool[i] for i in rng.integers(len(pool), size=3))
+        records.append((h, r, h) if rng.random() < 0.1 else (h, r, t))
+    return records
+
+
+def random_dataset(rng, root, faults: int = 0):
+    """A dataset written with :func:`write_lines`, with ``faults`` malformed or
+    unknown-entity lines inserted into randomly chosen files."""
+    root.mkdir(parents=True, exist_ok=True)
+    sides = [random_records(rng, p, int(rng.integers(0, 25))) for p in ("s", "t")]
+    entities = [sorted({e for h, _, t in side for e in (h, t)}) for side in sides]
+    files = {name: ["\t".join(rec) for rec in side] for name, side in zip(TRIPLE_FILES, sides)}
+    files[LINKS_FILE] = []
+    if all(entities):
+        for _ in range(int(rng.integers(0, 10))):
+            s, t = (side[rng.integers(len(side))] for side in entities)
+            files[LINKS_FILE].append(f"{s}\t{t}")
+    known = [side[0] if side else "none" for side in entities]
+    unknown = (f"ghost\t{known[1]}", f"{known[0]}\tghost")
+    for _ in range(faults):
+        name = (*TRIPLE_FILES, LINKS_FILE)[rng.integers(3)]
+        pool = LINK_FAULTS + unknown if name == LINKS_FILE else TRIPLE_FAULTS
+        lines = files[name]
+        lines.insert(int(rng.integers(len(lines) + 1)), pool[rng.integers(len(pool))])
+    for name, lines in files.items():
+        write_lines(root / name, lines, rng)
+    return root
+
+
+def error_of(load, root) -> str:
+    with pytest.raises(DatasetError) as caught:
+        load(root)
+    return str(caught.value)
+
+
+class TestIngestMatchesLoop:
+    """The bulk loader against the line-by-line one in ``oracles.loop_load_dataset``."""
+
+    def test_graphs_and_links_equal(self, rng, tmp_path):
+        for trial in range(60):
+            root = random_dataset(rng, tmp_path / str(trial))
+            bundle = load_dataset(root)
+            *graphs, links = oracles.loop_load_dataset(root)
+            for kg, ref in zip((bundle.pair.source, bundle.pair.target), graphs):
+                assert kg.entity_labels == ref.entity_labels
+                assert kg.relation_labels == ref.relation_labels
+                assert kg.triples == ref.triples
+                for got, want in (
+                    *zip(kg.triple_columns, ref.triple_columns),
+                    *zip(kg.directed_adj, ref.directed_adj),
+                    *zip(kg.edge_index, ref.edge_index),
+                ):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert bundle.links == links
+
+    def test_random_faults_same_message(self, rng, tmp_path):
+        for trial in range(80):
+            root = random_dataset(rng, tmp_path / str(trial), faults=int(rng.integers(1, 3)))
+            assert error_of(load_dataset, root) == error_of(oracles.loop_load_dataset, root)
+
+    @pytest.mark.parametrize("name", TRIPLE_FILES)
+    @pytest.mark.parametrize("fault", TRIPLE_FAULTS)
+    def test_triple_fault(self, tmp_path, name, fault):
+        root = write_dataset(tmp_path / "ds")
+        path = root / name
+        # Lines 1-2 are empty, 3-4 hold triples, 5 is empty after a lone CR.
+        path.write_bytes(f"\n\r\n{path.read_text(encoding='utf-8')}\r{fault}\nx\ty\tz\n".encode())
+        message = error_of(load_dataset, root)
+        assert message == error_of(oracles.loop_load_dataset, root)
+        assert message == f"{name}:6: expected 3 non-empty tab-separated fields, got {fault!r}"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            *((f, f"expected 2 non-empty tab-separated fields, got {f!r}") for f in LINK_FAULTS),
+            ("ghost\tb'", "link references unknown source entity 'ghost'"),
+            ("a\tghost", "link references unknown target entity 'ghost'"),
+        ],
+    )
+    def test_link_fault(self, tmp_path, fault, message):
+        root = write_dataset(tmp_path / "ds")
+        (root / LINKS_FILE).write_bytes(f"a\ta'\r\n\r\n\n\r{fault}\r\nb\tb'".encode())
+        assert error_of(load_dataset, root) == f"{LINKS_FILE}:5: {message}"
+        assert error_of(oracles.loop_load_dataset, root) == f"{LINKS_FILE}:5: {message}"
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (["ghost\tb'", "", "a\t"], 1),  # an unknown entity before a malformed line
+            (["", "a\t", "ghost\tb'"], 2),  # and after one
+        ],
+    )
+    def test_first_link_fault_wins(self, tmp_path, lines, line):
+        root = write_dataset(tmp_path / "ds")
+        (root / LINKS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = error_of(load_dataset, root)
+        assert message == error_of(oracles.loop_load_dataset, root)
+        assert message.startswith(f"{LINKS_FILE}:{line}: ")
 
 
 class TestSplitSeed:
@@ -250,6 +382,35 @@ class TestPredictionFiles:
         path.write_text("a\tfirst\tx\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="rankings.tsv:1"):
             load_prediction_file(path)
+
+    def test_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "rankings.tsv"
+        path.write_text("a\t1\tx\n\nb\tq\ty\n", encoding="utf-8")
+        assert error_of(load_prediction_file, path) == (
+            "rankings.tsv:3: expected source<TAB>rank<TAB>target, got 'b\\tq\\ty'"
+        )
+        path = tmp_path / "predictions.tsv"
+        path.write_text("a\tx\t1.0\tobserved\r\n\r\nb\ty\t0.5\r\n", encoding="utf-8")
+        assert error_of(load_prediction_file, path) == (
+            "predictions.tsv:3: expected 4 non-empty tab-separated fields, got 'b\\ty\\t0.5'"
+        )
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("a\tx\t1.0\tobserved\n \nb\ty\t0.5\tsymbolic\n", encoding="utf-8")
+        assert error_of(load_prediction_file, path) == (
+            "predictions.tsv:2: expected 4 non-empty tab-separated fields, got ' '"
+        )
+
+    def test_line_endings_and_blank_lines(self, tmp_path):
+        path = tmp_path / "rankings.tsv"
+        path.write_bytes(b"\r\na\t1\tx\r\n\ra\t2\ty\rb\t1\tx")
+        assert load_prediction_file(path) == ({"a": ["x", "y"], "b": ["x"]}, None)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("\n\n", encoding="utf-8")
+        assert load_prediction_file(path) == (None, [])
 
     def test_unknown_width(self, tmp_path):
         path = tmp_path / "odd.tsv"

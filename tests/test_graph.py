@@ -12,12 +12,14 @@ from kgalign.graph import (
     KnowledgeGraph,
     KnowledgeGraphPair,
     SeedRole,
+    check_key_space,
     load_graph,
     pack_direction,
     unpack_direction,
     validate_seed_sets,
 )
 
+import oracles
 from conftest import random_graph
 
 
@@ -67,6 +69,60 @@ class TestLoadGraph:
         kg = load_graph([("a", "r", "a")])
         assert kg.n_triples == 1
         assert kg.neighbors(0) == [(DirectedRelation(0, False), 0), (DirectedRelation(0, True), 0)]
+
+
+def assert_index_matches_loop(kg: KnowledgeGraph, triples) -> None:
+    ref = oracles.loop_index(kg.entity_labels, kg.relation_labels, triples)
+    assert kg.triples == ref.triples
+    for got, want in (
+        *zip(kg.triple_columns, ref.triple_columns),
+        *zip(kg.directed_adj, ref.directed_adj),
+        *zip(kg.edge_index, ref.edge_index),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestIndex:
+    def test_duplicate_rows_kept_in_order(self):
+        rows = [(0, 1, 2), (2, 0, 0), (0, 1, 2), (1, 1, 1), (2, 0, 0), (1, 1, 1)]
+        kg = KnowledgeGraph(["a", "b", "c"], ["r", "s"], rows)
+        assert kg.triples == tuple(rows)
+        assert kg.n_triples == 6
+        assert_index_matches_loop(kg, rows)
+
+    def test_matches_lexsort_index(self, rng):
+        for _ in range(100):
+            n_entities, n_relations = (int(x) for x in rng.integers(1, 6, size=2))
+            n = int(rng.integers(0, 30))
+            rows = [
+                (int(h), int(r), int(t))
+                for h, r, t in zip(
+                    rng.integers(n_entities, size=n),
+                    rng.integers(n_relations, size=n),
+                    rng.integers(n_entities, size=n),
+                )
+            ]
+            labels = [f"e{i}" for i in range(n_entities)], [f"r{i}" for i in range(n_relations)]
+            assert_index_matches_loop(KnowledgeGraph(*labels, rows), rows)
+            assert_index_matches_loop(KnowledgeGraph(*labels, np.array(rows).reshape(-1, 3)), rows)
+
+
+class TestKeySpace:
+    @pytest.mark.parametrize(
+        "n_entities, n_relations",
+        [(2**30, 3), (2**30, 4), (2**31 - 1, 1), (2**31, 1), (3, 2**59), (1000, 10**12), (0, 5)],
+    )
+    def test_guard_matches_largest_key(self, n_entities, n_relations):
+        largest = 2 * n_entities**2 * n_relations - 1  # ((E-1)R + R-1)E + E-1, times 2, plus 1
+        if largest >= 2**63 - 1:
+            with pytest.raises(IngestError, match=f"{n_entities} entities and {n_relations} relations"):
+                check_key_space(n_entities, n_relations)
+            return
+        check_key_space(n_entities, n_relations)
+        if n_entities:
+            e, r = np.array([n_entities - 1]), np.array([n_relations - 1])
+            key = ((e * n_relations + r) * n_entities + e) * 2 + 1
+            assert key.dtype == np.int64 and int(key[0]) == largest
 
 
 class TestNeighbors:

@@ -1,4 +1,5 @@
-"""scipy loads with the first training call and never before it."""
+"""scipy loads with the first training call and never before it: not on ingest,
+not for a symbolic-only run."""
 
 from __future__ import annotations
 
@@ -11,27 +12,31 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# A small pair aligned by one full loop round and fused; prints whether
-# scipy is loaded afterwards.
+# A small pair written as a dataset, loaded, aligned by one full loop
+# round and fused; prints whether scipy is loaded afterwards.
 SCRIPT = """
 import sys
+import tempfile
+from pathlib import Path
 
 import kgalign.cli
-from kgalign import em
+from kgalign import data, em
 from kgalign.embedder import Hyperparams
-from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, SeedRole, load_graph
+from kgalign.graph import AlignmentSeed, SeedRole
 
-def ring(prefix):
-    return load_graph(
-        [(f"{{prefix}}{{i}}", "r" if i % 2 else "s", f"{{prefix}}{{(i + 1) % 8}}") for i in range(8)]
-    )
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp)
+    for name, prefix in zip(data.TRIPLE_FILES, "ab"):
+        rows = [f"{{prefix}}{{i}}\\t{{'r' if i % 2 else 's'}}\\t{{prefix}}{{(i + 1) % 8}}\\n" for i in range(8)]
+        (root / name).write_text("".join(rows), encoding="utf-8")
+    (root / data.LINKS_FILE).write_text("".join(f"a{{i}}\\tb{{i}}\\n" for i in range(8)), encoding="utf-8")
+    bundle = data.load_dataset(root)
 
-pair = KnowledgeGraphPair(source=ring("a"), target=ring("b"))
-train = AlignmentSeed(pairs=((0, 0), (1, 1)), role=SeedRole.TRAIN)
+train = AlignmentSeed(pairs=bundle.links[:2], role=SeedRole.TRAIN)
 config = em.EmConfig(
     iterations=1, symbolic_only={symbolic_only}, neural=Hyperparams(dim=4, epochs=2, negatives=2)
 )
-state = em.run_em(pair, train, config)
+state = em.run_em(bundle.pair, train, config)
 em.fuse_predictions(state, config)
 print("scipy" in sys.modules)
 """
