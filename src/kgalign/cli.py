@@ -78,25 +78,38 @@ def _build_config(args: argparse.Namespace) -> em.EmConfig:
     return config
 
 
+def _file_ratio(file_items: dict[str, str], key: str, default: float) -> float:
+    """A split ratio from the config file, ``default`` when the file has none."""
+    if key not in file_items:
+        return default
+    try:
+        value = float(file_items[key])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise data.DatasetError(f"config key {key!r}: expected a finite float, got {file_items[key]!r}")
+    return value
+
+
 def _split_ratios(args, file_items: dict[str, str]) -> tuple[float, float]:
     train = args.train_ratio
     if train is None:
-        train = float(file_items.get("train_ratio", 0.2))
+        train = _file_ratio(file_items, "train_ratio", 0.2)
     valid = getattr(args, "valid_ratio", None)
     if valid is None:
-        valid = float(file_items["valid_ratio"]) if "valid_ratio" in file_items else train / 2.0
+        valid = _file_ratio(file_items, "valid_ratio", train / 2.0)
     return train, valid
 
 
 def _psub_from_dump(path: Path, left, right) -> np.ndarray:
     """A ``(2R_left, 2R_right)`` p_sub array read from a dump; unlisted pairs hold 0."""
 
-    def parse_directed(label: str, kg) -> int:
+    def parse_directed(label: str, kg, rows: data.TsvRows, row: int) -> int:
         inverse = label.endswith("^-1")
         base_label = label[:-3] if inverse else label
         base = kg.relation_ids.get(base_label)
         if base is None:
-            raise data.DatasetError(f"{path.name}: unknown relation label {base_label!r}")
+            raise data.DatasetError(f"{rows.where(row)}: unknown relation label {base_label!r}")
         return pack_direction(base, inverse)
 
     def parse(rows: data.TsvRows) -> np.ndarray:
@@ -109,7 +122,7 @@ def _psub_from_dump(path: Path, left, right) -> np.ndarray:
             if not 0.0 <= p <= 1.0:
                 msg = f"{rows.where(row)}: p_sub must be a number in [0, 1], got {v!r}"
                 raise data.DatasetError(msg)
-            weights[parse_directed(a, left), parse_directed(b, right)] = p
+            weights[parse_directed(a, left, rows, row), parse_directed(b, right, rows, row)] = p
         return weights
 
     return data.read_tsv(path, 3, parse)

@@ -72,6 +72,20 @@ class TsvRows:
         return f"{self.name}:{next(islice(numbers, row, None))}"
 
 
+def _decode_error(path: Path) -> DatasetError:
+    """The error for a file that is not valid UTF-8, naming the line of its
+    first bad byte; line ends are counted as universal newlines read them."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        byte = raw[exc.start]
+        return DatasetError(f"{path.name}:{line}: not valid UTF-8: byte {byte:#04x}, {exc.reason}")
+    return DatasetError(f"{path.name}: not valid UTF-8")
+
+
 def read_tsv(
     path: Path, n_fields: int | None, parse: Callable[[TsvRows], T] = lambda rows: rows
 ) -> T:
@@ -84,8 +98,11 @@ def read_tsv(
     the rows before such a line first, so that a fault it finds on an
     earlier line is the one reported, as in a line-by-line read.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     rows = list(filter(None, lines))
     if n_fields is None:
         n_fields = rows[0].count("\t") + 1 if rows else 0
@@ -164,8 +181,11 @@ def split_seed(
     An empty train cut is an error, down to 1% ratios the round keeps
     at least one pair per requested non-zero cut.
     """
-    if train_ratio <= 0 or valid_ratio < 0:
-        raise DatasetError("train ratio must be positive and valid ratio non-negative")
+    if not (train_ratio > 0 and valid_ratio >= 0):  # false for NaN too
+        raise DatasetError(
+            "train ratio must be positive and valid ratio non-negative, "
+            f"got {train_ratio} and {valid_ratio}"
+        )
     if train_ratio + valid_ratio > 1.0 + 1e-12:
         raise DatasetError("train and validation ratios must sum to at most 1")
     n = len(links)
@@ -284,16 +304,20 @@ def emit_report(
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """``key=value`` lines; blank lines and #-comments are skipped."""
+    path = Path(path)
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DatasetError(f"{Path(path).name}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise DatasetError(f"{path.name}:{lineno}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                out[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     return out
 
 

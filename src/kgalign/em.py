@@ -16,6 +16,7 @@ probabilistic-alignment baseline.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,8 +68,8 @@ class EmConfig:
             raise ValueError(f"retention factor must be in (0, 1], got {self.retention_rho}")
         if self.top_c < 1:
             raise ValueError(f"top_c must be >= 1, got {self.top_c}")
-        if self.hidden_weight < 0.0:
-            raise ValueError(f"hidden_weight must be >= 0, got {self.hidden_weight}")
+        if not 0.0 <= self.hidden_weight < math.inf:
+            raise ValueError(f"hidden_weight must be finite and >= 0, got {self.hidden_weight}")
         if not 0.0 <= self.confidence_floor < 1.0:
             raise ValueError(f"confidence_floor must be in [0, 1), got {self.confidence_floor}")
         if self.rank_depth < 1:
@@ -154,16 +155,14 @@ def e_step(state: EmState, config: EmConfig) -> EmState:
     state.last_split = split
 
     if state.model is not None:
-        observed = PseudoLabelSet(
-            pairs=tuple((s, t, 1.0) for s, t in state.train.pairs),
-            origin=Origin.OBSERVED,
-        )
-        inferred = PseudoLabelSet(pairs=split.positives, origin=Origin.SYMBOLIC)
+        obs = _train_pairs(state)
+        observed = PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)
+        inferred = PseudoLabelSet(*split.positive_columns, Origin.SYMBOLIC)
         report = emb.train(
             state.model,
             state.pair,
             [observed, inferred],
-            negatives_pool=split.negatives,
+            negatives_pool=split.negative_pairs,
             origin_weights={Origin.SYMBOLIC: config.hidden_weight},
         )
         state.last_loss = report.final
@@ -172,9 +171,14 @@ def e_step(state: EmState, config: EmConfig) -> EmState:
     return state
 
 
+def _train_pairs(state: EmState) -> np.ndarray:
+    """The observed pairs as an ``(n, 2)`` int array."""
+    return np.array(state.train.pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def _observed(state: EmState) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the source and target entities in the observed pairs."""
-    pairs = np.array(state.train.pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _train_pairs(state)
     obs_src = np.zeros(state.pair.source.n_entities, dtype=bool)
     obs_tgt = np.zeros(state.pair.target.n_entities, dtype=bool)
     obs_src[pairs[:, 0]] = True
@@ -184,14 +188,6 @@ def _observed(state: EmState) -> tuple[np.ndarray, np.ndarray]:
 
 def _no_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-
-
-def _columns(labels: PseudoLabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source, target and confidence arrays of a label set."""
-    if not labels.pairs:
-        return _no_pairs()
-    s, t, v = zip(*labels.pairs)
-    return np.array(s, dtype=np.int64), np.array(t, dtype=np.int64), np.array(v, dtype=np.float64)
 
 
 def _top_candidates(
@@ -232,10 +228,12 @@ def m_step(state: EmState, config: EmConfig) -> EmState:
     tgt = np.concatenate([t_tgt, c_tgt[new]])
     q = (np.concatenate([t_cos, c_cos[new]]) + 1.0) / 2.0
     ok = q > config.confidence_floor
+    src, tgt, q = src[ok], tgt[ok], q[ok]
     budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
-    pseudo = emb.greedy_one_to_one(src[ok], tgt[ok], q[ok], budget=budget)
+    pseudo = emb.greedy_one_to_one(src, tgt, q, budget=budget)
 
-    state.psub = update_subrelation_probs(state.pair, _label_table(state, pseudo))
+    labels = _label_table(state, src[pseudo], tgt[pseudo], q[pseudo])
+    state.psub = update_subrelation_probs(state.pair, labels)
     return state
 
 
@@ -247,14 +245,14 @@ def _m_step_symbolic(state: EmState, config: EmConfig) -> EmState:
     unlabeled = int(np.count_nonzero(~obs_src))
     budget = config.pseudo_budget if config.pseudo_budget is not None else unlabeled
     matched = emb.greedy_one_to_one(*offers, budget=budget)
-    state.psub = update_subrelation_probs(state.pair, _label_table(state, matched))
+    labels = _label_table(state, *(col[matched] for col in offers))
+    state.psub = update_subrelation_probs(state.pair, labels)
     return state
 
 
-def _label_table(state: EmState, pseudo: PseudoLabelSet) -> TruthScoreTable:
-    """The observed pairs at 1, then the pseudo-labels."""
-    obs = np.array(state.train.pairs, dtype=np.int64).reshape(-1, 2)
-    src, tgt, val = _columns(pseudo)
+def _label_table(state: EmState, src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> TruthScoreTable:
+    """The observed pairs at 1, then the pseudo-labels (src, tgt, val)."""
+    obs = _train_pairs(state)
     return TruthScoreTable.from_arrays(
         np.concatenate([obs[:, 0], src]),
         np.concatenate([obs[:, 1], tgt]),
@@ -266,11 +264,9 @@ def _validation_precision(split: ThresholdSplit, validation: AlignmentSeed | Non
     if validation is None or not validation.pairs:
         return None
     gold = validation.by_source
-    judged = [(s, t) for s, t, _ in split.positives if s in gold]
-    if not judged:
-        return None
-    correct = sum(1 for s, t in judged if gold[s] == t)
-    return correct / len(judged)
+    src, tgt, _ = split.positive_columns
+    judged = [gold[s] == t for s, t in zip(src.tolist(), tgt.tolist()) if s in gold]
+    return sum(judged) / len(judged) if judged else None
 
 
 def run_em(
@@ -289,7 +285,7 @@ def run_em(
         split = state.last_split
         stats = IterationStats(
             iteration=state.iteration,
-            inferred_pairs=len(split.positives) if split else 0,
+            inferred_pairs=int(np.count_nonzero(split.positive)) if split else 0,
             neural_loss=state.last_loss,
             validation_precision=_validation_precision(split, validation) if split else None,
         )
@@ -333,29 +329,33 @@ def fuse_predictions(
     if state.last_split is None:
         raise RuntimeError("fuse_predictions requires at least one completed round")
     obs_src, obs_tgt = _observed(state)
-
-    binary: list[tuple[int, int, float, Origin]] = [
-        (s, t, 1.0, Origin.OBSERVED) for s, t in state.train.pairs
-    ]
+    obs = _train_pairs(state)
+    parts = [(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)]
     src, tgt, val = state.last_split.positive_columns
     free = ~obs_src[src] & ~obs_tgt[tgt]
-    symbolic = emb.greedy_one_to_one(src[free], tgt[free], val[free])
-    binary.extend((s, t, v, Origin.SYMBOLIC) for s, t, v in symbolic.pairs)
+    src, tgt, val = src[free], tgt[free], val[free]
+    symbolic = emb.greedy_one_to_one(src, tgt, val)
+    parts.append((src[symbolic], tgt[symbolic], val[symbolic], Origin.SYMBOLIC))
 
     if state.model is not None:
         used_src, used_tgt = obs_src.copy(), obs_tgt.copy()
-        sym_src, sym_tgt, _ = _columns(symbolic)
-        used_src[sym_src] = True
-        used_tgt[sym_tgt] = True
+        used_src[src[symbolic]] = True
+        used_tgt[tgt[symbolic]] = True
         rem_src = np.flatnonzero(~used_src)
         c_src, c_tgt, c_cos = _top_candidates(state.model, rem_src, np.flatnonzero(~used_tgt), config.top_c)
         q = (c_cos + 1.0) / 2.0
         ok = q > config.confidence_floor
-        neural = emb.greedy_one_to_one(c_src[ok], c_tgt[ok], q[ok], budget=len(rem_src))
-        binary.extend((s, t, q, Origin.NEURAL) for s, t, q in neural.pairs)
+        c_src, c_tgt, q = c_src[ok], c_tgt[ok], q[ok]
+        neural = emb.greedy_one_to_one(c_src, c_tgt, q, budget=len(rem_src))
+        parts.append((c_src[neural], c_tgt[neural], q[neural], Origin.NEURAL))
 
-    binary.sort(key=lambda p: (p[0], p[1]))
-    by_source = {s: t for s, t, _, _ in binary}
+    # The parts are one-to-one together, so (source, target) orders them fully.
+    srcs, tgts, vals, tags = zip(*parts)
+    origin = np.repeat(np.array(tags, dtype=object), [len(s) for s in srcs])
+    src, tgt, val = np.concatenate(srcs), np.concatenate(tgts), np.concatenate(vals)
+    order = np.lexsort((tgt, src))
+    binary = tuple(zip(*(col[order].tolist() for col in (src, tgt, val, origin))))
+    by_source = dict(zip(src.tolist(), tgt.tolist()))
 
     if rank_sources is None:
         rank_sources = np.flatnonzero(~obs_src).tolist()
@@ -375,7 +375,7 @@ def fuse_predictions(
             ranked.insert(0, confirmed)
             ranked = ranked[: config.rank_depth]
         rankings[s] = ranked
-    return FusedPredictions(binary=tuple(binary), rankings=rankings)
+    return FusedPredictions(binary=binary, rankings=rankings)
 
 
 def _rank_truth_scores(

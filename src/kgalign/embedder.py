@@ -17,9 +17,10 @@ never load it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,22 +39,32 @@ class Origin(str, Enum):
     NEURAL = "neural"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoLabelSet:
-    """Labeled pairs (source, target, confidence) of one origin."""
+    """Labeled pairs of one origin as three equal-length columns.
 
-    pairs: tuple[tuple[int, int, float], ...]
+    Row i is the pair (``src[i]``, ``tgt[i]``) with confidence
+    ``conf[i]``; the columns are held as int64, int64 and float64 arrays.
+    Neural labels must be one-to-one; other origins may repeat a pair.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    conf: np.ndarray
     origin: Origin
 
     def __post_init__(self):
-        if self.origin is Origin.NEURAL:
-            sources = [s for s, _, _ in self.pairs]
-            targets = [t for _, t, _ in self.pairs]
-            if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-                raise ValueError("neural pseudo-labels must be one-to-one")
+        for name, dtype in (("src", np.int64), ("tgt", np.int64), ("conf", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not len(self.src) == len(self.tgt) == len(self.conf):
+            raise ValueError("pseudo-label columns must have equal lengths")
+        if self.origin is Origin.NEURAL and (
+            len(np.unique(self.src)) != len(self.src) or len(np.unique(self.tgt)) != len(self.tgt)
+        ):
+            raise ValueError("neural pseudo-labels must be one-to-one")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.src)
 
 
 @dataclass(frozen=True)
@@ -75,12 +86,13 @@ class Hyperparams:
             raise ValueError("hard_negative_fraction must be in [0, 1]")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.margin <= 0.0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
-        if self.triple_weight < 0.0:
-            raise ValueError(f"triple_weight must be >= 0, got {self.triple_weight}")
+        # the chained comparisons are false for NaN, so NaN fails them too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 < self.margin < math.inf:
+            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
+        if not 0.0 <= self.triple_weight < math.inf:
+            raise ValueError(f"triple_weight must be finite and >= 0, got {self.triple_weight}")
 
 
 @dataclass
@@ -99,10 +111,6 @@ class NeuralModel:
 @dataclass
 class TrainReport:
     epoch_losses: list[float]
-
-    @property
-    def first(self) -> float:
-        return self.epoch_losses[0] if self.epoch_losses else 0.0
 
     @property
     def final(self) -> float:
@@ -143,15 +151,14 @@ def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _hard_pools(
-    negatives_pool: Iterable[tuple[int, int, float]], src_idx: np.ndarray, n_sources: int
+    negatives_pool: np.ndarray, src_idx: np.ndarray, n_sources: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every source's distinct pooled targets, ascending, in one flat array.
 
     Returns that array with each positive's (start, length) slice of it;
     a positive whose source has no pool gets length 0.
     """
-    pairs = np.array([(s, t) for s, t, _ in negatives_pool], dtype=np.int64).reshape(-1, 2)
-    pairs = np.unique(pairs, axis=0)
+    pairs = np.unique(np.asarray(negatives_pool, dtype=np.int64).reshape(-1, 2), axis=0)
     length = np.bincount(pairs[:, 0], minlength=n_sources)
     start = np.cumsum(length) - length
     return pairs[:, 1], start[src_idx], length[src_idx]
@@ -252,10 +259,14 @@ def train(
     model: NeuralModel,
     pair: KnowledgeGraphPair,
     positives: PseudoLabelSet | Sequence[PseudoLabelSet],
-    negatives_pool: Iterable[tuple[int, int, float]] = (),
+    negatives_pool: np.ndarray = (),
     origin_weights: Mapping[Origin, float] | None = None,
 ) -> TrainReport:
     """Fit the embeddings to the labeled pairs; returns per-epoch losses.
+
+    The positives are the rows of the label sets, concatenated in the
+    order given.  ``negatives_pool`` holds (source, target) rows, an
+    ``(n, 2)`` int array; repeated rows count once.
 
     Two loss families share the margin and the negatives-per-positive
     count k.  For each positive pair (e, e') and each of its k sampled
@@ -280,23 +291,12 @@ def train(
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
-    weights = dict(origin_weights or {})
-
-    pos_src: list[int] = []
-    pos_tgt: list[int] = []
-    pos_w: list[float] = []
-    for ls in sets:
-        w_set = weights.get(ls.origin, 1.0)
-        for s, t, conf in ls.pairs:
-            pos_src.append(s)
-            pos_tgt.append(t)
-            pos_w.append(w_set * conf)
-    if not pos_src:
+    weights = origin_weights or {}
+    if not sum(map(len, sets)):
         raise TrainingError("no positive pairs to train on")
-
-    src_idx = np.array(pos_src, dtype=np.int64)
-    tgt_idx = np.array(pos_tgt, dtype=np.int64)
-    w = np.array(pos_w, dtype=np.float64)
+    src_idx = np.concatenate([ls.src for ls in sets])
+    tgt_idx = np.concatenate([ls.tgt for ls in sets])
+    w = np.concatenate([weights.get(ls.origin, 1.0) * ls.conf for ls in sets])
 
     k = hp.negatives
     if k == 0:
@@ -440,29 +440,28 @@ def greedy_one_to_one(
     tgt: np.ndarray,
     score: np.ndarray,
     budget: int | None = None,
-) -> PseudoLabelSet:
+) -> np.ndarray:
     """Highest-score-first matching over offers (src[i], tgt[i], score[i]);
     each entity is used at most once.
 
-    Ties are broken by source id then target id, so the sweep is fully
+    Returns the accepted offers' positions i, in acceptance order, so the
+    caller indexes its own columns with them.  Ties are broken by source
+    id, then target id, then position, so the sweep is fully
     deterministic.  At most ``budget`` pairs are accepted when given.
     """
-    src = np.asarray(src, dtype=np.int64)
-    tgt = np.asarray(tgt, dtype=np.int64)
-    score = np.asarray(score, dtype=np.float64)
     order = np.lexsort((tgt, src, -score))
     used_src: set[int] = set()
     used_tgt: set[int] = set()
-    accepted: list[tuple[int, int, float]] = []
-    for s, t, v in zip(src[order].tolist(), tgt[order].tolist(), score[order].tolist()):
+    accepted: list[int] = []
+    for i, s, t in zip(order.tolist(), src[order].tolist(), tgt[order].tolist()):
         if budget is not None and len(accepted) >= budget:
             break
         if s in used_src or t in used_tgt:
             continue
         used_src.add(s)
         used_tgt.add(t)
-        accepted.append((s, t, v))
-    return PseudoLabelSet(pairs=tuple(accepted), origin=Origin.NEURAL)
+        accepted.append(i)
+    return np.array(accepted, dtype=np.int64)
 
 
 CHECKPOINT_VERSION = 1

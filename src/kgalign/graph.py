@@ -65,10 +65,6 @@ class AlignmentSeed:
     def by_source(self) -> dict[int, int]:
         return {s: t for s, t in self.pairs}
 
-    @property
-    def by_target(self) -> dict[int, int]:
-        return {t: s for s, t in self.pairs}
-
     def __len__(self) -> int:
         return len(self.pairs)
 

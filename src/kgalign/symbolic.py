@@ -478,8 +478,6 @@ class ThresholdSplit:
 
     ``src``, ``tgt`` and ``val`` hold the non-pinned entries ascending by
     (source, target), and ``positive`` marks those above the threshold.
-    ``positives`` and ``negatives`` are the two sides as (source, target,
-    score) tuples in the same order.
     """
 
     src: np.ndarray
@@ -487,21 +485,20 @@ class ThresholdSplit:
     val: np.ndarray
     positive: np.ndarray
 
-    def _columns(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.src[mask], self.tgt[mask], self.val[mask]
-
     @property
     def positive_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positives as source, target and score arrays."""
-        return self._columns(self.positive)
+        return self.src[self.positive], self.tgt[self.positive], self.val[self.positive]
+
+    @property
+    def negative_pairs(self) -> np.ndarray:
+        """The negative pool as an ``(n, 2)`` array of (source, target) rows."""
+        return np.stack([self.src[~self.positive], self.tgt[~self.positive]], axis=1)
 
     @cached_property
     def positives(self) -> tuple[tuple[int, int, float], ...]:
+        """The positives as (source, target, score) tuples, for readers outside the library."""
         return tuple(zip(*(col.tolist() for col in self.positive_columns)))
-
-    @cached_property
-    def negatives(self) -> tuple[tuple[int, int, float], ...]:
-        return tuple(zip(*(col.tolist() for col in self._columns(~self.positive))))
 
 
 def extract_positive_pairs(scores: TruthScoreTable, delta: float) -> ThresholdSplit:

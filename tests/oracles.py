@@ -440,7 +440,7 @@ def loop_train(
     model,
     pair: KnowledgeGraphPair,
     positives,
-    negatives_pool: Iterable[tuple[int, int, float]] = (),
+    negatives_pool=(),
     origin_weights=None,
 ) -> TrainReport:
     """The trainer written with one ``np.add.at`` scatter per term family,
@@ -459,7 +459,7 @@ def loop_train(
     pos_w: list[float] = []
     for ls in sets:
         w_set = weights.get(ls.origin, 1.0)
-        for s, t, conf in ls.pairs:
+        for s, t, conf in zip(ls.src.tolist(), ls.tgt.tolist(), ls.conf.tolist()):
             pos_src.append(s)
             pos_tgt.append(t)
             pos_w.append(w_set * conf)
@@ -472,7 +472,7 @@ def loop_train(
 
     pools: dict[int, np.ndarray] = {}
     staged: dict[int, set[int]] = {}
-    for s, t, _ in negatives_pool:
+    for s, t in np.asarray(negatives_pool, dtype=np.int64).reshape(-1, 2).tolist():
         staged.setdefault(s, set()).add(t)
     for s, ts in staged.items():
         pools[s] = np.array(sorted(ts), dtype=np.int64)
@@ -765,12 +765,12 @@ def loop_load_dataset(
 def loop_psub_from_dump(path: Path, left: KnowledgeGraph, right: KnowledgeGraph) -> np.ndarray:
     """A p_sub dump read line by line into a ``(2R_left, 2R_right)`` array."""
 
-    def parse_directed(label: str, kg) -> int:
+    def parse_directed(label: str, kg, lineno: int) -> int:
         inverse = label.endswith("^-1")
         base_label = label[:-3] if inverse else label
         base = kg.relation_ids.get(base_label)
         if base is None:
-            raise DatasetError(f"{path.name}: unknown relation label {base_label!r}")
+            raise DatasetError(f"{path.name}:{lineno}: unknown relation label {base_label!r}")
         return pack_direction(base, inverse)
 
     weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
@@ -782,5 +782,5 @@ def loop_psub_from_dump(path: Path, left: KnowledgeGraph, right: KnowledgeGraph)
         if not 0.0 <= p <= 1.0:
             msg = f"{path.name}:{lineno}: p_sub must be a number in [0, 1], got {v!r}"
             raise DatasetError(msg)
-        weights[parse_directed(a, left), parse_directed(b, right)] = p
+        weights[parse_directed(a, left, lineno), parse_directed(b, right, lineno)] = p
     return weights

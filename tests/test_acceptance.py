@@ -307,24 +307,26 @@ def _greedy_cases(rng, n: int) -> str:
             )
             for _ in range(m)
         ]
-        full = emb.greedy_one_to_one(*oracles.offer_columns(cands))
-        used_s = [s for s, _, _ in full.pairs]
-        used_t = [t for _, t, _ in full.pairs]
+        columns = oracles.offer_columns(cands)
+        full = oracles.column_tuples(col[emb.greedy_one_to_one(*columns)] for col in columns)
+        used_s = [s for s, _, _ in full]
+        used_t = [t for _, t, _ in full]
         assert len(used_s) == len(set(used_s)) and len(used_t) == len(set(used_t))
         ranked = sorted(
             {(s, t): v for s, t, v in cands}.items(),
             key=lambda kv: (-kv[1], kv[0][0], kv[0][1]),
         )
-        accepted = set((s, t) for s, t, _ in full.pairs)
-        blocked_s = {s for s, _, _ in full.pairs}
-        blocked_t = {t for _, t, _ in full.pairs}
+        accepted = set((s, t) for s, t, _ in full)
+        blocked_s = {s for s, _, _ in full}
+        blocked_t = {t for _, t, _ in full}
         for (s, t), v in ranked:
             if (s, t) not in accepted:
                 assert s in blocked_s or t in blocked_t, "greedy skipped a free pair"
-        if case % 3 == 0 and full.pairs:
-            budget = int(rng.integers(1, len(full.pairs) + 1))
-            capped = emb.greedy_one_to_one(*oracles.offer_columns(cands), budget=budget)
-            assert capped.pairs == full.pairs[:budget], "budget is not a prefix cut"
+        if case % 3 == 0 and full:
+            budget = int(rng.integers(1, len(full) + 1))
+            capped = emb.greedy_one_to_one(*columns, budget=budget)
+            capped_rows = oracles.column_tuples(col[capped] for col in columns)
+            assert capped_rows == full[:budget], "budget is not a prefix cut"
     return f"greedy-matching:{n}"
 
 
@@ -354,13 +356,8 @@ def _norm_cases(rng, n: int) -> str:
         pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=12)
         hp = Hyperparams(dim=8, epochs=1 + case % 3, negatives=2)
         model = init_model(pair, hp, seed=case)
-        positives = PseudoLabelSet(
-            pairs=(
-                (int(rng.integers(8)), int(rng.integers(8)), 1.0),
-                (int(rng.integers(8)), int(rng.integers(8)), 1.0),
-            ),
-            origin=Origin.OBSERVED,
-        )
+        pairs = [(int(rng.integers(8)), int(rng.integers(8)), 1.0) for _ in range(2)]
+        positives = PseudoLabelSet(*oracles.offer_columns(pairs), Origin.OBSERVED)
         emb.train(model, pair, [positives], negatives_pool=())
         for arr in (model.ent_source, model.ent_target):
             norms = np.linalg.norm(arr, axis=1)
@@ -429,7 +426,7 @@ def test_synthetic_end_to_end(capsys):
     precisions: list[float] = []
 
     def watch(state) -> None:
-        positives = state.last_split.positives if state.last_split else ()
+        positives = oracles.column_tuples(state.last_split.positive_columns) if state.last_split else []
         correct = sum(1 for s, t, _ in positives if gold.get(s) == t)
         counts.append(len(positives))
         precisions.append(correct / len(positives) if positives else 0.0)
@@ -534,7 +531,7 @@ def test_explainer_separation(capsys):
     config = EmConfig(iterations=3, seed=407, symbolic_only=True)
     state = run_em(pair, train, config)
     anchors = soft_anchors(
-        train.pairs, [(s, t) for s, t, _ in state.last_split.positives]
+        train.pairs, oracles.column_tuples(state.last_split.positive_columns[:2])
     )
 
     rng = np.random.default_rng(407)

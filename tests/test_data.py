@@ -92,6 +92,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="ent_links:1.*phantom"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_invalid_utf8_names_line(self, tmp_path, ending):
+        root = write_dataset(tmp_path / "ds")
+        lines = [b"a'\tr'\tb'", b"", "\u00e9\tr'\tc'".encode("utf-8"), b"b'\tr'\t\xff"]
+        (root / "rel_triples_2").write_bytes(ending.encode("ascii").join(lines))
+        with pytest.raises(DatasetError, match=r"^rel_triples_2:4: not valid UTF-8: byte 0xff"):
+            load_dataset(root)
+
     def test_blank_lines_skipped(self, tmp_path):
         root = write_dataset(tmp_path / "ds")
         (root / "ent_links").write_text("a\ta'\n\nb\tb'\n", encoding="utf-8")
@@ -274,6 +282,11 @@ class TestSplitSeed:
         with pytest.raises(DatasetError, match="train ratio"):
             split_seed([(0, 0)], 0.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("train_ratio, valid_ratio", [(float("nan"), 0.1), (0.2, float("nan"))])
+    def test_nan_ratio_rejected(self, train_ratio, valid_ratio):
+        with pytest.raises(DatasetError, match="train ratio must be positive"):
+            split_seed([(i, i) for i in range(10)], train_ratio, valid_ratio, seed=0)
+
 
 class TestFormatters:
     def test_predictions_lines(self):
@@ -359,6 +372,15 @@ class TestConfigFile:
         path = tmp_path / "run.conf"
         path.write_text("delta=0.8\nnot a pair\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="run.conf:2"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_invalid_utf8_names_line(self, tmp_path, ending):
+        # the first line is longer than one read chunk of the text layer
+        path = tmp_path / "run.conf"
+        lines = [("# " + "\u00e9" * 6000).encode("utf-8"), b"delta=0.8", b"seed=\xff1"]
+        path.write_bytes(ending.encode("ascii").join(lines))
+        with pytest.raises(DatasetError, match=r"^run.conf:3: not valid UTF-8: byte 0xff"):
             read_config_file(path)
 
 

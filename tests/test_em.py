@@ -34,6 +34,10 @@ def train_seed(pairs) -> AlignmentSeed:
     return AlignmentSeed(pairs=tuple(sorted(pairs)), role=SeedRole.TRAIN)
 
 
+def label_rows(labels) -> list[tuple]:
+    return oracles.column_tuples((labels.src, labels.tgt, labels.conf))
+
+
 def tiny_neural(**overrides) -> Hyperparams:
     base = dict(dim=8, epochs=5, negatives=2)
     base.update(overrides)
@@ -92,7 +96,7 @@ class TestEStep:
         state = init_state(pair, train_seed([(2, 2)]), config)
         state.psub = matched_psub(pair.source, pair.target, {0: 0})
         e_step(state, config)
-        assert state.last_split.positives == ((1, 1, 1.0),)
+        assert oracles.column_tuples(state.last_split.positive_columns) == [(1, 1, 1.0)]
 
     def test_training_set_is_seeds_plus_inferred(self, monkeypatch):
         pair = chain_fixture()
@@ -103,16 +107,16 @@ class TestEStep:
 
         def fake_train(model, pair_, positives, negatives_pool=(), origin_weights=None):
             captured["sets"] = positives
-            captured["pool"] = list(negatives_pool)
+            captured["pool"] = np.asarray(negatives_pool).tolist()
             return TrainReport(epoch_losses=[0.0])
 
         monkeypatch.setattr(em.emb, "train", fake_train)
         e_step(state, config)
         observed, symbolic = captured["sets"]
         assert observed.origin is Origin.OBSERVED
-        assert observed.pairs == ((2, 2, 1.0),)
+        assert label_rows(observed) == [(2, 2, 1.0)]
         assert symbolic.origin is Origin.SYMBOLIC
-        assert symbolic.pairs == ((1, 1, 1.0),)
+        assert label_rows(symbolic) == [(1, 1, 1.0)]
         assert captured["pool"] == []
 
     def test_below_threshold_goes_to_negative_pool(self, monkeypatch):
@@ -124,14 +128,17 @@ class TestEStep:
 
         def fake_train(model, pair_, positives, negatives_pool=(), origin_weights=None):
             captured["sets"] = positives
-            captured["pool"] = list(negatives_pool)
+            captured["pool"] = np.asarray(negatives_pool).tolist()
             return TrainReport(epoch_losses=[0.0])
 
         monkeypatch.setattr(em.emb, "train", fake_train)
         e_step(state, config)
         _, symbolic = captured["sets"]
-        assert symbolic.pairs == ()
-        assert captured["pool"] == [(1, 1, pytest.approx(0.96, abs=1e-12))]
+        assert label_rows(symbolic) == []
+        assert captured["pool"] == [[1, 1]]
+        split = state.last_split
+        pooled = oracles.column_tuples((split.src, split.tgt, split.val))
+        assert pooled == [(1, 1, pytest.approx(0.96, abs=1e-12))]
 
     def test_psub_untouched(self):
         pair = chain_fixture()
@@ -385,7 +392,9 @@ class TestLoopReferences:
         ]
         assert np.array_equal(arrays.psub.source_in_target, loops.psub.source_in_target)
         assert np.array_equal(arrays.psub.target_in_source, loops.psub.target_in_source)
-        assert arrays.last_split.positives == loops.last_split.positives
+        assert oracles.column_tuples(arrays.last_split.positive_columns) == oracles.column_tuples(
+            loops.last_split.positive_columns
+        )
         assert fused_arrays.binary == fused_loops.binary
         assert fused_arrays.rankings == fused_loops.rankings
 

@@ -32,8 +32,24 @@ def tiny_pair() -> KnowledgeGraphPair:
     return KnowledgeGraphPair(source=src, target=tgt)
 
 
+def labels(pairs, origin: Origin = Origin.OBSERVED) -> PseudoLabelSet:
+    return PseudoLabelSet(*oracles.offer_columns(pairs), origin)
+
+
 def observed(*pairs: tuple[int, int, float]) -> PseudoLabelSet:
-    return PseudoLabelSet(pairs=tuple(pairs), origin=Origin.OBSERVED)
+    return labels(pairs)
+
+
+def pool_array(pool) -> np.ndarray:
+    """The (source, target) rows of (source, target, score) pool entries."""
+    return np.array([(s, t) for s, t, _ in pool], dtype=np.int64).reshape(-1, 2)
+
+
+def greedy_rows(offers, budget=None) -> list[tuple]:
+    """The accepted offers as (s, t, score) rows, in acceptance order."""
+    columns = oracles.offer_columns(offers)
+    accepted = greedy_one_to_one(*columns, budget=budget)
+    return oracles.column_tuples(col[accepted] for col in columns)
 
 
 class TestHyperparams:
@@ -56,11 +72,20 @@ class TestHyperparams:
 class TestPseudoLabelSet:
     def test_neural_must_be_one_to_one(self):
         with pytest.raises(ValueError, match="one-to-one"):
-            PseudoLabelSet(pairs=((0, 0, 1.0), (0, 1, 0.9)), origin=Origin.NEURAL)
+            labels([(0, 0, 1.0), (0, 1, 0.9)], Origin.NEURAL)
+        with pytest.raises(ValueError, match="one-to-one"):
+            labels([(0, 0, 1.0), (1, 0, 0.9)], Origin.NEURAL)
+        assert len(labels([(0, 1, 1.0), (1, 0, 0.9)], Origin.NEURAL)) == 2
 
     def test_observed_duplicates_allowed(self):
         ls = observed((0, 0, 1.0), (0, 0, 1.0))
         assert len(ls) == 2
+
+    def test_columns_typed_and_equal_length(self):
+        ls = PseudoLabelSet([], [], [], Origin.SYMBOLIC)
+        assert (ls.src.dtype, ls.tgt.dtype, ls.conf.dtype) == (np.int64, np.int64, np.float64)
+        with pytest.raises(ValueError, match="equal lengths"):
+            PseudoLabelSet([0, 1], [0], [1.0], Origin.OBSERVED)
 
 
 class TestInitModel:
@@ -115,7 +140,7 @@ class TestTrain:
         model = init_model(pair, hp, seed=2)
         positives = observed(*[(s, t, 1.0) for s, t in train_seed.pairs])
         report = train(model, pair, positives)
-        assert report.final < report.first
+        assert report.final < report.epoch_losses[0]
 
     def test_trained_pairs_score_high(self):
         pair, gold = isomorphic_pair(9, n_entities=20, n_relations=3, n_triples=60)
@@ -148,7 +173,7 @@ class TestTrain:
             triple_weight=0.0,
         )
         pair = tiny_pair()
-        pool = [(0, 1, 0.2)]
+        pool = np.array([(0, 1)])
 
         dup = init_model(pair, hp, seed=7)
         rep_dup = train(dup, pair, observed((0, 0, 1.0), (0, 0, 1.0)), negatives_pool=pool)
@@ -229,12 +254,9 @@ class TestTrainMatchesReference:
             has_pool = {s for s, _, _ in pool}
             mixed += len({s in has_pool for s, _, _ in pairs}) == 2
             cut = int(rng.integers(0, len(pairs) + 1))
-            sets = [
-                PseudoLabelSet(pairs=tuple(pairs[:cut]), origin=Origin.OBSERVED),
-                PseudoLabelSet(pairs=tuple(pairs[cut:]), origin=Origin.SYMBOLIC),
-            ]
+            sets = [labels(pairs[:cut], Origin.OBSERVED), labels(pairs[cut:], Origin.SYMBOLIC)]
             weights = {Origin.SYMBOLIC: float(rng.choice([1.0, 0.7]))}
-            assert_trains_like_reference(pair, hp, int(rng.integers(1 << 30)), sets, pool, weights)
+            assert_trains_like_reference(pair, hp, int(rng.integers(1 << 30)), sets, pool_array(pool), weights)
         assert mixed > 20  # positives with and without a pool in one call
 
     @pytest.mark.parametrize("empty_side", ["source", "target"])
@@ -247,7 +269,7 @@ class TestTrainMatchesReference:
             else KnowledgeGraphPair(source=full, target=empty)
         )
         hp = Hyperparams(dim=6, negatives=3, epochs=3, triple_weight=0.5)
-        pool = [(0, 5, 0.2), (0, 7, 0.1), (3, 2, 0.3)]
+        pool = np.array([(0, 5), (0, 7), (3, 2)])
         assert_trains_like_reference(pair, hp, 5, observed((0, 1, 1.0), (2, 2, 0.8), (3, 4, 1.0)), pool)
 
     def test_pools_of_one_to_three_thousand(self, rng):
@@ -264,7 +286,7 @@ class TestTrainMatchesReference:
         pairs.append((11, 0, 1.0))  # no pool
         for fraction in (0.5, 1.0):
             hp = Hyperparams(dim=2, negatives=5, epochs=3, hard_negative_fraction=fraction, triple_weight=0.25)
-            assert_trains_like_reference(pair, hp, 9, observed(*pairs), pool)
+            assert_trains_like_reference(pair, hp, 9, observed(*pairs), pool_array(pool))
 
     def test_one_call_draws_like_choice_loop(self, rng):
         # the identity the trainer's sampler rests on
@@ -423,23 +445,32 @@ class TestTopK:
 
 class TestGreedyMatching:
     def test_second_best_displaced(self):
-        got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (0, 1, 0.8), (1, 1, 0.7)]))
-        assert [(s, t) for s, t, _ in got.pairs] == [(0, 0), (1, 1)]
+        got = greedy_rows([(0, 0, 0.9), (0, 1, 0.8), (1, 1, 0.7)])
+        assert [(s, t) for s, t, _ in got] == [(0, 0), (1, 1)]
 
     def test_loser_shares_target(self):
-        got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (1, 0, 0.8)]))
-        assert [(s, t) for s, t, _ in got.pairs] == [(0, 0)]
+        got = greedy_rows([(0, 0, 0.9), (1, 0, 0.8)])
+        assert [(s, t) for s, t, _ in got] == [(0, 0)]
 
     def test_empty(self):
-        assert greedy_one_to_one(*oracles.offer_columns([])).pairs == ()
+        assert greedy_rows([]) == []
 
     def test_budget(self):
         got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (1, 1, 0.8), (2, 2, 0.7)]), budget=2)
         assert len(got) == 2
 
     def test_tie_broken_by_ids(self):
-        got = greedy_one_to_one(*oracles.offer_columns([(1, 1, 0.5), (0, 0, 0.5), (0, 1, 0.5)]))
-        assert [(s, t) for s, t, _ in got.pairs] == [(0, 0), (1, 1)]
+        got = greedy_rows([(1, 1, 0.5), (0, 0, 0.5), (0, 1, 0.5)])
+        assert [(s, t) for s, t, _ in got] == [(0, 0), (1, 1)]
+
+    def test_positions_index_the_offers(self):
+        # equal offers resolve to the earliest position; a re-scored
+        # duplicate is accepted at its own position
+        offers = [(1, 1, 0.5), (0, 0, 0.5), (0, 0, 0.5), (0, 0, 0.9), (1, 1, 0.5)]
+        got = greedy_one_to_one(*oracles.offer_columns(offers))
+        assert got.dtype == np.int64 and got.tolist() == [3, 0]
+        assert greedy_one_to_one(*oracles.offer_columns(offers[:3])).tolist() == [1, 0]
+        assert greedy_one_to_one(*oracles.offer_columns(offers), budget=1).tolist() == [3]
 
     def test_matching_valid_and_greedy(self, rng):
         for _ in range(50):
@@ -448,19 +479,19 @@ class TestGreedyMatching:
                 (int(rng.integers(8)), int(rng.integers(8)), float(rng.uniform()))
                 for _ in range(n)
             ]
-            got = greedy_one_to_one(*oracles.offer_columns(scored))
-            sources = [s for s, _, _ in got.pairs]
-            targets = [t for _, t, _ in got.pairs]
+            got = greedy_rows(scored)
+            sources = [s for s, _, _ in got]
+            targets = [t for _, t, _ in got]
             assert len(set(sources)) == len(sources)
             assert len(set(targets)) == len(targets)
             # every rejected pair lost an endpoint to a no-later accepted pair
-            accepted = set((s, t) for s, t, _ in got.pairs)
+            accepted = set((s, t) for s, t, _ in got)
             for s, t, v in scored:
                 if (s, t) in accepted:
                     continue
                 assert any(
                     (s2 == s or t2 == t) and (-v2, s2, t2) <= (-v, s, t)
-                    for s2, t2, v2 in got.pairs
+                    for s2, t2, v2 in got
                 )
 
     def test_matches_sorted_reference(self, rng):
@@ -474,17 +505,15 @@ class TestGreedyMatching:
             offers += [offers[int(i)] for i in rng.integers(0, len(offers), size=min(len(offers), 5))]
             offers += [(s, t, 1.0 - v) for s, t, v in offers[:3]]
             budget = None if rng.random() < 0.3 else int(rng.integers(0, 10))
-            got = greedy_one_to_one(*oracles.offer_columns(offers), budget=budget)
-            assert list(got.pairs) == oracles.sorted_greedy(offers, budget=budget)
+            assert greedy_rows(offers, budget=budget) == oracles.sorted_greedy(offers, budget=budget)
 
     def test_edge_cases_match_sorted_reference(self):
         duplicated = [(0, 0, 0.5), (0, 0, 0.5), (1, 0, 0.5), (0, 0, 0.9), (1, 1, 0.5), (1, 1, 0.5)]
         for offers in ([], duplicated):
             for budget in (None, 0, 1, 5):
-                got = greedy_one_to_one(*oracles.offer_columns(offers), budget=budget)
-                assert list(got.pairs) == oracles.sorted_greedy(offers, budget=budget)
-        assert greedy_one_to_one(*oracles.offer_columns(duplicated), budget=0).pairs == ()
-        assert list(greedy_one_to_one(*oracles.offer_columns(duplicated)).pairs) == [(0, 0, 0.9), (1, 1, 0.5)]
+                assert greedy_rows(offers, budget=budget) == oracles.sorted_greedy(offers, budget=budget)
+        assert greedy_rows(duplicated, budget=0) == []
+        assert greedy_rows(duplicated) == [(0, 0, 0.9), (1, 1, 0.5)]
 
 
 class TestCheckpoint:

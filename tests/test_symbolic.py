@@ -525,27 +525,37 @@ class TestRetention:
                 assert _ordered(retain_best(table, rho)) == _ordered(TruthScoreTable(rows=want))
 
 
+def split_rows(split) -> tuple[list[tuple], list[tuple]]:
+    """The positives and the negative pool as (s, t, score) rows; the pool's
+    (s, t) columns are read from ``negative_pairs``."""
+    negative = ~split.positive
+    pool = split.negative_pairs
+    assert pool.dtype == np.int64
+    return (
+        oracles.column_tuples(split.positive_columns),
+        oracles.column_tuples((pool[:, 0], pool[:, 1], split.val[negative])),
+    )
+
+
 class TestExtractPositives:
     def test_split_by_threshold(self):
         table = TruthScoreTable(rows={0: {0: 0.99}, 1: {1: 0.5}})
         split = extract_positive_pairs(table, 0.9)
-        assert split.positives == ((0, 0, 0.99),)
-        assert split.negatives == ((1, 1, 0.5),)
+        assert split_rows(split) == ([(0, 0, 0.99)], [(1, 1, 0.5)])
 
     def test_boundary_strict(self):
         table = TruthScoreTable(rows={0: {0: 0.99}})
         split = extract_positive_pairs(table, 0.99)
-        assert split.positives == ()
-        assert split.negatives == ((0, 0, 0.99),)
+        assert split_rows(split) == ([], [(0, 0, 0.99)])
 
     def test_empty_table(self):
         split = extract_positive_pairs(TruthScoreTable(), 0.9)
-        assert split.positives == () and split.negatives == ()
+        assert split_rows(split) == ([], [])
 
     def test_pinned_excluded(self):
         table = TruthScoreTable(rows={0: {0: 0.95}}, pinned=frozenset({(5, 5)}))
         split = extract_positive_pairs(table, 0.9)
-        assert (5, 5, 1.0) not in split.positives
+        assert (5, 5, 1.0) not in split_rows(split)[0]
 
     def test_delta_validated(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -558,13 +568,11 @@ class TestExtractPositives:
             delta = float(rng.choice([0.25, 0.5, 0.75, 0.9]))
             split = extract_positive_pairs(table, delta)
             positives, negatives = oracles.loop_extract(table.rows, pinned, delta)
-            assert split.positives == tuple(positives)
-            assert split.negatives == tuple(negatives)
-            assert oracles.column_tuples(split.positive_columns) == positives
+            assert split_rows(split) == (positives, negatives)
 
 
 class TestCountedShapes:
-    """The shapes the benchmark tracer counts: table entries and split tuples."""
+    """The shapes the benchmark tracer counts: table entries, split tuples and the pool rows."""
 
     def test_len_counts_entries(self, rng):
         for case in range(50):
@@ -581,6 +589,7 @@ class TestCountedShapes:
             assert list(split.positives) == sorted(split.positives)
             for s, t, v in split.positives:
                 assert type(s) is int and type(t) is int and type(v) is float
+            assert split.negative_pairs.shape == (np.count_nonzero(~split.positive), 2)
 
 
 def _random_table_rows(rng, case: int) -> tuple[dict[int, dict[int, float]], frozenset[tuple[int, int]]]:
