@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import chain, repeat
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -349,13 +350,11 @@ def fuse_predictions(
         neural = emb.greedy_one_to_one(c_src, c_tgt, q, budget=len(rem_src))
         parts.append((c_src[neural], c_tgt[neural], q[neural], Origin.NEURAL))
 
-    # The parts are one-to-one together, so (source, target) orders them fully.
-    srcs, tgts, vals, tags = zip(*parts)
-    origin = np.repeat(np.array(tags, dtype=object), [len(s) for s in srcs])
-    src, tgt, val = np.concatenate(srcs), np.concatenate(tgts), np.concatenate(vals)
-    order = np.lexsort((tgt, src))
-    binary = tuple(zip(*(col[order].tolist() for col in (src, tgt, val, origin))))
-    by_source = dict(zip(src.tolist(), tgt.tolist()))
+    rows = chain.from_iterable(
+        zip(s.tolist(), t.tolist(), v.tolist(), repeat(o)) for s, t, v, o in parts
+    )
+    binary = tuple(sorted(rows))
+    by_source = {s: t for s, t, _, _ in binary}
 
     if rank_sources is None:
         rank_sources = np.flatnonzero(~obs_src).tolist()

@@ -151,14 +151,14 @@ def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _hard_pools(
-    negatives_pool: np.ndarray, src_idx: np.ndarray, n_sources: int
+    pool: np.ndarray, src_idx: np.ndarray, n_sources: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every source's distinct pooled targets, ascending, in one flat array.
 
     Returns that array with each positive's (start, length) slice of it;
     a positive whose source has no pool gets length 0.
     """
-    pairs = np.unique(np.asarray(negatives_pool, dtype=np.int64).reshape(-1, 2), axis=0)
+    pairs = np.unique(pool, axis=0)
     length = np.bincount(pairs[:, 0], minlength=n_sources)
     start = np.cumsum(length) - length
     return pairs[:, 1], start[src_idx], length[src_idx]
@@ -259,14 +259,15 @@ def train(
     model: NeuralModel,
     pair: KnowledgeGraphPair,
     positives: PseudoLabelSet | Sequence[PseudoLabelSet],
-    negatives_pool: np.ndarray = (),
+    negatives_pool: np.ndarray = np.empty((0, 2), dtype=np.int64),
     origin_weights: Mapping[Origin, float] | None = None,
 ) -> TrainReport:
     """Fit the embeddings to the labeled pairs; returns per-epoch losses.
 
     The positives are the rows of the label sets, concatenated in the
     order given.  ``negatives_pool`` holds (source, target) rows, an
-    ``(n, 2)`` int array; repeated rows count once.
+    ``(n, 2)`` int array (any other shape raises ``ValueError``);
+    repeated rows count once.
 
     Two loss families share the margin and the negatives-per-positive
     count k.  For each positive pair (e, e') and each of its k sampled
@@ -294,6 +295,11 @@ def train(
     weights = origin_weights or {}
     if not sum(map(len, sets)):
         raise TrainingError("no positive pairs to train on")
+    pool = np.asarray(negatives_pool, dtype=np.int64)
+    if pool.ndim != 2 or pool.shape[1] != 2:
+        raise ValueError(
+            f"negatives_pool must be (n, 2) rows of (source, target), got shape {pool.shape}"
+        )
     src_idx = np.concatenate([ls.src for ls in sets])
     tgt_idx = np.concatenate([ls.tgt for ls in sets])
     w = np.concatenate([weights.get(ls.origin, 1.0) * ls.conf for ls in sets])
@@ -311,7 +317,7 @@ def train(
 
     # One draw per hard slot of every positive whose source has a pool,
     # in positive order: the same draws as rng.choice(pool, n_hard) per positive.
-    pool_ids, pool_start, pool_len = _hard_pools(negatives_pool, src_idx, len(model.ent_source))
+    pool_ids, pool_start, pool_len = _hard_pools(pool, src_idx, len(model.ent_source))
     hard = np.flatnonzero(pool_len) if n_hard > 0 else np.empty(0, dtype=np.int64)
     hard_start = np.repeat(pool_start[hard], n_hard)
     hard_len = np.repeat(pool_len[hard], n_hard)

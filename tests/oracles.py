@@ -440,7 +440,7 @@ def loop_train(
     model,
     pair: KnowledgeGraphPair,
     positives,
-    negatives_pool=(),
+    negatives_pool=np.empty((0, 2), dtype=np.int64),
     origin_weights=None,
 ) -> TrainReport:
     """The trainer written with one ``np.add.at`` scatter per term family,
@@ -472,7 +472,7 @@ def loop_train(
 
     pools: dict[int, np.ndarray] = {}
     staged: dict[int, set[int]] = {}
-    for s, t in np.asarray(negatives_pool, dtype=np.int64).reshape(-1, 2).tolist():
+    for s, t in np.asarray(negatives_pool, dtype=np.int64).tolist():
         staged.setdefault(s, set()).add(t)
     for s, ts in staged.items():
         pools[s] = np.array(sorted(ts), dtype=np.int64)

@@ -358,7 +358,7 @@ def _norm_cases(rng, n: int) -> str:
         model = init_model(pair, hp, seed=case)
         pairs = [(int(rng.integers(8)), int(rng.integers(8)), 1.0) for _ in range(2)]
         positives = PseudoLabelSet(*oracles.offer_columns(pairs), Origin.OBSERVED)
-        emb.train(model, pair, [positives], negatives_pool=())
+        emb.train(model, pair, [positives])
         for arr in (model.ent_source, model.ent_target):
             norms = np.linalg.norm(arr, axis=1)
             np.testing.assert_allclose(norms, 1.0, atol=1e-6, rtol=0)

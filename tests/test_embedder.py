@@ -124,6 +124,16 @@ class TestTrain:
         with pytest.raises(TrainingError, match="no positive"):
             train(model, pair, observed())
 
+    def test_pool_of_triples_rejected(self):
+        # (s, t, score) rows are not (s, t) rows; reading them as pairs
+        # would train on wrong hard negatives
+        pair = tiny_pair()
+        model = init_model(pair, Hyperparams(dim=4), seed=0)
+        before = model.ent_source.copy()
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            train(model, pair, observed((0, 0, 1.0)), negatives_pool=[(0, 1, 0.2), (1, 0, 0.3)])
+        assert np.array_equal(model.ent_source, before)
+
     def test_zero_negatives_is_inert(self):
         pair = tiny_pair()
         hp = Hyperparams(dim=4, negatives=0, epochs=3)

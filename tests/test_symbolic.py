@@ -569,6 +569,7 @@ class TestExtractPositives:
             split = extract_positive_pairs(table, delta)
             positives, negatives = oracles.loop_extract(table.rows, pinned, delta)
             assert split_rows(split) == (positives, negatives)
+            assert split.positives == tuple(positives)
 
 
 class TestCountedShapes:
