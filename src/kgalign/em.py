@@ -350,10 +350,8 @@ def fuse_predictions(
         neural = emb.greedy_one_to_one(c_src, c_tgt, q, budget=len(rem_src))
         parts.append((c_src[neural], c_tgt[neural], q[neural], Origin.NEURAL))
 
-    rows = chain.from_iterable(
-        zip(s.tolist(), t.tolist(), v.tolist(), repeat(o)) for s, t, v, o in parts
-    )
-    binary = tuple(sorted(rows))
+    rows = (zip(s.tolist(), t.tolist(), v.tolist(), repeat(o)) for s, t, v, o in parts)
+    binary = tuple(sorted(chain.from_iterable(rows)))
     by_source = {s: t for s, t, _, _ in binary}
 
     if rank_sources is None:

@@ -297,9 +297,7 @@ def train(
         raise TrainingError("no positive pairs to train on")
     pool = np.asarray(negatives_pool, dtype=np.int64)
     if pool.ndim != 2 or pool.shape[1] != 2:
-        raise ValueError(
-            f"negatives_pool must be (n, 2) rows of (source, target), got shape {pool.shape}"
-        )
+        raise ValueError(f"negatives_pool must be (n, 2) (source, target) rows, got shape {pool.shape}")
     src_idx = np.concatenate([ls.src for ls in sets])
     tgt_idx = np.concatenate([ls.tgt for ls in sets])
     w = np.concatenate([weights.get(ls.origin, 1.0) * ls.conf for ls in sets])
