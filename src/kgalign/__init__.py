@@ -6,7 +6,6 @@ from .embedder import Hyperparams, NeuralModel, Origin, PseudoLabelSet
 from .explain import AnchorMode, AnchorSet, RuleExplanation, explain
 from .graph import (
     AlignmentSeed,
-    DirectedRelation,
     IngestError,
     KnowledgeGraph,
     KnowledgeGraphPair,
@@ -15,7 +14,6 @@ from .graph import (
 )
 from .metrics import MetricsReport, evaluate_binary, evaluate_ranking
 from .symbolic import (
-    FunctionalityTable,
     SubrelationTable,
     TruthScoreTable,
     compute_functionalities,
@@ -33,10 +31,8 @@ __all__ = [
     "AnchorSet",
     "DatasetBundle",
     "DatasetError",
-    "DirectedRelation",
     "EmConfig",
     "EmState",
-    "FunctionalityTable",
     "FusedPredictions",
     "Hyperparams",
     "IngestError",

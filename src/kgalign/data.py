@@ -186,6 +186,8 @@ def split_seed(
             "train ratio must be positive and valid ratio non-negative, "
             f"got {train_ratio} and {valid_ratio}"
         )
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
     if train_ratio + valid_ratio > 1.0 + 1e-12:
         raise DatasetError("train and validation ratios must sum to at most 1")
     n = len(links)

@@ -27,7 +27,6 @@ from . import embedder as emb
 from .embedder import Hyperparams, NeuralModel, Origin, PseudoLabelSet
 from .graph import AlignmentSeed, KnowledgeGraphPair
 from .symbolic import (
-    FunctionalityTable,
     SubrelationTable,
     ThresholdSplit,
     TruthScoreTable,
@@ -67,6 +66,8 @@ class EmConfig:
             raise ValueError(f"rule length must be >= 1, got {self.rule_length}")
         if not 0.0 < self.retention_rho <= 1.0:
             raise ValueError(f"retention factor must be in (0, 1], got {self.retention_rho}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.top_c < 1:
             raise ValueError(f"top_c must be >= 1, got {self.top_c}")
         if not 0.0 <= self.hidden_weight < math.inf:
@@ -95,8 +96,8 @@ class EmState:
     pair: KnowledgeGraphPair
     train: AlignmentSeed
     validation: AlignmentSeed | None
-    eta_source: FunctionalityTable
-    eta_target: FunctionalityTable
+    eta_source: np.ndarray  # functionalities, by packed directed relation
+    eta_target: np.ndarray
     truth_scores: TruthScoreTable
     psub: SubrelationTable
     model: NeuralModel | None

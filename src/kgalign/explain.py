@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .graph import DirectedRelation, KnowledgeGraph, KnowledgeGraphPair
-from .symbolic import FunctionalityTable, SubrelationTable
+import numpy as np
 
-Path = tuple[tuple[DirectedRelation, int], ...]
+from .graph import KnowledgeGraph, KnowledgeGraphPair
+from .symbolic import SubrelationTable
+
+# A relation path as (packed directed relation, entity reached) steps.
+Path = tuple[tuple[int, int], ...]
 
 
 class AnchorMode(str, Enum):
@@ -101,32 +104,23 @@ def _walks(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, list[Path]]:
 def _reverse(path: Path, query: int) -> Path:
     """Flip a query-to-anchor path into anchor-to-query orientation."""
     nodes = [query] + [entity for _, entity in path]
-    steps = []
-    for k in range(len(path) - 1, -1, -1):
-        rel, _ = path[k]
-        steps.append((rel.flip(), nodes[k]))
-    return tuple(steps)
+    return tuple((path[k][0] ^ 1, nodes[k]) for k in range(len(path) - 1, -1, -1))
 
 
 def path_confidence(
     source_path: Path,
     target_path: Path,
-    eta_source: FunctionalityTable,
-    eta_target: FunctionalityTable,
+    eta_source: np.ndarray,
+    eta_target: np.ndarray,
     psub: SubrelationTable,
 ) -> float:
     """Rule weight of two equal-length anchor-to-query paths."""
     if len(source_path) != len(target_path):
         return 0.0
     w = 1.0
-    for (rel_s, _), (rel_t, _) in zip(source_path, target_path):
-        d, dp = rel_s.packed, rel_t.packed
-        w *= (
-            eta_source.values[d]
-            * eta_target.values[dp]
-            * (psub.source_in_target[d, dp] + psub.target_in_source[dp, d])
-            / 2.0
-        )
+    for (d, _), (dp, _) in zip(source_path, target_path):
+        both_ways = psub.source_in_target[d, dp] + psub.target_in_source[dp, d]
+        w *= eta_source[d] * eta_target[dp] * both_ways / 2.0
     return w
 
 
@@ -134,8 +128,8 @@ def explain(
     pair: KnowledgeGraphPair,
     query: tuple[int, int],
     anchors: AnchorSet,
-    eta_source: FunctionalityTable,
-    eta_target: FunctionalityTable,
+    eta_source: np.ndarray,
+    eta_target: np.ndarray,
     psub: SubrelationTable,
     max_len: int,
     exhaustive: bool = False,
@@ -152,6 +146,8 @@ def explain(
     anchors reachable from the query source are visited; the sort key is
     total, so the result does not depend on the visiting order.
     """
+    if max_len < 1:
+        raise ValueError(f"path length bound must be >= 1, got {max_len}")
     e_q, e_q_prime = query
     if exhaustive:
         src_paths = _walks(pair.source, e_q, max_len)
@@ -188,7 +184,7 @@ def explain(
 def _chain(path: Path, kg: KnowledgeGraph) -> str:
     if not path:
         return "(empty)"
-    return " ∧ ".join(kg.directed_label(rel.packed) for rel, _ in path)
+    return " ∧ ".join(kg.directed_label(d) for d, _ in path)
 
 
 def render_report(

@@ -3,9 +3,10 @@
 Entities and relations are interned to dense integer ids at load time so
 that every downstream table (functionalities, subrelation probabilities,
 truth scores) can be keyed by plain ints.  Each triple (h, r, t) is also
-usable in the reverse direction as (t, r-inverse, h); directed relations
-are represented either as :class:`DirectedRelation` on public surfaces or
-as packed ints (``base * 2 + inverse``) inside the engines.
+usable in the reverse direction as (t, r-inverse, h).  A directed
+relation is one packed int ``d = 2 * base + inverse`` everywhere:
+``d >> 1`` is its base relation, ``d & 1`` its direction (1 = inverse)
+and ``d ^ 1`` the opposite direction.
 """
 
 from __future__ import annotations
@@ -26,26 +27,9 @@ class IngestError(ValueError):
     """Raised when triple or link records cannot be parsed."""
 
 
-class DirectedRelation(NamedTuple):
-    """A base relation id together with a traversal direction."""
-
-    base: int
-    inverse: bool = False
-
-    def flip(self) -> "DirectedRelation":
-        return DirectedRelation(self.base, not self.inverse)
-
-    @property
-    def packed(self) -> int:
-        return self.base * 2 + int(self.inverse)
-
-
 def pack_direction(base: int, inverse: bool) -> int:
+    """The packed directed relation of base relation ``base``, inverse if ``inverse``."""
     return base * 2 + int(inverse)
-
-
-def unpack_direction(packed: int) -> DirectedRelation:
-    return DirectedRelation(packed >> 1, bool(packed & 1))
 
 
 class SeedRole(Enum):
@@ -122,7 +106,6 @@ class KnowledgeGraph:
             rel=rel[order],
             nbr=nbr[order],
         )
-        self._directions = tuple(unpack_direction(d) for d in range(2 * self.n_relations))
 
     @property
     def n_entities(self) -> int:
@@ -154,23 +137,22 @@ class KnowledgeGraph:
         keys.flags.writeable = rel.flags.writeable = False
         return keys, rel
 
-    def neighbors(self, e: int) -> list[tuple[DirectedRelation, int]]:
-        """All directed edges leaving ``e``: out-edges forward, in-edges inverse.
+    def neighbors(self, e: int) -> list[tuple[int, int]]:
+        """All directed edges leaving ``e`` as (packed relation, neighbor) pairs.
 
-        Deterministic order (base relation id, then neighbor id).  Raises
-        ``KeyError`` for an unknown entity id.
+        Out-edges are forward, in-edges inverse, in the CSR's order (base
+        relation, neighbor, direction).  Raises ``KeyError`` for an
+        unknown entity id.
         """
         if not 0 <= e < self.n_entities:
             raise KeyError(f"unknown entity id {e}")
         lo, hi = self.directed_adj.indptr[e : e + 2].tolist()
-        edges = zip(self.directed_adj.rel[lo:hi].tolist(), self.directed_adj.nbr[lo:hi].tolist())
-        return [(self._directions[d], nbr) for d, nbr in edges]
+        return list(zip(self.directed_adj.rel[lo:hi].tolist(), self.directed_adj.nbr[lo:hi].tolist()))
 
     def directed_label(self, packed: int) -> str:
         """Readable token for a packed directed relation, e.g. ``spouse^-1``."""
-        rel = unpack_direction(packed)
-        label = self.relation_labels[rel.base]
-        return f"{label}^-1" if rel.inverse else label
+        label = self.relation_labels[packed >> 1]
+        return f"{label}^-1" if packed & 1 else label
 
     def triple_records(self) -> list[tuple[str, str, str]]:
         """Back-map the triples to label records (round-trip of ingestion)."""

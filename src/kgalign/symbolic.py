@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graph import DirectedRelation, KnowledgeGraph, KnowledgeGraphPair
+from .graph import KnowledgeGraph, KnowledgeGraphPair
 
 logger = logging.getLogger(__name__)
 
@@ -33,38 +33,14 @@ PSUB_EPSILON = 1e-9
 PSUB_MIN_SUPPORT = 1e-6
 
 
-class FunctionalityTable:
-    """Per-directed-relation uniqueness ratios in (0, 1].
+def compute_functionalities(kg: KnowledgeGraph) -> np.ndarray:
+    """Per-directed-relation uniqueness ratios in (0, 1] as a ``(2R,)`` float64 array.
 
-    For a base relation r, the forward entry is (distinct heads) /
-    (distinct head-tail pairs) and the inverse entry (distinct tails) /
-    (distinct head-tail pairs).  Relations without triples carry 0 and are
-    reported as absent.
+    Indexed by packed directed relation: for a base relation r, the forward
+    entry is (distinct heads) / (distinct head-tail pairs) and the inverse
+    entry (distinct tails) / (distinct head-tail pairs).  Relations without
+    triples carry 0.
     """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values  # indexed by packed directed relation id
-
-    def __contains__(self, rel: DirectedRelation) -> bool:
-        return self.values[rel.packed] > 0.0
-
-    @property
-    def reverse_values(self) -> np.ndarray:
-        """Values re-indexed so position d holds eta(flip(d)).
-
-        A directed triple (e, d, e_t) supports e's alignment in proportion
-        to how uniquely the neighbor e_t determines e, which is the
-        functionality of the opposite direction; the sweeps index this
-        view directly by the traversed direction.
-        """
-        flipped = np.empty_like(self.values)
-        flipped[0::2] = self.values[1::2]
-        flipped[1::2] = self.values[0::2]
-        return flipped
-
-
-def compute_functionalities(kg: KnowledgeGraph) -> FunctionalityTable:
-    """Count distinct endpoints per relation to get both directed ratios."""
     h, r, t = kg.triple_columns
     n_rel = kg.n_relations
     pairs = np.bincount(r, minlength=n_rel)  # triples are deduplicated: distinct (h, t)
@@ -74,7 +50,7 @@ def compute_functionalities(kg: KnowledgeGraph) -> FunctionalityTable:
     has = pairs > 0
     values[0::2][has] = heads[has] / pairs[has]
     values[1::2][has] = tails[has] / pairs[has]
-    return FunctionalityTable(values)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +213,8 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def propagate_entity_scores(
     pair: KnowledgeGraphPair,
-    eta_source: FunctionalityTable,
-    eta_target: FunctionalityTable,
+    eta_source: np.ndarray,
+    eta_target: np.ndarray,
     psub: SubrelationTable,
     prev: TruthScoreTable,
 ) -> TruthScoreTable:
@@ -265,10 +241,11 @@ def propagate_entity_scores(
     adj_t = pair.target.directed_adj
     n_rel_t = 2 * pair.target.n_relations
     # A term's two evidence strengths are w_fwd[d, d2] * v and w_bwd[d, d2] * v,
-    # the very products (eta(d) * p_sub(d in d2)) * v and (eta(d2) * p_sub(d2 in d)) * v;
-    # eta is indexed by traversed direction.
-    w_fwd = (eta_source.reverse_values[:, None] * psub.source_in_target).ravel()
-    w_bwd = (eta_target.reverse_values[:, None] * psub.target_in_source).T.ravel()
+    # the very products (eta(d) * p_sub(d in d2)) * v and (eta(d2) * p_sub(d2 in d)) * v,
+    # with eta(d) read at d ^ 1: a directed triple (e, d, e_t) supports e in proportion
+    # to how uniquely e_t determines e, the functionality of the opposite direction.
+    w_fwd = (eta_source[np.arange(len(eta_source)) ^ 1][:, None] * psub.source_in_target).ravel()
+    w_bwd = (eta_target[np.arange(len(eta_target)) ^ 1][:, None] * psub.target_in_source).T.ravel()
     weighted = (w_fwd != 0.0) | (w_bwd != 0.0)
     src_rel = adj_s.rel * n_rel_t
     tgt_rel = adj_t.rel ^ 1  # directed triple (e2, d2, e_t2)
@@ -347,8 +324,8 @@ def retain_best(table: TruthScoreTable, rho: float = 1.0) -> TruthScoreTable:
 
 def run_symbolic_inference(
     pair: KnowledgeGraphPair,
-    eta_source: FunctionalityTable,
-    eta_target: FunctionalityTable,
+    eta_source: np.ndarray,
+    eta_target: np.ndarray,
     psub: SubrelationTable,
     seeds: TruthScoreTable,
     sweeps: int,

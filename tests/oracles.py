@@ -71,7 +71,7 @@ def uniqueness_eta(kg: KnowledgeGraph, d: int) -> float:
     (u, d, v) nearly determines u, so sharing an aligned v is strong
     evidence for aligning u.  The engine's table stores the ratio of
     distinct first endpoints at index d, so this equals
-    ``FunctionalityTable.values[d ^ 1]``.
+    ``compute_functionalities(kg)[d ^ 1]``.
     """
     return brute_functionality(kg, d)
 
@@ -122,8 +122,8 @@ def brute_propagate(
 
 def loop_propagate(
     pair: KnowledgeGraphPair,
-    eta_source_rev,
-    eta_target_rev,
+    eta_source,
+    eta_target,
     sub: dict[tuple[int, int], float],
     sup: dict[tuple[int, int], float],
     prev_rows: dict[int, dict[int, float]],
@@ -134,27 +134,24 @@ def loop_propagate(
     order, then each scored counterpart row of the neighbor in dict
     order, then the counterpart's adjacency, multiplying each candidate's
     miss product term by term.  Rows list counterparts by first
-    supporting term.  ``eta_*_rev`` are indexed by traversed direction
-    (``FunctionalityTable.reverse_values``).  The array sweep must match
-    this bit for bit, including row and key order.
+    supporting term.  ``eta_*`` are the functionality arrays, read at the
+    flipped direction ``d ^ 1`` of each traversed direction d.  The array
+    sweep must match this bit for bit, including row and key order.
     """
-
-    def adjacency(kg: KnowledgeGraph, e: int) -> list[tuple[int, int]]:
-        return [(rel.packed, nbr) for rel, nbr in kg.neighbors(e)]
 
     out: dict[int, dict[int, float]] = {}
     for e in range(pair.source.n_entities):
         survivors: dict[int, float] = {}
-        for d, e_t in adjacency(pair.source, e):
+        for d, e_t in pair.source.neighbors(e):
             row = prev_rows.get(e_t)
             if not row:
                 continue
-            eta_d = eta_source_rev[d]
+            eta_d = eta_source[d ^ 1]
             for e_t2, v in row.items():
-                for d2_raw, e2 in adjacency(pair.target, e_t2):
+                for d2_raw, e2 in pair.target.neighbors(e_t2):
                     d2 = d2_raw ^ 1  # directed triple (e2, d2, e_t2)
                     s_fwd = eta_d * sub.get((d, d2), 0.0) * v
-                    s_bwd = eta_target_rev[d2] * sup.get((d2, d), 0.0) * v
+                    s_bwd = eta_target[d2 ^ 1] * sup.get((d2, d), 0.0) * v
                     if s_fwd == 0.0 and s_bwd == 0.0:
                         continue
                     acc = survivors.get(e2, 1.0)

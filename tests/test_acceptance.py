@@ -85,7 +85,7 @@ def test_symbolic_oracle_equivalence(capsys):
         for kg in (pair.source, pair.target):
             eta = compute_functionalities(kg)
             for d, value in oracles.brute_functionalities(kg).items():
-                worst = max(worst, abs(eta.reverse_values[d] - value))
+                worst = max(worst, abs(eta[d ^ 1] - value))
 
         est = update_subrelation_probs(pair, prev)
         exp_fwd, exp_bwd = oracles.brute_subrelation(pair, labels)
@@ -197,12 +197,8 @@ def test_long_rule_realization(capsys):
                 )
                 assert found, f"inferred pair ({s},{t}) has no explanation"
                 for ex in found:
-                    src_chain = [
-                        rel.flip().packed for rel, _ in reversed(ex.source_path)
-                    ]
-                    tgt_chain = [
-                        rel.flip().packed for rel, _ in reversed(ex.target_path)
-                    ]
+                    src_chain = [d ^ 1 for d, _ in reversed(ex.source_path)]
+                    tgt_chain = [d ^ 1 for d, _ in reversed(ex.target_path)]
                     recomputed = oracles.rule_confidence(
                         pair,
                         src_chain,
@@ -283,8 +279,8 @@ def _loop_reference_cases(rng, n: int) -> str:
         looped = TruthScoreTable(
             rows=oracles.loop_propagate(
                 pair,
-                compute_functionalities(pair.source).reverse_values,
-                compute_functionalities(pair.target).reverse_values,
+                compute_functionalities(pair.source),
+                compute_functionalities(pair.target),
                 *psub_dicts(psub),
                 prev.rows,
             ),

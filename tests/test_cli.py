@@ -142,6 +142,7 @@ class TestAlign:
             "train_ratio=nan",
             "train_ratio=abc",
             "valid_ratio=inf",
+            "seed=-1",
         ],
     )
     def test_bad_config_value_fails(self, dataset_dir, tmp_path, capsys, line):
@@ -186,6 +187,12 @@ class TestAlign:
         )
         assert rc == 2
         assert "delta" in capsys.readouterr().err
+
+    def test_negative_seed_fails(self, dataset_dir, tmp_path, capsys):
+        rc = main(["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--seed=-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +256,26 @@ class TestExplain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: --top must be >= 1, got {top}"]
+
+    @pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]])
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_bad_rule_length_fails(self, dataset_dir, run_dir, capsys, exhaustive, length):
+        rc = main(
+            [
+                "explain",
+                str(dataset_dir),
+                "--pairs",
+                str(dataset_dir / "query_pairs"),
+                "--state",
+                str(run_dir),
+                f"--rule-length={length}",
+                *exhaustive,
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: path length bound must be >= 1, got {length}"]
 
     @pytest.mark.parametrize(
         "name, value",
@@ -390,6 +417,12 @@ class TestSplit:
         )
         assert rc == 2
         assert "--ratios" in capsys.readouterr().err
+
+    def test_negative_seed_fails(self, dataset_dir, tmp_path, capsys):
+        rc = main(["split", str(dataset_dir / "ent_links"), "--seed=-1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not (tmp_path / "x").exists()
 
 
 DUMP_FAULTS = (

@@ -278,6 +278,10 @@ class TestSplitSeed:
         with pytest.raises(DatasetError, match="at most 1"):
             split_seed([(i, i) for i in range(10)], 0.8, 0.4, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="seed must be >= 0, got -1"):
+            split_seed([(i, i) for i in range(10)], 0.5, 0.1, seed=-1)
+
     def test_nonpositive_train_rejected(self):
         with pytest.raises(DatasetError, match="train ratio"):
             split_seed([(0, 0)], 0.0, 0.0, seed=0)

@@ -66,6 +66,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="dimension"):
             EmConfig(neural=Hyperparams(dim=1)).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            EmConfig(seed=-1).validate()
+
 
 class TestInitState:
     def test_seeds_pinned(self):
@@ -334,8 +338,8 @@ class TestFusion:
 def _loop_sweep(pair, eta_source, eta_target, psub, prev):
     rows = oracles.loop_propagate(
         pair,
-        eta_source.reverse_values,
-        eta_target.reverse_values,
+        eta_source,
+        eta_target,
         *psub_dicts(psub),
         prev.rows,
     )

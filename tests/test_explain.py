@@ -15,19 +15,19 @@ from kgalign.explain import (
     render_report,
     soft_anchors,
 )
-from kgalign.graph import DirectedRelation, KnowledgeGraphPair, load_graph
-from kgalign.symbolic import FunctionalityTable, compute_functionalities
+from kgalign.graph import KnowledgeGraphPair, load_graph, pack_direction
+from kgalign.symbolic import compute_functionalities
 
 import oracles
 from conftest import matched_psub, psub_dicts, random_pair, random_psub
 
 
-def fwd(r: int) -> DirectedRelation:
-    return DirectedRelation(r, False)
+def fwd(r: int) -> int:
+    return pack_direction(r, False)
 
 
-def inv(r: int) -> DirectedRelation:
-    return DirectedRelation(r, True)
+def inv(r: int) -> int:
+    return pack_direction(r, True)
 
 
 class TestBfsReachable:
@@ -136,7 +136,7 @@ class TestPathConfidence:
     def test_length_mismatch_zero(self):
         path_one = ((fwd(0), 1),)
         path_two = ((fwd(0), 1), (fwd(0), 2))
-        eta = FunctionalityTable(np.ones(2))
+        eta = np.ones(2)
         psub = matched_psub(load_graph([("a", "r", "b")]), load_graph([("x", "r'", "y")]), {0: 0})
         assert path_confidence(path_one, path_two, eta, eta, psub) == 0.0
 
@@ -209,6 +209,43 @@ class TestExplain:
             assert keys == sorted(keys)
             assert all(ex.confidence > 0.0 for ex in got)
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_order_matches_base_direction_tuples(self, rng, exhaustive):
+        # packed ids sort as the (base, inverse) pairs they encode
+        def steps(path):
+            return [(d >> 1, d & 1, e) for d, e in path]
+
+        def order(ex):
+            return -ex.confidence, ex.anchor, steps(ex.source_path), steps(ex.target_path)
+
+        ranked = 0
+        for _ in range(30):
+            pair = random_pair(rng, n_entities=8, n_relations=3, n_triples=18)
+            psub = random_psub(rng, pair, density=0.8)
+            query = (int(rng.integers(8)), int(rng.integers(8)))
+            anchors = hard_anchors([(i, (i + 1) % 8) for i in range(8) if i != query[0]])
+            got = explain(
+                pair,
+                query,
+                anchors,
+                compute_functionalities(pair.source),
+                compute_functionalities(pair.target),
+                psub,
+                max_len=2,
+                exhaustive=exhaustive,
+            )
+            assert got == sorted(got, key=order)
+            ranked += len(got) > 1
+        assert ranked > 0
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_bad_bound_rejected(self, exhaustive, max_len):
+        pair, psub = hop_fixture(1)
+        eta_s, eta_t = compute_functionalities(pair.source), compute_functionalities(pair.target)
+        with pytest.raises(ValueError, match="path length bound must be >= 1"):
+            explain(pair, (0, 0), hard_anchors([(1, 1)]), eta_s, eta_t, psub, max_len, exhaustive)
+
     def test_confidence_recomputable_from_chains(self, rng):
         # flipping a stored anchor-to-query path back into query order
         # must reproduce the confidence through the dense rule oracle
@@ -226,8 +263,8 @@ class TestExplain:
                 max_len=2,
             )
             for ex in got:
-                src_chain = [rel.flip().packed for rel, _ in reversed(ex.source_path)]
-                tgt_chain = [rel.flip().packed for rel, _ in reversed(ex.target_path)]
+                src_chain = [d ^ 1 for d, _ in reversed(ex.source_path)]
+                tgt_chain = [d ^ 1 for d, _ in reversed(ex.target_path)]
                 expected = oracles.rule_confidence(
                     pair,
                     src_chain,

@@ -7,7 +7,6 @@ import pytest
 
 from kgalign.graph import (
     AlignmentSeed,
-    DirectedRelation,
     IngestError,
     KnowledgeGraph,
     KnowledgeGraphPair,
@@ -15,7 +14,6 @@ from kgalign.graph import (
     check_key_space,
     load_graph,
     pack_direction,
-    unpack_direction,
     validate_seed_sets,
 )
 
@@ -36,8 +34,8 @@ class TestLoadGraph:
         s, c = kg.relation_ids["s"], kg.entity_ids["c"]
         r, a = kg.relation_ids["r"], kg.entity_ids["a"]
         edges = kg.neighbors(b)
-        assert [(rel.base, nbr) for rel, nbr in edges if not rel.inverse] == [(s, c)]
-        assert [(rel.base, nbr) for rel, nbr in edges if rel.inverse] == [(r, a)]
+        assert [(d >> 1, nbr) for d, nbr in edges if not d & 1] == [(s, c)]
+        assert [(d >> 1, nbr) for d, nbr in edges if d & 1] == [(r, a)]
 
     def test_triple_columns_read_only_in_triple_order(self, rng):
         kg = random_graph(rng, 10, 3, 25)
@@ -68,7 +66,7 @@ class TestLoadGraph:
     def test_self_loops_kept(self):
         kg = load_graph([("a", "r", "a")])
         assert kg.n_triples == 1
-        assert kg.neighbors(0) == [(DirectedRelation(0, False), 0), (DirectedRelation(0, True), 0)]
+        assert kg.neighbors(0) == [(pack_direction(0, False), 0), (pack_direction(0, True), 0)]
 
 
 def assert_index_matches_loop(kg: KnowledgeGraph, triples) -> None:
@@ -128,19 +126,16 @@ class TestKeySpace:
 class TestNeighbors:
     def test_forward_edge(self):
         kg = load_graph([("a", "r", "b")])
-        assert kg.neighbors(kg.entity_ids["a"]) == [(DirectedRelation(0, False), kg.entity_ids["b"])]
+        assert kg.neighbors(kg.entity_ids["a"]) == [(pack_direction(0, False), kg.entity_ids["b"])]
 
     def test_inverse_edge(self):
         kg = load_graph([("a", "r", "b")])
-        assert kg.neighbors(kg.entity_ids["b"]) == [(DirectedRelation(0, True), kg.entity_ids["a"])]
+        assert kg.neighbors(kg.entity_ids["b"]) == [(pack_direction(0, True), kg.entity_ids["a"])]
 
     def test_two_inverse_edges_ordered(self):
         kg = load_graph([("a", "r", "b"), ("c", "r", "b")])
         a, b, c = (kg.entity_ids[x] for x in "abc")
-        assert kg.neighbors(b) == [
-            (DirectedRelation(0, True), a),
-            (DirectedRelation(0, True), c),
-        ]
+        assert kg.neighbors(b) == [(pack_direction(0, True), a), (pack_direction(0, True), c)]
 
     def test_unknown_entity(self):
         kg = load_graph([("a", "r", "b")])
@@ -156,19 +151,20 @@ class TestNeighbors:
                 assert len(kg.neighbors(e)) == out_deg + in_deg
 
 
-class TestDirectedRelation:
+class TestPackedDirection:
     def test_flip_involution(self):
-        d = DirectedRelation(3, False)
-        assert d.flip().flip() == d
-        assert d.flip().inverse
+        d = pack_direction(3, False)
+        assert d ^ 1 ^ 1 == d
+        assert (d ^ 1) >> 1 == 3 and (d ^ 1) & 1 == 1
 
     def test_pack_unpack_roundtrip(self, rng):
-        for _ in range(200):
-            base = int(rng.integers(0, 500))
-            inv = bool(rng.integers(0, 2))
+        tuples = [(int(rng.integers(0, 500)), bool(rng.integers(0, 2))) for _ in range(200)]
+        for base, inv in tuples:
             packed = pack_direction(base, inv)
-            assert unpack_direction(packed) == DirectedRelation(base, inv)
-            assert unpack_direction(packed ^ 1) == DirectedRelation(base, not inv)
+            assert (packed >> 1, bool(packed & 1)) == (base, inv)
+            assert ((packed ^ 1) >> 1, bool((packed ^ 1) & 1)) == (base, not inv)
+        # Packed ids sort as the (base, inverse) pairs they encode.
+        assert sorted(tuples, key=lambda bi: pack_direction(*bi)) == sorted(tuples)
 
     def test_directed_label(self):
         kg = load_graph([("a", "spouse", "b")])
@@ -248,5 +244,5 @@ class TestEdgeRelations:
                 assert len(keys) == len(rel) == 2 * kg.n_triples
                 for u in range(kg.n_entities):
                     for v in range(kg.n_entities):
-                        expected = sorted(d.packed for d, nbr in kg.neighbors(u) if nbr == v)
+                        expected = sorted(d for d, nbr in kg.neighbors(u) if nbr == v)
                         assert _listed_relations(pair, side, u, v) == expected

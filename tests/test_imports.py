@@ -1,5 +1,5 @@
 """scipy loads with the first training call and never before it: not on ingest,
-not for a symbolic-only run."""
+not for a symbolic-only run.  Every exported name resolves."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import kgalign
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,3 +59,9 @@ def scipy_loaded_after_run(symbolic_only: bool) -> bool:
 @pytest.mark.parametrize("symbolic_only, loaded", [(True, False), (False, True)])
 def test_scipy_loads_only_for_training(symbolic_only, loaded):
     assert scipy_loaded_after_run(symbolic_only) is loaded
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in kgalign.__all__ if not hasattr(kgalign, name)]
+    assert missing == []
+    assert len(set(kgalign.__all__)) == len(kgalign.__all__)

@@ -8,7 +8,6 @@ import pytest
 from kgalign import symbolic
 from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair, load_graph, pack_direction
 from kgalign.symbolic import (
-    FunctionalityTable,
     TruthScoreTable,
     compute_functionalities,
     extract_positive_pairs,
@@ -38,25 +37,26 @@ class TestFunctionalities:
     def test_single_triple_both_one(self):
         kg = load_graph([("a", "r", "x")])
         eta = compute_functionalities(kg)
-        assert eta.values[pack_direction(0, False)] == 1.0
-        assert eta.values[pack_direction(0, True)] == 1.0
+        assert eta[pack_direction(0, False)] == 1.0
+        assert eta[pack_direction(0, True)] == 1.0
 
     def test_two_distinct_tails_over_three(self):
         kg = load_graph([("a", "r", "x"), ("b", "r", "x"), ("c", "r", "y")])
         eta = compute_functionalities(kg)
-        assert eta.values[pack_direction(0, True)] == pytest.approx(2 / 3, abs=0)
+        assert eta[pack_direction(0, True)] == pytest.approx(2 / 3, abs=0)
 
     def test_one_head_two_pairs(self):
         kg = load_graph([("a", "r", "x"), ("a", "r", "y")])
         eta = compute_functionalities(kg)
-        assert eta.values[pack_direction(0, False)] == 0.5
+        assert eta[pack_direction(0, False)] == 0.5
 
     def test_absent_without_triples(self):
         kg = load_graph([("a", "r", "x")])
         eta = compute_functionalities(kg)
-        from kgalign.graph import DirectedRelation
-
-        assert DirectedRelation(0, False) in eta
+        assert eta[pack_direction(0, False)] > 0.0 and eta[pack_direction(0, True)] > 0.0
+        unused = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1)])
+        eta = compute_functionalities(unused)
+        assert eta[pack_direction(1, False)] == eta[pack_direction(1, True)] == 0.0
 
     def test_matches_brute_force(self, rng):
         # the table stores distinct-first-endpoint ratios at index d, so
@@ -66,25 +66,24 @@ class TestFunctionalities:
             eta = compute_functionalities(kg)
             brute = oracles.brute_functionalities(kg)
             for d, expected in brute.items():
-                np.testing.assert_allclose(eta.values[d ^ 1], expected, rtol=0, atol=0)
-                np.testing.assert_allclose(eta.reverse_values[d], expected, rtol=0, atol=0)
+                np.testing.assert_allclose(eta[d ^ 1], expected, rtol=0, atol=0)
 
     def test_matches_loop_reference(self, rng):
         # integer ratios, so the counts must give exactly the set loop's values
         for _ in range(200):
             kg = load_graph(_random_records(rng))
-            assert np.array_equal(compute_functionalities(kg).values, oracles.loop_functionalities(kg))
+            assert np.array_equal(compute_functionalities(kg), oracles.loop_functionalities(kg))
         # a relation without triples stays 0 on both sides
         kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1), (1, 0, 0)])
-        values = compute_functionalities(kg).values
+        values = compute_functionalities(kg)
         assert np.array_equal(values, oracles.loop_functionalities(kg))
-        assert values.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert values.dtype == np.float64 and values.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_bounds_invariant(self, rng):
         for _ in range(60):
             kg = load_graph(_random_records(rng))
             eta = compute_functionalities(kg)
-            present = eta.values[eta.values > 0]
+            present = eta[eta > 0]
             assert np.all(present <= 1.0)
             assert np.all(present > 0.0)
 
@@ -110,8 +109,8 @@ class TestPropagate:
 
     def test_perfect_evidence(self):
         pair = self._single_evidence_pair()
-        eta_one_s = FunctionalityTable(np.ones(2))
-        eta_one_t = FunctionalityTable(np.ones(2))
+        eta_one_s = np.ones(2)
+        eta_one_t = np.ones(2)
         psub = matched_psub(pair.source, pair.target, {0: 0}, 1.0)
         prev = TruthScoreTable.from_seeds([(1, 1)])
         out = propagate_entity_scores(pair, eta_one_s, eta_one_t, psub, prev)
@@ -119,10 +118,10 @@ class TestPropagate:
 
     def test_partial_evidence_single(self):
         pair = self._single_evidence_pair()
-        eta_half = FunctionalityTable(np.full(2, 0.5))
+        eta_half = np.full(2, 0.5)
         psub = matched_psub(pair.source, pair.target, {0: 0}, 0.8)
         prev = TruthScoreTable.from_seeds([(1, 1)])
-        out = propagate_entity_scores(pair, eta_half, FunctionalityTable(np.full(2, 0.5)), psub, prev)
+        out = propagate_entity_scores(pair, eta_half, np.full(2, 0.5), psub, prev)
         # 1 - (1 - 0.4)(1 - 0.4)
         assert out.score(0, 0) == pytest.approx(0.64, abs=1e-15)
 
@@ -130,8 +129,8 @@ class TestPropagate:
         src = load_graph([("e", "r", "n1"), ("e", "s", "n2")])
         tgt = load_graph([("e'", "r'", "n1'"), ("e'", "s'", "n2'")])
         pair = KnowledgeGraphPair(source=src, target=tgt)
-        eta_s = FunctionalityTable(np.full(4, 0.5))
-        eta_t = FunctionalityTable(np.full(4, 0.5))
+        eta_s = np.full(4, 0.5)
+        eta_t = np.full(4, 0.5)
         psub = matched_psub(src, tgt, {0: 0, 1: 1}, 0.8)
         prev = TruthScoreTable.from_seeds([(1, 1), (2, 2)])
         out = propagate_entity_scores(pair, eta_s, eta_t, psub, prev)
@@ -139,7 +138,7 @@ class TestPropagate:
 
     def test_no_evidence_not_stored(self):
         pair = self._single_evidence_pair()
-        eta = FunctionalityTable(np.ones(2))
+        eta = np.ones(2)
         psub = psub_table(pair.source, pair.target, {}, {})
         prev = TruthScoreTable.from_seeds([(1, 1)])
         out = propagate_entity_scores(pair, eta, eta, psub, prev)
@@ -269,8 +268,8 @@ def _assert_matches_loop(pair, psub, prev: TruthScoreTable) -> TruthScoreTable:
     got = propagate_entity_scores(pair, eta_s, eta_t, psub, prev)
     rows = oracles.loop_propagate(
         pair,
-        eta_s.reverse_values,
-        eta_t.reverse_values,
+        eta_s,
+        eta_t,
         *psub_dicts(psub),
         prev.rows,
     )
