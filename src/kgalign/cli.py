@@ -48,26 +48,24 @@ def _coerce(key: str, value: str, owner: type) -> object:
     raise data.DatasetError(f"unknown config key {key!r}")
 
 
-def _build_config(args: argparse.Namespace) -> em.EmConfig:
-    """Defaults, overridden by the config file, overridden by CLI flags."""
+def _build_config(args: argparse.Namespace, file_items: dict[str, str]) -> em.EmConfig:
+    """Defaults, overridden by the config file's items, overridden by CLI flags."""
     config = em.EmConfig()
-    if getattr(args, "config", None):
-        file_items = data.read_config_file(args.config)
-        neural_kwargs = {}
-        for key, value in file_items.items():
-            if key.startswith("neural."):
-                name = key[len("neural.") :]
-                if name not in {f.name for f in fields(Hyperparams)}:
-                    raise data.DatasetError(f"unknown config key {key!r}")
-                neural_kwargs[name] = _coerce(key, value, Hyperparams)
-            elif key in ("train_ratio", "valid_ratio"):
-                continue  # split settings, handled by the caller
-            elif key in {f.name for f in fields(em.EmConfig)}:
-                setattr(config, key, _coerce(key, value, em.EmConfig))
-            else:
+    neural_kwargs = {}
+    for key, value in file_items.items():
+        if key.startswith("neural."):
+            name = key[len("neural.") :]
+            if name not in {f.name for f in fields(Hyperparams)}:
                 raise data.DatasetError(f"unknown config key {key!r}")
-        if neural_kwargs:
-            config.neural = replace(config.neural, **neural_kwargs)
+            neural_kwargs[name] = _coerce(key, value, Hyperparams)
+        elif key in ("train_ratio", "valid_ratio"):
+            continue  # split settings, handled by the caller
+        elif key in {f.name for f in fields(em.EmConfig)}:
+            setattr(config, key, _coerce(key, value, em.EmConfig))
+        else:
+            raise data.DatasetError(f"unknown config key {key!r}")
+    if neural_kwargs:
+        config.neural = replace(config.neural, **neural_kwargs)
     for flag in ("delta", "iterations", "rule_length", "seed"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -146,7 +144,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     bundle = data.load_dataset(args.dataset)
     file_items = data.read_config_file(args.config) if args.config else {}
     train_ratio, valid_ratio = _split_ratios(args, file_items)
-    config = _build_config(args)
+    config = _build_config(args, file_items)
 
     train, valid, test = data.split_seed(bundle.links, train_ratio, valid_ratio, config.seed)
     logger.info(
@@ -254,6 +252,8 @@ def _lookup_pair(pair: KnowledgeGraphPair, s_label: str, t_label: str) -> tuple[
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.top is not None and args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
+    if args.rule_length < 1:
+        raise ValueError(f"path length bound must be >= 1, got {args.rule_length}")
     bundle = data.load_dataset(args.dataset)
     state_dir = Path(args.state)
     psub = _load_state_tables(state_dir, bundle.pair)

@@ -121,7 +121,7 @@ def init_state(
     """
     config.validate()
     truth = TruthScoreTable.from_seeds(train.pairs)
-    psub = update_subrelation_probs(pair, truth)
+    psub = update_subrelation_probs(pair, truth.src, truth.tgt, truth.val)
     model = None
     if not config.symbolic_only:
         model = emb.init_model(pair, config.neural, config.seed)
@@ -234,8 +234,8 @@ def m_step(state: EmState, config: EmConfig) -> EmState:
     budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
     pseudo = emb.greedy_one_to_one(src, tgt, q, budget=budget)
 
-    labels = _label_table(state, src[pseudo], tgt[pseudo], q[pseudo])
-    state.psub = update_subrelation_probs(state.pair, labels)
+    labels = _with_observed(state, src[pseudo], tgt[pseudo], q[pseudo])
+    state.psub = update_subrelation_probs(state.pair, *labels)
     return state
 
 
@@ -247,15 +247,17 @@ def _m_step_symbolic(state: EmState, config: EmConfig) -> EmState:
     unlabeled = int(np.count_nonzero(~obs_src))
     budget = config.pseudo_budget if config.pseudo_budget is not None else unlabeled
     matched = emb.greedy_one_to_one(*offers, budget=budget)
-    labels = _label_table(state, *(col[matched] for col in offers))
-    state.psub = update_subrelation_probs(state.pair, labels)
+    labels = _with_observed(state, *(col[matched] for col in offers))
+    state.psub = update_subrelation_probs(state.pair, *labels)
     return state
 
 
-def _label_table(state: EmState, src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> TruthScoreTable:
-    """The observed pairs at 1, then the pseudo-labels (src, tgt, val)."""
+def _with_observed(
+    state: EmState, src: np.ndarray, tgt: np.ndarray, val: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label columns: the observed pairs at 1, then the pseudo-labels (src, tgt, val)."""
     obs = _train_pairs(state)
-    return TruthScoreTable.from_arrays(
+    return (
         np.concatenate([obs[:, 0], src]),
         np.concatenate([obs[:, 1], tgt]),
         np.concatenate([np.ones(len(obs)), val]),

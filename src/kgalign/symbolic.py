@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -78,11 +78,6 @@ def _pair_keys(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return (src << 32) | tgt
 
 
-def _seed_keys(pinned: frozenset[tuple[int, int]]) -> np.ndarray:
-    """The pinned pairs' keys, sorted."""
-    return np.unique(np.fromiter((s << 32 | t for s, t in pinned), np.int64, len(pinned)))
-
-
 def _lookup(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each key in the sorted ``table`` and whether it is there."""
     if not len(table):
@@ -91,97 +86,55 @@ def _lookup(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, table[np.minimum(at, len(table) - 1)] == keys
 
 
+@dataclass(frozen=True, eq=False)
 class TruthScoreTable:
     """Sparse (source entity, target entity) -> alignment probability table.
 
-    The entries are three arrays grouped by row: ``src`` is
+    The constructor requires row-grouped entries: ``src`` is
     non-decreasing, so each source entity's counterparts form one run of
-    ``tgt`` and ``val``.  Within a row, entries keep the order they were
-    made in: a sweep lists counterparts by first supporting term, then
-    every pinned pair it did not emit, by ascending target; a table built
-    from ``rows`` keeps each row's dict order.  Retention keeps that
-    order, and the next sweep multiplies in it, so the within-row order
-    is part of the bit-for-bit result.
+    ``tgt`` and ``val``, and no pair repeats.  Within a row, entries keep
+    the order they are given in; a sweep lists counterparts by first
+    supporting term.  Retention keeps that order, and the next sweep
+    multiplies in it, so the within-row order is part of the bit-for-bit
+    result.
 
-    Observed seed pairs are pinned: they always score exactly 1 and no
-    sweep or retention pass may alter or drop them.
+    ``pin_keys`` holds the observed seed pairs as sorted ``s << 32 | t``
+    keys.  Pinned pairs always score exactly 1 and no sweep or retention
+    pass may alter or drop them: the constructor sets pinned entries to 1
+    and appends each missing pin at the end of its row, pins by ascending
+    target.
     """
 
-    def __init__(
-        self,
-        rows: Mapping[int, Mapping[int, float]] | None = None,
-        pinned: frozenset[tuple[int, int]] = frozenset(),
-    ):
-        rows = rows if rows is not None else {}
-        sources = sorted(rows)
-        src = np.repeat(np.array(sources, dtype=np.int64), [len(rows[s]) for s in sources])
-        tgt = np.fromiter((t for s in sources for t in rows[s]), np.int64, len(src))
-        val = np.fromiter((v for s in sources for v in rows[s].values()), np.float64, len(src))
-        self._hold(pinned, _seed_keys(pinned), src, tgt, val)
+    src: np.ndarray
+    tgt: np.ndarray
+    val: np.ndarray
+    pin_keys: np.ndarray
 
-    @classmethod
-    def from_seeds(cls, pairs: Iterable[tuple[int, int]]) -> "TruthScoreTable":
-        return cls(pinned=frozenset(pairs))
-
-    @classmethod
-    def from_arrays(
-        cls,
-        src: np.ndarray,
-        tgt: np.ndarray,
-        val: np.ndarray,
-        pinned: frozenset[tuple[int, int]] = frozenset(),
-    ) -> "TruthScoreTable":
-        """Table of distinct (src, tgt) pairs, each row in the order given."""
-        order = np.argsort(src, kind="stable")
-        out = object.__new__(cls)
-        out._hold(pinned, _seed_keys(pinned), src[order], tgt[order], val[order])
-        return out
-
-    def derive(self, src: np.ndarray, tgt: np.ndarray, val: np.ndarray) -> "TruthScoreTable":
-        """A table with this one's pinned pairs over new row-grouped entries."""
-        out = object.__new__(TruthScoreTable)
-        out._hold(self.pinned, self._pin_keys, src, tgt, val)
-        return out
-
-    def _hold(
-        self,
-        pinned: frozenset[tuple[int, int]],
-        pin_keys: np.ndarray,
-        src: np.ndarray,
-        tgt: np.ndarray,
-        val: np.ndarray,
-    ) -> None:
-        """Keep row-grouped entries with every pinned pair at 1; missing ones close their row."""
-        at, hit = _lookup(_pair_keys(src, tgt), pin_keys)
-        val = np.where(hit, 1.0, val)
-        missing = np.ones(len(pin_keys), dtype=bool)
+    def __post_init__(self):
+        src, tgt = self.src, self.tgt
+        at, hit = _lookup(_pair_keys(src, tgt), self.pin_keys)
+        val = np.where(hit, 1.0, self.val)
+        missing = np.ones(len(self.pin_keys), dtype=bool)
         missing[at[hit]] = False
         if missing.any():
-            extra = pin_keys[missing]
+            extra = self.pin_keys[missing]
             src = np.concatenate([src, extra >> 32])
             tgt = np.concatenate([tgt, extra & 0xFFFFFFFF])
             val = np.concatenate([val, np.ones(len(extra))])
             order = np.argsort(src, kind="stable")
             src, tgt, val = src[order], tgt[order], val[order]
-        self.pinned, self._pin_keys = pinned, pin_keys
-        self.src, self.tgt, self.val = src, tgt, val
+        for name, col in (("src", src), ("tgt", tgt), ("val", val)):
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_seeds(cls, pairs: Iterable[tuple[int, int]]) -> "TruthScoreTable":
+        """A table holding only the given pairs, pinned."""
+        keys = np.unique(np.fromiter((s << 32 | t for s, t in pairs), np.int64))
+        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), keys)
 
     def pinned_mask(self) -> np.ndarray:
         """Which entries are pinned pairs."""
-        return _lookup(_pair_keys(self.src, self.tgt), self._pin_keys)[1]
-
-    @property
-    def rows(self) -> dict[int, dict[int, float]]:
-        """The entries as a fresh ``{source: {target: score}}`` dict, in table order."""
-        rows: dict[int, dict[int, float]] = {}
-        for s, t, v in zip(self.src.tolist(), self.tgt.tolist(), self.val.tolist()):
-            rows.setdefault(s, {})[t] = v
-        return rows
-
-    def score(self, source: int, target: int) -> float:
-        lo, hi = np.searchsorted(self.src, [source, source + 1])
-        hit = np.flatnonzero(self.tgt[lo:hi] == target)
-        return float(self.val[lo + hit[0]]) if len(hit) else 0.0
+        return _lookup(_pair_keys(self.src, self.tgt), self.pin_keys)[1]
 
     def items(self) -> Iterable[tuple[int, int, float]]:
         """(source, target, score) ascending by source, then target."""
@@ -190,10 +143,6 @@ class TruthScoreTable:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        lo, hi = np.searchsorted(self.src, [pair[0], pair[0] + 1])
-        return bool((self.tgt[lo:hi] == pair[1]).any())
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +246,7 @@ def propagate_entity_scores(
         emit = emit[score[emit] > 0.0]
         e, e2 = np.divmod(key[order[first[emit]]], n_t)
         blocks.append((e, e2, score[emit]))
-    return prev.derive(*(np.concatenate(col) for col in zip(*blocks)))
+    return TruthScoreTable(*(np.concatenate(col) for col in zip(*blocks)), prev.pin_keys)
 
 
 def retain_best(table: TruthScoreTable, rho: float = 1.0) -> TruthScoreTable:
@@ -319,7 +268,7 @@ def retain_best(table: TruthScoreTable, rho: float = 1.0) -> TruthScoreTable:
     col_best = np.zeros(tgt.max() + 1)
     np.maximum.at(col_best, tgt, val)
     keep = table.pinned_mask() | (val >= rho * row_best[src]) | (val >= rho * col_best[tgt])
-    return table.derive(src[keep], tgt[keep], val[keep])
+    return TruthScoreTable(src[keep], tgt[keep], val[keep], table.pin_keys)
 
 
 def run_symbolic_inference(
@@ -358,8 +307,6 @@ def _estimate_one_way(
     kg_to: KnowledgeGraph,
     edges_to: tuple[np.ndarray, np.ndarray],
     labels: tuple[np.ndarray, np.ndarray, np.ndarray],
-    eps: float,
-    min_support: float,
 ) -> np.ndarray:
     """Estimate P(d implies d') for all directed d of ``kg_from`` as a (2R, 2R') array.
 
@@ -411,10 +358,10 @@ def _estimate_one_way(
     keys, where = np.unique(2 * r[tri] * n_rel_to + d2, return_inverse=True)
     numerator = np.bincount(where, 1.0 - np.multiply.reduceat(f[kept][via_term][order], first))
 
-    keep = numerator >= min_support
+    keep = numerator >= PSUB_MIN_SUPPORT
     d, d2 = np.divmod(keys[keep], n_rel_to)
     out = np.zeros((2 * kg_from.n_relations, n_rel_to))
-    out[d, d2] = numerator[keep] / (denominator[d >> 1] + eps)
+    out[d, d2] = numerator[keep] / (denominator[d >> 1] + PSUB_EPSILON)
     # A triple (u,v) of d with counterparts joined by d' is identically a
     # triple (v,u) of flip(d) with counterparts joined by flip(d').
     out[d ^ 1, d2 ^ 1] = out[d, d2]
@@ -422,25 +369,21 @@ def _estimate_one_way(
 
 
 def update_subrelation_probs(
-    pair: KnowledgeGraphPair,
-    labels: TruthScoreTable,
-    eps: float = PSUB_EPSILON,
-    min_support: float = PSUB_MIN_SUPPORT,
+    pair: KnowledgeGraphPair, src: np.ndarray, tgt: np.ndarray, val: np.ndarray
 ) -> SubrelationTable:
     """Re-estimate both subrelation orientations from labeled pairs.
 
-    ``labels`` normally holds the observed pairs at 1 plus the current
-    pseudo-labels with their confidences.  Entries whose accumulated
-    support falls below ``min_support`` are dropped; ``eps`` smooths the
-    denominator against division by zero.
+    Label i says source entity ``src[i]`` matches target entity
+    ``tgt[i]`` with confidence ``val[i]``; normally these are the
+    observed pairs at 1 plus the current pseudo-labels.  The pairs must
+    be distinct but may come in any order, since each orientation walks
+    them sorted by its own entity, then the counterpart.  Estimates whose
+    accumulated support falls below ``PSUB_MIN_SUPPORT`` are dropped;
+    ``PSUB_EPSILON`` smooths the denominator against division by zero.
+    Both constants are read at call time.
     """
-    src, tgt, v = labels.src, labels.tgt, labels.val
-    forward = _estimate_one_way(
-        pair.source, pair.target, pair.edge_relations("target"), (src, tgt, v), eps, min_support
-    )
-    backward = _estimate_one_way(
-        pair.target, pair.source, pair.edge_relations("source"), (tgt, src, v), eps, min_support
-    )
+    forward = _estimate_one_way(pair.source, pair.target, pair.edge_relations("target"), (src, tgt, val))
+    backward = _estimate_one_way(pair.target, pair.source, pair.edge_relations("source"), (tgt, src, val))
     return SubrelationTable(source_in_target=forward, target_in_source=backward)
 
 

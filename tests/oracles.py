@@ -4,10 +4,11 @@ Everything here recomputes the definitions literally: dense loops over
 all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
-embedder's label and report types, and the explain loop the explainer's
-path search and rule weight, and the ingest loops the data module's
-file names and error type), so agreement with the engine is evidence
-rather than tautology.
+embedder's label and report types, the explain loop the explainer's
+path search and rule weight, the ingest loops the data module's file
+names and error type, and the table helpers convert between dict rows
+and the engine's truth table without computing anything), so agreement
+with the engine is evidence rather than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
 into directed triples (h, 2r, t) and (t, 2r+1, h).  The functionality
@@ -37,6 +38,7 @@ from kgalign.graph import (
     KnowledgeGraphPair,
     pack_direction,
 )
+from kgalign.symbolic import TruthScoreTable
 
 
 def directed_triples(kg: KnowledgeGraph) -> list[tuple[int, int, int]]:
@@ -589,6 +591,30 @@ def offer_columns(
 def column_tuples(columns: Iterable[np.ndarray]) -> list[tuple]:
     """Equal-length columns as a list of row tuples of Python scalars."""
     return list(zip(*(col.tolist() for col in columns)))
+
+
+def table_from_rows(
+    rows: dict[int, dict[int, float]],
+    pinned: Iterable[tuple[int, int]] = (),
+) -> TruthScoreTable:
+    """The engine's truth table of ``{source: {target: score}}`` rows:
+    sources ascending, each row in dict order, ``pinned`` pairs pinned."""
+    entries = [(s, t, v) for s in sorted(rows) for t, v in rows[s].items()]
+    pin_keys = np.unique(np.array([s << 32 | t for s, t in pinned], dtype=np.int64))
+    return TruthScoreTable(*offer_columns(entries), pin_keys)
+
+
+def table_rows(table: TruthScoreTable) -> dict[int, dict[int, float]]:
+    """A truth table's entries as ``{source: {target: score}}``, in table order."""
+    rows: dict[int, dict[int, float]] = {}
+    for s, t, v in column_tuples((table.src, table.tgt, table.val)):
+        rows.setdefault(s, {})[t] = v
+    return rows
+
+
+def pinned_pairs(table: TruthScoreTable) -> frozenset[tuple[int, int]]:
+    """A truth table's pinned (source, target) pairs."""
+    return frozenset(zip((table.pin_keys >> 32).tolist(), (table.pin_keys & 0xFFFFFFFF).tolist()))
 
 
 def loop_explain(

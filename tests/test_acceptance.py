@@ -80,14 +80,14 @@ def test_symbolic_oracle_equivalence(capsys):
             pinned = frozenset(list(labels)[:2])
             for key in pinned:
                 labels[key] = 1.0
-        prev = TruthScoreTable(rows=_rows(labels), pinned=pinned)
+        prev = oracles.table_from_rows(_rows(labels), pinned)
 
         for kg in (pair.source, pair.target):
             eta = compute_functionalities(kg)
             for d, value in oracles.brute_functionalities(kg).items():
                 worst = max(worst, abs(eta[d ^ 1] - value))
 
-        est = update_subrelation_probs(pair, prev)
+        est = update_subrelation_probs(pair, prev.src, prev.tgt, prev.val)
         exp_fwd, exp_bwd = oracles.brute_subrelation(pair, labels)
         est_fwd, est_bwd = psub_dicts(est)
         for key in set(est_fwd) | set(exp_fwd):
@@ -233,7 +233,8 @@ def _bounds_cases(rng, n: int) -> str:
 
     for _ in range(n):
         pair = random_pair(rng, n_entities=7, n_relations=2, n_triples=14)
-        out = _sweep(pair, random_psub(rng, pair), TruthScoreTable(rows=_rows(random_labels(rng, pair, 5))))
+        psub = random_psub(rng, pair)
+        out = _sweep(pair, psub, oracles.table_from_rows(_rows(random_labels(rng, pair, 5))))
         for _, _, v in out.items():
             assert 0.0 < v <= 1.0 + 1e-12, "sweep score out of bounds"
     return f"bounds:{n}"
@@ -246,7 +247,7 @@ def _monotone_cases(rng, n: int) -> str:
         pair = random_pair(rng, n_entities=7, n_relations=2, n_triples=14)
         psub = random_psub(rng, pair)
         labels = random_labels(rng, pair, 5)
-        base = _as_dict(_sweep(pair, psub, TruthScoreTable(rows=_rows(labels))))
+        base = _as_dict(_sweep(pair, psub, oracles.table_from_rows(_rows(labels))))
         if case % 2 == 0 or not labels:
             key = (
                 int(rng.integers(pair.source.n_entities)),
@@ -261,7 +262,7 @@ def _monotone_cases(rng, n: int) -> str:
         else:
             key = list(labels)[int(rng.integers(len(labels)))]
             labels[key] = labels[key] + (1.0 - labels[key]) * float(rng.uniform())
-        more = _as_dict(_sweep(pair, psub, TruthScoreTable(rows=_rows(labels))))
+        more = _as_dict(_sweep(pair, psub, oracles.table_from_rows(_rows(labels))))
         for pair_key, value in base.items():
             assert more.get(pair_key, 0.0) >= value - 1e-15, "added evidence lowered a score"
     return f"monotonicity:{n}"
@@ -274,20 +275,21 @@ def _loop_reference_cases(rng, n: int) -> str:
         pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
         psub = random_psub(rng, pair)
         labels = random_labels(rng, pair, 6)
-        prev = TruthScoreTable(rows=_rows(labels), pinned=frozenset(list(labels)[: case % 3]))
+        pinned = frozenset(list(labels)[: case % 3])
+        prev = oracles.table_from_rows(_rows(labels), pinned)
         swept = _sweep(pair, psub, prev)
-        looped = TruthScoreTable(
-            rows=oracles.loop_propagate(
+        looped = oracles.table_from_rows(
+            oracles.loop_propagate(
                 pair,
                 compute_functionalities(pair.source),
                 compute_functionalities(pair.target),
                 *psub_dicts(psub),
-                prev.rows,
+                oracles.table_rows(prev),
             ),
-            pinned=prev.pinned,
+            pinned,
         )
-        assert [(s, list(row.items())) for s, row in swept.rows.items()] == [
-            (s, list(row.items())) for s, row in looped.rows.items()
+        assert [(s, list(row.items())) for s, row in oracles.table_rows(swept).items()] == [
+            (s, list(row.items())) for s, row in oracles.table_rows(looped).items()
         ], "array sweep differs from the dict-loop reference"
     return f"loop-reference:{n}"
 

@@ -277,6 +277,27 @@ class TestExplain:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: path length bound must be >= 1, got {length}"]
 
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_bad_rule_length_fails_without_queries(self, dataset_dir, run_dir, tmp_path, capsys, length):
+        # no query reaches explain(), so the command itself must reject the bound
+        empty = tmp_path / "no_pairs"
+        empty.write_text("", encoding="utf-8")
+        rc = main(
+            [
+                "explain",
+                str(dataset_dir),
+                "--pairs",
+                str(empty),
+                "--state",
+                str(run_dir),
+                f"--rule-length={length}",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: path length bound must be >= 1, got {length}"]
+
     @pytest.mark.parametrize(
         "name, value",
         [

@@ -17,7 +17,7 @@ from kgalign.em import (
 from kgalign.embedder import Hyperparams, Origin, TrainReport
 from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, SeedRole, load_graph
 from kgalign import symbolic
-from kgalign.symbolic import ThresholdSplit, TruthScoreTable, extract_positive_pairs
+from kgalign.symbolic import ThresholdSplit, extract_positive_pairs
 
 import oracles
 from conftest import isomorphic_pair, matched_psub, psub_dicts, psub_table, random_pair, split_gold
@@ -75,8 +75,8 @@ class TestInitState:
     def test_seeds_pinned(self):
         pair = chain_fixture()
         state = init_state(pair, train_seed([(2, 2)]), EmConfig(symbolic_only=True))
-        assert state.truth_scores.score(2, 2) == 1.0
-        assert (2, 2) in state.truth_scores.pinned
+        assert oracles.table_rows(state.truth_scores) == {2: {2: 1.0}}
+        assert oracles.pinned_pairs(state.truth_scores) == {(2, 2)}
 
     def test_symbolic_only_skips_model(self):
         pair = chain_fixture()
@@ -203,7 +203,7 @@ class TestRunEm:
         pair = chain_fixture()
         config = EmConfig(iterations=2, rule_length=2, symbolic_only=True)
         state = run_em(pair, train_seed([(1, 1), (2, 2)]), config)
-        assert state.truth_scores.score(0, 0) > 0.9
+        assert oracles.table_rows(state.truth_scores)[0][0] > 0.9
 
     def test_validation_precision_reported(self):
         pair = chain_fixture()
@@ -277,7 +277,7 @@ class TestFusion:
         # the model prefers target 2 for source 1, but the symbolic
         # engine called (1, 1); fusion must put 1 first regardless
         state.model.ent_target = np.vstack([eye[0], eye[5], eye[1], eye[6]]).copy()
-        state.last_split = extract_positive_pairs(TruthScoreTable(rows={1: {1: 0.95}}), 0.9)
+        state.last_split = extract_positive_pairs(oracles.table_from_rows({1: {1: 0.95}}), 0.9)
         fused = fuse_predictions(state, config)
         by_pair = {(s, t): origin for s, t, _, origin in fused.binary}
         assert by_pair[(1, 1)] is Origin.SYMBOLIC
@@ -341,24 +341,31 @@ def _loop_sweep(pair, eta_source, eta_target, psub, prev):
         eta_source,
         eta_target,
         *psub_dicts(psub),
-        prev.rows,
+        oracles.table_rows(prev),
     )
-    return TruthScoreTable(rows=rows, pinned=prev.pinned)
+    return oracles.table_from_rows(rows, oracles.pinned_pairs(prev))
 
 
 def _loop_retain(table, rho=1.0):
-    return TruthScoreTable(rows=oracles.loop_retain(table.rows, table.pinned, rho), pinned=table.pinned)
+    pinned = oracles.pinned_pairs(table)
+    return oracles.table_from_rows(oracles.loop_retain(oracles.table_rows(table), pinned, rho), pinned)
 
 
 def _loop_extract(table, delta):
-    positives, negatives = oracles.loop_extract(table.rows, table.pinned, delta)
+    positives, negatives = oracles.loop_extract(oracles.table_rows(table), oracles.pinned_pairs(table), delta)
     entries = sorted([(s, t, v, True) for s, t, v in positives] + [(s, t, v, False) for s, t, v in negatives])
     src, tgt, val = oracles.offer_columns([entry[:3] for entry in entries])
     return ThresholdSplit(src, tgt, val, np.array([entry[3] for entry in entries], dtype=bool))
 
 
-def _loop_psub(pair, labels, **kwargs):
-    return psub_table(pair.source, pair.target, *oracles.loop_subrelation(pair, labels.rows, **kwargs))
+def _loop_psub(pair, src, tgt, val):
+    rows: dict[int, dict[int, float]] = {}
+    for s, t, v in oracles.column_tuples((src, tgt, val)):
+        rows.setdefault(s, {})[t] = v
+    psub = oracles.loop_subrelation(
+        pair, rows, eps=symbolic.PSUB_EPSILON, min_support=symbolic.PSUB_MIN_SUPPORT
+    )
+    return psub_table(pair.source, pair.target, *psub)
 
 
 class TestLoopReferences:
@@ -391,8 +398,8 @@ class TestLoopReferences:
         loops, fused_loops = self._run(pair, train, config)
 
         assert len(arrays.truth_scores) > len(train)
-        assert [(s, list(r.items())) for s, r in arrays.truth_scores.rows.items()] == [
-            (s, list(r.items())) for s, r in loops.truth_scores.rows.items()
+        assert [(s, list(r.items())) for s, r in oracles.table_rows(arrays.truth_scores).items()] == [
+            (s, list(r.items())) for s, r in oracles.table_rows(loops.truth_scores).items()
         ]
         assert np.array_equal(arrays.psub.source_in_target, loops.psub.source_in_target)
         assert np.array_equal(arrays.psub.target_in_source, loops.psub.target_in_source)

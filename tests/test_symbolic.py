@@ -114,7 +114,7 @@ class TestPropagate:
         psub = matched_psub(pair.source, pair.target, {0: 0}, 1.0)
         prev = TruthScoreTable.from_seeds([(1, 1)])
         out = propagate_entity_scores(pair, eta_one_s, eta_one_t, psub, prev)
-        assert out.score(0, 0) == 1.0
+        assert as_dict(out)[(0, 0)] == 1.0
 
     def test_partial_evidence_single(self):
         pair = self._single_evidence_pair()
@@ -123,7 +123,7 @@ class TestPropagate:
         prev = TruthScoreTable.from_seeds([(1, 1)])
         out = propagate_entity_scores(pair, eta_half, np.full(2, 0.5), psub, prev)
         # 1 - (1 - 0.4)(1 - 0.4)
-        assert out.score(0, 0) == pytest.approx(0.64, abs=1e-15)
+        assert as_dict(out)[(0, 0)] == pytest.approx(0.64, abs=1e-15)
 
     def test_two_independent_evidences(self):
         src = load_graph([("e", "r", "n1"), ("e", "s", "n2")])
@@ -134,7 +134,7 @@ class TestPropagate:
         psub = matched_psub(src, tgt, {0: 0, 1: 1}, 0.8)
         prev = TruthScoreTable.from_seeds([(1, 1), (2, 2)])
         out = propagate_entity_scores(pair, eta_s, eta_t, psub, prev)
-        assert out.score(0, 0) == pytest.approx(0.8704, abs=1e-12)
+        assert as_dict(out)[(0, 0)] == pytest.approx(0.8704, abs=1e-12)
 
     def test_no_evidence_not_stored(self):
         pair = self._single_evidence_pair()
@@ -142,8 +142,7 @@ class TestPropagate:
         psub = psub_table(pair.source, pair.target, {}, {})
         prev = TruthScoreTable.from_seeds([(1, 1)])
         out = propagate_entity_scores(pair, eta, eta, psub, prev)
-        assert (0, 0) not in out
-        assert out.score(1, 1) == 1.0  # pinned survives
+        assert as_dict(out) == {(1, 1): 1.0}  # pinned survives
 
     def test_prev_not_mutated(self):
         pair, psub, seeds = chain_pair()
@@ -161,9 +160,7 @@ class TestPropagate:
             pinned = frozenset(list(labels)[:2])
             for p in pinned:
                 labels[p] = 1.0
-            prev = TruthScoreTable(
-                rows=_rows_from(labels), pinned=pinned
-            )
+            prev = oracles.table_from_rows(_rows_from(labels), pinned)
             out = propagate_entity_scores(
                 pair,
                 compute_functionalities(pair.source),
@@ -186,7 +183,7 @@ class TestPropagate:
         for _ in range(40):
             pair = random_pair(rng, n_entities=7, n_relations=2, n_triples=14)
             psub = random_psub(rng, pair)
-            prev = TruthScoreTable(rows=_rows_from(random_labels(rng, pair, 5)))
+            prev = oracles.table_from_rows(_rows_from(random_labels(rng, pair, 5)))
             out = propagate_entity_scores(
                 pair,
                 compute_functionalities(pair.source),
@@ -206,7 +203,7 @@ class TestPropagate:
             eta_s = compute_functionalities(pair.source)
             eta_t = compute_functionalities(pair.target)
             base = propagate_entity_scores(
-                pair, eta_s, eta_t, psub, TruthScoreTable(rows=_rows_from(labels))
+                pair, eta_s, eta_t, psub, oracles.table_from_rows(_rows_from(labels))
             )
             extra = dict(labels)
             while True:
@@ -218,7 +215,7 @@ class TestPropagate:
                     break
             extra[key] = float(rng.uniform(0.2, 1.0))
             more = propagate_entity_scores(
-                pair, eta_s, eta_t, psub, TruthScoreTable(rows=_rows_from(extra))
+                pair, eta_s, eta_t, psub, oracles.table_from_rows(_rows_from(extra))
             )
             for (s, t), v in as_dict(base).items():
                 assert as_dict(more).get((s, t), 0.0) >= v - 1e-12
@@ -231,7 +228,7 @@ class TestPropagate:
             psub = random_psub(rng, pair, density=0.6)
             labels = random_labels(rng, pair, 8 if case % 10 else 0)
             pinned = frozenset(list(labels)[:2])
-            _assert_matches_loop(pair, psub, TruthScoreTable(rows=_rows_from(labels), pinned=pinned))
+            _assert_matches_loop(pair, psub, oracles.table_from_rows(_rows_from(labels), pinned))
 
     def test_matches_loop_reference_isolated_and_hub(self, rng, monkeypatch):
         # a hub whose terms outnumber small blocks, next to an unlabeled
@@ -247,18 +244,18 @@ class TestPropagate:
         psub = random_psub(rng, pair, density=0.8)
         spokes = [(src.entity_ids[f"a{i}"], tgt.entity_ids[f"b{i}"]) for i in range(40)]
         labels = {spokes[int(i)]: float(rng.uniform(0.05, 1.0)) for i in rng.permutation(40)[:25]}
-        prev = TruthScoreTable(rows=_rows_from(labels), pinned=frozenset(list(labels)[:3]))
+        prev = oracles.table_from_rows(_rows_from(labels), frozenset(list(labels)[:3]))
         isolated = {src.entity_ids[f"a{x}"] for x in "xyz"}
         for block in (1 << 14, 64, 7, 1):
             monkeypatch.setattr(symbolic, "SWEEP_BLOCK_TERMS", block)
             table = prev
             for _ in range(3):
                 table = _assert_matches_loop(pair, psub, table)
-                assert not isolated & set(table.rows)
+                assert not isolated & set(table.src.tolist())
 
 
 def _ordered(table: TruthScoreTable) -> list[tuple[int, list[tuple[int, float]]]]:
-    return [(s, list(row.items())) for s, row in table.rows.items()]
+    return [(s, list(row.items())) for s, row in oracles.table_rows(table).items()]
 
 
 def _assert_matches_loop(pair, psub, prev: TruthScoreTable) -> TruthScoreTable:
@@ -271,9 +268,9 @@ def _assert_matches_loop(pair, psub, prev: TruthScoreTable) -> TruthScoreTable:
         eta_s,
         eta_t,
         *psub_dicts(psub),
-        prev.rows,
+        oracles.table_rows(prev),
     )
-    assert _ordered(got) == _ordered(TruthScoreTable(rows=rows, pinned=prev.pinned))
+    assert _ordered(got) == _ordered(oracles.table_from_rows(rows, oracles.pinned_pairs(prev)))
     return got
 
 
@@ -284,37 +281,39 @@ def _rows_from(labels: dict[tuple[int, int], float]) -> dict[int, dict[int, floa
     return rows
 
 
+def _columns(labels: dict[tuple[int, int], float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label columns of (s, t) -> value labels, in dict order."""
+    return oracles.offer_columns((s, t, v) for (s, t), v in labels.items())
+
+
 class TestSubrelationUpdate:
-    def test_full_support(self):
+    def test_full_support(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "PSUB_EPSILON", 0.0)
         src = load_graph([("a", "r", "b")])
         tgt = load_graph([("a'", "r'", "b'")])
         pair = KnowledgeGraphPair(source=src, target=tgt)
-        labels = TruthScoreTable(rows={0: {0: 1.0}, 1: {1: 1.0}})
-        psub = update_subrelation_probs(pair, labels, eps=0.0)
+        psub = update_subrelation_probs(pair, *_columns({(0, 0): 1.0, (1, 1): 1.0}))
         assert psub.source_in_target[pack_direction(0, False), pack_direction(0, False)] == 1.0
 
-    def test_no_tail_support_absent(self):
+    def test_no_tail_support_absent(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "PSUB_EPSILON", 0.0)
         src = load_graph([("a", "r", "b")])
         tgt = load_graph([("a'", "r'", "b'")])
         pair = KnowledgeGraphPair(source=src, target=tgt)
-        labels = TruthScoreTable(rows={0: {0: 1.0}})
-        psub = update_subrelation_probs(pair, labels, eps=0.0)
+        psub = update_subrelation_probs(pair, *_columns({(0, 0): 1.0}))
         assert psub.source_in_target[pack_direction(0, False), pack_direction(0, False)] == 0.0
         assert len(psub) == 0
 
-    def test_half_support(self):
+    def test_half_support(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "PSUB_EPSILON", 0.0)
         src = load_graph([("a", "r", "b"), ("c", "r", "d")])
         tgt = load_graph([("a'", "r'", "b'"), ("c2'", "s'", "d2'")])
         pair = KnowledgeGraphPair(source=src, target=tgt)
-        labels = TruthScoreTable(
-            rows={
-                src.entity_ids["a"]: {tgt.entity_ids["a'"]: 1.0},
-                src.entity_ids["b"]: {tgt.entity_ids["b'"]: 1.0},
-                src.entity_ids["c"]: {tgt.entity_ids["c2'"]: 1.0},
-                src.entity_ids["d"]: {tgt.entity_ids["d2'"]: 1.0},
-            }
-        )
-        psub = update_subrelation_probs(pair, labels, eps=0.0)
+        labels = {
+            (src.entity_ids[a], tgt.entity_ids[b]): 1.0
+            for a, b in (("a", "a'"), ("b", "b'"), ("c", "c2'"), ("d", "d2'"))
+        }
+        psub = update_subrelation_probs(pair, *_columns(labels))
         r = pack_direction(src.relation_ids["r"], False)
         rp = pack_direction(tgt.relation_ids["r'"], False)
         assert psub.source_in_target[r, rp] == 0.5
@@ -323,8 +322,7 @@ class TestSubrelationUpdate:
         for _ in range(30):
             pair = random_pair(rng, n_entities=7, n_relations=2, n_triples=12)
             labels = random_labels(rng, pair, n_labels=7)
-            table = TruthScoreTable(rows=_rows_from(labels))
-            got = update_subrelation_probs(pair, table)
+            got = update_subrelation_probs(pair, *_columns(labels))
             exp_fwd, exp_bwd = oracles.brute_subrelation(pair, labels)
             got_fwd, got_bwd = psub_dicts(got)
             assert set(got_fwd) == set(exp_fwd)
@@ -337,15 +335,15 @@ class TestSubrelationUpdate:
     def test_mirror_symmetry(self, rng):
         for _ in range(30):
             pair = random_pair(rng, n_entities=7, n_relations=3, n_triples=14)
-            table = TruthScoreTable(rows=_rows_from(random_labels(rng, pair, 6)))
-            psub = update_subrelation_probs(pair, table)
+            psub = update_subrelation_probs(pair, *_columns(random_labels(rng, pair, 6)))
             flip_s = np.arange(2 * pair.source.n_relations) ^ 1
             flip_t = np.arange(2 * pair.target.n_relations) ^ 1
             fwd, bwd = psub.source_in_target, psub.target_in_source
             assert np.array_equal(fwd[np.ix_(flip_s, flip_t)], fwd)
             assert np.array_equal(bwd[np.ix_(flip_t, flip_s)], bwd)
 
-    def test_matches_loop_reference(self, rng):
+    def test_matches_loop_reference(self, rng, monkeypatch):
+        defaults = (symbolic.PSUB_EPSILON, symbolic.PSUB_MIN_SUPPORT)
         for _ in range(120):
             # few relations give parallel edges and many triples per (d, d') sum
             pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=30)
@@ -359,18 +357,33 @@ class TestSubrelationUpdate:
                 targets = rng.choice(pair.target.n_entities, int(rng.integers(0, 4)), replace=False)
                 values = rng.choice([0.0, 1.0, *rng.uniform(0.05, 1.0, 4)], len(targets))
                 rows[s] = {int(t): float(v) for t, v in zip(targets, values)}
-            table = TruthScoreTable(rows=rows)
-            for kwargs in ({}, {"eps": 0.0, "min_support": 0.0}):
-                got = update_subrelation_probs(pair, table, **kwargs)
-                expected = psub_table(src, tgt, *oracles.loop_subrelation(pair, rows, **kwargs))
+            labels = oracles.offer_columns((s, t, v) for s, row in rows.items() for t, v in row.items())
+            for eps, min_support in (defaults, (0.0, 0.0)):
+                monkeypatch.setattr(symbolic, "PSUB_EPSILON", eps)
+                monkeypatch.setattr(symbolic, "PSUB_MIN_SUPPORT", min_support)
+                got = update_subrelation_probs(pair, *labels)
+                expected = psub_table(
+                    src, tgt, *oracles.loop_subrelation(pair, rows, eps=eps, min_support=min_support)
+                )
                 assert np.array_equal(got.source_in_target, expected.source_in_target)
                 assert np.array_equal(got.target_in_source, expected.target_in_source)
+
+    def test_label_order_does_not_matter(self, rng):
+        # each orientation sorts its labels, so any order of distinct pairs
+        # gives the same estimate bit for bit
+        for _ in range(60):
+            pair = random_pair(rng, n_entities=12, n_relations=3, n_triples=40)
+            labels = _columns(random_labels(rng, pair, int(rng.integers(0, 30))))
+            want = update_subrelation_probs(pair, *labels)
+            shuffle = rng.permutation(len(labels[0]))
+            got = update_subrelation_probs(pair, *(col[shuffle] for col in labels))
+            assert np.array_equal(got.source_in_target, want.source_in_target)
+            assert np.array_equal(got.target_in_source, want.target_in_source)
 
     def test_values_bounded(self, rng):
         for _ in range(30):
             pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
-            table = TruthScoreTable(rows=_rows_from(random_labels(rng, pair, 8)))
-            psub = update_subrelation_probs(pair, table)
+            psub = update_subrelation_probs(pair, *_columns(random_labels(rng, pair, 8)))
             for weights in (psub.source_in_target, psub.target_in_source):
                 assert np.all((weights >= 0.0) & (weights <= 1.0 + 1e-12))
 
@@ -388,8 +401,8 @@ class TestRunInference:
         )
         b, bp = pair.source.entity_ids["b"], pair.target.entity_ids["b'"]
         a, ap = pair.source.entity_ids["a"], pair.target.entity_ids["a'"]
-        assert table.score(b, bp) == 1.0
-        assert (a, ap) not in table
+        assert as_dict(table)[(b, bp)] == 1.0
+        assert (a, ap) not in as_dict(table)
 
     def test_chain_two_sweeps(self):
         pair, psub, seeds = chain_pair()
@@ -417,7 +430,7 @@ class TestRunInference:
             compute_functionalities(pair.source),
             compute_functionalities(pair.target),
             psub,
-            TruthScoreTable(),
+            oracles.table_from_rows({}),
             sweeps=1,
         )
         assert len(table) == 0
@@ -452,34 +465,34 @@ class TestRunInference:
                 sweeps=3,
             )
             for p in pins:
-                assert table.score(*p) == 1.0
+                assert as_dict(table)[p] == 1.0
 
 
 class TestRetention:
     def test_argmax_only_by_default(self):
         # (0, 1) loses its row to (0, 0) and its column to (1, 1)
-        table = TruthScoreTable(rows={0: {0: 0.9, 1: 0.5}, 1: {1: 0.6}})
+        table = oracles.table_from_rows({0: {0: 0.9, 1: 0.5}, 1: {1: 0.6}})
         kept = retain_best(table)
         assert as_dict(kept) == {(0, 0): 0.9, (1, 1): 0.6}
 
     def test_column_best_also_kept(self):
         # (1, 0) loses its row to (1, 1) but is the best in column 0
-        table = TruthScoreTable(rows={1: {0: 0.3, 1: 0.8}})
+        table = oracles.table_from_rows({1: {0: 0.3, 1: 0.8}})
         kept = retain_best(table)
         assert as_dict(kept) == {(1, 0): 0.3, (1, 1): 0.8}
 
     def test_ties_all_retained(self):
-        table = TruthScoreTable(rows={0: {0: 0.7, 1: 0.7}})
+        table = oracles.table_from_rows({0: {0: 0.7, 1: 0.7}})
         kept = retain_best(table)
         assert as_dict(kept) == {(0, 0): 0.7, (0, 1): 0.7}
 
     def test_pinned_always_kept(self):
-        table = TruthScoreTable(rows={0: {1: 0.9}}, pinned=frozenset({(0, 5)}))
+        table = oracles.table_from_rows({0: {1: 0.9}}, frozenset({(0, 5)}))
         kept = retain_best(table)
-        assert kept.score(0, 5) == 1.0
+        assert as_dict(kept)[(0, 5)] == 1.0
 
     def test_rho_widens_the_band(self):
-        table = TruthScoreTable(rows={0: {0: 1.0, 1: 0.85}, 1: {0: 0.3, 1: 0.9}})
+        table = oracles.table_from_rows({0: {0: 1.0, 1: 0.85}, 1: {0: 0.3, 1: 0.9}})
         strict = retain_best(table, rho=1.0)
         assert set(as_dict(strict)) == {(0, 0), (1, 1)}
         loose = retain_best(table, rho=0.8)
@@ -487,24 +500,24 @@ class TestRetention:
 
     def test_rho_validated(self):
         with pytest.raises(ValueError, match="retention factor"):
-            retain_best(TruthScoreTable(), rho=0.0)
+            retain_best(oracles.table_from_rows({}), rho=0.0)
 
     def test_zero_scores_kept(self):
         # a best starts at 0, so an entry scored 0 ties its empty column
-        kept = retain_best(TruthScoreTable(rows={0: {0: 0.0}, 1: {1: 0.5}}))
+        kept = retain_best(oracles.table_from_rows({0: {0: 0.0}, 1: {1: 0.5}}))
         assert as_dict(kept) == {(0, 0): 0.0, (1, 1): 0.5}
-        kept = retain_best(TruthScoreTable(rows={0: {0: 0.0, 1: 0.2}}))
+        kept = retain_best(oracles.table_from_rows({0: {0: 0.0, 1: 0.2}}))
         assert as_dict(kept) == {(0, 0): 0.0, (0, 1): 0.2}
 
     def test_matches_loop_reference(self, rng):
         for case in range(300):
             rows, pinned = _random_table_rows(rng, case)
-            table = TruthScoreTable(rows=rows, pinned=pinned)
+            table = oracles.table_from_rows(rows, pinned)
             rho = 1.0 if case % 2 else float(rng.choice([0.5, 0.8, 0.95]))
             got = retain_best(table, rho)
-            want = oracles.loop_retain(table.rows, pinned, rho)
-            assert _ordered(got) == _ordered(TruthScoreTable(rows=want, pinned=pinned))
-            assert got.pinned is table.pinned
+            want = oracles.loop_retain(oracles.table_rows(table), pinned, rho)
+            assert _ordered(got) == _ordered(oracles.table_from_rows(want, pinned))
+            assert got.pin_keys is table.pin_keys
 
     def test_sweep_output_matches_loop_reference(self, rng):
         # rows in first-term order with re-pinned pairs appended
@@ -517,11 +530,11 @@ class TestRetention:
                 compute_functionalities(pair.source),
                 compute_functionalities(pair.target),
                 random_psub(rng, pair),
-                TruthScoreTable(rows=_rows_from(labels), pinned=pinned),
+                oracles.table_from_rows(_rows_from(labels), pinned),
             )
             for rho in (1.0, 0.7):
-                want = oracles.loop_retain(table.rows, pinned, rho)
-                assert _ordered(retain_best(table, rho)) == _ordered(TruthScoreTable(rows=want))
+                want = oracles.loop_retain(oracles.table_rows(table), pinned, rho)
+                assert _ordered(retain_best(table, rho)) == _ordered(oracles.table_from_rows(want))
 
 
 def split_rows(split) -> tuple[list[tuple], list[tuple]]:
@@ -538,35 +551,35 @@ def split_rows(split) -> tuple[list[tuple], list[tuple]]:
 
 class TestExtractPositives:
     def test_split_by_threshold(self):
-        table = TruthScoreTable(rows={0: {0: 0.99}, 1: {1: 0.5}})
+        table = oracles.table_from_rows({0: {0: 0.99}, 1: {1: 0.5}})
         split = extract_positive_pairs(table, 0.9)
         assert split_rows(split) == ([(0, 0, 0.99)], [(1, 1, 0.5)])
 
     def test_boundary_strict(self):
-        table = TruthScoreTable(rows={0: {0: 0.99}})
+        table = oracles.table_from_rows({0: {0: 0.99}})
         split = extract_positive_pairs(table, 0.99)
         assert split_rows(split) == ([], [(0, 0, 0.99)])
 
     def test_empty_table(self):
-        split = extract_positive_pairs(TruthScoreTable(), 0.9)
+        split = extract_positive_pairs(oracles.table_from_rows({}), 0.9)
         assert split_rows(split) == ([], [])
 
     def test_pinned_excluded(self):
-        table = TruthScoreTable(rows={0: {0: 0.95}}, pinned=frozenset({(5, 5)}))
+        table = oracles.table_from_rows({0: {0: 0.95}}, frozenset({(5, 5)}))
         split = extract_positive_pairs(table, 0.9)
         assert (5, 5, 1.0) not in split_rows(split)[0]
 
     def test_delta_validated(self):
         with pytest.raises(ValueError, match="threshold"):
-            extract_positive_pairs(TruthScoreTable(), 1.0)
+            extract_positive_pairs(oracles.table_from_rows({}), 1.0)
 
     def test_matches_loop_reference(self, rng):
         for case in range(300):
             rows, pinned = _random_table_rows(rng, case)
-            table = TruthScoreTable(rows=rows, pinned=pinned)
+            table = oracles.table_from_rows(rows, pinned)
             delta = float(rng.choice([0.25, 0.5, 0.75, 0.9]))
             split = extract_positive_pairs(table, delta)
-            positives, negatives = oracles.loop_extract(table.rows, pinned, delta)
+            positives, negatives = oracles.loop_extract(oracles.table_rows(table), pinned, delta)
             assert split_rows(split) == (positives, negatives)
             assert split.positives == tuple(positives)
 
@@ -577,14 +590,14 @@ class TestCountedShapes:
     def test_len_counts_entries(self, rng):
         for case in range(50):
             rows, pinned = _random_table_rows(rng, case)
-            table = TruthScoreTable(rows=rows, pinned=pinned)
-            assert len(table) == len(list(table.items())) == sum(map(len, table.rows.values()))
+            table = oracles.table_from_rows(rows, pinned)
+            assert len(table) == len(list(table.items())) == sum(map(len, oracles.table_rows(table).values()))
             assert len(retain_best(table)) == len(list(retain_best(table).items()))
 
     def test_positives_are_ascending_tuples(self, rng):
         for case in range(50):
             rows, pinned = _random_table_rows(rng, case)
-            split = extract_positive_pairs(TruthScoreTable(rows=rows, pinned=pinned), 0.5)
+            split = extract_positive_pairs(oracles.table_from_rows(rows, pinned), 0.5)
             assert isinstance(split.positives, tuple)
             assert list(split.positives) == sorted(split.positives)
             for s, t, v in split.positives:
