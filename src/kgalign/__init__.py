@@ -9,7 +9,6 @@ from .graph import (
     IngestError,
     KnowledgeGraph,
     KnowledgeGraphPair,
-    SeedRole,
     load_graph,
 )
 from .metrics import MetricsReport, evaluate_binary, evaluate_ranking
@@ -43,7 +42,6 @@ __all__ = [
     "Origin",
     "PseudoLabelSet",
     "RuleExplanation",
-    "SeedRole",
     "SubrelationTable",
     "TruthScoreTable",
     "compute_functionalities",

@@ -9,14 +9,13 @@ import sys
 import time
 import typing
 from dataclasses import fields, replace
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 
 from . import data, em, metrics as met
-from .embedder import Hyperparams, save_model
-from .explain import explain, hard_anchors, render_report, soft_anchors
+from .embedder import Hyperparams
+from .explain import AnchorSet, explain, hard_anchors, render_report, soft_anchors
 from .graph import IngestError, KnowledgeGraphPair, pack_direction
 from .symbolic import SubrelationTable, compute_functionalities, dump_subrelations, dump_truth_scores
 
@@ -183,7 +182,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     )
     predictions = data.format_predictions(fused.binary, bundle.pair.source, bundle.pair.target)
 
-    extras: dict[str, str | bytes] = {}
+    extras: dict[str, str] = {}
     if args.full_output:
         extras["rankings.tsv"] = data.format_rankings(
             fused.rankings, bundle.pair.source, bundle.pair.target
@@ -205,10 +204,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
         extras["splits/test_links"] = data.format_links(
             test.pairs, bundle.pair.source, bundle.pair.target
         )
-        if state.model is not None:
-            buf = BytesIO()
-            save_model(state.model, buf)
-            extras["model.npz"] = buf.getvalue()
 
     if args.explain_pairs:
         anchor_set = (
@@ -216,20 +211,17 @@ def _cmd_align(args: argparse.Namespace) -> int:
             if args.explain_mode == "hard"
             else soft_anchors(train.pairs, [(s, t) for s, t, _, _ in fused.binary])
         )
-        for i, (s_label, t_label) in enumerate(data.load_label_pairs(args.explain_pairs), start=1):
-            query = _lookup_pair(bundle.pair, s_label, t_label)
-            exps = explain(
-                bundle.pair,
-                query,
-                anchor_set,
-                state.eta_source,
-                state.eta_target,
-                state.psub,
-                config.rule_length,
-            )
-            extras[f"explanations/{i:04d}.txt"] = render_report(
-                bundle.pair, query, exps, anchor_set.mode
-            )
+        reports = _explain_reports(
+            bundle.pair,
+            args.explain_pairs,
+            anchor_set,
+            state.eta_source,
+            state.eta_target,
+            state.psub,
+            config.rule_length,
+        )
+        for i, report in enumerate(reports, start=1):
+            extras[f"explanations/{i:04d}.txt"] = report
 
     out_dir = args.out or f"kgalign-run-{time.strftime('%Y%m%d-%H%M%S')}"
     data.emit_report(out_dir, manifest, predictions, "\n".join(metric_lines) + "\n", extras)
@@ -247,6 +239,27 @@ def _lookup_pair(pair: KnowledgeGraphPair, s_label: str, t_label: str) -> tuple[
     if t is None:
         raise data.DatasetError(f"unknown target entity {t_label!r}")
     return s, t
+
+
+def _explain_reports(
+    pair: KnowledgeGraphPair,
+    pairs_file: str | Path,
+    anchors: AnchorSet,
+    eta_source: np.ndarray,
+    eta_target: np.ndarray,
+    psub: SubrelationTable,
+    rule_length: int,
+    exhaustive: bool = False,
+    top: int | None = None,
+) -> typing.Iterator[str]:
+    """The rendered report of each source<TAB>target label pair in
+    ``pairs_file``, in file order."""
+    for s_label, t_label in data.load_label_pairs(pairs_file):
+        query = _lookup_pair(pair, s_label, t_label)
+        exps = explain(
+            pair, query, anchors, eta_source, eta_target, psub, rule_length, exhaustive=exhaustive
+        )
+        yield render_report(pair, query, exps, anchors.mode, limit=top)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -276,19 +289,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         inferred = [_lookup_pair(bundle.pair, s, t) for s, t in pred_pairs or []]
         anchors = soft_anchors(seed_pairs, inferred)
 
-    for s_label, t_label in data.load_label_pairs(args.pairs):
-        query = _lookup_pair(bundle.pair, s_label, t_label)
-        exps = explain(
-            bundle.pair,
-            query,
-            anchors,
-            eta_s,
-            eta_t,
-            psub,
-            args.rule_length,
-            exhaustive=args.exhaustive,
-        )
-        sys.stdout.write(render_report(bundle.pair, query, exps, anchors.mode, limit=args.top))
+    reports = _explain_reports(
+        bundle.pair, args.pairs, anchors, eta_s, eta_t, psub, args.rule_length, args.exhaustive, args.top
+    )
+    for report in reports:
+        sys.stdout.write(report)
     return 0
 
 
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-output",
         action="store_true",
         dest="full_output",
-        help="also dump rankings, truth scores, subrelation tables, splits, and the model",
+        help="also dump rankings, truth scores, subrelation tables and splits",
     )
     p_align.add_argument("--explain-pairs", default=None, dest="explain_pairs")
     p_align.add_argument(

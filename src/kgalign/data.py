@@ -26,7 +26,6 @@ from .graph import (
     IngestError,
     KnowledgeGraph,
     KnowledgeGraphPair,
-    SeedRole,
     load_graph,
     validate_seed_sets,
 )
@@ -201,9 +200,9 @@ def split_seed(
     valid = tuple(sorted(shuffled[n_train : n_train + n_valid]))
     test = tuple(sorted(shuffled[n_train + n_valid :]))
     sets = (
-        AlignmentSeed(pairs=train, role=SeedRole.TRAIN),
-        AlignmentSeed(pairs=valid, role=SeedRole.VALIDATION),
-        AlignmentSeed(pairs=test, role=SeedRole.TEST),
+        AlignmentSeed(pairs=train),
+        AlignmentSeed(pairs=valid),
+        AlignmentSeed(pairs=test),
     )
     validate_seed_sets(*sets)
     return sets
@@ -278,12 +277,12 @@ def emit_report(
     manifest: str,
     predictions: str,
     metrics: str,
-    extras: Mapping[str, str | bytes] | None = None,
+    extras: Mapping[str, str] | None = None,
 ) -> Path:
     """Write the run artifacts; a minimal run emits exactly three files."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str | bytes] = {
+    files: dict[str, str] = {
         "manifest.txt": manifest,
         "predictions.tsv": predictions,
         "metrics.tsv": metrics,
@@ -292,10 +291,7 @@ def emit_report(
     for name, content in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content, encoding="utf-8")
+        path.write_text(content, encoding="utf-8")
     return root
 
 
@@ -333,17 +329,21 @@ def _parse_predictions(
     if not rows.columns:
         return None, []
     if len(rows.columns) == 3:
-        sources, ranks, targets = rows.columns
-        if not all(map(str.isdigit, ranks)):
-            row = next(i for i, rank in enumerate(ranks) if not rank.isdigit())
-            line = "\t".join(col[row] for col in rows.columns)
-            raise DatasetError(
-                f"{rows.where(row)}: expected source<TAB>rank<TAB>target, got {line!r}"
-            )
-        rankings: dict[str, list[str]] = {}
-        for s, t in zip(sources, targets):
-            rankings.setdefault(s, []).append(t)
-        return rankings, None
+        ranked: dict[str, dict[int, str]] = {}
+        for row, (s, rank, t) in enumerate(zip(*rows.columns)):
+            try:
+                r = int(rank)
+            except ValueError:
+                line = f"{s}\t{rank}\t{t}"
+                msg = f"{rows.where(row)}: expected source<TAB>rank<TAB>target, got {line!r}"
+                raise DatasetError(msg) from None
+            if r < 1:
+                raise DatasetError(f"{rows.where(row)}: rank must be >= 1, got {rank!r}")
+            by_rank = ranked.setdefault(s, {})
+            if r in by_rank:
+                raise DatasetError(f"{rows.where(row)}: repeated rank {r} for source {s!r}")
+            by_rank[r] = t
+        return {s: [by_rank[r] for r in sorted(by_rank)] for s, by_rank in ranked.items()}, None
     if len(rows.columns) == 4:
         return None, list(zip(*rows.columns[:2]))
     raise DatasetError(f"{rows.name}: unrecognized prediction format ({len(rows.columns)} columns)")
@@ -355,8 +355,10 @@ def load_prediction_file(
     """Auto-detect a predictions file from the field count of its first line.
 
     Three columns with an integer middle field are ranked lists
-    (``source<TAB>rank<TAB>target``); four columns are binary
-    predictions (``source<TAB>target<TAB>score<TAB>origin``).  Returns
-    (rankings, None) or (None, pairs).
+    (``source<TAB>rank<TAB>target``), each source's targets ordered by
+    rank; a rank below 1 or a source's repeated rank is an error.  Four
+    columns are binary predictions
+    (``source<TAB>target<TAB>score<TAB>origin``).  Returns (rankings,
+    None) or (None, pairs).
     """
     return read_tsv(Path(path), None, _parse_predictions)

@@ -207,47 +207,53 @@ def _top_candidates(
     return np.repeat(np.asarray(sources, dtype=np.int64), ids.shape[1]), ids.ravel(), scores.ravel()
 
 
-def m_step(state: EmState, config: EmConfig) -> EmState:
-    """Pseudo-label with the embedder, re-estimate subrelations."""
-    config.validate()
-    if state.model is None:
-        return _m_step_symbolic(state, config)
+def _neural_offers(
+    model: NeuralModel,
+    free_src: np.ndarray,
+    free_tgt: np.ndarray,
+    config: EmConfig,
+    table: TruthScoreTable | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The embedder's offers between free entities as (source, target, q)
+    columns, q = (cos + 1) / 2 above the confidence floor.
 
-    obs_src, obs_tgt = _observed(state)
-    sources, targets = np.flatnonzero(~obs_src), np.flatnonzero(~obs_tgt)
-    # Truth-table pairs between unlabeled entities are scored one by one;
-    # the top-C lists offer every other pair at its batched cosine.
-    table = state.truth_scores
-    own = ~obs_src[table.src] & ~obs_tgt[table.tgt]
-    t_src, t_tgt = table.src[own], table.tgt[own]
-    t_cos = np.array(
-        [emb.score_pair(state.model, s, t) for s, t in zip(t_src.tolist(), t_tgt.tolist())],
-        dtype=np.float64,
-    )
-    c_src, c_tgt, c_cos = _top_candidates(state.model, sources, targets, config.top_c)
-    new = ~np.isin((c_src << 32) | c_tgt, (t_src << 32) | t_tgt)
-    src = np.concatenate([t_src, c_src[new]])
-    tgt = np.concatenate([t_tgt, c_tgt[new]])
-    q = (np.concatenate([t_cos, c_cos[new]]) + 1.0) / 2.0
+    ``free_src`` and ``free_tgt`` are entity masks.  The offers are the
+    free pairs of ``table`` first, then each free source's top-C free
+    targets that are not among them.
+    """
+    sources, targets = np.flatnonzero(free_src), np.flatnonzero(free_tgt)
+    src, tgt, cos = _top_candidates(model, sources, targets, config.top_c)
+    if table is not None:
+        own = free_src[table.src] & free_tgt[table.tgt]
+        t_src, t_tgt = table.src[own], table.tgt[own]
+        new = ~np.isin((src << 32) | tgt, (t_src << 32) | t_tgt)
+        src = np.concatenate([t_src, src[new]])
+        tgt = np.concatenate([t_tgt, tgt[new]])
+        cos = np.concatenate([emb.score_pair(model, t_src, t_tgt), cos[new]])
+    q = (cos + 1.0) / 2.0
     ok = q > config.confidence_floor
-    src, tgt, q = src[ok], tgt[ok], q[ok]
-    budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
-    pseudo = emb.greedy_one_to_one(src, tgt, q, budget=budget)
-
-    labels = _with_observed(state, src[pseudo], tgt[pseudo], q[pseudo])
-    state.psub = update_subrelation_probs(state.pair, *labels)
-    return state
+    return src[ok], tgt[ok], q[ok]
 
 
-def _m_step_symbolic(state: EmState, config: EmConfig) -> EmState:
-    """Rule-weight update without a model: greedy over inferred positives."""
-    split = state.last_split
-    offers = split.positive_columns if split else _no_pairs()
-    obs_src, _ = _observed(state)
-    unlabeled = int(np.count_nonzero(~obs_src))
-    budget = config.pseudo_budget if config.pseudo_budget is not None else unlabeled
-    matched = emb.greedy_one_to_one(*offers, budget=budget)
-    labels = _with_observed(state, *(col[matched] for col in offers))
+def m_step(state: EmState, config: EmConfig) -> EmState:
+    """Pseudo-label greedily, re-estimate subrelations from the labels.
+
+    The offers are the embedder's over the unlabeled entities, or the
+    engine's own positives when there is no model.
+    """
+    config.validate()
+    obs_src, obs_tgt = _observed(state)
+    if state.model is not None:
+        offers = _neural_offers(state.model, ~obs_src, ~obs_tgt, config, state.truth_scores)
+    elif state.last_split is not None:
+        offers = state.last_split.positive_columns
+    else:
+        offers = _no_pairs()
+    budget = config.pseudo_budget
+    if budget is None:
+        budget = int(np.count_nonzero(~obs_src))
+    pseudo = emb.greedy_one_to_one(*offers, budget=budget)
+    labels = _with_observed(state, *(col[pseudo] for col in offers))
     state.psub = update_subrelation_probs(state.pair, *labels)
     return state
 
@@ -342,16 +348,12 @@ def fuse_predictions(
     parts.append((src[symbolic], tgt[symbolic], val[symbolic], Origin.SYMBOLIC))
 
     if state.model is not None:
-        used_src, used_tgt = obs_src.copy(), obs_tgt.copy()
-        used_src[src[symbolic]] = True
-        used_tgt[tgt[symbolic]] = True
-        rem_src = np.flatnonzero(~used_src)
-        c_src, c_tgt, c_cos = _top_candidates(state.model, rem_src, np.flatnonzero(~used_tgt), config.top_c)
-        q = (c_cos + 1.0) / 2.0
-        ok = q > config.confidence_floor
-        c_src, c_tgt, q = c_src[ok], c_tgt[ok], q[ok]
-        neural = emb.greedy_one_to_one(c_src, c_tgt, q, budget=len(rem_src))
-        parts.append((c_src[neural], c_tgt[neural], q[neural], Origin.NEURAL))
+        free_src, free_tgt = ~obs_src, ~obs_tgt
+        free_src[src[symbolic]] = False
+        free_tgt[tgt[symbolic]] = False
+        n_src, n_tgt, q = _neural_offers(state.model, free_src, free_tgt, config)
+        neural = emb.greedy_one_to_one(n_src, n_tgt, q, budget=int(np.count_nonzero(free_src)))
+        parts.append((n_src[neural], n_tgt[neural], q[neural], Origin.NEURAL))
 
     rows = (zip(s.tolist(), t.tolist(), v.tolist(), repeat(o)) for s, t, v, o in parts)
     binary = tuple(sorted(chain.from_iterable(rows)))

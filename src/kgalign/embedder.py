@@ -16,7 +16,6 @@ never load it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -104,7 +103,6 @@ class NeuralModel:
     rel_source: np.ndarray
     rel_target: np.ndarray
     hyperparams: Hyperparams
-    seed: int
     rng: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
 
 
@@ -139,7 +137,6 @@ def init_model(pair: KnowledgeGraphPair, hyperparams: Hyperparams, seed: int) ->
         rel_source=draw(2 * pair.source.n_relations),
         rel_target=draw(2 * pair.target.n_relations),
         hyperparams=hyperparams,
-        seed=seed,
         rng=rng,
     )
 
@@ -369,14 +366,16 @@ def train(
     return TrainReport(epoch_losses=losses)
 
 
-def score_pair(model: NeuralModel, e: int, e_prime: int) -> float:
-    """Cosine similarity of the two entity embeddings, clipped to [-1, 1]."""
+def score_pair(model: NeuralModel, e: np.ndarray | int, e_prime: np.ndarray | int) -> np.ndarray:
+    """Cosine similarity of the entity embeddings of each pair
+    (``e[i]``, ``e_prime[i]``), clipped to [-1, 1]; a pair with a zero
+    vector scores 0.  Scalar ids give a scalar."""
     u = model.ent_source[e]
     v = model.ent_target[e_prime]
-    denom = np.linalg.norm(u) * np.linalg.norm(v)
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / denom, -1.0, 1.0))
+    denom = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+    dots = np.einsum("...d,...d->...", u, v)
+    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
+    return np.clip(cos, -1.0, 1.0)
 
 
 # Score cells (sources x candidates) one block of the top-k kernel holds;
@@ -466,42 +465,3 @@ def greedy_one_to_one(
         used_tgt.add(t)
         accepted.append(i)
     return np.array(accepted, dtype=np.int64)
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_model(model: NeuralModel, path) -> None:
-    """Write a lossless checkpoint (arrays + hyperparams + rng state)."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "hyperparams": model.hyperparams.__dict__,
-        "seed": model.seed,
-        "rng_state": model.rng.bit_generator.state,
-    }
-    np.savez(
-        path,
-        ent_source=model.ent_source,
-        ent_target=model.ent_target,
-        rel_source=model.rel_source,
-        rel_target=model.rel_target,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-    )
-
-
-def load_model(path) -> NeuralModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        rng = np.random.default_rng(meta["seed"])
-        rng.bit_generator.state = meta["rng_state"]
-        return NeuralModel(
-            ent_source=data["ent_source"],
-            ent_target=data["ent_target"],
-            rel_source=data["rel_source"],
-            rel_target=data["rel_target"],
-            hyperparams=Hyperparams(**meta["hyperparams"]),
-            seed=meta["seed"],
-            rng=rng,
-        )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -32,18 +31,11 @@ def pack_direction(base: int, inverse: bool) -> int:
     return base * 2 + int(inverse)
 
 
-class SeedRole(Enum):
-    TRAIN = "train"
-    VALIDATION = "validation"
-    TEST = "test"
-
-
 @dataclass(frozen=True)
 class AlignmentSeed:
-    """A list of (source-entity, target-entity) id pairs with a split role."""
+    """A list of (source-entity, target-entity) id pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    role: SeedRole
 
     @property
     def by_source(self) -> dict[int, int]:

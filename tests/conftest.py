@@ -9,7 +9,6 @@ from kgalign.graph import (
     AlignmentSeed,
     KnowledgeGraph,
     KnowledgeGraphPair,
-    SeedRole,
     load_graph,
     pack_direction,
 )
@@ -230,8 +229,8 @@ def split_gold(
     train = tuple(sorted((sources[i], gold[sources[i]]) for i in order[:n_train]))
     test = tuple(sorted((sources[i], gold[sources[i]]) for i in order[n_train:]))
     return (
-        AlignmentSeed(pairs=train, role=SeedRole.TRAIN),
-        AlignmentSeed(pairs=test, role=SeedRole.TEST),
+        AlignmentSeed(pairs=train),
+        AlignmentSeed(pairs=test),
     )
 
 

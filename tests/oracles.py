@@ -6,9 +6,10 @@ product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
 embedder's label and report types, the explain loop the explainer's
 path search and rule weight, the ingest loops the data module's file
-names and error type, and the table helpers convert between dict rows
-and the engine's truth table without computing anything), so agreement
-with the engine is evidence rather than tautology.
+names and error type, the M-step loop the engine's candidate, scoring,
+matching and re-estimation calls, and the table helpers convert between
+dict rows and the engine's truth table without computing anything), so
+agreement with the engine is evidence rather than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
 into directed triples (h, 2r, t) and (t, 2r+1, h).  The functionality
@@ -28,6 +29,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from kgalign import em
+from kgalign import embedder as emb
 from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetError
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
 from kgalign.explain import RuleExplanation, _reverse, _walks, bfs_reachable, path_confidence
@@ -38,7 +41,7 @@ from kgalign.graph import (
     KnowledgeGraphPair,
     pack_direction,
 )
-from kgalign.symbolic import TruthScoreTable
+from kgalign.symbolic import TruthScoreTable, update_subrelation_probs
 
 
 def directed_triples(kg: KnowledgeGraph) -> list[tuple[int, int, int]]:
@@ -576,6 +579,46 @@ def sorted_greedy(
         used_tgt.add(t)
         accepted.append((s, t, v))
     return accepted
+
+
+def loop_m_step(state, config) -> None:
+    """The M-step as two separate paths, each with its own budget and tail.
+
+    With a model: score the truth-table pairs between unlabeled entities,
+    add every unlabeled source's top-C unlabeled targets that are not
+    among them, gate all offers at (cos + 1) / 2 above the confidence
+    floor, then match greedily.  Without one: match the last split's
+    positives greedily.  Either way the observed pairs plus the matches
+    re-estimate p_sub.  The table pairs are scored by one ``score_pair``
+    call, so its cosines are the engine's.
+    """
+    obs_src, obs_tgt = em._observed(state)
+    if state.model is None:
+        split = state.last_split
+        offers = split.positive_columns if split else em._no_pairs()
+        unlabeled = int(np.count_nonzero(~obs_src))
+        budget = config.pseudo_budget if config.pseudo_budget is not None else unlabeled
+        matched = emb.greedy_one_to_one(*offers, budget=budget)
+        labels = em._with_observed(state, *(col[matched] for col in offers))
+        state.psub = update_subrelation_probs(state.pair, *labels)
+        return
+
+    sources, targets = np.flatnonzero(~obs_src), np.flatnonzero(~obs_tgt)
+    table = state.truth_scores
+    own = ~obs_src[table.src] & ~obs_tgt[table.tgt]
+    t_src, t_tgt = table.src[own], table.tgt[own]
+    t_cos = emb.score_pair(state.model, t_src, t_tgt)
+    c_src, c_tgt, c_cos = em._top_candidates(state.model, sources, targets, config.top_c)
+    new = ~np.isin((c_src << 32) | c_tgt, (t_src << 32) | t_tgt)
+    src = np.concatenate([t_src, c_src[new]])
+    tgt = np.concatenate([t_tgt, c_tgt[new]])
+    q = (np.concatenate([t_cos, c_cos[new]]) + 1.0) / 2.0
+    ok = q > config.confidence_floor
+    src, tgt, q = src[ok], tgt[ok], q[ok]
+    budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
+    pseudo = emb.greedy_one_to_one(src, tgt, q, budget=budget)
+    labels = em._with_observed(state, src[pseudo], tgt[pseudo], q[pseudo])
+    state.psub = update_subrelation_probs(state.pair, *labels)
 
 
 def offer_columns(

@@ -90,9 +90,9 @@ class TestAlign:
             "truth_scores.tsv",
             "psub_source_in_target.tsv",
             "psub_target_in_source.tsv",
-            "model.npz",
         ):
             assert (out / name).is_file()
+        assert not (out / "model.npz").exists()
         for name in ("train_links", "valid_links", "test_links"):
             assert (out / "splits" / name).is_file()
         assert (out / "explanations" / "0001.txt").is_file()
@@ -382,6 +382,44 @@ class TestEval:
         assert "hit@5\t" in out
         assert "mrr\t" in out
 
+
+    def test_rank_column_sets_order(self, tmp_path, capsys):
+        (tmp_path / "rankings.tsv").write_text("a\t2\tx\na\t1\ty\n", encoding="utf-8")
+        (tmp_path / "gold").write_text("a\ty\n", encoding="utf-8")
+        args = ["eval", "--predictions", str(tmp_path / "rankings.tsv"), "--gold", str(tmp_path / "gold")]
+        assert main([*args, "--ks", "1"]) == 0
+        assert "hit@1\t1.000000" in capsys.readouterr().out
+
+    def test_shuffled_rankings_evaluate_the_same(self, run_dir, tmp_path, capsys):
+        lines = (run_dir / "rankings.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = tmp_path / "rankings.tsv"
+        shuffled.write_text("".join(np.random.default_rng(7).permutation(lines)), encoding="utf-8")
+        outputs = []
+        for path in (run_dir / "rankings.tsv", shuffled):
+            gold = str(run_dir / "splits" / "test_links")
+            assert main(["eval", "--predictions", str(path), "--gold", gold, "--ks", "1,3,10"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "hit@1\t" in outputs[0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\t1\tx\na\t0\ty\n", "rankings.tsv:2: rank must be >= 1, got '0'"),
+            ("a\t-1\tx\n", "rankings.tsv:1: rank must be >= 1, got '-1'"),
+            ("a\t1.5\tx\n", "rankings.tsv:1: expected source<TAB>rank<TAB>target, got 'a\\t1.5\\tx'"),
+            ("a\t\u00b2\tx\n", "rankings.tsv:1: expected source<TAB>rank<TAB>target, got 'a\\t\u00b2\\tx'"),
+            ("a\t1\tx\nb\t1\tx\n\na\t1\ty\n", "rankings.tsv:4: repeated rank 1 for source 'a'"),
+        ],
+    )
+    def test_bad_rank_fails(self, tmp_path, capsys, text, message):
+        (tmp_path / "rankings.tsv").write_text(text, encoding="utf-8")
+        (tmp_path / "gold").write_text("a\ty\n", encoding="utf-8")
+        rc = main(["eval", "--predictions", str(tmp_path / "rankings.tsv"), "--gold", str(tmp_path / "gold")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("ks", ["0", "-1", "1,0", "1.5", "x", "1,"])
     def test_bad_ks_fails(self, dataset_dir, run_dir, capsys, ks):

@@ -25,7 +25,7 @@ from kgalign.data import (
 )
 from kgalign.em import EmConfig, IterationStats
 from kgalign.embedder import Origin
-from kgalign.graph import SeedRole, load_graph
+from kgalign.graph import load_graph
 
 import oracles
 
@@ -240,9 +240,6 @@ class TestSplitSeed:
         links = [(i, i) for i in range(15000)]
         train, valid, test = split_seed(links, 0.2, 0.1, seed=0)
         assert (len(train), len(valid), len(test)) == (3000, 1500, 10500)
-        assert train.role is SeedRole.TRAIN
-        assert valid.role is SeedRole.VALIDATION
-        assert test.role is SeedRole.TEST
 
     def test_one_percent_train(self):
         links = [(i, i) for i in range(15000)]
@@ -360,10 +357,10 @@ class TestEmitReport:
             "m\n",
             "p\n",
             "x\n",
-            extras={"splits/train_links": "a\tb\n", "model.npz": b"\x00\x01"},
+            extras={"splits/train_links": "a\tb\n", "explanations/0001.txt": "q\n"},
         )
         assert (out / "splits" / "train_links").read_text() == "a\tb\n"
-        assert (out / "model.npz").read_bytes() == b"\x00\x01"
+        assert (out / "explanations" / "0001.txt").read_text() == "q\n"
 
 
 class TestConfigFile:
@@ -402,6 +399,11 @@ class TestPredictionFiles:
         rankings, pairs = load_prediction_file(path)
         assert pairs is None
         assert rankings == {"a": ["x", "y"], "b": ["y"]}
+
+    def test_rank_column_sets_order(self, tmp_path):
+        path = tmp_path / "rankings.tsv"
+        path.write_text("a\t2\tx\nb\t5\ty\na\t1\ty\na\t3\tz\n", encoding="utf-8")
+        assert load_prediction_file(path) == ({"a": ["y", "x", "z"], "b": ["y"]}, None)
 
     def test_bad_rank_column(self, tmp_path):
         path = tmp_path / "rankings.tsv"

@@ -15,7 +15,7 @@ from kgalign.em import (
     run_em,
 )
 from kgalign.embedder import Hyperparams, Origin, TrainReport
-from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, SeedRole, load_graph
+from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, load_graph
 from kgalign import symbolic
 from kgalign.symbolic import ThresholdSplit, extract_positive_pairs
 
@@ -31,7 +31,7 @@ def chain_fixture(n: int = 3):
 
 
 def train_seed(pairs) -> AlignmentSeed:
-    return AlignmentSeed(pairs=tuple(sorted(pairs)), role=SeedRole.TRAIN)
+    return AlignmentSeed(pairs=tuple(sorted(pairs)))
 
 
 def label_rows(labels) -> list[tuple]:
@@ -191,6 +191,81 @@ class TestMStep:
         assert list(state.truth_scores.items()) == scores_before
 
 
+def _random_m_state(rng, neural: bool, kind: str):
+    """An EmState after a made-up E-step: random graphs, seeds, embeddings
+    with one zero source row, and budget, top-C and confidence floor.
+
+    ``kind`` "random": a truth table whose rows mix random pairs with
+    top-C candidates, split at 0.5.  "none": that table and no split.
+    "empty": a seeds-only table and a split without entries.
+    """
+    pair = random_pair(rng, n_entities=14, n_relations=3, n_triples=40)
+    n_s, n_t = pair.source.n_entities, pair.target.n_entities
+    seeds = list(zip(rng.permutation(n_s)[:3].tolist(), rng.permutation(n_t)[:3].tolist()))
+    config = EmConfig(
+        symbolic_only=not neural,
+        neural=tiny_neural(),
+        top_c=int(rng.integers(1, 5)),
+        confidence_floor=float(rng.choice([0.0, 0.5, 0.6])),
+        pseudo_budget=[None, 0, 2][int(rng.integers(3))],
+    )
+    state = init_state(pair, train_seed(seeds), config)
+    rows: dict[int, dict[int, float]] = {s: {t: 1.0} for s, t in seeds}
+    if neural:
+        state.model.ent_source[int(rng.integers(n_s))] = 0.0
+    if kind == "empty":
+        state.last_split = ThresholdSplit(*em._no_pairs(), np.zeros(0, dtype=bool))
+    else:
+        for _ in range(int(rng.integers(0, 30))):
+            rows.setdefault(int(rng.integers(n_s)), {})[int(rng.integers(n_t))] = float(rng.random())
+        if neural:
+            c_src, c_tgt, _ = em._top_candidates(state.model, range(n_s), range(n_t), config.top_c)
+            for i in rng.permutation(len(c_src))[: len(c_src) // 3].tolist():
+                rows.setdefault(int(c_src[i]), {})[int(c_tgt[i])] = float(rng.random())
+    state.truth_scores = oracles.table_from_rows(rows, seeds)
+    if kind == "random":
+        state.last_split = extract_positive_pairs(state.truth_scores, 0.5)
+    return state, config
+
+
+class TestMStepMatchesLoop:
+    """The one M-step equals the two-path loop reference: the same offers
+    reach greedy matching, the same pairs are accepted, and p_sub is
+    bit-identical."""
+
+    @staticmethod
+    def _recorded(monkeypatch, run, state, config):
+        calls = []
+        real = em.emb.greedy_one_to_one
+
+        def recording(src, tgt, score, budget=None):
+            accepted = real(src, tgt, score, budget=budget)
+            calls.append((src.copy(), tgt.copy(), score.copy(), budget, accepted))
+            return accepted
+
+        monkeypatch.setattr(em.emb, "greedy_one_to_one", recording)
+        run(state, config)
+        monkeypatch.undo()
+        return calls, state.psub.source_in_target.copy(), state.psub.target_in_source.copy()
+
+    @pytest.mark.parametrize("kind", ["none", "empty", "random"])
+    @pytest.mark.parametrize("neural", [True, False])
+    def test_matches_loop_reference(self, monkeypatch, neural, kind):
+        rng = np.random.default_rng(41 + 2 * neural)
+        offered = 0
+        for _ in range(25):
+            state, config = _random_m_state(rng, neural, kind)
+            want = self._recorded(monkeypatch, oracles.loop_m_step, state, config)
+            got = self._recorded(monkeypatch, m_step, state, config)
+            (w_call,), (g_call,) = want[0], got[0]
+            for w, g in zip(w_call, g_call):
+                assert np.array_equal(w, g) if w is not None else g is None
+            assert np.array_equal(want[1], got[1])
+            assert np.array_equal(want[2], got[2])
+            offered += len(g_call[0])
+        assert offered > 0 or (kind != "random" and not neural)
+
+
 class TestRunEm:
     def test_history_per_iteration(self):
         pair = chain_fixture()
@@ -208,7 +283,7 @@ class TestRunEm:
     def test_validation_precision_reported(self):
         pair = chain_fixture()
         config = EmConfig(iterations=2, rule_length=2, symbolic_only=True)
-        validation = AlignmentSeed(pairs=((0, 0),), role=SeedRole.VALIDATION)
+        validation = AlignmentSeed(pairs=((0, 0),))
         state = run_em(pair, train_seed([(1, 1), (2, 2)]), config, validation=validation)
         assert state.history[-1].validation_precision == 1.0
 

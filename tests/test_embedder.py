@@ -14,9 +14,7 @@ from kgalign.embedder import (
     TrainingError,
     greedy_one_to_one,
     init_model,
-    load_model,
     rank_candidates,
-    save_model,
     score_pair,
     train,
 )
@@ -333,6 +331,31 @@ class TestScoring:
         model = self._model_with_rows({0: [-1.0, 0.0]})
         assert score_pair(model, 0, 0) == -1.0
 
+    def test_id_arrays_match_scalar_calls(self, rng):
+        pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
+        model = init_model(pair, Hyperparams(dim=2), seed=5)
+        n_s, n_t = len(model.ent_source), len(model.ent_target)
+        model.ent_source *= rng.uniform(0.1, 10.0, size=(n_s, 1))  # scoring must not assume unit rows
+        # a pair whose unclipped cosine rounds to 1 + 2^-52, its negation, and a zero row
+        u = np.array([-0.535669373161111, 0.36159505490948474])
+        model.ent_source[0], model.ent_target[0], model.ent_target[1] = u, 0.1 * u, -0.1 * u
+        model.ent_source[1] = 0.0
+        assert np.dot(u, 0.1 * u) / (np.linalg.norm(u) * np.linalg.norm(0.1 * u)) > 1.0
+        src = np.concatenate([[0, 0, 1], rng.integers(n_s, size=200)])
+        tgt = np.concatenate([[0, 1, 0], rng.integers(n_t, size=200)])
+        got = score_pair(model, src, tgt)
+        assert got.shape == src.shape
+        assert got[:3].tolist() == [1.0, -1.0, 0.0]
+        scalar = [score_pair(model, s, t) for s, t in zip(src.tolist(), tgt.tolist())]
+        np.testing.assert_allclose(got, scalar, rtol=0, atol=1e-15)
+        # the per-pair np.dot form the array call replaced
+        reference = [
+            np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0) if a.any() else 0.0
+            for a, b in zip(model.ent_source[src], model.ent_target[tgt])
+        ]
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-15)
+        assert score_pair(model, src[:0], tgt[:0]).shape == (0,)
+
     def test_top_candidates_scores_match_score_pair(self, rng):
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
         model = init_model(pair, Hyperparams(dim=8), seed=5)
@@ -524,51 +547,3 @@ class TestGreedyMatching:
                 assert greedy_rows(offers, budget=budget) == oracles.sorted_greedy(offers, budget=budget)
         assert greedy_rows(duplicated, budget=0) == []
         assert greedy_rows(duplicated) == [(0, 0, 0.9), (1, 1, 0.5)]
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=14)
-        hp = Hyperparams(dim=8, epochs=5, negatives=4)
-        model = init_model(pair, hp, seed=9)
-        train(model, pair, observed((0, 0, 1.0), (2, 2, 1.0)))
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert np.array_equal(model.ent_source, loaded.ent_source)
-        assert np.array_equal(model.ent_target, loaded.ent_target)
-        assert np.array_equal(model.rel_source, loaded.rel_source)
-        assert np.array_equal(model.rel_target, loaded.rel_target)
-        assert loaded.hyperparams == hp
-        assert loaded.seed == 9
-
-    def test_rng_state_restored(self, tmp_path):
-        rng = np.random.default_rng(2)
-        pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=14)
-        hp = Hyperparams(dim=8, epochs=2, negatives=4)
-        model = init_model(pair, hp, seed=4)
-        train(model, pair, observed((0, 0, 1.0)))
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        rep_a = train(model, pair, observed((0, 0, 1.0)))
-        rep_b = train(loaded, pair, observed((0, 0, 1.0)))
-        assert rep_a.epoch_losses == rep_b.epoch_losses
-        assert np.array_equal(model.ent_source, loaded.ent_source)
-
-    def test_version_gate(self, tmp_path):
-        rng = np.random.default_rng(3)
-        pair = random_pair(rng)
-        model = init_model(pair, Hyperparams(dim=4), seed=0)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        import json
-
-        data = dict(np.load(path))
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        meta["version"] = 99
-        data["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)

@@ -10,7 +10,6 @@ from kgalign.graph import (
     IngestError,
     KnowledgeGraph,
     KnowledgeGraphPair,
-    SeedRole,
     check_key_space,
     load_graph,
     pack_direction,
@@ -183,21 +182,21 @@ class TestRoundTrip:
 
 class TestSeeds:
     def test_lookup_both_ways(self):
-        seed = AlignmentSeed(pairs=((0, 5), (1, 7)), role=SeedRole.TRAIN)
+        seed = AlignmentSeed(pairs=((0, 5), (1, 7)))
         assert seed.by_source[1] == 7
         assert len(seed) == 2
 
     def test_train_one_to_one_enforced(self):
-        train = AlignmentSeed(pairs=((0, 5), (0, 6)), role=SeedRole.TRAIN)
-        empty_v = AlignmentSeed(pairs=(), role=SeedRole.VALIDATION)
-        empty_t = AlignmentSeed(pairs=(), role=SeedRole.TEST)
+        train = AlignmentSeed(pairs=((0, 5), (0, 6)))
+        empty_v = AlignmentSeed(pairs=())
+        empty_t = AlignmentSeed(pairs=())
         with pytest.raises(IngestError, match="one-to-one"):
             validate_seed_sets(train, empty_v, empty_t)
 
     def test_disjointness_enforced(self):
-        train = AlignmentSeed(pairs=((0, 5),), role=SeedRole.TRAIN)
-        valid = AlignmentSeed(pairs=((0, 5),), role=SeedRole.VALIDATION)
-        test = AlignmentSeed(pairs=((2, 9),), role=SeedRole.TEST)
+        train = AlignmentSeed(pairs=((0, 5),))
+        valid = AlignmentSeed(pairs=((0, 5),))
+        test = AlignmentSeed(pairs=((2, 9),))
         with pytest.raises(IngestError, match="overlap"):
             validate_seed_sets(train, valid, test)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import kgalign.cli
 from kgalign import data, em
 from kgalign.embedder import Hyperparams
-from kgalign.graph import AlignmentSeed, SeedRole
+from kgalign.graph import AlignmentSeed
 
 with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
@@ -34,7 +34,7 @@ with tempfile.TemporaryDirectory() as tmp:
     (root / data.LINKS_FILE).write_text("".join(f"a{{i}}\\tb{{i}}\\n" for i in range(8)), encoding="utf-8")
     bundle = data.load_dataset(root)
 
-train = AlignmentSeed(pairs=bundle.links[:2], role=SeedRole.TRAIN)
+train = AlignmentSeed(pairs=bundle.links[:2])
 config = em.EmConfig(
     iterations=1, symbolic_only={symbolic_only}, neural=Hyperparams(dim=4, epochs=2, negatives=2)
 )
