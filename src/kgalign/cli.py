@@ -23,14 +23,8 @@ logger = logging.getLogger(__name__)
 
 
 def _coerce(key: str, value: str, owner: type) -> object:
-    """Parse a config-file value as the type annotated on ``owner``'s field.
-
-    An optional field (``int | None``) takes ``None`` or its non-None type.
-    """
-    hint = typing.get_type_hints(owner)[key.rsplit(".", 1)[-1]]
-    if value == "None" and type(None) in typing.get_args(hint):
-        return None
-    kind = next((k for k in typing.get_args(hint) if k is not type(None)), hint)
+    """Parse a config-file value as the type annotated on ``owner``'s field."""
+    kind = typing.get_type_hints(owner)[key.rsplit(".", 1)[-1]]
     if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True

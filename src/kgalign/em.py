@@ -4,12 +4,14 @@ Each round has two phases.  The expectation phase holds the rule tables
 fixed, runs L propagation sweeps from the current truth scores, splits
 the result at the threshold into positives and a hard-negative pool,
 and fits the embedder to observed plus inferred positives.  The
-maximization phase holds the embedder fixed, turns its scores into a
-one-to-one pseudo-label set, and re-estimates the subrelation
-probabilities from observed plus pseudo labels.
+maximization phase holds both components fixed and re-estimates the
+subrelation probabilities from the round's one-to-one alignment: the
+observed pairs, greedy matches over the engine's positives between the
+other entities, then the embedder's greedy matches over the entities
+still free.  ``fuse_predictions`` outputs the same alignment.
 
-A symbolic-only mode replaces the embedder with greedy matching over
-the engine's own positives, which reduces the loop to the classic
+A symbolic-only mode has no embedder, so the alignment stops after the
+engine's matches, which reduces the loop to the classic
 probabilistic-alignment baseline.
 """
 
@@ -53,7 +55,6 @@ class EmConfig:
     neural: Hyperparams = field(default_factory=Hyperparams)
     hidden_weight: float = 1.0
     top_c: int = 50
-    pseudo_budget: int | None = None
     confidence_floor: float = 0.5
     rank_depth: int = 10
 
@@ -76,8 +77,6 @@ class EmConfig:
             raise ValueError(f"confidence_floor must be in [0, 1), got {self.confidence_floor}")
         if self.rank_depth < 1:
             raise ValueError(f"rank_depth must be >= 1, got {self.rank_depth}")
-        if self.pseudo_budget is not None and self.pseudo_budget < 0:
-            raise ValueError(f"pseudo_budget must be >= 0, got {self.pseudo_budget}")
         if self.workers != 1:
             raise ValueError(f"sweeps run in one process; workers must be 1, got {self.workers}")
         self.neural.validate()
@@ -212,62 +211,62 @@ def _neural_offers(
     free_src: np.ndarray,
     free_tgt: np.ndarray,
     config: EmConfig,
-    table: TruthScoreTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The embedder's offers between free entities as (source, target, q)
+    """Each free source's top-C free targets as (source, target, q)
     columns, q = (cos + 1) / 2 above the confidence floor.
 
-    ``free_src`` and ``free_tgt`` are entity masks.  The offers are the
-    free pairs of ``table`` first, then each free source's top-C free
-    targets that are not among them.
+    ``free_src`` and ``free_tgt`` are entity masks.
     """
     sources, targets = np.flatnonzero(free_src), np.flatnonzero(free_tgt)
     src, tgt, cos = _top_candidates(model, sources, targets, config.top_c)
-    if table is not None:
-        own = free_src[table.src] & free_tgt[table.tgt]
-        t_src, t_tgt = table.src[own], table.tgt[own]
-        new = ~np.isin((src << 32) | tgt, (t_src << 32) | t_tgt)
-        src = np.concatenate([t_src, src[new]])
-        tgt = np.concatenate([t_tgt, tgt[new]])
-        cos = np.concatenate([emb.score_pair(model, t_src, t_tgt), cos[new]])
     q = (cos + 1.0) / 2.0
     ok = q > config.confidence_floor
     return src[ok], tgt[ok], q[ok]
 
 
-def m_step(state: EmState, config: EmConfig) -> EmState:
-    """Pseudo-label greedily, re-estimate subrelations from the labels.
+def _matched(
+    src: np.ndarray, tgt: np.ndarray, val: np.ndarray, origin: Origin
+) -> PseudoLabelSet:
+    """The greedy one-to-one matches among the offers (src, tgt, val)."""
+    keep = emb.greedy_one_to_one(src, tgt, val)
+    return PseudoLabelSet(src[keep], tgt[keep], val[keep], origin)
 
-    The offers are the embedder's over the unlabeled entities, or the
-    engine's own positives when there is no model.
+
+def _alignment(state: EmState, config: EmConfig) -> list[PseudoLabelSet]:
+    """The round's one-to-one alignment, in three parts.
+
+    The observed pairs at 1; then greedy one-to-one over the last split's
+    positives between entities outside the observed pairs; then, with a
+    model, greedy one-to-one over the embedder's offers between the
+    entities still free.
+    """
+    obs_src, obs_tgt = _observed(state)
+    obs = _train_pairs(state)
+    parts = [PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)]
+    src, tgt, val = state.last_split.positive_columns if state.last_split is not None else _no_pairs()
+    free = ~obs_src[src] & ~obs_tgt[tgt]
+    parts.append(_matched(src[free], tgt[free], val[free], Origin.SYMBOLIC))
+    if state.model is not None:
+        free_src, free_tgt = ~obs_src, ~obs_tgt
+        free_src[parts[-1].src] = False
+        free_tgt[parts[-1].tgt] = False
+        offers = _neural_offers(state.model, free_src, free_tgt, config)
+        parts.append(_matched(*offers, Origin.NEURAL))
+    return parts
+
+
+def m_step(state: EmState, config: EmConfig) -> EmState:
+    """Re-estimate the subrelations from the round's alignment.
+
+    The labels are the pairs ``fuse_predictions`` would output for this
+    round: the observed pairs, then the engine's and (with a model) the
+    embedder's one-to-one matches.
     """
     config.validate()
-    obs_src, obs_tgt = _observed(state)
-    if state.model is not None:
-        offers = _neural_offers(state.model, ~obs_src, ~obs_tgt, config, state.truth_scores)
-    elif state.last_split is not None:
-        offers = state.last_split.positive_columns
-    else:
-        offers = _no_pairs()
-    budget = config.pseudo_budget
-    if budget is None:
-        budget = int(np.count_nonzero(~obs_src))
-    pseudo = emb.greedy_one_to_one(*offers, budget=budget)
-    labels = _with_observed(state, *(col[pseudo] for col in offers))
+    parts = _alignment(state, config)
+    labels = (np.concatenate([getattr(p, col) for p in parts]) for col in ("src", "tgt", "conf"))
     state.psub = update_subrelation_probs(state.pair, *labels)
     return state
-
-
-def _with_observed(
-    state: EmState, src: np.ndarray, tgt: np.ndarray, val: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Label columns: the observed pairs at 1, then the pseudo-labels (src, tgt, val)."""
-    obs = _train_pairs(state)
-    return (
-        np.concatenate([obs[:, 0], src]),
-        np.concatenate([obs[:, 1], tgt]),
-        np.concatenate([np.ones(len(obs)), val]),
-    )
 
 
 def _validation_precision(split: ThresholdSplit, validation: AlignmentSeed | None) -> float | None:
@@ -327,38 +326,23 @@ def fuse_predictions(
 ) -> FusedPredictions:
     """Combine the two components into final predictions.
 
-    Binary set: observed pairs, then greedy one-to-one over symbolic
-    positives, then the embedder's matches over whatever entities are
-    still free (confidence floor applies).  Ranked lists: each sorted
-    rank source's top ``rank_depth`` targets outside the observed set by
-    embedder score, ties by ascending target id, all ranked in one
-    ``rank_candidates`` call; without a model the truth-score rows are
-    ranked instead.  The binary counterpart of a source is promoted to
-    the top of its list.
+    Binary set: the round's alignment, the same pairs ``m_step``
+    re-estimates from.  Ranked lists: each sorted rank source's top
+    ``rank_depth`` targets outside the observed set by embedder score,
+    ties by ascending target id, all ranked in one ``rank_candidates``
+    call; without a model the truth-score rows are ranked instead.  The
+    binary counterpart of a source is promoted to the top of its list.
     """
     if state.last_split is None:
         raise RuntimeError("fuse_predictions requires at least one completed round")
-    obs_src, obs_tgt = _observed(state)
-    obs = _train_pairs(state)
-    parts = [(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)]
-    src, tgt, val = state.last_split.positive_columns
-    free = ~obs_src[src] & ~obs_tgt[tgt]
-    src, tgt, val = src[free], tgt[free], val[free]
-    symbolic = emb.greedy_one_to_one(src, tgt, val)
-    parts.append((src[symbolic], tgt[symbolic], val[symbolic], Origin.SYMBOLIC))
-
-    if state.model is not None:
-        free_src, free_tgt = ~obs_src, ~obs_tgt
-        free_src[src[symbolic]] = False
-        free_tgt[tgt[symbolic]] = False
-        n_src, n_tgt, q = _neural_offers(state.model, free_src, free_tgt, config)
-        neural = emb.greedy_one_to_one(n_src, n_tgt, q, budget=int(np.count_nonzero(free_src)))
-        parts.append((n_src[neural], n_tgt[neural], q[neural], Origin.NEURAL))
-
-    rows = (zip(s.tolist(), t.tolist(), v.tolist(), repeat(o)) for s, t, v, o in parts)
+    rows = (
+        zip(p.src.tolist(), p.tgt.tolist(), p.conf.tolist(), repeat(p.origin))
+        for p in _alignment(state, config)
+    )
     binary = tuple(sorted(chain.from_iterable(rows)))
     by_source = {s: t for s, t, _, _ in binary}
 
+    obs_src, obs_tgt = _observed(state)
     if rank_sources is None:
         rank_sources = np.flatnonzero(~obs_src).tolist()
     sources = sorted(rank_sources)

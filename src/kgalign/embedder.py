@@ -442,7 +442,6 @@ def greedy_one_to_one(
     src: np.ndarray,
     tgt: np.ndarray,
     score: np.ndarray,
-    budget: int | None = None,
 ) -> np.ndarray:
     """Highest-score-first matching over offers (src[i], tgt[i], score[i]);
     each entity is used at most once.
@@ -450,15 +449,13 @@ def greedy_one_to_one(
     Returns the accepted offers' positions i, in acceptance order, so the
     caller indexes its own columns with them.  Ties are broken by source
     id, then target id, then position, so the sweep is fully
-    deterministic.  At most ``budget`` pairs are accepted when given.
+    deterministic.
     """
     order = np.lexsort((tgt, src, -score))
     used_src: set[int] = set()
     used_tgt: set[int] = set()
     accepted: list[int] = []
     for i, s, t in zip(order.tolist(), src[order].tolist(), tgt[order].tolist()):
-        if budget is not None and len(accepted) >= budget:
-            break
         if s in used_src or t in used_tgt:
             continue
         used_src.add(s)

@@ -6,8 +6,8 @@ product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
 embedder's label and report types, the explain loop the explainer's
 path search and rule weight, the ingest loops the data module's file
-names and error type, the M-step loop the engine's candidate, scoring,
-matching and re-estimation calls, and the table helpers convert between
+names and error type, the M-step loop the engine's candidate and
+re-estimation calls, and the table helpers convert between
 dict rows and the engine's truth table without computing anything), so
 agreement with the engine is evidence rather than tautology.
 
@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from kgalign import em
-from kgalign import embedder as emb
 from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetError
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
 from kgalign.explain import RuleExplanation, _reverse, _walks, bfs_reachable, path_confidence
@@ -562,17 +561,13 @@ def loop_train(
     return TrainReport(epoch_losses=losses)
 
 
-def sorted_greedy(
-    scored_pairs: Iterable[tuple[int, int, float]], budget: int | None = None
-) -> list[tuple[int, int, float]]:
+def sorted_greedy(scored_pairs: Iterable[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
     """Greedy one-to-one over the offers in (-score, source, target) order
     from one Python key sort; returns the accepted (s, t, score) list."""
     used_src: set[int] = set()
     used_tgt: set[int] = set()
     accepted: list[tuple[int, int, float]] = []
     for s, t, v in sorted(scored_pairs, key=lambda p: (-p[2], p[0], p[1])):
-        if budget is not None and len(accepted) >= budget:
-            break
         if s in used_src or t in used_tgt:
             continue
         used_src.add(s)
@@ -581,44 +576,33 @@ def sorted_greedy(
     return accepted
 
 
-def loop_m_step(state, config) -> None:
-    """The M-step as two separate paths, each with its own budget and tail.
+def loop_m_step(state, config) -> list[tuple[int, int, float]]:
+    """The M-step as one loop over the round's alignment; returns its labels.
 
-    With a model: score the truth-table pairs between unlabeled entities,
-    add every unlabeled source's top-C unlabeled targets that are not
-    among them, gate all offers at (cos + 1) / 2 above the confidence
-    floor, then match greedily.  Without one: match the last split's
-    positives greedily.  Either way the observed pairs plus the matches
-    re-estimate p_sub.  The table pairs are scored by one ``score_pair``
-    call, so its cosines are the engine's.
+    The observed pairs at 1, then greedy matching over the last split's
+    positives whose source and target are both unobserved, then, with a
+    model, greedy matching over each still-free source's top-C still-free
+    targets whose (cos + 1) / 2 is above the confidence floor.  Those
+    labels, in that order, re-estimate p_sub.  The top-C candidates come
+    from the engine's ``_top_candidates``, so their cosines are the
+    engine's.
     """
-    obs_src, obs_tgt = em._observed(state)
-    if state.model is None:
-        split = state.last_split
-        offers = split.positive_columns if split else em._no_pairs()
-        unlabeled = int(np.count_nonzero(~obs_src))
-        budget = config.pseudo_budget if config.pseudo_budget is not None else unlabeled
-        matched = emb.greedy_one_to_one(*offers, budget=budget)
-        labels = em._with_observed(state, *(col[matched] for col in offers))
-        state.psub = update_subrelation_probs(state.pair, *labels)
-        return
-
-    sources, targets = np.flatnonzero(~obs_src), np.flatnonzero(~obs_tgt)
-    table = state.truth_scores
-    own = ~obs_src[table.src] & ~obs_tgt[table.tgt]
-    t_src, t_tgt = table.src[own], table.tgt[own]
-    t_cos = emb.score_pair(state.model, t_src, t_tgt)
-    c_src, c_tgt, c_cos = em._top_candidates(state.model, sources, targets, config.top_c)
-    new = ~np.isin((c_src << 32) | c_tgt, (t_src << 32) | t_tgt)
-    src = np.concatenate([t_src, c_src[new]])
-    tgt = np.concatenate([t_tgt, c_tgt[new]])
-    q = (np.concatenate([t_cos, c_cos[new]]) + 1.0) / 2.0
-    ok = q > config.confidence_floor
-    src, tgt, q = src[ok], tgt[ok], q[ok]
-    budget = config.pseudo_budget if config.pseudo_budget is not None else len(sources)
-    pseudo = emb.greedy_one_to_one(src, tgt, q, budget=budget)
-    labels = em._with_observed(state, src[pseudo], tgt[pseudo], q[pseudo])
-    state.psub = update_subrelation_probs(state.pair, *labels)
+    labels = [(s, t, 1.0) for s, t in state.train.pairs]
+    used_src = {s for s, _, _ in labels}
+    used_tgt = {t for _, t, _ in labels}
+    split = state.last_split
+    positives = column_tuples(split.positive_columns) if split is not None else []
+    labels += sorted_greedy((s, t, v) for s, t, v in positives if s not in used_src and t not in used_tgt)
+    if state.model is not None:
+        used_src = {s for s, _, _ in labels}
+        used_tgt = {t for _, t, _ in labels}
+        sources = [s for s in range(state.pair.source.n_entities) if s not in used_src]
+        targets = [t for t in range(state.pair.target.n_entities) if t not in used_tgt]
+        candidates = em._top_candidates(state.model, sources, targets, config.top_c)
+        offers = [(s, t, (c + 1.0) / 2.0) for s, t, c in column_tuples(candidates)]
+        labels += sorted_greedy((s, t, q) for s, t, q in offers if q > config.confidence_floor)
+    state.psub = update_subrelation_probs(state.pair, *offer_columns(labels))
+    return labels
 
 
 def offer_columns(

@@ -9,8 +9,10 @@ package.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import resource
+import sys
 import time
 from pathlib import Path
 
@@ -295,7 +297,7 @@ def _loop_reference_cases(rng, n: int) -> str:
 
 
 def _greedy_cases(rng, n: int) -> str:
-    for case in range(n):
+    for _ in range(n):
         m = int(rng.integers(0, 40))
         cands = [
             (
@@ -320,11 +322,6 @@ def _greedy_cases(rng, n: int) -> str:
         for (s, t), v in ranked:
             if (s, t) not in accepted:
                 assert s in blocked_s or t in blocked_t, "greedy skipped a free pair"
-        if case % 3 == 0 and full:
-            budget = int(rng.integers(1, len(full) + 1))
-            capped = emb.greedy_one_to_one(*columns, budget=budget)
-            capped_rows = oracles.column_tuples(col[capped] for col in columns)
-            assert capped_rows == full[:budget], "budget is not a prefix cut"
     return f"greedy-matching:{n}"
 
 
@@ -474,6 +471,59 @@ def test_low_resource_trend(capsys):
         "low-resource trend",
         trend and elapsed < 1200.0,
         f"hit@1 by seed ratio {detail}, non-decreasing={trend}, {elapsed:.1f}s",
+    )
+
+
+def _bench_generators(monkeypatch, capsys, name: str):
+    """``bench/generators.py``, loaded read-only as a fresh module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+    if not path.is_file():
+        _skip(capsys, name, "bench/generators.py not present")
+    spec = importlib.util.spec_from_file_location("kgalign_bench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_joint_keeps_pace_on_noisy_pair(capsys, monkeypatch, tmp_path):
+    """Joint mode stays level with symbolic-only on a noisy pair at 20% seeds.
+
+    The pair drops 30% of the base triples on each side.  When the M-step
+    re-estimated p_sub from the embedder's matches alone, joint mode's
+    inferred positives fell round by round (636, 301, 119, 74, 52) and
+    its binary hit@1 was 0.386 against 0.777 for symbolic-only.
+    Generator seeds 407-411 give joint 0.800 / 0.766 / 0.803 / 0.808 /
+    0.782 against symbolic-only 0.781 / 0.734 / 0.781 / 0.797 / 0.757.
+
+    Joint mode still collapses at 5% seeds on this pair (binary hit@1
+    0.030 against 0.790, inferred 208, 4, 0, 0, 0), so this test does
+    not show that the joint loop never loses to symbolic-only.
+    """
+    name = "joint keeps pace on noisy pair"
+    generators = _bench_generators(monkeypatch, capsys, name)
+    monkeypatch.setattr(generators, "DROP", 0.30)
+    generators.write_dataset(generators.noisy_pair(407, 1000, 10, 3000), tmp_path)
+    bundle = data.load_dataset(tmp_path)
+    train, valid, test = data.split_seed(bundle.links, 0.20, 0.05, 407)
+    hit1: dict[bool, float] = {}
+    inferred: dict[bool, list[int]] = {}
+    for symbolic_only in (False, True):
+        config = EmConfig(seed=407, symbolic_only=symbolic_only, neural=emb.Hyperparams(epochs=10))
+        state = run_em(bundle.pair, train, config, validation=valid)
+        fused = fuse_predictions(state, config, rank_sources=[s for s, _ in test.pairs])
+        binary = {s: t for s, t, _, _ in fused.binary}
+        hit1[symbolic_only] = sum(binary.get(s) == t for s, t in test.pairs) / len(test.pairs)
+        inferred[symbolic_only] = [st.inferred_pairs for st in state.history]
+    joint = inferred[False]
+    ok = hit1[False] >= hit1[True] - 0.05 and joint[-1] >= joint[0] / 2
+    _verdict(
+        capsys,
+        name,
+        ok,
+        f"binary hit@1 joint {hit1[False]:.3f} vs symbolic-only {hit1[True]:.3f} "
+        f"(margin 0.05), joint inferred {joint} (last >= first / 2)",
     )
 
 

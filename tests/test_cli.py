@@ -7,9 +7,8 @@ import shutil
 import numpy as np
 import pytest
 
-from kgalign.cli import _coerce, _psub_from_dump, main
+from kgalign.cli import _psub_from_dump, main
 from kgalign.data import DatasetBundle, DatasetError, save_dataset
-from kgalign.em import EmConfig
 from kgalign.graph import load_graph, pack_direction
 
 import oracles
@@ -129,6 +128,7 @@ class TestAlign:
             "hidden_weight=-1",
             "confidence_floor=7",
             "rank_depth=0",
+            # a removed key: a config that still sets it fails as unknown
             "pseudo_budget=-1",
             "pseudo_budget=ten",
             "iterations=None",
@@ -156,30 +156,6 @@ class TestAlign:
         key = line.partition("=")[0].rsplit(".", 1)[-1]
         assert any(msg.startswith("error:") and key in msg for msg in err_lines)
         assert not (tmp_path / "x").exists()
-
-    def test_optional_config_value_typed(self, dataset_dir, tmp_path):
-        conf = tmp_path / "budget.conf"
-        base = (dataset_dir / "run.conf").read_text(encoding="utf-8")
-        conf.write_text(base + "pseudo_budget=10\n", encoding="utf-8")
-        rc = main(
-            ["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--iterations", "1",
-             "--config", str(conf)]
-        )
-        assert rc == 0
-
-    def test_optional_config_value_none(self, dataset_dir, tmp_path):
-        # The manifest writes an unset optional field as None; a config file can say so too.
-        conf = tmp_path / "budget.conf"
-        base = (dataset_dir / "run.conf").read_text(encoding="utf-8")
-        conf.write_text(base + "pseudo_budget=None\n", encoding="utf-8")
-        rc = main(
-            ["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--iterations", "1",
-             "--config", str(conf)]
-        )
-        assert rc == 0
-        manifest = (tmp_path / "x" / "manifest.txt").read_text(encoding="utf-8")
-        assert "config.pseudo_budget\tNone\n" in manifest
-        assert _coerce("pseudo_budget", "None", EmConfig) is None
 
     def test_bad_delta_fails(self, dataset_dir, tmp_path, capsys):
         rc = main(

@@ -332,12 +332,12 @@ class TestManifest:
         assert "iteration\t2\t9\t-\t1.000000\n" in text
 
     def test_every_config_field_recorded(self):
-        config = EmConfig(pseudo_budget=10)
+        config = EmConfig(top_c=10)
         text = build_manifest(config, {}, [])
         for f in dataclasses.fields(EmConfig):
             if f.name not in ("neural", "workers"):
                 assert f"config.{f.name}\t{getattr(config, f.name)}\n" in text
-        assert "config.pseudo_budget\t10\n" in text
+        assert "config.top_c\t10\n" in text
 
     def test_extra_entries_sorted_in(self):
         text = build_manifest(EmConfig(), {}, [], extra={"train_ratio": 0.2})

@@ -193,7 +193,7 @@ class TestMStep:
 
 def _random_m_state(rng, neural: bool, kind: str):
     """An EmState after a made-up E-step: random graphs, seeds, embeddings
-    with one zero source row, and budget, top-C and confidence floor.
+    with one zero source row, and top-C and confidence floor.
 
     ``kind`` "random": a truth table whose rows mix random pairs with
     top-C candidates, split at 0.5.  "none": that table and no split.
@@ -207,7 +207,6 @@ def _random_m_state(rng, neural: bool, kind: str):
         neural=tiny_neural(),
         top_c=int(rng.integers(1, 5)),
         confidence_floor=float(rng.choice([0.0, 0.5, 0.6])),
-        pseudo_budget=[None, 0, 2][int(rng.integers(3))],
     )
     state = init_state(pair, train_seed(seeds), config)
     rows: dict[int, dict[int, float]] = {s: {t: 1.0} for s, t in seeds}
@@ -228,42 +227,58 @@ def _random_m_state(rng, neural: bool, kind: str):
     return state, config
 
 
+def _m_step_labels(monkeypatch, state, config) -> list[tuple]:
+    """Run ``m_step``; return the (s, t, conf) rows it hands the p_sub update."""
+    captured = []
+    real = em.update_subrelation_probs
+
+    def recording(pair, src, tgt, val):
+        captured.extend(oracles.column_tuples((src, tgt, val)))
+        return real(pair, src, tgt, val)
+
+    monkeypatch.setattr(em, "update_subrelation_probs", recording)
+    m_step(state, config)
+    monkeypatch.undo()
+    return captured
+
+
 class TestMStepMatchesLoop:
-    """The one M-step equals the two-path loop reference: the same offers
-    reach greedy matching, the same pairs are accepted, and p_sub is
-    bit-identical."""
-
-    @staticmethod
-    def _recorded(monkeypatch, run, state, config):
-        calls = []
-        real = em.emb.greedy_one_to_one
-
-        def recording(src, tgt, score, budget=None):
-            accepted = real(src, tgt, score, budget=budget)
-            calls.append((src.copy(), tgt.copy(), score.copy(), budget, accepted))
-            return accepted
-
-        monkeypatch.setattr(em.emb, "greedy_one_to_one", recording)
-        run(state, config)
-        monkeypatch.undo()
-        return calls, state.psub.source_in_target.copy(), state.psub.target_in_source.copy()
+    """The M-step equals its loop reference: the same labels, in the same
+    order, reach the p_sub update, and p_sub is bit-identical."""
 
     @pytest.mark.parametrize("kind", ["none", "empty", "random"])
     @pytest.mark.parametrize("neural", [True, False])
     def test_matches_loop_reference(self, monkeypatch, neural, kind):
         rng = np.random.default_rng(41 + 2 * neural)
-        offered = 0
+        inferred = 0
         for _ in range(25):
             state, config = _random_m_state(rng, neural, kind)
-            want = self._recorded(monkeypatch, oracles.loop_m_step, state, config)
-            got = self._recorded(monkeypatch, m_step, state, config)
-            (w_call,), (g_call,) = want[0], got[0]
-            for w, g in zip(w_call, g_call):
-                assert np.array_equal(w, g) if w is not None else g is None
-            assert np.array_equal(want[1], got[1])
-            assert np.array_equal(want[2], got[2])
-            offered += len(g_call[0])
-        assert offered > 0 or (kind != "random" and not neural)
+            want = oracles.loop_m_step(state, config)
+            want_psub = state.psub.source_in_target.copy(), state.psub.target_in_source.copy()
+            got = _m_step_labels(monkeypatch, state, config)
+            assert got == want
+            assert np.array_equal(want_psub[0], state.psub.source_in_target)
+            assert np.array_equal(want_psub[1], state.psub.target_in_source)
+            inferred += len(got) - len(state.train.pairs)
+        assert inferred > 0 or (kind != "random" and not neural)
+
+    def test_labels_avoid_observed_entities(self, monkeypatch):
+        # Rows of seed sources and columns of seed targets carry
+        # non-pinned positives; in symbolic-only mode too, none of them
+        # may become a label next to the seed pair, which is pinned at 1.
+        rng = np.random.default_rng(7)
+        touching = 0
+        for _ in range(25):
+            state, config = _random_m_state(rng, False, "random")
+            observed = set(state.train.pairs)
+            obs_src = {s for s, _ in observed}
+            obs_tgt = {t for _, t in observed}
+            positives = oracles.column_tuples(state.last_split.positive_columns)
+            touching += sum(s in obs_src or t in obs_tgt for s, t, _ in positives)
+            for s, t, _ in _m_step_labels(monkeypatch, state, config):
+                if (s, t) not in observed:
+                    assert s not in obs_src and t not in obs_tgt, (s, t)
+        assert touching > 0
 
 
 class TestRunEm:

@@ -43,10 +43,10 @@ def pool_array(pool) -> np.ndarray:
     return np.array([(s, t) for s, t, _ in pool], dtype=np.int64).reshape(-1, 2)
 
 
-def greedy_rows(offers, budget=None) -> list[tuple]:
+def greedy_rows(offers) -> list[tuple]:
     """The accepted offers as (s, t, score) rows, in acceptance order."""
     columns = oracles.offer_columns(offers)
-    accepted = greedy_one_to_one(*columns, budget=budget)
+    accepted = greedy_one_to_one(*columns)
     return oracles.column_tuples(col[accepted] for col in columns)
 
 
@@ -488,10 +488,6 @@ class TestGreedyMatching:
     def test_empty(self):
         assert greedy_rows([]) == []
 
-    def test_budget(self):
-        got = greedy_one_to_one(*oracles.offer_columns([(0, 0, 0.9), (1, 1, 0.8), (2, 2, 0.7)]), budget=2)
-        assert len(got) == 2
-
     def test_tie_broken_by_ids(self):
         got = greedy_rows([(1, 1, 0.5), (0, 0, 0.5), (0, 1, 0.5)])
         assert [(s, t) for s, t, _ in got] == [(0, 0), (1, 1)]
@@ -503,7 +499,6 @@ class TestGreedyMatching:
         got = greedy_one_to_one(*oracles.offer_columns(offers))
         assert got.dtype == np.int64 and got.tolist() == [3, 0]
         assert greedy_one_to_one(*oracles.offer_columns(offers[:3])).tolist() == [1, 0]
-        assert greedy_one_to_one(*oracles.offer_columns(offers), budget=1).tolist() == [3]
 
     def test_matching_valid_and_greedy(self, rng):
         for _ in range(50):
@@ -528,8 +523,8 @@ class TestGreedyMatching:
                 )
 
     def test_matches_sorted_reference(self, rng):
-        # scores from a small set plant exact ties; repeated and
-        # re-scored offers and budgets cut the sweep short
+        # scores from a small set plant exact ties, plus repeated and
+        # re-scored offers
         for _ in range(300):
             offers = [
                 (int(rng.integers(8)), int(rng.integers(8)), float(rng.choice([0.25, 0.5, 0.75, 0.0])))
@@ -537,13 +532,10 @@ class TestGreedyMatching:
             ]
             offers += [offers[int(i)] for i in rng.integers(0, len(offers), size=min(len(offers), 5))]
             offers += [(s, t, 1.0 - v) for s, t, v in offers[:3]]
-            budget = None if rng.random() < 0.3 else int(rng.integers(0, 10))
-            assert greedy_rows(offers, budget=budget) == oracles.sorted_greedy(offers, budget=budget)
+            assert greedy_rows(offers) == oracles.sorted_greedy(offers)
 
     def test_edge_cases_match_sorted_reference(self):
         duplicated = [(0, 0, 0.5), (0, 0, 0.5), (1, 0, 0.5), (0, 0, 0.9), (1, 1, 0.5), (1, 1, 0.5)]
         for offers in ([], duplicated):
-            for budget in (None, 0, 1, 5):
-                assert greedy_rows(offers, budget=budget) == oracles.sorted_greedy(offers, budget=budget)
-        assert greedy_rows(duplicated, budget=0) == []
+            assert greedy_rows(offers) == oracles.sorted_greedy(offers)
         assert greedy_rows(duplicated) == [(0, 0, 0.9), (1, 1, 0.5)]
