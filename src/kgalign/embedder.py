@@ -7,11 +7,13 @@ shapes the space so that alignment evidence propagates through the
 relational structure.  Scoring is plain cosine similarity.
 
 The trainer is full-batch and deterministic: negatives are drawn from
-the generator persisted on the model, and each gradient array is one
-sparse incidence product that adds its terms in a fixed order, so a
-fixed seed reproduces training bit for bit.  ``scipy.sparse`` is
-imported on the first training call only, so runs without an embedder
-never load it.
+the generator persisted on the model, and each gradient array is built
+by sparse incidence products that add its terms in a fixed order, so a
+fixed seed reproduces training bit for bit.  The corrupted-tail terms of
+the triple loss are walked in chunks of ``TRAIN_CHUNK_CELLS`` values, so
+training holds O(T * d) rows plus one chunk, never the (T * k, d) block
+of all corrupted residuals.  ``scipy.sparse`` is imported on the first
+training call only, so runs without an embedder never load it.
 """
 
 from __future__ import annotations
@@ -161,6 +163,17 @@ def _hard_pools(
     return pairs[:, 1], start[src_idx], length[src_idx]
 
 
+# Values (triples x negatives x dimension) of corrupted residuals one
+# chunk of the trainer holds; the chunk's triple count follows from k and
+# the dimension, so training memory stays flat as the graphs grow.
+TRAIN_CHUNK_CELLS = 1 << 20
+
+# Score cells (sources x candidates) one block of the top-k kernel holds;
+# the block's row count follows from the candidate count, so memory stays
+# flat as the target side grows.
+TOP_K_BLOCK_CELLS = 1 << 22
+
+
 def _scatter(
     values: np.ndarray, n_out: int, segments: list[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
@@ -194,8 +207,48 @@ def _scatter(
     return incidence.T @ values[:rows]
 
 
+def _scatter_onto(out: np.ndarray, values: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> None:
+    """Continue ``out``'s sums with ``out[targets[i]] += weights[i] * terms[i]``
+    for every i in order, where ``terms`` are the last len(targets) rows of
+    ``values``; the rows before them are free room.
+
+    The rows of ``out`` that nonzero terms touch are copied to the end of
+    that room and lead one ``_scatter`` product with weight 1, which then
+    adds the terms.  Since 0 + 1 * x == x, and a sum that starts at +0 is
+    never -0, each of those rows continues bit for bit as one longer sum
+    in the same order would have.
+    """
+    hit = np.zeros(len(out), dtype=bool)
+    hit[targets[weights != 0.0]] = True
+    touched = np.flatnonzero(hit)
+    m = len(touched)
+    if m == 0:
+        return
+    carried = values[len(values) - len(targets) - m :]
+    np.take(out, touched, axis=0, out=carried[:m], mode="clip")
+    slot = np.zeros(len(out), dtype=np.int64)
+    slot[touched] = np.arange(m)
+    carry = (np.arange(m)[:, None], np.ones((m, 1)))
+    out[touched] = _scatter(carried, m, [carry, (slot[targets][:, None], weights[:, None])])
+
+
+def _corrupted_residuals(
+    out: np.ndarray, hr: np.ndarray, ents: np.ndarray, corrupt: np.ndarray
+) -> np.ndarray:
+    """``hr[i] - ents[corrupt[i, j]]`` written to the rows of ``out`` in
+    (i, j) order; returns them viewed as (len(hr), k, d)."""
+    # corrupt holds draws below ents.shape[0], so clipping never acts;
+    # it only spares np.take the copy it makes of ``out`` under "raise"
+    np.take(ents, corrupt.reshape(-1), axis=0, out=out, mode="clip")
+    resid_neg = out.reshape(*corrupt.shape, -1)
+    np.subtract(hr[:, None, :], resid_neg, out=resid_neg)
+    return resid_neg
+
+
 def _side_gradients(
     buf: np.ndarray,
+    scratch: np.ndarray,
+    step: int,
     align_terms: list[tuple[np.ndarray, np.ndarray]],
     ents: np.ndarray,
     rels: np.ndarray,
@@ -207,49 +260,52 @@ def _side_gradients(
 
     ``buf`` starts with the alignment term values of this graph's
     entities, one row per row of the ``align_terms`` segments.  The
-    triple term appends three blocks after them: the head and relation
-    update ``pull - push``, the tail update ``pull`` (weight -1) and the
-    corrupted residuals (weight 2 * triple_weight where the hinge is
-    active).
+    triple term appends two blocks after them, the head and relation
+    update ``pull - push`` and the tail update ``pull`` (weight -1), and
+    one product scatters all of ``buf``.  The corrupted residuals (weight
+    2 * triple_weight where the hinge is active) are computed ``step``
+    triples at a time into the end of ``scratch``: once for the distances
+    and ``push``, and once more after that product to continue the
+    entity sums.  The subtraction is the same, so the bits are too.
     """
     hh, rr, tt = triples
     n2, k, cw = len(hh), hp.negatives, hp.triple_weight
-    loss = 0.0
-    ent_terms = list(align_terms)
-    g_rel = np.zeros_like(rels)
     rows = sum(len(targets) for targets, _ in align_terms)
-    if n2 and cw > 0.0:
-        corrupt = rng.integers(0, ents.shape[0], size=(n2, k))
-        hr = ents[hh] + rels[rr]
-        resid = hr - ents[tt]
-        g_head, pull = buf[rows : rows + n2], buf[rows + n2 : rows + 2 * n2]
-        tail = buf[rows + 2 * n2 : rows + (2 + k) * n2]
-        # corrupt holds draws below ents.shape[0], so clipping never acts;
-        # it only spares np.take the copy it makes of ``out`` under "raise"
-        np.take(ents, corrupt.reshape(-1), axis=0, out=tail, mode="clip")
-        resid_neg = tail.reshape(n2, k, -1)
-        np.subtract(hr[:, None, :], resid_neg, out=resid_neg)
+    if not (n2 and cw > 0.0):
+        return 0.0, _scatter(buf[:rows], ents.shape[0], align_terms), np.zeros_like(rels)
+    corrupt = rng.integers(0, ents.shape[0], size=(n2, k))
+    hinge = np.empty((n2, k))
+    push_w = np.empty((n2, k))
+    g_head, pull = buf[rows : rows + n2], buf[rows + n2 : rows + 2 * n2]
+    start = len(scratch) - step * k
+    chunks = [slice(lo, lo + step) for lo in range(0, n2, step)]
+    for c in chunks:
+        hr = ents[hh[c]] + rels[rr[c]]
+        resid = hr - ents[tt[c]]
+        resid_neg = _corrupted_residuals(scratch[start : start + len(hr) * k], hr, ents, corrupt[c])
         d_pos = np.einsum("id,id->i", resid, resid)
         d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
-        hinge = hp.margin + d_pos[:, None] - d_neg
-        active = hinge > 0.0
-        loss = cw * float(np.maximum(hinge, 0.0).sum())
-
+        np.subtract(hp.margin + d_pos[:, None], d_neg, out=hinge[c])
+        active = hinge[c] > 0.0
         # einsum adds the k weighted residuals of a triple in k order, the
         # rounding of summing a materialized (2T, k, d) push over axis 1
-        push_w = np.where(active, cw * 2.0, 0.0)
-        np.multiply(cw * 2.0, resid, out=pull)
-        pull *= np.count_nonzero(active, axis=1)[:, None]
-        np.subtract(pull, np.einsum("ik,ikd->id", push_w, resid_neg), out=g_head)
-        ones = np.ones((n2, 1))
-        ent_terms += [
-            (hh[:, None], ones),
-            (tt[:, None], -ones),
-            (corrupt.reshape(-1, 1), push_w.reshape(-1, 1)),
-        ]
-        g_rel = _scatter(g_head, rels.shape[0], [(rr[:, None], ones)])
-        rows += (2 + k) * n2
-    return loss, _scatter(buf[:rows], ents.shape[0], ent_terms), g_rel
+        push_w[c] = np.where(active, cw * 2.0, 0.0)
+        pull_c = pull[c]
+        np.multiply(cw * 2.0, resid, out=pull_c)
+        pull_c *= np.count_nonzero(active, axis=1)[:, None]
+        np.subtract(pull_c, np.einsum("ik,ikd->id", push_w[c], resid_neg), out=g_head[c])
+    loss = cw * float(np.maximum(hinge, 0.0).sum())
+
+    ones = np.ones((n2, 1))
+    g_rel = _scatter(g_head, rels.shape[0], [(rr[:, None], ones)])
+    head_tail = [(hh[:, None], ones), (tt[:, None], -ones)]
+    g_ent = _scatter(buf[: rows + 2 * n2], ents.shape[0], align_terms + head_tail)
+    for c in chunks:
+        hr = ents[hh[c]] + rels[rr[c]]
+        end = start + len(hr) * k
+        _corrupted_residuals(scratch[start:end], hr, ents, corrupt[c])
+        _scatter_onto(g_ent, scratch[:end], corrupt[c].reshape(-1), push_w[c].reshape(-1))
+    return loss, g_ent, g_rel
 
 
 def train(
@@ -269,11 +325,12 @@ def train(
     Two loss families share the margin and the negatives-per-positive
     count k.  For each positive pair (e, e') and each of its k sampled
     negatives e~', the alignment term is max(0, margin - cos(e, e') +
-    cos(e, e~')); negatives are drawn half from the below-threshold pool
-    of e (hard) and half uniformly, falling back to uniform when the
-    pool has nothing for e.  For each directed triple (h, d, t) and k
-    corrupted tails t~, the translational term is max(0, margin +
-    |h + d - t|^2 - |h + d - t~|^2), scaled by ``triple_weight``.
+    cos(e, e~')); round(k * hard_negative_fraction) of them are drawn
+    from the below-threshold pool of e (hard) and the rest uniformly, all
+    k uniformly when the pool has nothing for e.  For each directed
+    triple (h, d, t) and k corrupted tails t~, the translational term is
+    max(0, margin + |h + d - t|^2 - |h + d - t~|^2), scaled by
+    ``triple_weight``.
     With k = 0 neither family has any term and the loss is identically
     zero.
 
@@ -283,9 +340,14 @@ def train(
     Term weights multiply the pair's confidence by an optional
     per-origin weight (default 1 for every origin).
 
-    Each epoch builds each gradient array as one sparse incidence product
-    over the term values, which sit in one buffer reused by both graphs:
-    alignment terms first, then the triple terms of that graph.
+    Each epoch scatters one graph at a time.  The alignment terms and
+    the triple terms' head and tail rows sit in one buffer reused by both
+    graphs, and one sparse incidence product adds them up; the
+    corrupted-tail terms then continue those sums chunk by chunk (see
+    ``_side_gradients``).  Besides the (n, k, d) negatives of the
+    alignment term, working memory is O(T * d) rows plus one chunk of
+    ``TRAIN_CHUNK_CELLS`` values, where T counts triples; it does not
+    grow with T * k * d.
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
@@ -320,9 +382,13 @@ def train(
     trip_s = _directed_triple_arrays(pair.source)
     trip_t = _directed_triple_arrays(pair.target)
     n_terms = k * (n_pos + len(trip_s[0]) + len(trip_t[0]))
-    per_triple = 2 + k if hp.triple_weight > 0.0 else 0
-    rows = max(n_pos + per_triple * len(trip_s[0]), 2 * n_pos + per_triple * len(trip_t[0]))
-    buf = np.empty((rows, model.ent_source.shape[1]))
+    d = model.ent_source.shape[1]
+    n2 = max(len(trip_s[0]), len(trip_t[0])) if hp.triple_weight > 0.0 else 0
+    buf = np.empty((2 * n_pos + 2 * n2, d))
+    # one chunk's corrupted residuals, after room for the rows they carry
+    step = max(1, min(TRAIN_CHUNK_CELLS // (k * d), n2))
+    carry = min(step * k, max(len(model.ent_source), len(model.ent_target)))
+    scratch = np.empty((carry + step * k, d))
 
     losses: list[float] = []
     for _ in range(hp.epochs):
@@ -349,13 +415,18 @@ def train(
         # Each graph fills the buffer with its alignment rows, then its
         # triple rows, and is scattered before the next graph reuses it.
         buf[:n_pos] = -tv * act_count[:, None] + np.einsum("ik,ikd->id", act_w, nt)
+        del nt  # the (n, k, d) negatives need not outlive the alignment rows
         align = [(src_idx[:, None], ones)]
-        loss, g_es, g_rs = _side_gradients(buf, align, model.ent_source, model.rel_source, trip_s, hp, rng)
+        loss, g_es, g_rs = _side_gradients(
+            buf, scratch, step, align, model.ent_source, model.rel_source, trip_s, hp, rng
+        )
         loss_sum += loss
         buf[:n_pos] = -su * act_count[:, None]
         buf[n_pos : 2 * n_pos] = su
         align = [(tgt_idx[:, None], ones), (neg, act_w)]
-        loss, g_et, g_rt = _side_gradients(buf, align, model.ent_target, model.rel_target, trip_t, hp, rng)
+        loss, g_et, g_rt = _side_gradients(
+            buf, scratch, step, align, model.ent_target, model.rel_target, trip_t, hp, rng
+        )
         loss_sum += loss
 
         model.ent_source = _unit_rows(model.ent_source - lr * g_es)
@@ -376,12 +447,6 @@ def score_pair(model: NeuralModel, e: np.ndarray | int, e_prime: np.ndarray | in
     dots = np.einsum("...d,...d->...", u, v)
     cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
     return np.clip(cos, -1.0, 1.0)
-
-
-# Score cells (sources x candidates) one block of the top-k kernel holds;
-# the block's row count follows from the candidate count, so memory stays
-# flat as the target side grows.
-TOP_K_BLOCK_CELLS = 1 << 22
 
 
 def top_k(
@@ -412,8 +477,13 @@ def top_k(
     rows = max(1, TOP_K_BLOCK_CELLS // len(cand))
     for start in range(0, len(src), rows):
         smat = _unit_rows(model.ent_source[src[start : start + rows]])
-        scores = np.clip(smat @ tmat.T, -1.0, 1.0)
-        part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
+        scores = smat @ tmat.T
+        np.clip(scores, -1.0, 1.0, out=scores)
+        # negating is exact, so flipping the block in place and back again
+        # selects on -scores without a second score block
+        np.negative(scores, out=scores)
+        part = np.argpartition(scores, k - 1, axis=1)[:, :k].copy()
+        np.negative(scores, out=scores)
         kth = np.take_along_axis(scores, part[:, -1:], axis=1)
         for r in np.flatnonzero(np.count_nonzero(scores >= kth, axis=1) > k):
             # columns ascend with target id, so a stable sort keeps id order

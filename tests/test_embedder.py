@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,70 @@ class TestTrainMatchesReference:
             got = one.integers(0, np.repeat(lens, n_hard)).reshape(-1, n_hard)
             assert np.array_equal(np.array(want), got)
             assert loop.integers(1 << 62) == one.integers(1 << 62)
+
+
+class TestTrainChunks:
+    """The trainer walks the corrupted residuals in chunks of triples; sums
+    carried across chunk boundaries must still match the reference."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_matches_loop_reference_across_chunks(self, rng, monkeypatch, per_chunk):
+        crossed = ragged = 0
+        for case in range(40):
+            pair = random_pair(
+                rng,
+                n_entities=int(rng.integers(2, 30)),
+                n_relations=int(rng.integers(1, 4)),
+                n_triples=int(rng.integers(0, 60)),
+            )
+            if case % 8 == 0:
+                pair = KnowledgeGraphPair(source=pair.source, target=bare_graph("x", pair.target.n_entities))
+            n_s, n_t = pair.source.n_entities, pair.target.n_entities
+            hp = Hyperparams(
+                dim=int(rng.integers(2, 9)),
+                negatives=0 if case % 10 == 1 else int(rng.integers(1, 6)),
+                epochs=int(rng.integers(1, 4)),
+                hard_negative_fraction=float(rng.choice([0.0, 0.5, 1.0])),
+                triple_weight=0.0 if case % 10 == 2 else float(rng.choice([0.25, 1.0])),
+            )
+            monkeypatch.setattr(embedder, "TRAIN_CHUNK_CELLS", per_chunk * hp.negatives * hp.dim)
+            n2 = 2 * len(pair.source.triple_columns[0])
+            chunked = hp.negatives > 0 and hp.triple_weight > 0.0
+            crossed += chunked and n2 > per_chunk
+            ragged += chunked and n2 % per_chunk != 0
+            pairs = [
+                (int(rng.integers(n_s)), int(rng.integers(n_t)), float(rng.choice([1.0, 0.5, 0.0])))
+                for _ in range(int(rng.integers(1, 12)))
+            ]
+            pooled = rng.choice(n_s, size=int(rng.integers(0, n_s + 1)), replace=False)
+            pool = [
+                (int(s), int(rng.integers(n_t)), 0.1)
+                for s in pooled
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            seed = int(rng.integers(1 << 30))
+            assert_trains_like_reference(pair, hp, seed, labels(pairs), pool_array(pool))
+        assert crossed > 20
+        assert per_chunk == 1 or ragged > 20  # a last chunk shorter than the others
+
+    def test_peak_memory_flat_in_negatives(self):
+        # tracemalloc sees numpy's buffers.  Holding every corrupted
+        # residual would add (16 - 2) * 2T * 64 * 8 bytes, about 43 MB here.
+        import scipy.sparse  # noqa: F401  (its import would count as trainer memory)
+
+        rng = np.random.default_rng(5)
+        pair = random_pair(rng, n_entities=1000, n_relations=4, n_triples=3000)
+        positives = observed(*[(i, i, 1.0) for i in range(0, 1000, 5)])
+        peaks = []
+        for k in (2, 16):
+            model = init_model(pair, Hyperparams(dim=64, negatives=k, epochs=1), seed=1)
+            tracemalloc.start()
+            try:
+                train(model, pair, positives)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 << 20, peaks
 
 
 class TestScoring:
