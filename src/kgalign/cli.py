@@ -400,6 +400,12 @@ def main(argv: list[str] | None = None) -> int:
     except (data.DatasetError, IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation, such as an embedding
+        # table sized by a huge ``neural.dim``
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

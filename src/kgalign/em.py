@@ -1,14 +1,15 @@
 """Alternating optimization tying the rule engine to the embedder.
 
 Each round has two phases.  The expectation phase holds the rule tables
-fixed, runs L propagation sweeps from the current truth scores, splits
-the result at the threshold into positives and a hard-negative pool,
-and fits the embedder to observed plus inferred positives.  The
-maximization phase holds both components fixed and re-estimates the
-subrelation probabilities from the round's one-to-one alignment: the
-observed pairs, greedy matches over the engine's positives between the
-other entities, then the embedder's greedy matches over the entities
-still free.  ``fuse_predictions`` outputs the same alignment.
+fixed, runs L propagation sweeps from the current truth scores, takes
+the pairs scored above the threshold as inferred labels, and fits the
+embedder to the observed labels plus the inferred ones, weighted by
+``hidden_weight``.  The maximization phase holds both components fixed
+and re-estimates the subrelation probabilities from the round's
+one-to-one alignment: the observed pairs, greedy matches over the
+engine's positives between the other entities, then the embedder's
+greedy matches over the entities still free.  ``fuse_predictions``
+outputs the same alignment.
 
 A symbolic-only mode has no embedder, so the alignment stops after the
 engine's matches, which reduces the loop to the classic
@@ -158,14 +159,8 @@ def e_step(state: EmState, config: EmConfig) -> EmState:
     if state.model is not None:
         obs = _train_pairs(state)
         observed = PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)
-        inferred = PseudoLabelSet(*split.positive_columns, Origin.SYMBOLIC)
-        report = emb.train(
-            state.model,
-            state.pair,
-            [observed, inferred],
-            negatives_pool=split.negative_pairs,
-            origin_weights={Origin.SYMBOLIC: config.hidden_weight},
-        )
+        inferred = PseudoLabelSet(split.src, split.tgt, config.hidden_weight * split.val, Origin.SYMBOLIC)
+        report = emb.train(state.model, state.pair, [observed, inferred])
         state.last_loss = report.final
     else:
         state.last_loss = None
@@ -294,7 +289,7 @@ def run_em(
         split = state.last_split
         stats = IterationStats(
             iteration=state.iteration,
-            inferred_pairs=int(np.count_nonzero(split.positive)) if split else 0,
+            inferred_pairs=len(split.src) if split else 0,
             neural_loss=state.last_loss,
             validation_precision=_validation_precision(split, validation) if split else None,
         )

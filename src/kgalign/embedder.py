@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class Hyperparams:
     margin: float = 0.5
     negatives: int = 8
     epochs: int = 150
-    hard_negative_fraction: float = 0.5
     triple_weight: float = 0.25
 
     def validate(self) -> None:
@@ -83,8 +82,6 @@ class Hyperparams:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dim}")
         if self.negatives < 0:
             raise ValueError(f"negatives per positive must be >= 0, got {self.negatives}")
-        if not 0.0 <= self.hard_negative_fraction <= 1.0:
-            raise ValueError("hard_negative_fraction must be in [0, 1]")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         # the chained comparisons are false for NaN, so NaN fails them too
@@ -147,20 +144,6 @@ def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head/relation/tail index arrays with both directions materialized."""
     h, r, t = kg.triple_columns
     return np.concatenate([h, t]), np.concatenate([2 * r, 2 * r + 1]), np.concatenate([t, h])
-
-
-def _hard_pools(
-    pool: np.ndarray, src_idx: np.ndarray, n_sources: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every source's distinct pooled targets, ascending, in one flat array.
-
-    Returns that array with each positive's (start, length) slice of it;
-    a positive whose source has no pool gets length 0.
-    """
-    pairs = np.unique(pool, axis=0)
-    length = np.bincount(pairs[:, 0], minlength=n_sources)
-    start = np.cumsum(length) - length
-    return pairs[:, 1], start[src_idx], length[src_idx]
 
 
 # Values (triples x negatives x dimension) of corrupted residuals one
@@ -312,23 +295,17 @@ def train(
     model: NeuralModel,
     pair: KnowledgeGraphPair,
     positives: PseudoLabelSet | Sequence[PseudoLabelSet],
-    negatives_pool: np.ndarray = np.empty((0, 2), dtype=np.int64),
-    origin_weights: Mapping[Origin, float] | None = None,
 ) -> TrainReport:
     """Fit the embeddings to the labeled pairs; returns per-epoch losses.
 
     The positives are the rows of the label sets, concatenated in the
-    order given.  ``negatives_pool`` holds (source, target) rows, an
-    ``(n, 2)`` int array (any other shape raises ``ValueError``);
-    repeated rows count once.
+    order given; each row's confidence is its term weight.
 
     Two loss families share the margin and the negatives-per-positive
-    count k.  For each positive pair (e, e') and each of its k sampled
-    negatives e~', the alignment term is max(0, margin - cos(e, e') +
-    cos(e, e~')); round(k * hard_negative_fraction) of them are drawn
-    from the below-threshold pool of e (hard) and the rest uniformly, all
-    k uniformly when the pool has nothing for e.  For each directed
-    triple (h, d, t) and k corrupted tails t~, the translational term is
+    count k.  For each positive pair (e, e') and each of its k negatives
+    e~', drawn uniformly from the target entities, the alignment term is
+    max(0, margin - cos(e, e') + cos(e, e~')).  For each directed triple
+    (h, d, t) and k corrupted tails t~, the translational term is
     max(0, margin + |h + d - t|^2 - |h + d - t~|^2), scaled by
     ``triple_weight``.
     With k = 0 neither family has any term and the loss is identically
@@ -336,9 +313,6 @@ def train(
 
     Duplicate positives are kept as-is: each occurrence contributes its
     own loss terms, so a pair listed twice pulls twice as hard.
-
-    Term weights multiply the pair's confidence by an optional
-    per-origin weight (default 1 for every origin).
 
     Each epoch scatters one graph at a time.  The alignment terms and
     the triple terms' head and tail rows sit in one buffer reused by both
@@ -351,15 +325,11 @@ def train(
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
-    weights = origin_weights or {}
     if not sum(map(len, sets)):
         raise TrainingError("no positive pairs to train on")
-    pool = np.asarray(negatives_pool, dtype=np.int64)
-    if pool.ndim != 2 or pool.shape[1] != 2:
-        raise ValueError(f"negatives_pool must be (n, 2) (source, target) rows, got shape {pool.shape}")
     src_idx = np.concatenate([ls.src for ls in sets])
     tgt_idx = np.concatenate([ls.tgt for ls in sets])
-    w = np.concatenate([weights.get(ls.origin, 1.0) * ls.conf for ls in sets])
+    w = np.concatenate([ls.conf for ls in sets])
 
     k = hp.negatives
     if k == 0:
@@ -368,16 +338,8 @@ def train(
     lr = hp.learning_rate
     rng = model.rng
     n_t = model.ent_target.shape[0]
-    n_hard = int(round(k * hp.hard_negative_fraction))
     n_pos = len(src_idx)
     ones = np.ones((n_pos, 1))
-
-    # One draw per hard slot of every positive whose source has a pool,
-    # in positive order: the same draws as rng.choice(pool, n_hard) per positive.
-    pool_ids, pool_start, pool_len = _hard_pools(pool, src_idx, len(model.ent_source))
-    hard = np.flatnonzero(pool_len) if n_hard > 0 else np.empty(0, dtype=np.int64)
-    hard_start = np.repeat(pool_start[hard], n_hard)
-    hard_len = np.repeat(pool_len[hard], n_hard)
 
     trip_s = _directed_triple_arrays(pair.source)
     trip_t = _directed_triple_arrays(pair.target)
@@ -393,9 +355,6 @@ def train(
     losses: list[float] = []
     for _ in range(hp.epochs):
         neg = rng.integers(0, n_t, size=(n_pos, k))
-        if len(hard):
-            picks = pool_ids[hard_start + rng.integers(0, hard_len)]
-            neg[hard, :n_hard] = picks.reshape(-1, n_hard)
         # A sampled negative equal to the true counterpart carries no
         # signal; nudge it to the next id.
         clash = neg == tgt_idx[:, None]

@@ -394,26 +394,19 @@ def update_subrelation_probs(
 
 @dataclass(frozen=True, eq=False)
 class ThresholdSplit:
-    """Scored non-pinned pairs split at the positive threshold.
+    """The non-pinned pairs scored above the positive threshold.
 
-    ``src``, ``tgt`` and ``val`` hold the non-pinned entries ascending by
-    (source, target), and ``positive`` marks those above the threshold.
+    ``src``, ``tgt`` and ``val`` hold them ascending by (source, target).
     """
 
     src: np.ndarray
     tgt: np.ndarray
     val: np.ndarray
-    positive: np.ndarray
 
     @property
     def positive_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positives as source, target and score arrays."""
-        return self.src[self.positive], self.tgt[self.positive], self.val[self.positive]
-
-    @property
-    def negative_pairs(self) -> np.ndarray:
-        """The negative pool as an ``(n, 2)`` array of (source, target) rows."""
-        return np.stack([self.src[~self.positive], self.tgt[~self.positive]], axis=1)
+        return self.src, self.tgt, self.val
 
     @cached_property
     def positives(self) -> tuple[tuple[int, int, float], ...]:
@@ -422,19 +415,14 @@ class ThresholdSplit:
 
 
 def extract_positive_pairs(scores: TruthScoreTable, delta: float) -> ThresholdSplit:
-    """Split scored pairs into positives (score > delta) and a negative pool.
-
-    Pinned pairs are excluded from both sides; every scored-but-not-
-    positive pair lands in the negative pool, which the embedding
-    trainer uses for hard negative sampling.
-    """
+    """The scored pairs above the threshold (score > delta), pinned pairs
+    excluded; the rest of the table yields no label."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {delta}")
-    free = ~scores.pinned_mask()
-    src, tgt, val = scores.src[free], scores.tgt[free], scores.val[free]
+    keep = ~scores.pinned_mask() & (scores.val > delta)
+    src, tgt, val = scores.src[keep], scores.tgt[keep], scores.val[keep]
     order = np.lexsort((tgt, src))
-    src, tgt, val = src[order], tgt[order], val[order]
-    return ThresholdSplit(src, tgt, val, val > delta)
+    return ThresholdSplit(src[order], tgt[order], val[order])
 
 
 def dump_truth_scores(table: TruthScoreTable, labels_source, labels_target) -> str:

@@ -219,17 +219,15 @@ def loop_extract(
     rows: dict[int, dict[int, float]],
     pinned: frozenset[tuple[int, int]],
     delta: float,
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
-    """Non-pinned (s, t, score) entries ascending by (s, t), split into
-    those scoring above ``delta`` and the rest."""
+) -> list[tuple[int, int, float]]:
+    """Non-pinned (s, t, score) entries scoring above ``delta``, ascending
+    by (s, t)."""
     positives: list[tuple[int, int, float]] = []
-    negatives: list[tuple[int, int, float]] = []
     for s in sorted(rows):
         for t in sorted(rows[s]):
-            if (s, t) not in pinned:
-                v = rows[s][t]
-                (positives if v > delta else negatives).append((s, t, v))
-    return positives, negatives
+            if (s, t) not in pinned and rows[s][t] > delta:
+                positives.append((s, t, rows[s][t]))
+    return positives
 
 
 def loop_rank(model, e: int, candidates: Sequence[int]) -> list[int]:
@@ -437,15 +435,8 @@ def _loop_directed_triples(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, 
     return heads, rels, tails
 
 
-def loop_train(
-    model,
-    pair: KnowledgeGraphPair,
-    positives,
-    negatives_pool=np.empty((0, 2), dtype=np.int64),
-    origin_weights=None,
-) -> TrainReport:
-    """The trainer written with one ``np.add.at`` scatter per term family,
-    hard negatives drawn by ``rng.choice`` in a per-positive loop.
+def loop_train(model, pair: KnowledgeGraphPair, positives) -> TrainReport:
+    """The trainer written with one ``np.add.at`` scatter per term family.
 
     Same loss, same draws and the same summation order as
     ``embedder.train``, so the two must agree bit for bit: every weight
@@ -453,30 +444,21 @@ def loop_train(
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
-    weights = dict(origin_weights or {})
 
     pos_src: list[int] = []
     pos_tgt: list[int] = []
     pos_w: list[float] = []
     for ls in sets:
-        w_set = weights.get(ls.origin, 1.0)
         for s, t, conf in zip(ls.src.tolist(), ls.tgt.tolist(), ls.conf.tolist()):
             pos_src.append(s)
             pos_tgt.append(t)
-            pos_w.append(w_set * conf)
+            pos_w.append(conf)
     if not pos_src:
         raise TrainingError("no positive pairs to train on")
 
     src_idx = np.array(pos_src, dtype=np.int64)
     tgt_idx = np.array(pos_tgt, dtype=np.int64)
     w = np.array(pos_w, dtype=np.float64)
-
-    pools: dict[int, np.ndarray] = {}
-    staged: dict[int, set[int]] = {}
-    for s, t in np.asarray(negatives_pool, dtype=np.int64).tolist():
-        staged.setdefault(s, set()).add(t)
-    for s, ts in staged.items():
-        pools[s] = np.array(sorted(ts), dtype=np.int64)
 
     h1, r1, t1 = _loop_directed_triples(pair.source)
     h2, r2, t2 = _loop_directed_triples(pair.target)
@@ -486,7 +468,6 @@ def loop_train(
     lr = hp.learning_rate
     rng = model.rng
     n_t = model.ent_target.shape[0]
-    n_hard = int(round(k * hp.hard_negative_fraction))
     n_pos = len(src_idx)
     n_terms = k * (n_pos + len(h1) + len(h2))
 
@@ -498,10 +479,6 @@ def loop_train(
 
         if k > 0:
             neg = rng.integers(0, n_t, size=(n_pos, k))
-            for i in range(n_pos):
-                pool = pools.get(int(src_idx[i]))
-                if pool is not None and n_hard > 0:
-                    neg[i, :n_hard] = rng.choice(pool, size=n_hard)
             # A sampled negative equal to the true counterpart carries no
             # signal; nudge it to the next id.
             clash = neg == tgt_idx[:, None]

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgalign import embedder
 from kgalign.cli import _psub_from_dump, main
 from kgalign.data import DatasetBundle, DatasetError, save_dataset
+from kgalign.em import EmConfig
+from kgalign.embedder import Hyperparams
 from kgalign.graph import load_graph, pack_direction
 
 import oracles
@@ -169,6 +174,40 @@ class TestAlign:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
         assert not (tmp_path / "x").exists()
+
+    def test_removed_hard_negative_key_fails(self, dataset_dir, tmp_path, capsys):
+        conf = tmp_path / "old.conf"
+        conf.write_text("neural.hard_negative_fraction=0.5\n", encoding="utf-8")
+        rc = main(["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--config", str(conf)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown config key 'neural.hard_negative_fraction'"
+        ]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            (
+                "Unable to allocate 7.28 TiB for an array with shape (1000, 1000000000000)",
+                "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000, 1000000000000)",
+            ),
+            ("", "error: out of memory"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_one_error_line(self, dataset_dir, tmp_path, capsys, monkeypatch, message, line):
+        # the model's tables are the first allocation a huge neural.dim
+        # reaches; raising here stands in for it without allocating anything
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(embedder, "init_model", no_memory)
+        conf = tmp_path / "huge.conf"
+        conf.write_text("neural.dim=1000000000000\n", encoding="utf-8")
+        rc = main(["align", str(dataset_dir), "--out", str(tmp_path / "x"), "--config", str(conf)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +497,18 @@ class TestSplit:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
         assert not (tmp_path / "x").exists()
+
+
+def test_readme_lists_every_config_key_once():
+    """README's configuration reference has one row per settable key:
+    each ``EmConfig`` field but ``neural`` and ``workers``, and
+    ``neural.<name>`` for each ``Hyperparams`` field; no row names anything else."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip().strip("`") for line in section.splitlines() if line.startswith("| `")]
+    keys = [f.name for f in fields(EmConfig) if f.name not in ("neural", "workers")]
+    keys += [f"neural.{f.name}" for f in fields(Hyperparams)]
+    assert sorted(rows) == sorted(keys)
 
 
 DUMP_FAULTS = (

@@ -104,45 +104,46 @@ class TestEStep:
 
     def test_training_set_is_seeds_plus_inferred(self, monkeypatch):
         pair = chain_fixture()
-        config = EmConfig(delta=0.9, rule_length=1, neural=tiny_neural())
+        config = EmConfig(delta=0.9, rule_length=1, hidden_weight=0.5, neural=tiny_neural())
         state = init_state(pair, train_seed([(2, 2)]), config)
         state.psub = matched_psub(pair.source, pair.target, {0: 0})
         captured = {}
 
-        def fake_train(model, pair_, positives, negatives_pool=(), origin_weights=None):
-            captured["sets"] = positives
-            captured["pool"] = np.asarray(negatives_pool).tolist()
+        def fake_train(*args, **kwargs):
+            captured["args"], captured["kwargs"] = args, kwargs
             return TrainReport(epoch_losses=[0.0])
 
         monkeypatch.setattr(em.emb, "train", fake_train)
         e_step(state, config)
-        observed, symbolic = captured["sets"]
+        # the label sets are the third positional argument, nothing else is passed
+        model, pair_, (observed, symbolic) = captured["args"]
+        assert captured["kwargs"] == {}
         assert observed.origin is Origin.OBSERVED
         assert label_rows(observed) == [(2, 2, 1.0)]
         assert symbolic.origin is Origin.SYMBOLIC
-        assert label_rows(symbolic) == [(1, 1, 1.0)]
-        assert captured["pool"] == []
+        split = state.last_split
+        assert oracles.column_tuples(split.positive_columns) == [(1, 1, 1.0)]
+        assert label_rows(symbolic) == [(1, 1, 0.5)]
+        assert np.array_equal(symbolic.conf, config.hidden_weight * split.val)
 
-    def test_below_threshold_goes_to_negative_pool(self, monkeypatch):
+    def test_below_threshold_is_no_label(self, monkeypatch):
+        # the chain's true counterpart scores 0.96, under delta = 0.97
         pair = chain_fixture()
         config = EmConfig(delta=0.97, rule_length=1, neural=tiny_neural())
         state = init_state(pair, train_seed([(2, 2)]), config)
         state.psub = matched_psub(pair.source, pair.target, {0: 0}, value=0.8)
         captured = {}
 
-        def fake_train(model, pair_, positives, negatives_pool=(), origin_weights=None):
+        def fake_train(model, pair_, positives):
             captured["sets"] = positives
-            captured["pool"] = np.asarray(negatives_pool).tolist()
             return TrainReport(epoch_losses=[0.0])
 
         monkeypatch.setattr(em.emb, "train", fake_train)
         e_step(state, config)
+        assert oracles.table_rows(state.truth_scores)[1][1] == pytest.approx(0.96, abs=1e-12)
         _, symbolic = captured["sets"]
         assert label_rows(symbolic) == []
-        assert captured["pool"] == [[1, 1]]
-        split = state.last_split
-        pooled = oracles.column_tuples((split.src, split.tgt, split.val))
-        assert pooled == [(1, 1, pytest.approx(0.96, abs=1e-12))]
+        assert oracles.column_tuples(state.last_split.positive_columns) == []
 
     def test_psub_untouched(self):
         pair = chain_fixture()
@@ -213,7 +214,7 @@ def _random_m_state(rng, neural: bool, kind: str):
     if neural:
         state.model.ent_source[int(rng.integers(n_s))] = 0.0
     if kind == "empty":
-        state.last_split = ThresholdSplit(*em._no_pairs(), np.zeros(0, dtype=bool))
+        state.last_split = ThresholdSplit(*em._no_pairs())
     else:
         for _ in range(int(rng.integers(0, 30))):
             rows.setdefault(int(rng.integers(n_s)), {})[int(rng.integers(n_t))] = float(rng.random())
@@ -442,10 +443,8 @@ def _loop_retain(table, rho=1.0):
 
 
 def _loop_extract(table, delta):
-    positives, negatives = oracles.loop_extract(oracles.table_rows(table), oracles.pinned_pairs(table), delta)
-    entries = sorted([(s, t, v, True) for s, t, v in positives] + [(s, t, v, False) for s, t, v in negatives])
-    src, tgt, val = oracles.offer_columns([entry[:3] for entry in entries])
-    return ThresholdSplit(src, tgt, val, np.array([entry[3] for entry in entries], dtype=bool))
+    positives = oracles.loop_extract(oracles.table_rows(table), oracles.pinned_pairs(table), delta)
+    return ThresholdSplit(*oracles.offer_columns(positives))
 
 
 def _loop_psub(pair, src, tgt, val):

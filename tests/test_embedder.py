@@ -40,11 +40,6 @@ def observed(*pairs: tuple[int, int, float]) -> PseudoLabelSet:
     return labels(pairs)
 
 
-def pool_array(pool) -> np.ndarray:
-    """The (source, target) rows of (source, target, score) pool entries."""
-    return np.array([(s, t) for s, t, _ in pool], dtype=np.int64).reshape(-1, 2)
-
-
 def greedy_rows(offers) -> list[tuple]:
     """The accepted offers as (s, t, score) rows, in acceptance order."""
     columns = oracles.offer_columns(offers)
@@ -63,10 +58,6 @@ class TestHyperparams:
     def test_negative_negatives(self):
         with pytest.raises(ValueError, match="negatives"):
             Hyperparams(negatives=-1).validate()
-
-    def test_hard_fraction_range(self):
-        with pytest.raises(ValueError, match="hard_negative_fraction"):
-            Hyperparams(hard_negative_fraction=1.5).validate()
 
 
 class TestPseudoLabelSet:
@@ -124,16 +115,6 @@ class TestTrain:
         with pytest.raises(TrainingError, match="no positive"):
             train(model, pair, observed())
 
-    def test_pool_of_triples_rejected(self):
-        # (s, t, score) rows are not (s, t) rows; reading them as pairs
-        # would train on wrong hard negatives
-        pair = tiny_pair()
-        model = init_model(pair, Hyperparams(dim=4), seed=0)
-        before = model.ent_source.copy()
-        with pytest.raises(ValueError, match=r"\(n, 2\)"):
-            train(model, pair, observed((0, 0, 1.0)), negatives_pool=[(0, 1, 0.2), (1, 0, 0.3)])
-        assert np.array_equal(model.ent_source, before)
-
     def test_zero_negatives_is_inert(self):
         pair = tiny_pair()
         hp = Hyperparams(dim=4, negatives=0, epochs=3)
@@ -173,29 +154,19 @@ class TestTrain:
             np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-6)
 
     def test_duplicate_equals_double_weight(self):
-        # with a singleton hard pool the negative draws are constant, so
-        # listing a pair twice must match weighting it twice exactly
-        hp = Hyperparams(
-            dim=4,
-            negatives=2,
-            epochs=1,
-            hard_negative_fraction=1.0,
-            triple_weight=0.0,
-        )
+        # the target graph has two entities, so every uniform negative of
+        # the pair (0, 0) is nudged off its counterpart onto entity 1 and
+        # the draws cannot differ; listing a pair twice must then match
+        # giving it confidence 2 exactly
+        hp = Hyperparams(dim=4, negatives=2, epochs=1, triple_weight=0.0)
         pair = tiny_pair()
-        pool = np.array([(0, 1)])
+        assert pair.target.n_entities == 2
 
         dup = init_model(pair, hp, seed=7)
-        rep_dup = train(dup, pair, observed((0, 0, 1.0), (0, 0, 1.0)), negatives_pool=pool)
+        rep_dup = train(dup, pair, observed((0, 0, 1.0), (0, 0, 1.0)))
 
         wtd = init_model(pair, hp, seed=7)
-        rep_wtd = train(
-            wtd,
-            pair,
-            observed((0, 0, 1.0)),
-            negatives_pool=pool,
-            origin_weights={Origin.OBSERVED: 2.0},
-        )
+        rep_wtd = train(wtd, pair, observed((0, 0, 2.0)))
 
         assert np.array_equal(dup.ent_source, wtd.ent_source)
         assert np.array_equal(dup.ent_target, wtd.ent_target)
@@ -205,7 +176,7 @@ class TestTrain:
 
     def test_multiple_label_sets_concatenate(self):
         pair = tiny_pair()
-        hp = Hyperparams(dim=4, negatives=2, epochs=1, hard_negative_fraction=0.0)
+        hp = Hyperparams(dim=4, negatives=2, epochs=1)
         a = init_model(pair, hp, seed=3)
         train(a, pair, [observed((0, 0, 1.0)), observed((1, 1, 1.0))])
         b = init_model(pair, hp, seed=3)
@@ -214,12 +185,12 @@ class TestTrain:
         assert np.array_equal(a.ent_target, b.ent_target)
 
 
-def assert_trains_like_reference(pair, hp, seed, positives, pool=(), origin_weights=None):
+def assert_trains_like_reference(pair, hp, seed, positives):
     """``train`` and the ``np.add.at`` reference, run from the same seed,
     agree bit for bit: weights, epoch losses and the next generator draw."""
     got, ref = init_model(pair, hp, seed), init_model(pair, hp, seed)
-    rep_got = train(got, pair, positives, pool, origin_weights)
-    rep_ref = oracles.loop_train(ref, pair, positives, pool, origin_weights)
+    rep_got = train(got, pair, positives)
+    rep_ref = oracles.loop_train(ref, pair, positives)
     for name in ("ent_source", "ent_target", "rel_source", "rel_target"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert rep_got.epoch_losses == rep_ref.epoch_losses
@@ -234,7 +205,6 @@ class TestTrainMatchesReference:
     """The sparse-product trainer against the loop trainer in ``oracles``."""
 
     def test_random_family(self, rng):
-        mixed = 0
         for _ in range(60):
             pair = random_pair(
                 rng,
@@ -247,7 +217,6 @@ class TestTrainMatchesReference:
                 dim=int(rng.integers(2, 9)),
                 negatives=int(rng.integers(0, 6)),
                 epochs=int(rng.integers(1, 5)),
-                hard_negative_fraction=float(rng.choice([0.0, 0.5, 1.0])),
                 triple_weight=float(rng.choice([0.0, 0.25, 1.0])),
             )
             pairs = [
@@ -255,19 +224,12 @@ class TestTrainMatchesReference:
                 for _ in range(int(rng.integers(1, 12)))
             ]
             pairs += pairs[: int(rng.integers(0, 3))]  # duplicate positives
-            pooled = rng.choice(n_s, size=int(rng.integers(0, n_s + 1)), replace=False)
-            pool = [
-                (int(s), int(rng.integers(n_t)), 0.1)
-                for s in pooled
-                for _ in range(int(rng.integers(1, 6)))
-            ]
-            has_pool = {s for s, _, _ in pool}
-            mixed += len({s in has_pool for s, _, _ in pairs}) == 2
             cut = int(rng.integers(0, len(pairs) + 1))
-            sets = [labels(pairs[:cut], Origin.OBSERVED), labels(pairs[cut:], Origin.SYMBOLIC)]
-            weights = {Origin.SYMBOLIC: float(rng.choice([1.0, 0.7]))}
-            assert_trains_like_reference(pair, hp, int(rng.integers(1 << 30)), sets, pool_array(pool), weights)
-        assert mixed > 20  # positives with and without a pool in one call
+            # weighted labels, as the E-step hands over hidden_weight * score
+            scale = float(rng.choice([1.0, 0.7]))
+            inferred = [(s, t, scale * v) for s, t, v in pairs[cut:]]
+            sets = [labels(pairs[:cut], Origin.OBSERVED), labels(inferred, Origin.SYMBOLIC)]
+            assert_trains_like_reference(pair, hp, int(rng.integers(1 << 30)), sets)
 
     @pytest.mark.parametrize("empty_side", ["source", "target"])
     def test_one_graph_without_triples(self, rng, empty_side):
@@ -279,36 +241,7 @@ class TestTrainMatchesReference:
             else KnowledgeGraphPair(source=full, target=empty)
         )
         hp = Hyperparams(dim=6, negatives=3, epochs=3, triple_weight=0.5)
-        pool = np.array([(0, 5), (0, 7), (3, 2)])
-        assert_trains_like_reference(pair, hp, 5, observed((0, 1, 1.0), (2, 2, 0.8), (3, 4, 1.0)), pool)
-
-    def test_pools_of_one_to_three_thousand(self, rng):
-        n_t = 3000
-        pair = KnowledgeGraphPair(
-            source=random_graph(rng, 12, 2, 20), target=bare_graph("b", n_t, [(0, 0, 1), (1, 0, 2)])
-        )
-        pool, pairs = [], []
-        for s, size in enumerate([1, 2, 3, 17, 255, 256, 257, 1000, 2999, 3000]):
-            for t in rng.choice(n_t, size=size, replace=False):
-                pool.append((s, int(t), 0.1))
-            pool.append(pool[-1])  # a repeated pool entry counts once
-            pairs.append((s, int(rng.integers(n_t)), 1.0))
-        pairs.append((11, 0, 1.0))  # no pool
-        for fraction in (0.5, 1.0):
-            hp = Hyperparams(dim=2, negatives=5, epochs=3, hard_negative_fraction=fraction, triple_weight=0.25)
-            assert_trains_like_reference(pair, hp, 9, observed(*pairs), pool_array(pool))
-
-    def test_one_call_draws_like_choice_loop(self, rng):
-        # the identity the trainer's sampler rests on
-        for _ in range(100):
-            lens = rng.integers(1, 3001, size=int(rng.integers(1, 6)))
-            n_hard = int(rng.integers(1, 5))
-            seed = int(rng.integers(1 << 30))
-            loop, one = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = [loop.choice(np.arange(n), size=n_hard) for n in lens]
-            got = one.integers(0, np.repeat(lens, n_hard)).reshape(-1, n_hard)
-            assert np.array_equal(np.array(want), got)
-            assert loop.integers(1 << 62) == one.integers(1 << 62)
+        assert_trains_like_reference(pair, hp, 5, observed((0, 1, 1.0), (2, 2, 0.8), (3, 4, 1.0)))
 
 
 class TestTrainChunks:
@@ -332,7 +265,6 @@ class TestTrainChunks:
                 dim=int(rng.integers(2, 9)),
                 negatives=0 if case % 10 == 1 else int(rng.integers(1, 6)),
                 epochs=int(rng.integers(1, 4)),
-                hard_negative_fraction=float(rng.choice([0.0, 0.5, 1.0])),
                 triple_weight=0.0 if case % 10 == 2 else float(rng.choice([0.25, 1.0])),
             )
             monkeypatch.setattr(embedder, "TRAIN_CHUNK_CELLS", per_chunk * hp.negatives * hp.dim)
@@ -344,14 +276,8 @@ class TestTrainChunks:
                 (int(rng.integers(n_s)), int(rng.integers(n_t)), float(rng.choice([1.0, 0.5, 0.0])))
                 for _ in range(int(rng.integers(1, 12)))
             ]
-            pooled = rng.choice(n_s, size=int(rng.integers(0, n_s + 1)), replace=False)
-            pool = [
-                (int(s), int(rng.integers(n_t)), 0.1)
-                for s in pooled
-                for _ in range(int(rng.integers(1, 6)))
-            ]
             seed = int(rng.integers(1 << 30))
-            assert_trains_like_reference(pair, hp, seed, labels(pairs), pool_array(pool))
+            assert_trains_like_reference(pair, hp, seed, labels(pairs))
         assert crossed > 20
         assert per_chunk == 1 or ragged > 20  # a last chunk shorter than the others
 

@@ -537,37 +537,30 @@ class TestRetention:
                 assert _ordered(retain_best(table, rho)) == _ordered(oracles.table_from_rows(want))
 
 
-def split_rows(split) -> tuple[list[tuple], list[tuple]]:
-    """The positives and the negative pool as (s, t, score) rows; the pool's
-    (s, t) columns are read from ``negative_pairs``."""
-    negative = ~split.positive
-    pool = split.negative_pairs
-    assert pool.dtype == np.int64
-    return (
-        oracles.column_tuples(split.positive_columns),
-        oracles.column_tuples((pool[:, 0], pool[:, 1], split.val[negative])),
-    )
+def split_rows(split) -> list[tuple]:
+    """The positives as (s, t, score) rows."""
+    return oracles.column_tuples(split.positive_columns)
 
 
 class TestExtractPositives:
     def test_split_by_threshold(self):
         table = oracles.table_from_rows({0: {0: 0.99}, 1: {1: 0.5}})
         split = extract_positive_pairs(table, 0.9)
-        assert split_rows(split) == ([(0, 0, 0.99)], [(1, 1, 0.5)])
+        assert split_rows(split) == [(0, 0, 0.99)]
 
     def test_boundary_strict(self):
         table = oracles.table_from_rows({0: {0: 0.99}})
         split = extract_positive_pairs(table, 0.99)
-        assert split_rows(split) == ([], [(0, 0, 0.99)])
+        assert split_rows(split) == []
 
     def test_empty_table(self):
         split = extract_positive_pairs(oracles.table_from_rows({}), 0.9)
-        assert split_rows(split) == ([], [])
+        assert split_rows(split) == []
 
     def test_pinned_excluded(self):
         table = oracles.table_from_rows({0: {0: 0.95}}, frozenset({(5, 5)}))
         split = extract_positive_pairs(table, 0.9)
-        assert (5, 5, 1.0) not in split_rows(split)[0]
+        assert (5, 5, 1.0) not in split_rows(split)
 
     def test_delta_validated(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -579,13 +572,13 @@ class TestExtractPositives:
             table = oracles.table_from_rows(rows, pinned)
             delta = float(rng.choice([0.25, 0.5, 0.75, 0.9]))
             split = extract_positive_pairs(table, delta)
-            positives, negatives = oracles.loop_extract(oracles.table_rows(table), pinned, delta)
-            assert split_rows(split) == (positives, negatives)
+            positives = oracles.loop_extract(oracles.table_rows(table), pinned, delta)
+            assert split_rows(split) == positives
             assert split.positives == tuple(positives)
 
 
 class TestCountedShapes:
-    """The shapes the benchmark tracer counts: table entries, split tuples and the pool rows."""
+    """The shapes the benchmark tracer counts: table entries and split tuples."""
 
     def test_len_counts_entries(self, rng):
         for case in range(50):
@@ -602,7 +595,7 @@ class TestCountedShapes:
             assert list(split.positives) == sorted(split.positives)
             for s, t, v in split.positives:
                 assert type(s) is int and type(t) is int and type(v) is float
-            assert split.negative_pairs.shape == (np.count_nonzero(~split.positive), 2)
+            assert split.src.dtype == split.tgt.dtype == np.int64
 
 
 def _random_table_rows(rng, case: int) -> tuple[dict[int, dict[int, float]], frozenset[tuple[int, int]]]:
