@@ -153,21 +153,6 @@ def load_dataset(directory: str | Path) -> DatasetBundle:
     return DatasetBundle(pair=pair, links=links, provenance=provenance)
 
 
-def save_dataset(bundle: DatasetBundle, directory: str | Path) -> None:
-    """Write the bundle back out in the same three-file layout."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, kg in zip(TRIPLE_FILES, (bundle.pair.source, bundle.pair.target)):
-        with open(root / name, "w", encoding="utf-8") as fh:
-            for h, r, t in kg.triple_records():
-                fh.write(f"{h}\t{r}\t{t}\n")
-    src_labels = bundle.pair.source.entity_labels
-    tgt_labels = bundle.pair.target.entity_labels
-    with open(root / LINKS_FILE, "w", encoding="utf-8") as fh:
-        for s, t in bundle.links:
-            fh.write(f"{src_labels[s]}\t{tgt_labels[t]}\n")
-
-
 def split_seed(
     links: Sequence[tuple[int, int]],
     train_ratio: float,

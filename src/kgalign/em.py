@@ -8,8 +8,8 @@ embedder to the observed labels plus the inferred ones, weighted by
 and re-estimates the subrelation probabilities from the round's
 one-to-one alignment: the observed pairs, greedy matches over the
 engine's positives between the other entities, then the embedder's
-greedy matches over the entities still free.  ``fuse_predictions``
-outputs the same alignment.
+greedy matches over the entities still free.  ``m_step`` keeps that
+alignment on the state, and ``fuse_predictions`` outputs it.
 
 A symbolic-only mode has no embedder, so the alignment stops after the
 engine's matches, which reduces the loop to the classic
@@ -105,6 +105,7 @@ class EmState:
     history: list[IterationStats] = field(default_factory=list)
     last_split: ThresholdSplit | None = None
     last_loss: float | None = None
+    alignment: list[PseudoLabelSet] | None = None
 
 
 def init_state(
@@ -238,7 +239,8 @@ def _alignment(state: EmState, config: EmConfig) -> list[PseudoLabelSet]:
     obs_src, obs_tgt = _observed(state)
     obs = _train_pairs(state)
     parts = [PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)]
-    src, tgt, val = state.last_split.positive_columns if state.last_split is not None else _no_pairs()
+    split = state.last_split
+    src, tgt, val = (split.src, split.tgt, split.val) if split is not None else _no_pairs()
     free = ~obs_src[src] & ~obs_tgt[tgt]
     parts.append(_matched(src[free], tgt[free], val[free], Origin.SYMBOLIC))
     if state.model is not None:
@@ -253,12 +255,12 @@ def _alignment(state: EmState, config: EmConfig) -> list[PseudoLabelSet]:
 def m_step(state: EmState, config: EmConfig) -> EmState:
     """Re-estimate the subrelations from the round's alignment.
 
-    The labels are the pairs ``fuse_predictions`` would output for this
-    round: the observed pairs, then the engine's and (with a model) the
-    embedder's one-to-one matches.
+    The labels are the observed pairs, then the engine's and (with a
+    model) the embedder's one-to-one matches.  The alignment is kept as
+    ``state.alignment``, which ``fuse_predictions`` outputs.
     """
     config.validate()
-    parts = _alignment(state, config)
+    parts = state.alignment = _alignment(state, config)
     labels = (np.concatenate([getattr(p, col) for p in parts]) for col in ("src", "tgt", "conf"))
     state.psub = update_subrelation_probs(state.pair, *labels)
     return state
@@ -268,8 +270,7 @@ def _validation_precision(split: ThresholdSplit, validation: AlignmentSeed | Non
     if validation is None or not validation.pairs:
         return None
     gold = validation.by_source
-    src, tgt, _ = split.positive_columns
-    judged = [gold[s] == t for s, t in zip(src.tolist(), tgt.tolist()) if s in gold]
+    judged = [gold[s] == t for s, t in zip(split.src.tolist(), split.tgt.tolist()) if s in gold]
     return sum(judged) / len(judged) if judged else None
 
 
@@ -319,20 +320,21 @@ def fuse_predictions(
     config: EmConfig,
     rank_sources: Sequence[int] | None = None,
 ) -> FusedPredictions:
-    """Combine the two components into final predictions.
+    """The last round's alignment and each rank source's ranked list.
 
-    Binary set: the round's alignment, the same pairs ``m_step``
-    re-estimates from.  Ranked lists: each sorted rank source's top
-    ``rank_depth`` targets outside the observed set by embedder score,
-    ties by ascending target id, all ranked in one ``rank_candidates``
-    call; without a model the truth-score rows are ranked instead.  The
-    binary counterpart of a source is promoted to the top of its list.
+    Binary set: ``state.alignment``, the pairs the last ``m_step``
+    re-estimated from.  Ranked lists, per sorted rank source: its binary
+    counterpart, then its truth-score row, then (with a model) its
+    embedder ranking, both over the targets outside the observed set;
+    without repeats and cut at ``rank_depth``.  All sources are ranked
+    by the embedder in one ``rank_candidates`` call.  Of ``config``,
+    only ``rank_depth`` is read.
     """
-    if state.last_split is None:
+    if state.alignment is None:
         raise RuntimeError("fuse_predictions requires at least one completed round")
     rows = (
         zip(p.src.tolist(), p.tgt.tolist(), p.conf.tolist(), repeat(p.origin))
-        for p in _alignment(state, config)
+        for p in state.alignment
     )
     binary = tuple(sorted(chain.from_iterable(rows)))
     by_source = {s: t for s, t, _, _ in binary}
@@ -341,21 +343,16 @@ def fuse_predictions(
     if rank_sources is None:
         rank_sources = np.flatnonzero(~obs_src).tolist()
     sources = sorted(rank_sources)
+    depth = config.rank_depth
+    truth_rows = _rank_truth_scores(state.truth_scores, obs_tgt, sources, depth)
     open_targets = np.flatnonzero(~obs_tgt)
+    fills = repeat([])
     if state.model is not None and len(open_targets):
-        ranked_lists = emb.rank_candidates(state.model, sources, open_targets, config.rank_depth)
-    else:
-        ranked_lists = _rank_truth_scores(state.truth_scores, obs_tgt, sources, config.rank_depth)
-
+        fills = emb.rank_candidates(state.model, sources, open_targets, depth)
     rankings: dict[int, list[int]] = {}
-    for s, ranked in zip(sources, ranked_lists):
-        confirmed = by_source.get(s)
-        if confirmed is not None:
-            if confirmed in ranked:
-                ranked.remove(confirmed)
-            ranked.insert(0, confirmed)
-            ranked = ranked[: config.rank_depth]
-        rankings[s] = ranked
+    for s, row, fill in zip(sources, truth_rows, fills):
+        head = [by_source[s]] if s in by_source else []
+        rankings[s] = list(dict.fromkeys(head + row + fill))[:depth]
     return FusedPredictions(binary=binary, rankings=rankings)
 
 

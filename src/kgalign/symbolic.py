@@ -403,15 +403,10 @@ class ThresholdSplit:
     tgt: np.ndarray
     val: np.ndarray
 
-    @property
-    def positive_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The positives as source, target and score arrays."""
-        return self.src, self.tgt, self.val
-
     @cached_property
     def positives(self) -> tuple[tuple[int, int, float], ...]:
         """The positives as (source, target, score) tuples, for readers outside the library."""
-        return tuple(zip(*(col.tolist() for col in self.positive_columns)))
+        return tuple(zip(self.src.tolist(), self.tgt.tolist(), self.val.tolist()))
 
 
 def extract_positive_pairs(scores: TruthScoreTable, delta: float) -> ThresholdSplit:

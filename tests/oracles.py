@@ -5,11 +5,12 @@ all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
 embedder's label and report types, the explain loop the explainer's
-path search and rule weight, the ingest loops the data module's file
-names and error type, the M-step loop the engine's candidate and
-re-estimation calls, and the table helpers convert between
-dict rows and the engine's truth table without computing anything), so
-agreement with the engine is evidence rather than tautology.
+path search and rule weight, the ingest loops and the dataset writer
+the data module's file names, error and bundle types, the M-step loop
+the engine's candidate and re-estimation calls, and the table helpers
+convert between dict rows and the engine's truth table without
+computing anything), so agreement with the engine is evidence rather
+than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
 into directed triples (h, 2r, t) and (t, 2r+1, h).  The functionality
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from kgalign import em
-from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetError
+from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
 from kgalign.explain import RuleExplanation, _reverse, _walks, bfs_reachable, path_confidence
 from kgalign.graph import (
@@ -568,7 +569,7 @@ def loop_m_step(state, config) -> list[tuple[int, int, float]]:
     used_src = {s for s, _, _ in labels}
     used_tgt = {t for _, t, _ in labels}
     split = state.last_split
-    positives = column_tuples(split.positive_columns) if split is not None else []
+    positives = split_rows(split) if split is not None else []
     labels += sorted_greedy((s, t, v) for s, t, v in positives if s not in used_src and t not in used_tgt)
     if state.model is not None:
         used_src = {s for s, _, _ in labels}
@@ -595,6 +596,11 @@ def offer_columns(
 def column_tuples(columns: Iterable[np.ndarray]) -> list[tuple]:
     """Equal-length columns as a list of row tuples of Python scalars."""
     return list(zip(*(col.tolist() for col in columns)))
+
+
+def split_rows(split) -> list[tuple[int, int, float]]:
+    """A threshold split's positives as (s, t, score) rows."""
+    return column_tuples((split.src, split.tgt, split.val))
 
 
 def table_from_rows(
@@ -659,6 +665,21 @@ def loop_explain(
                     results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
     results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
     return results
+
+
+def save_dataset(bundle: DatasetBundle, directory: str | Path) -> None:
+    """Write the bundle back out in the three-file layout ``load_dataset`` reads."""
+    root = Path(directory)
+    root.mkdir(parents=True, exist_ok=True)
+    for name, kg in zip(TRIPLE_FILES, (bundle.pair.source, bundle.pair.target)):
+        with open(root / name, "w", encoding="utf-8") as fh:
+            for h, r, t in kg.triple_records():
+                fh.write(f"{h}\t{r}\t{t}\n")
+    src_labels = bundle.pair.source.entity_labels
+    tgt_labels = bundle.pair.target.entity_labels
+    with open(root / LINKS_FILE, "w", encoding="utf-8") as fh:
+        for s, t in bundle.links:
+            fh.write(f"{src_labels[s]}\t{tgt_labels[t]}\n")
 
 
 def read_tsv_rows(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:

@@ -11,7 +11,7 @@ import pytest
 
 from kgalign import embedder
 from kgalign.cli import _psub_from_dump, main
-from kgalign.data import DatasetBundle, DatasetError, save_dataset
+from kgalign.data import DatasetBundle, DatasetError
 from kgalign.em import EmConfig
 from kgalign.embedder import Hyperparams
 from kgalign.graph import load_graph, pack_direction
@@ -25,7 +25,7 @@ def dataset_dir(tmp_path_factory):
     pair, gold = isomorphic_pair(31, n_entities=30, n_relations=3, n_triples=80)
     root = tmp_path_factory.mktemp("dataset")
     bundle = DatasetBundle(pair=pair, links=tuple(sorted(gold.items())), provenance={})
-    save_dataset(bundle, root)
+    oracles.save_dataset(bundle, root)
     (root / "run.conf").write_text(
         "# fast settings for tests\nneural.epochs=10\nneural.dim=8\nneural.negatives=2\n",
         encoding="utf-8",

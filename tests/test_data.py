@@ -20,7 +20,6 @@ from kgalign.data import (
     load_label_pairs,
     load_prediction_file,
     read_config_file,
-    save_dataset,
     split_seed,
 )
 from kgalign.em import EmConfig, IterationStats
@@ -108,7 +107,7 @@ class TestLoadDataset:
 
     def test_round_trip(self, tmp_path):
         bundle = load_dataset(write_dataset(tmp_path / "ds"))
-        save_dataset(bundle, tmp_path / "copy")
+        oracles.save_dataset(bundle, tmp_path / "copy")
         again = load_dataset(tmp_path / "copy")
         assert again.pair.source.entity_labels == bundle.pair.source.entity_labels
         assert again.pair.target.triples == bundle.pair.target.triples

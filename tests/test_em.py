@@ -14,6 +14,7 @@ from kgalign.em import (
     m_step,
     run_em,
 )
+from kgalign import embedder as emb
 from kgalign.embedder import Hyperparams, Origin, TrainReport
 from kgalign.graph import AlignmentSeed, KnowledgeGraphPair, load_graph
 from kgalign import symbolic
@@ -100,7 +101,7 @@ class TestEStep:
         state = init_state(pair, train_seed([(2, 2)]), config)
         state.psub = matched_psub(pair.source, pair.target, {0: 0})
         e_step(state, config)
-        assert oracles.column_tuples(state.last_split.positive_columns) == [(1, 1, 1.0)]
+        assert oracles.split_rows(state.last_split) == [(1, 1, 1.0)]
 
     def test_training_set_is_seeds_plus_inferred(self, monkeypatch):
         pair = chain_fixture()
@@ -122,7 +123,7 @@ class TestEStep:
         assert label_rows(observed) == [(2, 2, 1.0)]
         assert symbolic.origin is Origin.SYMBOLIC
         split = state.last_split
-        assert oracles.column_tuples(split.positive_columns) == [(1, 1, 1.0)]
+        assert oracles.split_rows(split) == [(1, 1, 1.0)]
         assert label_rows(symbolic) == [(1, 1, 0.5)]
         assert np.array_equal(symbolic.conf, config.hidden_weight * split.val)
 
@@ -143,7 +144,7 @@ class TestEStep:
         assert oracles.table_rows(state.truth_scores)[1][1] == pytest.approx(0.96, abs=1e-12)
         _, symbolic = captured["sets"]
         assert label_rows(symbolic) == []
-        assert oracles.column_tuples(state.last_split.positive_columns) == []
+        assert oracles.split_rows(state.last_split) == []
 
     def test_psub_untouched(self):
         pair = chain_fixture()
@@ -274,7 +275,7 @@ class TestMStepMatchesLoop:
             observed = set(state.train.pairs)
             obs_src = {s for s, _ in observed}
             obs_tgt = {t for _, t in observed}
-            positives = oracles.column_tuples(state.last_split.positive_columns)
+            positives = oracles.split_rows(state.last_split)
             touching += sum(s in obs_src or t in obs_tgt for s, t, _ in positives)
             for s, t, _ in _m_step_labels(monkeypatch, state, config):
                 if (s, t) not in observed:
@@ -369,10 +370,36 @@ class TestFusion:
         # engine called (1, 1); fusion must put 1 first regardless
         state.model.ent_target = np.vstack([eye[0], eye[5], eye[1], eye[6]]).copy()
         state.last_split = extract_positive_pairs(oracles.table_from_rows({1: {1: 0.95}}), 0.9)
+        m_step(state, config)
         fused = fuse_predictions(state, config)
         by_pair = {(s, t): origin for s, t, _, origin in fused.binary}
         assert by_pair[(1, 1)] is Origin.SYMBOLIC
         assert fused.rankings[1][:2] == [1, 2]
+
+    def test_truth_row_ranked_before_model_fill(self):
+        pair = chain_fixture(6)
+        config = EmConfig(neural=tiny_neural(), confidence_floor=0.9, rank_depth=4)
+        state = init_state(pair, train_seed([(0, 0)]), config)
+        eye = np.eye(8)
+        # source 1 leans to target 4 (cos 0.6), then 2 (cos 0.3); every
+        # other pair is orthogonal, so no offer clears the 0.9 floor
+        state.model.ent_source = eye[:6].copy()
+        state.model.ent_target = np.vstack(
+            [eye[0], eye[6], 0.3 * eye[1] + 0.91**0.5 * eye[7], eye[7], 0.6 * eye[1] + 0.8 * eye[6], eye[6]]
+        )
+        # below delta: a truth row, but no symbolic match
+        state.truth_scores = oracles.table_from_rows({0: {0: 1.0}, 1: {3: 0.7, 2: 0.5}}, [(0, 0)])
+        state.last_split = extract_positive_pairs(state.truth_scores, config.delta)
+        m_step(state, config)
+        fused = fuse_predictions(state, config)
+        assert 1 not in {s for s, _, _, _ in fused.binary}
+        assert emb.rank_candidates(state.model, [1], range(1, 6), 5) == [[4, 2, 1, 3, 5]]
+        # truth row first (3, 2), then the embedder's fill without the repeat of 2
+        assert fused.rankings[1] == [3, 2, 4, 1]
+        for ranked in fused.rankings.values():
+            assert len(ranked) == config.rank_depth
+            assert len(set(ranked)) == len(ranked)
+            assert 0 not in ranked
 
     def test_rank_sources_restrict_output(self):
         pair = chain_fixture()
@@ -415,6 +442,24 @@ class TestFusion:
         fused = fuse_predictions(state, config)
         assert calls == [len(fused.rankings)]
         assert len(fused.rankings) > 1
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_one_alignment_per_round(self, monkeypatch, iterations):
+        pair, gold = isomorphic_pair(23, n_entities=30, n_relations=3, n_triples=80)
+        train, _ = split_gold(gold, 0.3, seed=4)
+        config = EmConfig(iterations=iterations, rule_length=2, neural=tiny_neural(epochs=3))
+        calls = []
+        real = em._neural_offers
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(em, "_neural_offers", counting)
+        state = run_em(pair, train, config)
+        fused = fuse_predictions(state, config)
+        assert len(calls) == iterations
+        assert fused.binary
 
     def test_model_less_fuse_never_ranks(self, monkeypatch):
         pair = chain_fixture()
@@ -492,9 +537,7 @@ class TestLoopReferences:
         ]
         assert np.array_equal(arrays.psub.source_in_target, loops.psub.source_in_target)
         assert np.array_equal(arrays.psub.target_in_source, loops.psub.target_in_source)
-        assert oracles.column_tuples(arrays.last_split.positive_columns) == oracles.column_tuples(
-            loops.last_split.positive_columns
-        )
+        assert oracles.split_rows(arrays.last_split) == oracles.split_rows(loops.last_split)
         assert fused_arrays.binary == fused_loops.binary
         assert fused_arrays.rankings == fused_loops.rankings
 

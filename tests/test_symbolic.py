@@ -537,30 +537,25 @@ class TestRetention:
                 assert _ordered(retain_best(table, rho)) == _ordered(oracles.table_from_rows(want))
 
 
-def split_rows(split) -> list[tuple]:
-    """The positives as (s, t, score) rows."""
-    return oracles.column_tuples(split.positive_columns)
-
-
 class TestExtractPositives:
     def test_split_by_threshold(self):
         table = oracles.table_from_rows({0: {0: 0.99}, 1: {1: 0.5}})
         split = extract_positive_pairs(table, 0.9)
-        assert split_rows(split) == [(0, 0, 0.99)]
+        assert oracles.split_rows(split) == [(0, 0, 0.99)]
 
     def test_boundary_strict(self):
         table = oracles.table_from_rows({0: {0: 0.99}})
         split = extract_positive_pairs(table, 0.99)
-        assert split_rows(split) == []
+        assert oracles.split_rows(split) == []
 
     def test_empty_table(self):
         split = extract_positive_pairs(oracles.table_from_rows({}), 0.9)
-        assert split_rows(split) == []
+        assert oracles.split_rows(split) == []
 
     def test_pinned_excluded(self):
         table = oracles.table_from_rows({0: {0: 0.95}}, frozenset({(5, 5)}))
         split = extract_positive_pairs(table, 0.9)
-        assert (5, 5, 1.0) not in split_rows(split)
+        assert (5, 5, 1.0) not in oracles.split_rows(split)
 
     def test_delta_validated(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -573,7 +568,7 @@ class TestExtractPositives:
             delta = float(rng.choice([0.25, 0.5, 0.75, 0.9]))
             split = extract_positive_pairs(table, delta)
             positives = oracles.loop_extract(oracles.table_rows(table), pinned, delta)
-            assert split_rows(split) == positives
+            assert oracles.split_rows(split) == positives
             assert split.positives == tuple(positives)
 
 
