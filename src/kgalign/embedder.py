@@ -247,9 +247,11 @@ def _side_gradients(
     update ``pull - push`` and the tail update ``pull`` (weight -1), and
     one product scatters all of ``buf``.  The corrupted residuals (weight
     2 * triple_weight where the hinge is active) are computed ``step``
-    triples at a time into the end of ``scratch``: once for the distances
-    and ``push``, and once more after that product to continue the
-    entity sums.  The subtraction is the same, so the bits are too.
+    triples at a time into the end of ``scratch``: all of them once for
+    the distances and ``push``, and the active ones once more after that
+    product to continue the entity sums.  The subtraction is the same,
+    so the bits are too, and the zero-weight terms left out would have
+    been dropped by the scatter anyway.
     """
     hh, rr, tt = triples
     n2, k, cw = len(hh), hp.negatives, hp.triple_weight
@@ -285,9 +287,13 @@ def _side_gradients(
     g_ent = _scatter(buf[: rows + 2 * n2], ents.shape[0], align_terms + head_tail)
     for c in chunks:
         hr = ents[hh[c]] + rels[rr[c]]
-        end = start + len(hr) * k
-        _corrupted_residuals(scratch[start:end], hr, ents, corrupt[c])
-        _scatter_onto(g_ent, scratch[:end], corrupt[c].reshape(-1), push_w[c].reshape(-1))
+        i, j = np.nonzero(push_w[c])  # the active terms, in (i, j) order
+        tails = corrupt[c][i, j]
+        terms = scratch[len(scratch) - len(tails) :]
+        # ``step`` terms at a time, so the gathered hr rows stay as small as hr
+        for b in (slice(lo, lo + step) for lo in range(0, len(tails), step)):
+            _corrupted_residuals(terms[b], hr[i[b]], ents, tails[b, None])
+        _scatter_onto(g_ent, scratch, tails, push_w[c][i, j])
     return loss, g_ent, g_rel
 
 

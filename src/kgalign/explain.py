@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -61,25 +61,32 @@ class RuleExplanation:
 def bfs_reachable(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, Path]:
     """Shortest path (as (relation, entity) steps from e) per reachable entity.
 
-    Breadth-first with neighbors expanded in the graph's deterministic
-    adjacency order, so among equal-length paths the first-discovered
-    one (through the lower-ordered neighbor) is kept.  The start entity
-    itself is not reported.
+    Breadth-first over the graph's CSR adjacency in its deterministic
+    order, so among equal-length paths the first-discovered one (through
+    the lower-ordered neighbor) is kept.  The start entity itself is not
+    reported.  The path to an entity is the path reported for its parent
+    (the entity it was reached from) plus one step, so every prefix of a
+    reported path is itself reported.  Raises ``KeyError`` for an
+    unknown id.
     """
     if max_len < 1:
         raise ValueError(f"path length bound must be >= 1, got {max_len}")
-    kg.neighbors(e)  # validates the id
+    if not 0 <= e < kg.n_entities:
+        raise KeyError(f"unknown entity id {e}")
+    indptr, rel, nbr = kg.directed_adj
     found: dict[int, Path] = {}
     frontier: list[tuple[int, Path]] = [(e, ())]
-    for _ in range(max_len):
+    for depth in range(1, max_len + 1):
         next_frontier: list[tuple[int, Path]] = []
         for node, path in frontier:
-            for rel, nbr in kg.neighbors(node):
-                if nbr == e or nbr in found:
+            lo, hi = indptr[node], indptr[node + 1]
+            for step in zip(rel[lo:hi].tolist(), nbr[lo:hi].tolist()):
+                end = step[1]
+                if end == e or end in found:
                     continue
-                step_path = path + ((rel, nbr),)
-                found[nbr] = step_path
-                next_frontier.append((nbr, step_path))
+                found[end] = step_path = path + (step,)
+                if depth < max_len:
+                    next_frontier.append((end, step_path))
         frontier = next_frontier
     return found
 
@@ -107,21 +114,52 @@ def _reverse(path: Path, query: int) -> Path:
     return tuple((path[k][0] ^ 1, nodes[k]) for k in range(len(path) - 1, -1, -1))
 
 
-def path_confidence(
-    source_path: Path,
-    target_path: Path,
-    eta_source: np.ndarray,
-    eta_target: np.ndarray,
-    psub: SubrelationTable,
-) -> float:
-    """Rule weight of two equal-length anchor-to-query paths."""
-    if len(source_path) != len(target_path):
-        return 0.0
-    w = 1.0
-    for (d, _), (dp, _) in zip(source_path, target_path):
-        both_ways = psub.source_in_target[d, dp] + psub.target_in_source[dp, d]
-        w *= eta_source[d] * eta_target[dp] * both_ways / 2.0
-    return w
+def _reversed_paths(found: dict[int, Path], query: int) -> Callable[[int], Path]:
+    """Anchor-to-query flips of ``bfs_reachable``'s paths from ``query``.
+
+    The flip of the path to x is one step back to x's parent followed by
+    the parent's flip, and the parent is itself reached (or is the
+    query), so one dict keyed by end entity shares those suffixes.
+    """
+    flipped: dict[int, Path] = {query: ()}
+
+    def flip(x: int) -> Path:
+        path = flipped.get(x)
+        if path is None:
+            steps = found[x]
+            parent = steps[-2][1] if len(steps) > 1 else query
+            suffix = flipped.get(parent)
+            if suffix is None:
+                suffix = flip(parent)
+            path = flipped[x] = ((steps[-1][0] ^ 1, parent),) + suffix
+        return path
+
+    return flip
+
+
+def _rule_weights(
+    eta_source: np.ndarray, eta_target: np.ndarray, psub: SubrelationTable
+) -> Callable[[Path, Path], float]:
+    """One query's rule weight of two equal-length anchor-to-query paths.
+
+    Each step pair (d, d') weighs ``eta(d) * eta(d') * (p_sub(d in d') +
+    p_sub(d' in d)) / 2``, memoized as a float the first time it is
+    seen; the path weight multiplies the steps in anchor-to-query order.
+    """
+    sit, tis = psub.source_in_target, psub.target_in_source
+    steps: dict[tuple[int, int], float] = {}
+
+    def weight(source_path: Path, target_path: Path) -> float:
+        w = 1.0
+        for (d, _), (dp, _) in zip(source_path, target_path):
+            step = steps.get((d, dp))
+            if step is None:
+                both_ways = sit[d, dp] + tis[dp, d]
+                step = steps[d, dp] = float(eta_source[d] * eta_target[dp] * both_ways / 2.0)
+            w *= step
+        return w
+
+    return weight
 
 
 def explain(
@@ -141,43 +179,57 @@ def explain(
     frontier.  By default one shortest path per side is parsed for each
     anchor; ``exhaustive`` enumerates every walk pair instead (this
     grows exponentially and is meant for small studies).  Anchor pairs
-    whose two paths have different lengths carry confidence 0 and are
-    dropped.  Zero-confidence explanations are not emitted.  Only the
-    anchors reachable from the query source are visited; the sort key is
-    total, so the result does not depend on the visiting order.
+    whose two paths have different lengths are dropped, and so are
+    zero-confidence explanations.  Only the anchors reachable from the
+    query source are visited.
+
+    Within one call the step weights of each relation pair are computed
+    once, and by default the flipped path of each reached entity is
+    built once and shared as the suffix of every longer flipped path
+    through it.  Nothing is kept between calls.  The result is sorted by
+    (-confidence, anchor), plus both paths in exhaustive mode; by
+    default each anchor has at most one explanation and anchors are
+    one-to-one, so that shorter key is already total and the result
+    does not depend on the visiting order.
     """
     if max_len < 1:
         raise ValueError(f"path length bound must be >= 1, got {max_len}")
     e_q, e_q_prime = query
-    if exhaustive:
-        src_paths = _walks(pair.source, e_q, max_len)
-        tgt_paths = _walks(pair.target, e_q_prime, max_len)
-    else:
-        src_paths = {k: [v] for k, v in bfs_reachable(pair.source, e_q, max_len).items()}
-        tgt_paths = {k: [v] for k, v in bfs_reachable(pair.target, e_q_prime, max_len).items()}
-
+    targets = anchors._targets
+    weight = _rule_weights(eta_source, eta_target, psub)
     results: list[RuleExplanation] = []
-    for a in src_paths.keys() & anchors._targets.keys():
-        a_prime = anchors._targets[a]
-        if a_prime not in tgt_paths:
+    if exhaustive:
+        src_walks = _walks(pair.source, e_q, max_len)
+        tgt_walks = _walks(pair.target, e_q_prime, max_len)
+        for a in src_walks.keys() & targets.keys():
+            a_prime = targets[a]
+            for sp in src_walks[a]:
+                for tp in tgt_walks.get(a_prime, ()):
+                    if len(sp) != len(tp):
+                        continue
+                    rev_s, rev_t = _reverse(sp, e_q), _reverse(tp, e_q_prime)
+                    w = weight(rev_s, rev_t)
+                    if w > 0.0:
+                        results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
+        results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
+        return results
+
+    src_found = bfs_reachable(pair.source, e_q, max_len)
+    tgt_found = bfs_reachable(pair.target, e_q_prime, max_len)
+    flip_s = _reversed_paths(src_found, e_q)
+    flip_t = _reversed_paths(tgt_found, e_q_prime)
+    for a, sp in src_found.items():
+        a_prime = targets.get(a)
+        if a_prime is None:
             continue
-        for sp in src_paths[a]:
-            for tp in tgt_paths[a_prime]:
-                if len(sp) != len(tp):
-                    continue
-                rev_s = _reverse(sp, e_q)
-                rev_t = _reverse(tp, e_q_prime)
-                w = path_confidence(rev_s, rev_t, eta_source, eta_target, psub)
-                if w > 0.0:
-                    results.append(
-                        RuleExplanation(
-                            anchor=(a, a_prime),
-                            source_path=rev_s,
-                            target_path=rev_t,
-                            confidence=w,
-                        )
-                    )
-    results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
+        tp = tgt_found.get(a_prime)
+        if tp is None or len(tp) != len(sp):
+            continue
+        rev_s, rev_t = flip_s(a), flip_t(a_prime)
+        w = weight(rev_s, rev_t)
+        if w > 0.0:
+            results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
+    results.sort(key=lambda ex: (-ex.confidence, ex.anchor))
     return results
 
 

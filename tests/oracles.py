@@ -5,12 +5,12 @@ all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
 table types beyond plain graphs (the reference trainer takes the
 embedder's label and report types, the explain loop the explainer's
-path search and rule weight, the ingest loops and the dataset writer
-the data module's file names, error and bundle types, the M-step loop
-the engine's candidate and re-estimation calls, and the table helpers
-convert between dict rows and the engine's truth table without
-computing anything), so agreement with the engine is evidence rather
-than tautology.
+result type and exhaustive walk enumeration, the ingest loops and the
+dataset writer the data module's file names, error and bundle types,
+the M-step loop the engine's candidate and re-estimation calls, and the
+table helpers convert between dict rows and the engine's truth table
+without computing anything), so agreement with the engine is evidence
+rather than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
 into directed triples (h, 2r, t) and (t, 2r+1, h).  The functionality
@@ -33,7 +33,7 @@ import numpy as np
 from kgalign import em
 from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
-from kgalign.explain import RuleExplanation, _reverse, _walks, bfs_reachable, path_confidence
+from kgalign.explain import RuleExplanation, _walks
 from kgalign.graph import (
     DirectedAdjacency,
     IngestError,
@@ -627,6 +627,54 @@ def pinned_pairs(table: TruthScoreTable) -> frozenset[tuple[int, int]]:
     return frozenset(zip((table.pin_keys >> 32).tolist(), (table.pin_keys & 0xFFFFFFFF).tolist()))
 
 
+def loop_bfs_reachable(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, tuple]:
+    """``bfs_reachable`` over ``kg.neighbors`` lists, one level at a time.
+
+    Every reached entity keeps the first path that found it, and every
+    level's entities are expanded, the last one's included.
+    """
+    if max_len < 1:
+        raise ValueError(f"path length bound must be >= 1, got {max_len}")
+    kg.neighbors(e)  # validates the id
+    found: dict[int, tuple] = {}
+    frontier: list[tuple[int, tuple]] = [(e, ())]
+    for _ in range(max_len):
+        next_frontier = []
+        for node, path in frontier:
+            for rel, nbr in kg.neighbors(node):
+                if nbr == e or nbr in found:
+                    continue
+                step_path = path + ((rel, nbr),)
+                found[nbr] = step_path
+                next_frontier.append((nbr, step_path))
+        frontier = next_frontier
+    return found
+
+
+def loop_reverse(path: tuple, query: int) -> tuple:
+    """A query-to-anchor path walked back from its last entity to ``query``."""
+    steps = []
+    for k, (rel, _) in enumerate(path):
+        came_from = query if k == 0 else path[k - 1][1]
+        steps.insert(0, (rel ^ 1, came_from))
+    return tuple(steps)
+
+
+def path_confidence(source_path, target_path, eta_source, eta_target, psub) -> float:
+    """Rule weight of two equal-length anchor-to-query paths, 0 for unequal lengths.
+
+    Product over the steps, in path order, of
+    eta(d) * eta(d') * (p_sub(d in d') + p_sub(d' in d)) / 2.
+    """
+    if len(source_path) != len(target_path):
+        return 0.0
+    w = 1.0
+    for (d, _), (dp, _) in zip(source_path, target_path):
+        both_ways = psub.source_in_target[d, dp] + psub.target_in_source[dp, d]
+        w *= eta_source[d] * eta_target[dp] * both_ways / 2.0
+    return w
+
+
 def loop_explain(
     pair: KnowledgeGraphPair,
     query: tuple[int, int],
@@ -641,7 +689,8 @@ def loop_explain(
 
     Each anchor whose two sides sit in the query's two frontiers
     contributes one explanation per equal-length path pair with positive
-    weight; the result is sorted by (-confidence, anchor, source path,
+    weight; every path is flipped step by step and weighed from scratch,
+    and the result is sorted by (-confidence, anchor, source path,
     target path).
     """
     e_q, e_q_prime = query
@@ -649,8 +698,8 @@ def loop_explain(
         src_paths = _walks(pair.source, e_q, max_len)
         tgt_paths = _walks(pair.target, e_q_prime, max_len)
     else:
-        src_paths = {k: [v] for k, v in bfs_reachable(pair.source, e_q, max_len).items()}
-        tgt_paths = {k: [v] for k, v in bfs_reachable(pair.target, e_q_prime, max_len).items()}
+        src_paths = {k: [v] for k, v in loop_bfs_reachable(pair.source, e_q, max_len).items()}
+        tgt_paths = {k: [v] for k, v in loop_bfs_reachable(pair.target, e_q_prime, max_len).items()}
     results = []
     for a, a_prime in anchor_pairs:
         if a not in src_paths or a_prime not in tgt_paths:
@@ -659,7 +708,7 @@ def loop_explain(
             for tp in tgt_paths[a_prime]:
                 if len(sp) != len(tp):
                     continue
-                rev_s, rev_t = _reverse(sp, e_q), _reverse(tp, e_q_prime)
+                rev_s, rev_t = loop_reverse(sp, e_q), loop_reverse(tp, e_q_prime)
                 w = path_confidence(rev_s, rev_t, eta_source, eta_target, psub)
                 if w > 0.0:
                     results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))

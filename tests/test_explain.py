@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from kgalign import data
+from kgalign.em import EmConfig, fuse_predictions, run_em
 from kgalign.explain import (
     AnchorMode,
     AnchorSet,
     bfs_reachable,
     explain,
     hard_anchors,
-    path_confidence,
     render_report,
     soft_anchors,
 )
@@ -61,7 +66,7 @@ class TestBfsReachable:
         assert got == {child: ((inv(0), child),)}
 
     def test_start_not_reported(self):
-        kg = load_graph([("a", "r", "b"), ("b", "r", "a")])
+        kg = load_graph([("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a")])
         got = bfs_reachable(kg, kg.entity_ids["a"], max_len=3)
         assert kg.entity_ids["a"] not in got
 
@@ -86,6 +91,19 @@ class TestBfsReachable:
                     assert (rel, nbr) in list(kg.neighbors(node))
                     node = nbr
                 assert node == end
+
+    def test_matches_neighbor_list_loop(self, rng):
+        # self-loops, parallel edges and isolated ids included
+        for _ in range(25):
+            n = int(rng.integers(2, 14))
+            records = [
+                (f"e{rng.integers(n)}", f"r{rng.integers(3)}", f"e{rng.integers(n)}")
+                for _ in range(int(rng.integers(1, 3 * n)))
+            ]
+            kg = load_graph(records)
+            for e in range(kg.n_entities):
+                for max_len in range(1, 5):
+                    assert bfs_reachable(kg, e, max_len) == oracles.loop_bfs_reachable(kg, e, max_len)
 
 
 def hop_fixture(hops: int):
@@ -132,16 +150,65 @@ class TestPathConfidence:
         )
         assert len(got) == 1
         assert got[0].confidence == pytest.approx(0.64, abs=1e-15)
+        # the depth-2 anchor's parent s1 is no anchor; its flip still ends the path
+        ids = pair.source.entity_ids
+        assert got[0].source_path == ((inv(0), ids["s1"]), (inv(0), ids["s0"]))
 
-    def test_length_mismatch_zero(self):
-        path_one = ((fwd(0), 1),)
-        path_two = ((fwd(0), 1), (fwd(0), 2))
-        eta = np.ones(2)
-        psub = matched_psub(load_graph([("a", "r", "b")]), load_graph([("x", "r'", "y")]), {0: 0})
-        assert path_confidence(path_one, path_two, eta, eta, psub) == 0.0
+
+def mirrored_pair(records: list[tuple[str, str, str]]) -> KnowledgeGraphPair:
+    """The source graph of ``records`` and a target copy with primed labels."""
+    src = load_graph(records)
+    tgt = load_graph([(h + "'", r + "'", t + "'") for h, r, t in records])
+    return KnowledgeGraphPair(source=src, target=tgt)
+
+
+# (triples, anchor labels, max_len, {anchor: source path as (relation, entity) labels})
+SHARED_SUFFIX_CASES = {
+    "siblings-share-parent": (
+        [("q", "r", "m"), ("m", "r", "a"), ("m", "s", "b")],
+        ["a", "b"],
+        2,
+        {"a": [("r^-1", "m"), ("r^-1", "q")], "b": [("s^-1", "m"), ("r^-1", "q")]},
+    ),
+    "query-self-loop": (
+        [("q", "r", "q"), ("q", "s", "a"), ("a", "r", "b")],
+        ["a", "b"],
+        2,
+        {"a": [("s^-1", "q")], "b": [("r^-1", "a"), ("s^-1", "q")]},
+    ),
+    "depth-3-unexplained-parent": (
+        [("q", "r", "x"), ("x", "s", "y"), ("y", "r", "a"), ("y", "s", "c")],
+        ["x", "a", "c"],
+        3,
+        {
+            "x": [("r^-1", "q")],
+            "a": [("r^-1", "y"), ("s^-1", "x"), ("r^-1", "q")],
+            "c": [("s^-1", "y"), ("s^-1", "x"), ("r^-1", "q")],
+        },
+    ),
+}
 
 
 class TestExplain:
+    @pytest.mark.parametrize("case", sorted(SHARED_SUFFIX_CASES))
+    def test_shared_suffix_cases(self, case):
+        records, anchor_labels, max_len, expected = SHARED_SUFFIX_CASES[case]
+        pair = mirrored_pair(records)
+        src, tgt = pair.source, pair.target
+        psub = matched_psub(src, tgt, {r: r for r in range(src.n_relations)}, 0.9)
+        eta_s, eta_t = compute_functionalities(src), compute_functionalities(tgt)
+        anchor_pairs = [(src.entity_ids[a], tgt.entity_ids[a + "'"]) for a in anchor_labels]
+        query = (src.entity_ids["q"], tgt.entity_ids["q'"])
+        got = explain(pair, query, hard_anchors(anchor_pairs), eta_s, eta_t, psub, max_len)
+        assert got == oracles.loop_explain(pair, query, anchor_pairs, eta_s, eta_t, psub, max_len)
+
+        def labelled(kg, path):
+            return [(kg.directed_label(d), kg.entity_labels[e]) for d, e in path]
+
+        assert {src.entity_labels[ex.anchor[0]]: labelled(src, ex.source_path) for ex in got} == expected
+        # the primed copy interns its labels in the same order, so its ids match
+        assert all(ex.target_path == ex.source_path for ex in got)
+
     def test_empty_anchor_set(self):
         pair, psub = hop_fixture(1)
         got = explain(
@@ -432,3 +499,65 @@ class TestRenderReport:
         if len(got) > 1:
             text = render_report(pair, (0, 0), got, AnchorMode.HARD, limit=1)
             assert len(text.splitlines()) == 2
+
+
+BENCH_GENERATORS = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+
+
+@pytest.fixture(scope="module")
+def noisy_run(tmp_path_factory):
+    """A symbolic-only run on the bench generator's noisy 1k pair at 20% seeds.
+
+    ``bench/generators.py`` is loaded read-only as a fresh module.
+    Returns the pair, the held-out queries, both anchor sets and the
+    final state.
+    """
+    if not BENCH_GENERATORS.is_file():
+        pytest.skip("bench/generators.py not present")
+    spec = importlib.util.spec_from_file_location("kgalign_bench_generators", BENCH_GENERATORS)
+    generators = importlib.util.module_from_spec(spec)
+    directory = tmp_path_factory.mktemp("noisy-1k")
+    with pytest.MonkeyPatch.context() as mp:
+        # dataclasses look their module up while the file executes
+        mp.setitem(sys.modules, spec.name, generators)
+        spec.loader.exec_module(generators)
+        generators.write_dataset(generators.noisy_pair(407, 1000, 10, 3000), directory)
+    bundle = data.load_dataset(directory)
+    train, valid, test = data.split_seed(bundle.links, 0.20, 0.05, 407)
+    config = EmConfig(seed=407, symbolic_only=True)
+    state = run_em(bundle.pair, train, config, validation=valid)
+    fused = fuse_predictions(state, config)
+    anchors = {
+        AnchorMode.HARD: hard_anchors(train.pairs),
+        AnchorMode.SOFT: soft_anchors(train.pairs, [(s, t) for s, t, _, _ in fused.binary]),
+    }
+    return bundle.pair, test.pairs, anchors, state
+
+
+class TestMatchesLoopAtScale:
+    @pytest.mark.parametrize("mode", [AnchorMode.HARD, AnchorMode.SOFT])
+    def test_every_held_out_query(self, noisy_run, mode):
+        pair, queries, anchors, state = noisy_run
+        args = (state.eta_source, state.eta_target, state.psub, 2)
+        anchor_set = anchors[mode]
+        explained = two_hop = 0
+        for query in queries:
+            got = explain(pair, query, anchor_set, *args)
+            expected = oracles.loop_explain(pair, query, anchor_set.pairs, *args)
+            assert got == expected, query
+            assert render_report(pair, query, got, mode) == render_report(pair, query, expected, mode)
+            explained += bool(got)
+            two_hop += any(len(ex.source_path) == 2 for ex in got)
+        # nearly every query has rules, and most of them need two-step paths
+        assert explained > 0.9 * len(queries) and two_hop > len(queries) / 2
+
+    def test_exhaustive_queries(self, noisy_run):
+        pair, queries, anchors, state = noisy_run
+        args = (state.eta_source, state.eta_target, state.psub, 2)
+        anchor_set = anchors[AnchorMode.SOFT]
+        ranked = 0
+        for query in queries[:40]:
+            got = explain(pair, query, anchor_set, *args, exhaustive=True)
+            assert got == oracles.loop_explain(pair, query, anchor_set.pairs, *args, exhaustive=True)
+            ranked += len(got) > 1
+        assert ranked > 30
