@@ -9,19 +9,23 @@ relational structure.  Scoring is plain cosine similarity.
 The trainer is full-batch and deterministic: negatives are drawn from
 the generator persisted on the model, and each gradient array is built
 by sparse incidence products that add its terms in a fixed order, so a
-fixed seed reproduces training bit for bit.  The corrupted-tail terms of
-the triple loss are walked in chunks of ``TRAIN_CHUNK_CELLS`` values, so
-training holds O(T * d) rows plus one chunk, never the (T * k, d) block
-of all corrupted residuals.  ``scipy.sparse`` is imported on the first
-training call only, so runs without an embedder never load it.
+fixed seed reproduces training bit for bit.  The alignment negatives and
+the triple terms are walked in chunks of ``TRAIN_CHUNK_CELLS`` values,
+so training holds O(T * k) scalars plus one chunk per graph, never the
+(T * k, d) block of all corrupted residuals nor a row per triple term.
+The two graphs' gradients are computed at once, the target graph's on
+one worker thread that lives as long as the ``train`` call.
+``scipy.sparse`` is imported on the first training call only, so runs
+without an embedder never load it.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,15 +150,16 @@ def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([h, t]), np.concatenate([2 * r, 2 * r + 1]), np.concatenate([t, h])
 
 
-# Values (triples x negatives x dimension) of corrupted residuals one
-# chunk of the trainer holds; the chunk's triple count follows from k and
-# the dimension, so training memory stays flat as the graphs grow.
+# Values (triples or positives x negatives x dimension) one chunk of the
+# trainer holds; the chunk's row count follows from k and the dimension,
+# so training memory stays flat as the graphs and the labels grow.
 TRAIN_CHUNK_CELLS = 1 << 20
 
 # Score cells (sources x candidates) one block of the top-k kernel holds;
 # the block's row count follows from the candidate count, so memory stays
-# flat as the target side grows.
-TOP_K_BLOCK_CELLS = 1 << 22
+# flat as the target side grows.  ``argpartition`` adds an int64 index
+# block of the same size, and that pair sets the ranking's peak.
+TOP_K_BLOCK_CELLS = 1 << 21
 
 
 def _scatter(
@@ -228,42 +233,83 @@ def _corrupted_residuals(
     return resid_neg
 
 
+class _SideWork(NamedTuple):
+    """One graph's training buffers: the chunk ``scratch`` of corrupted
+    residuals after room for the rows they carry, the head/tail row block
+    of one chunk after the same kind of room, and the (T, k) hinge and
+    push weights and (T,) active counts that the later passes reread."""
+
+    scratch: np.ndarray
+    rows: np.ndarray
+    hinge: np.ndarray
+    push_w: np.ndarray
+    count: np.ndarray
+    step: int
+
+
+def _side_work(ents: np.ndarray, rels: np.ndarray, n2: int, hp: Hyperparams) -> _SideWork | None:
+    """Buffers for a graph with ``n2`` directed triples; None without triple terms."""
+    if not (n2 and hp.triple_weight > 0.0):
+        return None
+    k, d = hp.negatives, ents.shape[1]
+    step = max(1, min(TRAIN_CHUNK_CELLS // (k * d), n2))
+    carry = min(step * k, len(ents))
+    room = min(step, max(len(ents), len(rels)))
+    return _SideWork(
+        np.empty((carry + step * k, d)),
+        np.empty((room + step, d)),
+        np.empty((n2, k)),
+        np.empty((n2, k)),
+        np.empty(n2, dtype=np.int64),
+        step,
+    )
+
+
+def _pull(rows: np.ndarray, resid: np.ndarray, count: np.ndarray, cw: float) -> np.ndarray:
+    """``2 * cw * resid * count`` written to the last len(resid) rows of ``rows``."""
+    pull = rows[len(rows) - len(resid) :]
+    np.multiply(cw * 2.0, resid, out=pull)
+    pull *= count[:, None]
+    return pull
+
+
 def _side_gradients(
-    buf: np.ndarray,
-    scratch: np.ndarray,
-    step: int,
+    work: _SideWork | None,
+    align_rows: np.ndarray,
     align_terms: list[tuple[np.ndarray, np.ndarray]],
     ents: np.ndarray,
     rels: np.ndarray,
     triples: tuple[np.ndarray, np.ndarray, np.ndarray],
     hp: Hyperparams,
-    rng: np.random.Generator,
+    corrupt: np.ndarray | None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """One graph's triple loss and its entity and relation gradients.
 
-    ``buf`` starts with the alignment term values of this graph's
-    entities, one row per row of the ``align_terms`` segments.  The
-    triple term appends two blocks after them, the head and relation
-    update ``pull - push`` and the tail update ``pull`` (weight -1), and
-    one product scatters all of ``buf``.  The corrupted residuals (weight
-    2 * triple_weight where the hinge is active) are computed ``step``
-    triples at a time into the end of ``scratch``: all of them once for
-    the distances and ``push``, and the active ones once more after that
-    product to continue the entity sums.  The subtraction is the same,
-    so the bits are too, and the zero-weight terms left out would have
-    been dropped by the scatter anyway.
+    One product scatters the alignment term values ``align_rows``, one row
+    per row of the ``align_terms`` segments.  ``corrupt`` holds the k
+    corrupted tails of each directed triple, or None when the graph has
+    no triple terms.  Three more walks over the triples, ``work.step`` at
+    a time, continue the sums (``_scatter_onto``): the head and relation
+    update ``pull - push`` with the hinges, active counts and push
+    weights it fills in, then the tail update ``pull`` (weight -1),
+    recomputed by the same operations, then the corrupted residuals
+    (weight 2 * triple_weight where the hinge is active).  Each entity
+    row thus adds its alignment terms, heads, tails and corrupted tails
+    in the order one product over all of them would, so the bits are
+    the same; the zero-weight terms left out would have been dropped by
+    the scatter anyway.  Apart from one chunk, the walks keep only the
+    O(T * k) scalars of ``work``.
     """
+    g_ent = _scatter(align_rows, ents.shape[0], align_terms)
+    if corrupt is None:
+        return 0.0, g_ent, np.zeros_like(rels)
     hh, rr, tt = triples
-    n2, k, cw = len(hh), hp.negatives, hp.triple_weight
-    rows = sum(len(targets) for targets, _ in align_terms)
-    if not (n2 and cw > 0.0):
-        return 0.0, _scatter(buf[:rows], ents.shape[0], align_terms), np.zeros_like(rels)
-    corrupt = rng.integers(0, ents.shape[0], size=(n2, k))
-    hinge = np.empty((n2, k))
-    push_w = np.empty((n2, k))
-    g_head, pull = buf[rows : rows + n2], buf[rows + n2 : rows + 2 * n2]
+    k, cw = hp.negatives, hp.triple_weight
+    scratch, rows, hinge, push_w, count, step = work
     start = len(scratch) - step * k
-    chunks = [slice(lo, lo + step) for lo in range(0, n2, step)]
+    chunks = [slice(lo, lo + step) for lo in range(0, len(hh), step)]
+    ones = np.ones(step)
+    g_rel = np.zeros_like(rels)
     for c in chunks:
         hr = ents[hh[c]] + rels[rr[c]]
         resid = hr - ents[tt[c]]
@@ -272,19 +318,19 @@ def _side_gradients(
         d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
         np.subtract(hp.margin + d_pos[:, None], d_neg, out=hinge[c])
         active = hinge[c] > 0.0
+        push_w[c] = np.where(active, cw * 2.0, 0.0)
+        count[c] = np.count_nonzero(active, axis=1)
         # einsum adds the k weighted residuals of a triple in k order, the
         # rounding of summing a materialized (2T, k, d) push over axis 1
-        push_w[c] = np.where(active, cw * 2.0, 0.0)
-        pull_c = pull[c]
-        np.multiply(cw * 2.0, resid, out=pull_c)
-        pull_c *= np.count_nonzero(active, axis=1)[:, None]
-        np.subtract(pull_c, np.einsum("ik,ikd->id", push_w[c], resid_neg), out=g_head[c])
+        head = _pull(rows, resid, count[c], cw)
+        head -= np.einsum("ik,ikd->id", push_w[c], resid_neg)
+        _scatter_onto(g_rel, rows, rr[c], ones[: len(hr)])
+        _scatter_onto(g_ent, rows, hh[c], ones[: len(hr)])
     loss = cw * float(np.maximum(hinge, 0.0).sum())
 
-    ones = np.ones((n2, 1))
-    g_rel = _scatter(g_head, rels.shape[0], [(rr[:, None], ones)])
-    head_tail = [(hh[:, None], ones), (tt[:, None], -ones)]
-    g_ent = _scatter(buf[: rows + 2 * n2], ents.shape[0], align_terms + head_tail)
+    for c in chunks:
+        tail = _pull(rows, ents[hh[c]] + rels[rr[c]] - ents[tt[c]], count[c], cw)
+        _scatter_onto(g_ent, rows, tt[c], -ones[: len(tail)])
     for c in chunks:
         hr = ents[hh[c]] + rels[rr[c]]
         i, j = np.nonzero(push_w[c])  # the active terms, in (i, j) order
@@ -320,14 +366,17 @@ def train(
     Duplicate positives are kept as-is: each occurrence contributes its
     own loss terms, so a pair listed twice pulls twice as hard.
 
-    Each epoch scatters one graph at a time.  The alignment terms and
-    the triple terms' head and tail rows sit in one buffer reused by both
-    graphs, and one sparse incidence product adds them up; the
-    corrupted-tail terms then continue those sums chunk by chunk (see
-    ``_side_gradients``).  Besides the (n, k, d) negatives of the
-    alignment term, working memory is O(T * d) rows plus one chunk of
-    ``TRAIN_CHUNK_CELLS`` values, where T counts triples; it does not
-    grow with T * k * d.
+    Each epoch draws the alignment negatives, then the source graph's
+    corrupted tails, then the target graph's.  The alignment hinges and
+    the source graph's alignment rows are computed a block of positives
+    at a time, so the (n, k, d) negatives are never held whole.  The two
+    graphs' gradients touch disjoint arrays, so ``_side_gradients`` runs
+    the source graph on the calling thread and the target graph on one
+    worker thread at once, bit for bit as one after the other; both are
+    joined before the weights move, and the worker ends with the call.
+    Besides the O(n * (k + d)) alignment arrays, working memory is
+    O(T * k) scalars plus one chunk of ``TRAIN_CHUNK_CELLS`` values per
+    graph, where T counts triples; it does not grow with T * d.
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
@@ -345,60 +394,69 @@ def train(
     rng = model.rng
     n_t = model.ent_target.shape[0]
     n_pos = len(src_idx)
+    d = model.ent_source.shape[1]
     ones = np.ones((n_pos, 1))
 
     trip_s = _directed_triple_arrays(pair.source)
     trip_t = _directed_triple_arrays(pair.target)
     n_terms = k * (n_pos + len(trip_s[0]) + len(trip_t[0]))
-    d = model.ent_source.shape[1]
-    n2 = max(len(trip_s[0]), len(trip_t[0])) if hp.triple_weight > 0.0 else 0
-    buf = np.empty((2 * n_pos + 2 * n2, d))
-    # one chunk's corrupted residuals, after room for the rows they carry
-    step = max(1, min(TRAIN_CHUNK_CELLS // (k * d), n2))
-    carry = min(step * k, max(len(model.ent_source), len(model.ent_target)))
-    scratch = np.empty((carry + step * k, d))
+    # Every buffer is allocated here, on the calling thread: memory the
+    # worker thread allocates stays in its own allocator arena when freed.
+    work_s = _side_work(model.ent_source, model.rel_source, len(trip_s[0]), hp)
+    work_t = _side_work(model.ent_target, model.rel_target, len(trip_t[0]), hp)
+    block = max(1, TRAIN_CHUNK_CELLS // (k * d))
+    hinge = np.empty((n_pos, k))
+    act_w = np.empty((n_pos, k))
+    act_count = np.empty(n_pos)
+    rows_s = np.empty((n_pos, d))
+    rows_t = np.empty((2 * n_pos, d))
+    align_s = [(src_idx[:, None], ones)]
+
+    def draw_tails(ents: np.ndarray, work: _SideWork | None) -> np.ndarray | None:
+        return None if work is None else rng.integers(0, len(ents), size=work.hinge.shape)
 
     losses: list[float] = []
-    for _ in range(hp.epochs):
-        neg = rng.integers(0, n_t, size=(n_pos, k))
-        # A sampled negative equal to the true counterpart carries no
-        # signal; nudge it to the next id.
-        clash = neg == tgt_idx[:, None]
-        neg[clash] = (neg[clash] + 1) % n_t
+    with ThreadPoolExecutor(1) as pool:
+        for _ in range(hp.epochs):
+            neg = rng.integers(0, n_t, size=(n_pos, k))
+            # A sampled negative equal to the true counterpart carries no
+            # signal; nudge it to the next id.
+            clash = neg == tgt_idx[:, None]
+            neg[clash] = (neg[clash] + 1) % n_t
+            corrupt_s = draw_tails(model.ent_source, work_s)
+            corrupt_t = draw_tails(model.ent_target, work_t)
 
-        su = model.ent_source[src_idx]
-        tv = model.ent_target[tgt_idx]
-        nt = model.ent_target[neg]
-        pos_score = np.einsum("id,id->i", su, tv)
-        neg_score = np.einsum("id,ikd->ik", su, nt)
-        hinge = gamma - pos_score[:, None] + neg_score
-        active = hinge > 0.0
-        loss_sum = float((w[:, None] * np.maximum(hinge, 0.0)).sum())
+            su = model.ent_source[src_idx]
+            tv = model.ent_target[tgt_idx]
+            pos_score = np.einsum("id,id->i", su, tv)
+            # one block of the (n, k, d) negatives at a time; each row's
+            # values are computed from that row alone, so the bits match
+            for b in (slice(lo, lo + block) for lo in range(0, n_pos, block)):
+                nt = model.ent_target[neg[b]]
+                np.add(gamma - pos_score[b, None], np.einsum("id,ikd->ik", su[b], nt), out=hinge[b])
+                act_w[b] = np.where(hinge[b] > 0.0, w[b, None], 0.0)
+                act_count[b] = act_w[b].sum(axis=1)
+                rows_s[b] = -tv[b] * act_count[b, None] + np.einsum("ik,ikd->id", act_w[b], nt)
+            loss_sum = float((w[:, None] * np.maximum(hinge, 0.0)).sum())
+            rows_t[:n_pos] = -su * act_count[:, None]
+            rows_t[n_pos:] = su
 
-        act_w = np.where(active, w[:, None], 0.0)
-        act_count = act_w.sum(axis=1)
-        # Each graph fills the buffer with its alignment rows, then its
-        # triple rows, and is scattered before the next graph reuses it.
-        buf[:n_pos] = -tv * act_count[:, None] + np.einsum("ik,ikd->id", act_w, nt)
-        del nt  # the (n, k, d) negatives need not outlive the alignment rows
-        align = [(src_idx[:, None], ones)]
-        loss, g_es, g_rs = _side_gradients(
-            buf, scratch, step, align, model.ent_source, model.rel_source, trip_s, hp, rng
-        )
-        loss_sum += loss
-        buf[:n_pos] = -su * act_count[:, None]
-        buf[n_pos : 2 * n_pos] = su
-        align = [(tgt_idx[:, None], ones), (neg, act_w)]
-        loss, g_et, g_rt = _side_gradients(
-            buf, scratch, step, align, model.ent_target, model.rel_target, trip_t, hp, rng
-        )
-        loss_sum += loss
+            align_t = [(tgt_idx[:, None], ones), (neg, act_w)]
+            target = pool.submit(
+                _side_gradients, work_t, rows_t, align_t, model.ent_target, model.rel_target,
+                trip_t, hp, corrupt_t,
+            )
+            loss_s, g_es, g_rs = _side_gradients(
+                work_s, rows_s, align_s, model.ent_source, model.rel_source, trip_s, hp, corrupt_s
+            )
+            loss_t, g_et, g_rt = target.result()
+            loss_sum = loss_sum + loss_s + loss_t
 
-        model.ent_source = _unit_rows(model.ent_source - lr * g_es)
-        model.ent_target = _unit_rows(model.ent_target - lr * g_et)
-        model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
-        model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
-        losses.append(loss_sum / n_terms)
+            model.ent_source = _unit_rows(model.ent_source - lr * g_es)
+            model.ent_target = _unit_rows(model.ent_target - lr * g_et)
+            model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
+            model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
+            losses.append(loss_sum / n_terms)
     return TrainReport(epoch_losses=losses)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -281,16 +282,17 @@ class TestTrainChunks:
         assert crossed > 20
         assert per_chunk == 1 or ragged > 20  # a last chunk shorter than the others
 
-    def test_peak_memory_flat_in_negatives(self):
-        # tracemalloc sees numpy's buffers.  Holding every corrupted
-        # residual would add (16 - 2) * 2T * 64 * 8 bytes, about 43 MB here.
+    @staticmethod
+    def _train_peaks(settings) -> list[int]:
+        """tracemalloc's peak during one epoch of ``train`` for each
+        (negatives, triples) setting, on 1000-entity graphs at d = 64."""
         import scipy.sparse  # noqa: F401  (its import would count as trainer memory)
 
-        rng = np.random.default_rng(5)
-        pair = random_pair(rng, n_entities=1000, n_relations=4, n_triples=3000)
-        positives = observed(*[(i, i, 1.0) for i in range(0, 1000, 5)])
         peaks = []
-        for k in (2, 16):
+        for k, n_triples in settings:
+            rng = np.random.default_rng(5)
+            pair = random_pair(rng, n_entities=1000, n_relations=4, n_triples=n_triples)
+            positives = observed(*[(i, i, 1.0) for i in range(0, 1000, 5)])
             model = init_model(pair, Hyperparams(dim=64, negatives=k, epochs=1), seed=1)
             tracemalloc.start()
             try:
@@ -298,7 +300,44 @@ class TestTrainChunks:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_peak_memory_flat_in_negatives(self):
+        # tracemalloc sees numpy's buffers, on the worker thread too.
+        # Holding every corrupted residual would add (16 - 2) * 2T * 64 * 8
+        # bytes, about 43 MB here.
+        peaks = self._train_peaks([(2, 3000), (16, 3000)])
         assert peaks[1] - peaks[0] < 8 << 20, peaks
+
+    def test_peak_memory_flat_in_triples(self):
+        # At k = 4 a chunk holds 4096 of the 6000 or 24,000 directed triples
+        # of each graph, so only the O(T * k) scalars grow with T: about
+        # 3.5 MB for both graphs.  A row of d values per triple term would
+        # add 4 * 9000 * 64 * 8 bytes, about 18 MB.
+        peaks = self._train_peaks([(4, 3000), (4, 12000)])
+        assert peaks[1] - peaks[0] < 8 << 20, peaks
+
+
+class TestTrainThreads:
+    """The target graph's side runs on a worker thread that ends with ``train``."""
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_failing_side_raises_and_leaves_no_thread(self, monkeypatch, side):
+        pair = random_pair(np.random.default_rng(3), n_entities=12, n_relations=2, n_triples=30)
+        model = init_model(pair, Hyperparams(dim=4, negatives=2, epochs=3), seed=0)
+        failing_ents = model.ent_source if side == "source" else model.ent_target
+        side_gradients = embedder._side_gradients
+
+        def fail_on_one_side(work, align_rows, align_terms, ents, *rest):
+            if ents is failing_ents:
+                raise RuntimeError(f"{side} side failed")
+            return side_gradients(work, align_rows, align_terms, ents, *rest)
+
+        monkeypatch.setattr(embedder, "_side_gradients", fail_on_one_side)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{side} side failed$"):
+            train(model, pair, observed((0, 0, 1.0), (1, 1, 1.0)))
+        assert threading.active_count() == before
 
 
 class TestScoring:
@@ -434,6 +473,25 @@ class TestTopK:
         monkeypatch.setattr(embedder, "TOP_K_BLOCK_CELLS", 1)
         for _ in range(100):
             self._check_against_loop(rng, tied_model(rng, int(rng.integers(2, 15))))
+
+    def test_peak_memory_flat_in_candidates(self):
+        # 4000 x 4000 scores would take 128 MB at once; one block holds
+        # TOP_K_BLOCK_CELLS scores, and argpartition as many int64 ids
+        rng = np.random.default_rng(8)
+        model = embedder.NeuralModel(
+            ent_source=rng.normal(size=(4000, 8)),
+            ent_target=rng.normal(size=(4000, 8)),
+            rel_source=np.zeros((0, 8)),
+            rel_target=np.zeros((0, 8)),
+            hyperparams=Hyperparams(dim=8),
+        )
+        tracemalloc.start()
+        try:
+            embedder.top_k(model, range(4000), range(4000), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * embedder.TOP_K_BLOCK_CELLS * 8, peak
 
     def test_depth_beyond_candidates(self, rng):
         model = tied_model(rng, 10)

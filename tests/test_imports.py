@@ -1,8 +1,10 @@
 """scipy loads with the first training call and never before it: not on ingest,
-not for a symbolic-only run.  Every exported name resolves."""
+not for a symbolic-only run.  No thread outlives a run.  Every exported name
+resolves."""
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,10 +17,12 @@ import kgalign
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # A small pair written as a dataset, loaded, aligned by one full loop
-# round and fused; prints whether scipy is loaded afterwards.
+# round and fused; prints whether scipy is loaded afterwards and how
+# many threads are alive.
 SCRIPT = """
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import kgalign.cli
@@ -40,11 +44,13 @@ config = em.EmConfig(
 )
 state = em.run_em(bundle.pair, train, config)
 em.fuse_predictions(state, config)
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, threading.active_count())
 """
 
 
-def scipy_loaded_after_run(symbolic_only: bool) -> bool:
+@functools.lru_cache(maxsize=None)
+def after_run(symbolic_only: bool) -> tuple[bool, int]:
+    """Whether scipy is loaded after the run, and the live thread count."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT.format(symbolic_only=symbolic_only)],
@@ -53,12 +59,18 @@ def scipy_loaded_after_run(symbolic_only: bool) -> bool:
         text=True,
         check=True,
     )
-    return done.stdout.strip().splitlines()[-1] == "True"
+    loaded, threads = done.stdout.strip().splitlines()[-1].split()
+    return loaded == "True", int(threads)
 
 
 @pytest.mark.parametrize("symbolic_only, loaded", [(True, False), (False, True)])
 def test_scipy_loads_only_for_training(symbolic_only, loaded):
-    assert scipy_loaded_after_run(symbolic_only) is loaded
+    assert after_run(symbolic_only)[0] is loaded
+
+
+@pytest.mark.parametrize("symbolic_only", [True, False])
+def test_no_thread_outlives_a_run(symbolic_only):
+    assert after_run(symbolic_only)[1] == 1
 
 
 def test_every_exported_name_resolves():
