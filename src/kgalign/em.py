@@ -8,8 +8,9 @@ embedder to the observed labels plus the inferred ones, weighted by
 and re-estimates the subrelation probabilities from the round's
 one-to-one alignment: the observed pairs, greedy matches over the
 engine's positives between the other entities, then the embedder's
-greedy matches over the entities still free.  ``m_step`` keeps that
-alignment on the state, and ``fuse_predictions`` outputs it.
+mutual nearest neighbours with a positive cosine among the entities
+still free.  ``m_step`` keeps that alignment on the state, and
+``fuse_predictions`` outputs it.
 
 A symbolic-only mode has no embedder, so the alignment stops after the
 engine's matches, which reduces the loop to the classic
@@ -55,8 +56,6 @@ class EmConfig:
     symbolic_only: bool = False
     neural: Hyperparams = field(default_factory=Hyperparams)
     hidden_weight: float = 1.0
-    top_c: int = 50
-    confidence_floor: float = 0.5
     rank_depth: int = 10
 
     def validate(self) -> None:
@@ -70,12 +69,8 @@ class EmConfig:
             raise ValueError(f"retention factor must be in (0, 1], got {self.retention_rho}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.top_c < 1:
-            raise ValueError(f"top_c must be >= 1, got {self.top_c}")
         if not 0.0 <= self.hidden_weight < math.inf:
             raise ValueError(f"hidden_weight must be finite and >= 0, got {self.hidden_weight}")
-        if not 0.0 <= self.confidence_floor < 1.0:
-            raise ValueError(f"confidence_floor must be in [0, 1), got {self.confidence_floor}")
         if self.rank_depth < 1:
             raise ValueError(f"rank_depth must be >= 1, got {self.rank_depth}")
         if self.workers != 1:
@@ -191,76 +186,51 @@ def _top_candidates(
     model: NeuralModel,
     sources: Sequence[int],
     targets: Sequence[int],
-    top_c: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source, target and cosine arrays of each source's top-C targets,
-    sources in the given order, each source's targets by descending
-    score, ties by ascending target id."""
-    if not len(sources) or not len(targets):
-        return _no_pairs()
-    ids, scores = emb.top_k(model, sources, targets, top_c)
-    return np.repeat(np.asarray(sources, dtype=np.int64), ids.shape[1]), ids.ravel(), scores.ravel()
+    """The embedder's labels among the sources and targets as (source,
+    target, q) columns, sources ascending: the mutual nearest neighbours
+    by cosine with cos > 0, q = (cos + 1) / 2.  They are one-to-one, and
+    a model without signal labels nothing."""
+    src, tgt, cos = emb.mutual_nearest(model, sources, targets)
+    ok = cos > 0.0
+    return src[ok], tgt[ok], (cos[ok] + 1.0) / 2.0
 
 
-def _neural_offers(
-    model: NeuralModel,
-    free_src: np.ndarray,
-    free_tgt: np.ndarray,
-    config: EmConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each free source's top-C free targets as (source, target, q)
-    columns, q = (cos + 1) / 2 above the confidence floor.
-
-    ``free_src`` and ``free_tgt`` are entity masks.
-    """
-    sources, targets = np.flatnonzero(free_src), np.flatnonzero(free_tgt)
-    src, tgt, cos = _top_candidates(model, sources, targets, config.top_c)
-    q = (cos + 1.0) / 2.0
-    ok = q > config.confidence_floor
-    return src[ok], tgt[ok], q[ok]
-
-
-def _matched(
-    src: np.ndarray, tgt: np.ndarray, val: np.ndarray, origin: Origin
-) -> PseudoLabelSet:
-    """The greedy one-to-one matches among the offers (src, tgt, val)."""
-    keep = emb.greedy_one_to_one(src, tgt, val)
-    return PseudoLabelSet(src[keep], tgt[keep], val[keep], origin)
-
-
-def _alignment(state: EmState, config: EmConfig) -> list[PseudoLabelSet]:
+def _alignment(state: EmState) -> list[PseudoLabelSet]:
     """The round's one-to-one alignment, in three parts.
 
     The observed pairs at 1; then greedy one-to-one over the last split's
     positives between entities outside the observed pairs; then, with a
-    model, greedy one-to-one over the embedder's offers between the
-    entities still free.
+    model, the embedder's mutual nearest neighbours among the entities
+    still free (``_top_candidates``).
     """
     obs_src, obs_tgt = _observed(state)
     obs = _train_pairs(state)
     parts = [PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)]
     split = state.last_split
     src, tgt, val = (split.src, split.tgt, split.val) if split is not None else _no_pairs()
-    free = ~obs_src[src] & ~obs_tgt[tgt]
-    parts.append(_matched(src[free], tgt[free], val[free], Origin.SYMBOLIC))
+    free = np.flatnonzero(~obs_src[src] & ~obs_tgt[tgt])
+    keep = free[emb.greedy_one_to_one(src[free], tgt[free], val[free])]
+    parts.append(PseudoLabelSet(src[keep], tgt[keep], val[keep], Origin.SYMBOLIC))
     if state.model is not None:
         free_src, free_tgt = ~obs_src, ~obs_tgt
-        free_src[parts[-1].src] = False
-        free_tgt[parts[-1].tgt] = False
-        offers = _neural_offers(state.model, free_src, free_tgt, config)
-        parts.append(_matched(*offers, Origin.NEURAL))
+        free_src[src[keep]] = False
+        free_tgt[tgt[keep]] = False
+        labels = _top_candidates(state.model, np.flatnonzero(free_src), np.flatnonzero(free_tgt))
+        parts.append(PseudoLabelSet(*labels, Origin.NEURAL))
     return parts
 
 
 def m_step(state: EmState, config: EmConfig) -> EmState:
     """Re-estimate the subrelations from the round's alignment.
 
-    The labels are the observed pairs, then the engine's and (with a
-    model) the embedder's one-to-one matches.  The alignment is kept as
-    ``state.alignment``, which ``fuse_predictions`` outputs.
+    The labels are the observed pairs, then the engine's greedy matches,
+    then (with a model) the embedder's mutual nearest neighbours among the
+    entities still free.  The alignment is kept as ``state.alignment``,
+    which ``fuse_predictions`` outputs.
     """
     config.validate()
-    parts = state.alignment = _alignment(state, config)
+    parts = state.alignment = _alignment(state)
     labels = (np.concatenate([getattr(p, col) for p in parts]) for col in ("src", "tgt", "conf"))
     state.psub = update_subrelation_probs(state.pair, *labels)
     return state

@@ -155,10 +155,10 @@ def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # so training memory stays flat as the graphs and the labels grow.
 TRAIN_CHUNK_CELLS = 1 << 20
 
-# Score cells (sources x candidates) one block of the top-k kernel holds;
-# the block's row count follows from the candidate count, so memory stays
-# flat as the target side grows.  ``argpartition`` adds an int64 index
-# block of the same size, and that pair sets the ranking's peak.
+# Score cells (sources x candidates) one block of ``top_k`` or
+# ``mutual_nearest`` holds; the row count follows from the candidate count,
+# so memory stays flat as the target side grows.  ``argpartition`` adds an
+# int64 index block of the same size, and that pair sets the ranking's peak.
 TOP_K_BLOCK_CELLS = 1 << 21
 
 
@@ -517,6 +517,40 @@ def top_k(
         cols[start : start + rows] = np.take_along_axis(part, order, axis=1)
         vals[start : start + rows] = np.take_along_axis(top, order, axis=1)
     return cand[cols], vals
+
+
+def mutual_nearest(
+    model: NeuralModel,
+    sources: Sequence[int],
+    candidates: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source ids, target ids and clipped cosines of the pairs (s, t),
+    sources ascending, where t is s's best candidate and s is t's best
+    source: the highest cosine, ties to the lowest id.  Each block of
+    source rows is scored once and gives its rows' bests and each
+    candidate's best row so far, so no sources x candidates matrix is held."""
+    src = np.sort(np.asarray(sources, dtype=np.int64))
+    cand = np.sort(np.asarray(candidates, dtype=np.int64))
+    if not len(src) or not len(cand):
+        return src[:0], cand[:0], np.zeros(0)
+    tmat = _unit_rows(model.ent_target[cand])
+    row_best = np.empty(len(src), dtype=np.int64)
+    col_val = np.full(len(cand), -np.inf)
+    col_best = np.zeros(len(cand), dtype=np.int64)
+    rows = max(1, TOP_K_BLOCK_CELLS // len(cand))
+    block = np.empty((min(rows, len(src)), len(cand)))
+    for start in range(0, len(src), rows):
+        smat = _unit_rows(model.ent_source[src[start : start + rows]])
+        scores = np.matmul(smat, tmat.T, out=block[: len(smat)])
+        np.clip(scores, -1.0, 1.0, out=scores)
+        row_best[start : start + rows] = scores.argmax(axis=1)
+        top = scores.max(axis=0)
+        arg = (scores == top).argmax(axis=0)  # scores.argmax(axis=0) would copy the block
+        better = top > col_val  # strictly: an earlier block holds the lower source ids
+        col_val[better] = top[better]
+        col_best[better] = start + arg[better]
+    mutual = np.flatnonzero(col_best[row_best] == np.arange(len(src)))
+    return src[mutual], cand[row_best[mutual]], col_val[row_best[mutual]]
 
 
 def rank_candidates(

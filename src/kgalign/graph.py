@@ -112,11 +112,6 @@ class KnowledgeGraph:
         return len(self.triple_columns[0])
 
     @cached_property
-    def triples(self) -> tuple[tuple[int, int, int], ...]:
-        """The (h, r, t) id tuples in triple order, built on first use."""
-        return tuple(zip(*(col.tolist() for col in self.triple_columns)))
-
-    @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed edges as read-only sorted keys ``u * n_entities + v`` and packed relations.
 
@@ -149,7 +144,8 @@ class KnowledgeGraph:
     def triple_records(self) -> list[tuple[str, str, str]]:
         """Back-map the triples to label records (round-trip of ingestion)."""
         ent, rel = self.entity_labels, self.relation_labels
-        return [(ent[h], rel[r], ent[t]) for h, r, t in self.triples]
+        h, r, t = (col.tolist() for col in self.triple_columns)
+        return [(ent[a], rel[b], ent[c]) for a, b, c in zip(h, r, t)]
 
 
 def check_key_space(n_entities: int, n_relations: int) -> None:

@@ -7,10 +7,10 @@ table types beyond plain graphs (the reference trainer takes the
 embedder's label and report types, the explain loop the explainer's
 result type and exhaustive walk enumeration, the ingest loops and the
 dataset writer the data module's file names, error and bundle types,
-the M-step loop the engine's candidate and re-estimation calls, and the
-table helpers convert between dict rows and the engine's truth table
-without computing anything), so agreement with the engine is evidence
-rather than tautology.
+the M-step loop the engine's re-estimation call, and the table helpers
+convert between dict rows and the engine's truth table without
+computing anything), so agreement with the engine is evidence rather
+than tautology.
 
 Direction convention used throughout: each triple (h, r, t) is doubled
 into directed triples (h, 2r, t) and (t, 2r+1, h).  The functionality
@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from kgalign import em
 from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
 from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
 from kgalign.explain import RuleExplanation, _walks
@@ -44,9 +43,14 @@ from kgalign.graph import (
 from kgalign.symbolic import TruthScoreTable, update_subrelation_probs
 
 
+def triple_tuples(kg: KnowledgeGraph) -> tuple[tuple[int, int, int], ...]:
+    """A graph's (h, r, t) id rows as tuples, in triple order."""
+    return tuple(zip(*(col.tolist() for col in kg.triple_columns)))
+
+
 def directed_triples(kg: KnowledgeGraph) -> list[tuple[int, int, int]]:
     out = []
-    for h, r, t in kg.triples:
+    for h, r, t in triple_tuples(kg):
         out.append((h, 2 * r, t))
         out.append((t, 2 * r + 1, h))
     return out
@@ -176,7 +180,7 @@ def loop_functionalities(kg: KnowledgeGraph) -> np.ndarray:
     heads: list[set[int]] = [set() for _ in range(kg.n_relations)]
     tails: list[set[int]] = [set() for _ in range(kg.n_relations)]
     pairs = np.zeros(kg.n_relations, dtype=np.int64)
-    for h, r, t in kg.triples:
+    for h, r, t in triple_tuples(kg):
         heads[r].add(h)
         tails[r].add(t)
         pairs[r] += 1
@@ -312,7 +316,7 @@ def loop_subrelation(
 
     def edge_index(kg: KnowledgeGraph) -> dict[tuple[int, int], tuple[int, ...]]:
         edges: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in kg.triples:
+        for h, r, t in triple_tuples(kg):
             edges.setdefault((h, t), []).append(2 * r)
             edges.setdefault((t, h), []).append(2 * r + 1)
         return {k: tuple(sorted(v)) for k, v in edges.items()}
@@ -320,7 +324,7 @@ def loop_subrelation(
     def one_way(kg_from: KnowledgeGraph, edges_to, labels_by_from) -> dict[tuple[int, int], float]:
         numerators: dict[tuple[int, int], float] = {}
         denominators: dict[int, float] = {}
-        for h, r, t in kg_from.triples:
+        for h, r, t in triple_tuples(kg_from):
             row_h = labels_by_from.get(h)
             row_t = labels_by_from.get(t)
             if not row_h or not row_t:
@@ -426,10 +430,11 @@ def rule_confidence(
 
 def _loop_directed_triples(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head/relation/tail index arrays with both directions materialized."""
-    if not kg.triples:
+    triples = triple_tuples(kg)
+    if not triples:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    h, r, t = (np.array(col, dtype=np.int64) for col in zip(*kg.triples))
+    h, r, t = (np.array(col, dtype=np.int64) for col in zip(*triples))
     heads = np.concatenate([h, t])
     rels = np.concatenate([2 * r, 2 * r + 1])
     tails = np.concatenate([t, h])
@@ -554,16 +559,42 @@ def sorted_greedy(scored_pairs: Iterable[tuple[int, int, float]]) -> list[tuple[
     return accepted
 
 
+def dense_cosines(model, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+    """The whole sources x targets matrix of clipped cosines, from one
+    product of the unit rows; a zero row scores 0."""
+    smat, tmat = model.ent_source[list(sources)], model.ent_target[list(targets)]
+    smat = smat / np.maximum(np.linalg.norm(smat, axis=1, keepdims=True), 1e-12)
+    tmat = tmat / np.maximum(np.linalg.norm(tmat, axis=1, keepdims=True), 1e-12)
+    return np.clip(smat @ tmat.T, -1.0, 1.0)
+
+
+def loop_mutual_nearest(model, sources: Sequence[int], targets: Sequence[int]) -> list[tuple[int, int, float]]:
+    """The mutual nearest neighbours as (s, t, cos) rows, sources ascending.
+
+    Per source, a loop over the dense cosine matrix finds its best target
+    and that target's best source: the highest cosine, ties to the lowest
+    id.  The pair is kept when the source is its target's best.
+    """
+    src, tgt = sorted(sources), sorted(targets)
+    if not src or not tgt:
+        return []
+    scores = dense_cosines(model, src, tgt).tolist()
+    rows = []
+    for i, s in enumerate(src):
+        j = max(range(len(tgt)), key=lambda jj: (scores[i][jj], -jj))
+        if max(range(len(src)), key=lambda ii: (scores[ii][j], -ii)) == i:
+            rows.append((s, tgt[j], scores[i][j]))
+    return rows
+
+
 def loop_m_step(state, config) -> list[tuple[int, int, float]]:
     """The M-step as one loop over the round's alignment; returns its labels.
 
     The observed pairs at 1, then greedy matching over the last split's
     positives whose source and target are both unobserved, then, with a
-    model, greedy matching over each still-free source's top-C still-free
-    targets whose (cos + 1) / 2 is above the confidence floor.  Those
-    labels, in that order, re-estimate p_sub.  The top-C candidates come
-    from the engine's ``_top_candidates``, so their cosines are the
-    engine's.
+    model, the mutual nearest neighbours among the still-free entities
+    (:func:`loop_mutual_nearest`) with a positive cosine, at
+    q = (cos + 1) / 2.  Those labels, in that order, re-estimate p_sub.
     """
     labels = [(s, t, 1.0) for s, t in state.train.pairs]
     used_src = {s for s, _, _ in labels}
@@ -576,9 +607,8 @@ def loop_m_step(state, config) -> list[tuple[int, int, float]]:
         used_tgt = {t for _, t, _ in labels}
         sources = [s for s in range(state.pair.source.n_entities) if s not in used_src]
         targets = [t for t in range(state.pair.target.n_entities) if t not in used_tgt]
-        candidates = em._top_candidates(state.model, sources, targets, config.top_c)
-        offers = [(s, t, (c + 1.0) / 2.0) for s, t, c in column_tuples(candidates)]
-        labels += sorted_greedy((s, t, q) for s, t, q in offers if q > config.confidence_floor)
+        mutual = loop_mutual_nearest(state.model, sources, targets)
+        labels += [(s, t, (c + 1.0) / 2.0) for s, t, c in mutual if c > 0.0]
     state.psub = update_subrelation_probs(state.pair, *offer_columns(labels))
     return labels
 

@@ -370,7 +370,7 @@ def _round_trip_cases(rng, n: int, tmp_path: Path) -> str:
         target = tmp_path / "ds"
         oracles.save_dataset(bundle, target)
         loaded = data.load_dataset(target)
-        assert loaded.pair.source.triples == pair.source.triples
+        assert oracles.triple_tuples(loaded.pair.source) == oracles.triple_tuples(pair.source)
         assert loaded.pair.target.entity_labels == pair.target.entity_labels
         assert loaded.links == links
     return f"round-trip:{n}"
@@ -487,30 +487,36 @@ def _bench_generators(monkeypatch, capsys, name: str):
     return module
 
 
-def test_joint_keeps_pace_on_noisy_pair(capsys, monkeypatch, tmp_path):
-    """Joint mode stays level with symbolic-only on a noisy pair at 20% seeds.
+@pytest.mark.parametrize("ratio", [0.05, 0.20])
+def test_joint_keeps_pace_on_noisy_pair(capsys, monkeypatch, tmp_path, ratio):
+    """Joint mode stays level with symbolic-only on a noisy pair at 5% and
+    20% seeds.
 
     The pair drops 30% of the base triples on each side.  When the M-step
     re-estimated p_sub from the embedder's matches alone, joint mode's
     inferred positives fell round by round (636, 301, 119, 74, 52) and
-    its binary hit@1 was 0.386 against 0.777 for symbolic-only.
-    Generator seeds 407-411 give joint 0.800 / 0.766 / 0.803 / 0.808 /
-    0.782 against symbolic-only 0.781 / 0.734 / 0.781 / 0.797 / 0.757.
+    its binary hit@1 was 0.386 against 0.777 for symbolic-only.  At 20%
+    seeds, generator seeds 407-411 give joint 0.786 / 0.745 / 0.808 /
+    0.804 / 0.790 against symbolic-only 0.781 / 0.713 / 0.778 / 0.788 /
+    0.764.
 
     Its ranked lists must keep pace too: joint ranked MRR at least
     symbolic-only's less 0.05.  When joint mode ranked by embedder score
     alone it read 0.820 against 0.906.
 
-    Joint mode still collapses at 5% seeds on this pair (binary hit@1
-    0.030 against 0.790, inferred 208, 4, 0, 0, 0), so this test does
-    not show that the joint loop never loses to symbolic-only.
+    At 5% seeds joint mode collapsed while the embedder's labels were its
+    greedy matches over every pair with (cos + 1) / 2 above 0.5: binary
+    hit@1 0.026 against 0.790, inferred 208, 4, 0, 0, 0.  Mutual nearest
+    neighbours keep it level at generator seed 407, but not at every
+    seed: 408-411 give joint 0.669 / 0.774 / 0.006 / 0.066 against
+    0.732 / 0.774 / 0.776 / 0.744.
     """
-    name = "joint keeps pace on noisy pair"
+    name = f"joint keeps pace on noisy pair, {ratio:.0%} seeds"
     generators = _bench_generators(monkeypatch, capsys, name)
     monkeypatch.setattr(generators, "DROP", 0.30)
     generators.write_dataset(generators.noisy_pair(407, 1000, 10, 3000), tmp_path)
     bundle = data.load_dataset(tmp_path)
-    train, valid, test = data.split_seed(bundle.links, 0.20, 0.05, 407)
+    train, valid, test = data.split_seed(bundle.links, ratio, 0.05, 407)
     hit1: dict[bool, float] = {}
     ranked: dict[bool, MetricsReport] = {}
     inferred: dict[bool, list[int]] = {}

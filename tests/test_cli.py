@@ -131,11 +131,12 @@ class TestAlign:
             "neural.margin=0",
             "neural.triple_weight=-0.5",
             "hidden_weight=-1",
-            "confidence_floor=7",
             "rank_depth=0",
-            # a removed key: a config that still sets it fails as unknown
+            # removed keys: a config that still sets one fails as unknown
             "pseudo_budget=-1",
             "pseudo_budget=ten",
+            "confidence_floor=7",
+            "top_c=50",
             "iterations=None",
             "workers=2",
             "neural.learning_rate=nan",

@@ -194,22 +194,18 @@ class TestMStep:
 
 
 def _random_m_state(rng, neural: bool, kind: str):
-    """An EmState after a made-up E-step: random graphs, seeds, embeddings
-    with one zero source row, and top-C and confidence floor.
+    """An EmState after a made-up E-step: random graphs, seeds, and
+    embeddings with one zero source row.
 
     ``kind`` "random": a truth table whose rows mix random pairs with
-    top-C candidates, split at 0.5.  "none": that table and no split.
-    "empty": a seeds-only table and a split without entries.
+    each source's best target by cosine, split at 0.5.  "none": that
+    table and no split.  "empty": a seeds-only table and a split without
+    entries.
     """
     pair = random_pair(rng, n_entities=14, n_relations=3, n_triples=40)
     n_s, n_t = pair.source.n_entities, pair.target.n_entities
     seeds = list(zip(rng.permutation(n_s)[:3].tolist(), rng.permutation(n_t)[:3].tolist()))
-    config = EmConfig(
-        symbolic_only=not neural,
-        neural=tiny_neural(),
-        top_c=int(rng.integers(1, 5)),
-        confidence_floor=float(rng.choice([0.0, 0.5, 0.6])),
-    )
+    config = EmConfig(symbolic_only=not neural, neural=tiny_neural())
     state = init_state(pair, train_seed(seeds), config)
     rows: dict[int, dict[int, float]] = {s: {t: 1.0} for s, t in seeds}
     if neural:
@@ -220,9 +216,9 @@ def _random_m_state(rng, neural: bool, kind: str):
         for _ in range(int(rng.integers(0, 30))):
             rows.setdefault(int(rng.integers(n_s)), {})[int(rng.integers(n_t))] = float(rng.random())
         if neural:
-            c_src, c_tgt, _ = em._top_candidates(state.model, range(n_s), range(n_t), config.top_c)
-            for i in rng.permutation(len(c_src))[: len(c_src) // 3].tolist():
-                rows.setdefault(int(c_src[i]), {})[int(c_tgt[i])] = float(rng.random())
+            ids, _ = emb.top_k(state.model, range(n_s), range(n_t), 1)
+            for s in rng.permutation(n_s)[: n_s // 3].tolist():
+                rows.setdefault(s, {})[int(ids[s, 0])] = float(rng.random())
     state.truth_scores = oracles.table_from_rows(rows, seeds)
     if kind == "random":
         state.last_split = extract_positive_pairs(state.truth_scores, 0.5)
@@ -378,12 +374,13 @@ class TestFusion:
 
     def test_truth_row_ranked_before_model_fill(self):
         pair = chain_fixture(6)
-        config = EmConfig(neural=tiny_neural(), confidence_floor=0.9, rank_depth=4)
+        config = EmConfig(neural=tiny_neural(), rank_depth=4)
         state = init_state(pair, train_seed([(0, 0)]), config)
         eye = np.eye(8)
-        # source 1 leans to target 4 (cos 0.6), then 2 (cos 0.3); every
-        # other pair is orthogonal, so no offer clears the 0.9 floor
-        state.model.ent_source = eye[:6].copy()
+        # source 1 leans to target 4 (cos 0.6), then 2 (cos 0.3), but
+        # target 4 prefers source 5 (cos 0.8), so source 1 has no mutual
+        # nearest neighbour; source 5 takes target 1 (cos 1)
+        state.model.ent_source = np.vstack([eye[:5], eye[6]])
         state.model.ent_target = np.vstack(
             [eye[0], eye[6], 0.3 * eye[1] + 0.91**0.5 * eye[7], eye[7], 0.6 * eye[1] + 0.8 * eye[6], eye[6]]
         )
@@ -393,6 +390,7 @@ class TestFusion:
         m_step(state, config)
         fused = fuse_predictions(state, config)
         assert 1 not in {s for s, _, _, _ in fused.binary}
+        assert [(s, t) for s, t, _, o in fused.binary if o is Origin.NEURAL] == [(5, 1)]
         assert emb.rank_candidates(state.model, [1], range(1, 6), 5) == [[4, 2, 1, 3, 5]]
         # truth row first (3, 2), then the embedder's fill without the repeat of 2
         assert fused.rankings[1] == [3, 2, 4, 1]
@@ -449,13 +447,13 @@ class TestFusion:
         train, _ = split_gold(gold, 0.3, seed=4)
         config = EmConfig(iterations=iterations, rule_length=2, neural=tiny_neural(epochs=3))
         calls = []
-        real = em._neural_offers
+        real = em._top_candidates
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(em, "_neural_offers", counting)
+        monkeypatch.setattr(em, "_top_candidates", counting)
         state = run_em(pair, train, config)
         fused = fuse_predictions(state, config)
         assert len(calls) == iterations

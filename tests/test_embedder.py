@@ -390,11 +390,14 @@ class TestScoring:
     def test_top_candidates_scores_match_score_pair(self, rng):
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
         model = init_model(pair, Hyperparams(dim=8), seed=5)
-        model.ent_target[3] *= 2.5  # scoring must not assume unit rows
-        got = oracles.column_tuples(_top_candidates(model, [0, 4, 7], list(range(12)), top_c=5))
-        assert len(got) == 15
-        for s, t, v in got:
-            assert abs(v - score_pair(model, s, t)) <= 1e-12
+        model.ent_target *= rng.uniform(0.5, 3.0, size=(12, 1))  # scoring must not assume unit rows
+        sources = [0, 4, 7, 9, 11, 2]
+        got = oracles.column_tuples(_top_candidates(model, sources, list(range(12))))
+        want = oracles.loop_mutual_nearest(model, sources, range(12))
+        assert got == [(s, t, (c + 1.0) / 2.0) for s, t, c in want if c > 0.0]
+        assert len(got) >= 2
+        for s, t, q in got:
+            assert q > 0.5 and abs(q - (score_pair(model, s, t) + 1.0) / 2.0) <= 1e-12
 
     def test_rank_by_score(self):
         model = self._model_with_rows({2: [0.9, np.sqrt(1 - 0.81)], 5: [0.1, np.sqrt(1 - 0.01)]})
@@ -505,25 +508,79 @@ class TestTopK:
         model = tied_model(rng, 6)
         assert rank_candidates(model, [], [0, 1], 3) == []
 
-    def test_top_candidates_match_lexsort_reference(self, rng):
+    def test_top_candidates_match_lexsort_reference(self, rng, monkeypatch):
+        """The blocked mutual-nearest kernel equals the dense loop, on models
+        with planted exact ties and zero rows, in one block and in blocks
+        so small that a target's best source is carried across them.  One
+        block is the loop's own product, so its cosines match bit for bit;
+        smaller products may round a cosine differently in the last bit."""
+        tied_best = carried = 0
         for _ in range(300):
             model = tied_model(rng, int(rng.integers(2, 20)))
             n_s, n_t = model.ent_source.shape[0], model.ent_target.shape[0]
+            model.ent_source[rng.integers(n_s)] = 0.0
+            if rng.random() < 0.5:
+                model.ent_target[rng.integers(n_t)] = 0.0
             sources = [int(s) for s in rng.permutation(n_s)[: int(rng.integers(1, n_s + 1))]]
-            targets = sorted(int(t) for t in rng.permutation(n_t)[: int(rng.integers(1, n_t + 1))])
-            top_c = int(rng.integers(1, n_t + 1))
-            got = oracles.column_tuples(_top_candidates(model, sources, targets, top_c))
-
-            tgt = np.asarray(targets)
-            smat, tmat = model.ent_source[sources], model.ent_target[tgt]
-            smat = smat / np.linalg.norm(smat, axis=1, keepdims=True)
-            tmat = tmat / np.linalg.norm(tmat, axis=1, keepdims=True)
-            scores = np.clip(smat @ tmat.T, -1.0, 1.0)
-            want = []
-            for i, s in enumerate(sources):
-                for j in np.lexsort((tgt, -scores[i]))[:top_c]:
-                    want.append((s, int(tgt[j]), float(scores[i, j])))
+            targets = [int(t) for t in rng.permutation(n_t)[: int(rng.integers(1, n_t + 1))]]
+            want = oracles.loop_mutual_nearest(model, sources, targets)
+            got = oracles.column_tuples(embedder.mutual_nearest(model, sources, targets))
             assert got == want
+            positive = [(s, t, (c + 1.0) / 2.0) for s, t, c in want if c > 0.0]
+            assert oracles.column_tuples(_top_candidates(model, sources, targets)) == positive
+            for cells in (1, int(rng.integers(2, 3 * len(targets)))):
+                monkeypatch.setattr(embedder, "TOP_K_BLOCK_CELLS", cells)
+                got = oracles.column_tuples(embedder.mutual_nearest(model, sources, targets))
+                assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in want]
+                for (_, _, c), (_, _, c_want) in zip(got, want):
+                    assert abs(c - c_want) <= 1e-12
+                rows = max(1, cells // len(targets))
+                carried += sum(sorted(sources).index(s) >= rows for s, _, _ in want)
+            monkeypatch.undo()
+            src, tgt = sorted(sources), sorted(targets)
+            scores = oracles.dense_cosines(model, src, tgt)
+            for s, t, c in want:
+                i, j = src.index(s), tgt.index(t)
+                tied_best += np.count_nonzero(scores[i] == c) > 1 or np.count_nonzero(scores[:, j] == c) > 1
+        assert tied_best > 50  # exact ties did decide a best on either side
+        assert carried > 100
+
+    def test_top_candidates_need_positive_cosine(self):
+        # both sources have a mutual nearest neighbour, but at a negative
+        # cosine, so a model pointing away labels nothing
+        model = embedder.NeuralModel(
+            ent_source=np.eye(2),
+            ent_target=-np.array([[1.0, 2.0], [2.0, 1.0]]),
+            rel_source=np.zeros((0, 2)),
+            rel_target=np.zeros((0, 2)),
+            hyperparams=Hyperparams(dim=2),
+        )
+        src, tgt, cos = embedder.mutual_nearest(model, [1, 0], [1, 0])
+        assert src.tolist() == [0, 1] and tgt.tolist() == [0, 1]
+        np.testing.assert_allclose(cos, [-(5**-0.5)] * 2, rtol=0, atol=1e-15)
+        assert all(len(col) == 0 for col in _top_candidates(model, [0, 1], [0, 1]))
+        assert all(len(col) == 0 for col in _top_candidates(model, [], [0, 1]))
+        assert all(len(col) == 0 for col in _top_candidates(model, [0, 1], []))
+
+    def test_mutual_nearest_memory_flat_in_candidates(self):
+        # the 4000 x 4000 cosines would take 128 MB at once; one block
+        # holds TOP_K_BLOCK_CELLS of them
+        rng = np.random.default_rng(8)
+        model = embedder.NeuralModel(
+            ent_source=rng.normal(size=(4000, 8)),
+            ent_target=rng.normal(size=(4000, 8)),
+            rel_source=np.zeros((0, 8)),
+            rel_target=np.zeros((0, 8)),
+            hyperparams=Hyperparams(dim=8),
+        )
+        tracemalloc.start()
+        try:
+            src, _, _ = embedder.mutual_nearest(model, range(4000), range(4000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(src) > 0
+        assert peak < 1.5 * embedder.TOP_K_BLOCK_CELLS * 8, peak
 
 
 class TestGreedyMatching:
