@@ -2,14 +2,14 @@
 
 Each round has two phases.  The expectation phase holds the rule tables
 fixed, runs L propagation sweeps from the current truth scores, takes
-the pairs scored above the threshold as inferred labels, and fits the
-embedder to the observed labels plus the inferred ones, weighted by
-``hidden_weight``.  The maximization phase holds both components fixed
-and re-estimates the subrelation probabilities from the round's
-one-to-one alignment: the observed pairs, greedy matches over the
-engine's positives between the other entities, then the embedder's
-mutual nearest neighbours with a positive cosine among the entities
-still free.  ``m_step`` keeps that alignment on the state, and
+the pairs scored above the threshold as inferred labels, and recomputes
+the embedder's features from the observed labels plus the inferred ones,
+weighted by ``hidden_weight``, as anchors (``embedder.train``).  The
+maximization phase holds both components fixed and re-estimates the
+subrelation probabilities from the round's one-to-one alignment: the
+observed pairs, greedy matches over the engine's positives between the
+other entities, then the embedder's mutual nearest neighbours with a
+positive cosine among the entities still free.  ``m_step`` keeps that alignment on the state, and
 ``fuse_predictions`` outputs it.
 
 A symbolic-only mode has no embedder, so the alignment stops after the
@@ -82,6 +82,7 @@ class EmConfig:
 class IterationStats:
     iteration: int
     inferred_pairs: int
+    # the L1 feature change of the round's last propagation step
     neural_loss: float | None
     validation_precision: float | None
 
@@ -134,7 +135,14 @@ def init_state(
 
 
 def e_step(state: EmState, config: EmConfig) -> EmState:
-    """Symbolic inference plus embedder fitting; rule tables untouched."""
+    """Symbolic inference, then the embedder's features from its labels.
+
+    The rule tables stay untouched.  With a model, the observed pairs at 1
+    and the inferred positives at ``hidden_weight`` times their score are
+    the anchors of ``embedder.train``, and ``state.last_loss`` is the
+    feature change of its last propagation step, which the manifest and
+    the log report as the round's loss.
+    """
     config.validate()
     table = run_symbolic_inference(
         state.pair,

@@ -1,39 +1,29 @@
-"""Shared-space entity embedder used as the trainable scorer.
+"""Training-free entity features in one space shared by both graphs.
 
-Both graphs' entities live in one d-dimensional space.  Alignment labels
-pull counterpart entities together through a margin ranking loss, and a
-translational triple term (head + relation close to tail, per graph)
-shapes the space so that alignment evidence propagates through the
-relational structure.  Scoring is plain cosine similarity.
+Every labeled pair is an anchor.  It draws one anchor vector, and its
+source entity and its target entity both start from that vector times
+the pair's confidence (LightEA, Mao et al., EMNLP 2022).  Each graph
+then mixes its features along its own edges with personalized-PageRank
+steps (APPNP, Gasteiger et al., ICLR 2019), so an entity takes on the
+anchors near it, and two entities whose neighbourhoods hold the same
+anchors end up with close features.  Scoring is plain cosine similarity.
 
-The trainer is full-batch and deterministic: negatives are drawn from
-the generator persisted on the model, and each gradient array is built
-by sparse incidence products that add its terms in a fixed order, so a
-fixed seed reproduces training bit for bit.  The alignment negatives and
-the triple terms are walked in chunks of ``TRAIN_CHUNK_CELLS`` values,
-so training holds O(T * k) scalars plus one chunk per graph, never the
-(T * k, d) block of all corrupted residuals nor a row per triple term.
-The two graphs' gradients are computed at once, the target graph's on
-one worker thread that lives as long as the ``train`` call.
-``scipy.sparse`` is imported on the first training call only, so runs
-without an embedder never load it.
+The anchor vectors come from the generator kept on the model, so a fixed
+seed reproduces the features bit for bit.  The neighbour mean walks a
+graph's directed adjacency a block of whole entities at a time, so the
+working memory is O(n * d) for n entities plus one block of
+``TRAIN_CHUNK_CELLS`` values, whatever the triple count.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraphPair
-
-
-class TrainingError(RuntimeError):
-    pass
+from .graph import DirectedAdjacency, KnowledgeGraphPair
 
 
 class Origin(str, Enum):
@@ -75,42 +65,29 @@ class PseudoLabelSet:
 @dataclass(frozen=True)
 class Hyperparams:
     dim: int = 64
-    learning_rate: float = 0.05
-    margin: float = 0.5
-    negatives: int = 8
-    epochs: int = 150
-    triple_weight: float = 0.25
+    epochs: int = 10  # propagation steps per round
 
     def validate(self) -> None:
         if self.dim < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {self.dim}")
-        if self.negatives < 0:
-            raise ValueError(f"negatives per positive must be >= 0, got {self.negatives}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        # the chained comparisons are false for NaN, so NaN fails them too
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 < self.margin < math.inf:
-            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
-        if not 0.0 <= self.triple_weight < math.inf:
-            raise ValueError(f"triple_weight must be finite and >= 0, got {self.triple_weight}")
 
 
 @dataclass
 class NeuralModel:
-    """Entity and directed-relation embeddings plus training state."""
+    """Both graphs' entity features and the generator of anchor vectors."""
 
     ent_source: np.ndarray
     ent_target: np.ndarray
-    rel_source: np.ndarray
-    rel_target: np.ndarray
     hyperparams: Hyperparams
     rng: np.random.Generator = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 @dataclass
 class TrainReport:
+    """Per propagation step, the L1 change of both graphs' features."""
+
     epoch_losses: list[float]
 
     @property
@@ -119,41 +96,30 @@ class TrainReport:
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """``mat`` with unit rows; a zero row stays zero."""
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    np.maximum(norms, 1e-12, out=norms)
-    return mat / norms
+    return np.divide(mat, norms, out=np.zeros_like(mat), where=norms > 0.0)
 
 
 def init_model(pair: KnowledgeGraphPair, hyperparams: Hyperparams, seed: int) -> NeuralModel:
-    """Draw normal(0, 1/sqrt(d)) embeddings, unit-normalize, fix the seed."""
+    """Zero features, which label nothing, and the seeded anchor generator."""
     hyperparams.validate()
-    rng = np.random.default_rng(seed)
     d = hyperparams.dim
-    scale = 1.0 / np.sqrt(d)
-
-    def draw(n: int) -> np.ndarray:
-        return _unit_rows(rng.normal(0.0, scale, size=(n, d)))
-
     return NeuralModel(
-        ent_source=draw(pair.source.n_entities),
-        ent_target=draw(pair.target.n_entities),
-        rel_source=draw(2 * pair.source.n_relations),
-        rel_target=draw(2 * pair.target.n_relations),
+        ent_source=np.zeros((pair.source.n_entities, d)),
+        ent_target=np.zeros((pair.target.n_entities, d)),
         hyperparams=hyperparams,
-        rng=rng,
+        rng=np.random.default_rng(seed),
     )
 
 
-def _directed_triple_arrays(kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Head/relation/tail index arrays with both directions materialized."""
-    h, r, t = kg.triple_columns
-    return np.concatenate([h, t]), np.concatenate([2 * r, 2 * r + 1]), np.concatenate([t, h])
+# Share of the start features that each propagation step mixes back in.
+TELEPORT = 0.2
 
-
-# Values (triples or positives x negatives x dimension) one chunk of the
-# trainer holds; the chunk's row count follows from k and the dimension,
-# so training memory stays flat as the graphs and the labels grow.
-TRAIN_CHUNK_CELLS = 1 << 20
+# Gathered values (directed edges x dimension) one block of the neighbour
+# mean holds.  A block takes whole entities, so an entity with more edges
+# than that forms a block of its own.
+TRAIN_CHUNK_CELLS = 1 << 18
 
 # Score cells (sources x candidates) one block of ``top_k`` or
 # ``mutual_nearest`` holds; the row count follows from the candidate count,
@@ -162,185 +128,41 @@ TRAIN_CHUNK_CELLS = 1 << 20
 TOP_K_BLOCK_CELLS = 1 << 21
 
 
-def _scatter(
-    values: np.ndarray, n_out: int, segments: list[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """``out[target] += weight * values[row]`` for every term, as one sparse product.
-
-    ``segments`` holds (targets, weights) arrays shaped (rows, m), which
-    give the next ``rows`` rows of ``values`` m terms each.  Terms land
-    row by row and left to right within a row, the order of one
-    ``np.add.at`` call per segment, so every sum rounds the same way.  A
-    zero-weight term would add a signed zero to a sum that starts at +0
-    and can never become -0, so it is dropped.
-    """
-    from scipy.sparse import csr_array  # deferred: symbolic-only runs never load scipy
-
-    counts, cols, data = [], [], []
-    for targets, weights in segments:
-        keep = weights != 0.0
-        counts.append(np.count_nonzero(keep, axis=1))
-        cols.append(targets[keep])
-        data.append(weights[keep])
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    rows = len(indptr) - 1
-    incidence = csr_array(
-        (np.concatenate(data), np.concatenate(cols), indptr), shape=(rows, n_out)
-    )
-    # The transpose is CSC over the same arrays; its product adds the
-    # terms of value row 0, then of row 1, and so on into a zeroed result.
-    # That matches np.add.at bit for bit while scipy's kernel rounds each
-    # weight * value before adding it (no fused multiply-add), which
-    # TestTrainMatchesReference checks on the installed build.
-    return incidence.T @ values[:rows]
+def _anchor_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n anchor vectors of width d from the QR of one Gaussian draw:
+    orthonormal rows when n <= d, so their inner products are exact, and
+    orthonormal columns, a random projection, when n > d."""
+    q, _ = np.linalg.qr(rng.normal(size=(max(n, d), min(n, d))))
+    return q.T if n <= d else q
 
 
-def _scatter_onto(out: np.ndarray, values: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> None:
-    """Continue ``out``'s sums with ``out[targets[i]] += weights[i] * terms[i]``
-    for every i in order, where ``terms`` are the last len(targets) rows of
-    ``values``; the rows before them are free room.
-
-    The rows of ``out`` that nonzero terms touch are copied to the end of
-    that room and lead one ``_scatter`` product with weight 1, which then
-    adds the terms.  Since 0 + 1 * x == x, and a sum that starts at +0 is
-    never -0, each of those rows continues bit for bit as one longer sum
-    in the same order would have.
-    """
-    hit = np.zeros(len(out), dtype=bool)
-    hit[targets[weights != 0.0]] = True
-    touched = np.flatnonzero(hit)
-    m = len(touched)
-    if m == 0:
-        return
-    carried = values[len(values) - len(targets) - m :]
-    np.take(out, touched, axis=0, out=carried[:m], mode="clip")
-    slot = np.zeros(len(out), dtype=np.int64)
-    slot[touched] = np.arange(m)
-    carry = (np.arange(m)[:, None], np.ones((m, 1)))
-    out[touched] = _scatter(carried, m, [carry, (slot[targets][:, None], weights[:, None])])
+def _anchor_start(ids: np.ndarray, anchors: np.ndarray, n_entities: int) -> np.ndarray:
+    """Row e is the sum of the anchor rows i with ``ids[i] == e``."""
+    order = np.argsort(ids, kind="stable")
+    ents, first = np.unique(ids[order], return_index=True)
+    start = np.zeros((n_entities, anchors.shape[1]))
+    start[ents] = np.add.reduceat(anchors[order], first, axis=0)
+    return start
 
 
-def _corrupted_residuals(
-    out: np.ndarray, hr: np.ndarray, ents: np.ndarray, corrupt: np.ndarray
-) -> np.ndarray:
-    """``hr[i] - ents[corrupt[i, j]]`` written to the rows of ``out`` in
-    (i, j) order; returns them viewed as (len(hr), k, d)."""
-    # corrupt holds draws below ents.shape[0], so clipping never acts;
-    # it only spares np.take the copy it makes of ``out`` under "raise"
-    np.take(ents, corrupt.reshape(-1), axis=0, out=out, mode="clip")
-    resid_neg = out.reshape(*corrupt.shape, -1)
-    np.subtract(hr[:, None, :], resid_neg, out=resid_neg)
-    return resid_neg
-
-
-class _SideWork(NamedTuple):
-    """One graph's training buffers: the chunk ``scratch`` of corrupted
-    residuals after room for the rows they carry, the head/tail row block
-    of one chunk after the same kind of room, and the (T, k) hinge and
-    push weights and (T,) active counts that the later passes reread."""
-
-    scratch: np.ndarray
-    rows: np.ndarray
-    hinge: np.ndarray
-    push_w: np.ndarray
-    count: np.ndarray
-    step: int
-
-
-def _side_work(ents: np.ndarray, rels: np.ndarray, n2: int, hp: Hyperparams) -> _SideWork | None:
-    """Buffers for a graph with ``n2`` directed triples; None without triple terms."""
-    if not (n2 and hp.triple_weight > 0.0):
-        return None
-    k, d = hp.negatives, ents.shape[1]
-    step = max(1, min(TRAIN_CHUNK_CELLS // (k * d), n2))
-    carry = min(step * k, len(ents))
-    room = min(step, max(len(ents), len(rels)))
-    return _SideWork(
-        np.empty((carry + step * k, d)),
-        np.empty((room + step, d)),
-        np.empty((n2, k)),
-        np.empty((n2, k)),
-        np.empty(n2, dtype=np.int64),
-        step,
-    )
-
-
-def _pull(rows: np.ndarray, resid: np.ndarray, count: np.ndarray, cw: float) -> np.ndarray:
-    """``2 * cw * resid * count`` written to the last len(resid) rows of ``rows``."""
-    pull = rows[len(rows) - len(resid) :]
-    np.multiply(cw * 2.0, resid, out=pull)
-    pull *= count[:, None]
-    return pull
-
-
-def _side_gradients(
-    work: _SideWork | None,
-    align_rows: np.ndarray,
-    align_terms: list[tuple[np.ndarray, np.ndarray]],
-    ents: np.ndarray,
-    rels: np.ndarray,
-    triples: tuple[np.ndarray, np.ndarray, np.ndarray],
-    hp: Hyperparams,
-    corrupt: np.ndarray | None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One graph's triple loss and its entity and relation gradients.
-
-    One product scatters the alignment term values ``align_rows``, one row
-    per row of the ``align_terms`` segments.  ``corrupt`` holds the k
-    corrupted tails of each directed triple, or None when the graph has
-    no triple terms.  Three more walks over the triples, ``work.step`` at
-    a time, continue the sums (``_scatter_onto``): the head and relation
-    update ``pull - push`` with the hinges, active counts and push
-    weights it fills in, then the tail update ``pull`` (weight -1),
-    recomputed by the same operations, then the corrupted residuals
-    (weight 2 * triple_weight where the hinge is active).  Each entity
-    row thus adds its alignment terms, heads, tails and corrupted tails
-    in the order one product over all of them would, so the bits are
-    the same; the zero-weight terms left out would have been dropped by
-    the scatter anyway.  Apart from one chunk, the walks keep only the
-    O(T * k) scalars of ``work``.
-    """
-    g_ent = _scatter(align_rows, ents.shape[0], align_terms)
-    if corrupt is None:
-        return 0.0, g_ent, np.zeros_like(rels)
-    hh, rr, tt = triples
-    k, cw = hp.negatives, hp.triple_weight
-    scratch, rows, hinge, push_w, count, step = work
-    start = len(scratch) - step * k
-    chunks = [slice(lo, lo + step) for lo in range(0, len(hh), step)]
-    ones = np.ones(step)
-    g_rel = np.zeros_like(rels)
-    for c in chunks:
-        hr = ents[hh[c]] + rels[rr[c]]
-        resid = hr - ents[tt[c]]
-        resid_neg = _corrupted_residuals(scratch[start : start + len(hr) * k], hr, ents, corrupt[c])
-        d_pos = np.einsum("id,id->i", resid, resid)
-        d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
-        np.subtract(hp.margin + d_pos[:, None], d_neg, out=hinge[c])
-        active = hinge[c] > 0.0
-        push_w[c] = np.where(active, cw * 2.0, 0.0)
-        count[c] = np.count_nonzero(active, axis=1)
-        # einsum adds the k weighted residuals of a triple in k order, the
-        # rounding of summing a materialized (2T, k, d) push over axis 1
-        head = _pull(rows, resid, count[c], cw)
-        head -= np.einsum("ik,ikd->id", push_w[c], resid_neg)
-        _scatter_onto(g_rel, rows, rr[c], ones[: len(hr)])
-        _scatter_onto(g_ent, rows, hh[c], ones[: len(hr)])
-    loss = cw * float(np.maximum(hinge, 0.0).sum())
-
-    for c in chunks:
-        tail = _pull(rows, ents[hh[c]] + rels[rr[c]] - ents[tt[c]], count[c], cw)
-        _scatter_onto(g_ent, rows, tt[c], -ones[: len(tail)])
-    for c in chunks:
-        hr = ents[hh[c]] + rels[rr[c]]
-        i, j = np.nonzero(push_w[c])  # the active terms, in (i, j) order
-        tails = corrupt[c][i, j]
-        terms = scratch[len(scratch) - len(tails) :]
-        # ``step`` terms at a time, so the gathered hr rows stay as small as hr
-        for b in (slice(lo, lo + step) for lo in range(0, len(tails), step)):
-            _corrupted_residuals(terms[b], hr[i[b]], ents, tails[b, None])
-        _scatter_onto(g_ent, scratch, tails, push_w[c][i, j])
-    return loss, g_ent, g_rel
+def _neighbour_mean(adj: DirectedAdjacency, z: np.ndarray) -> np.ndarray:
+    """Row e is the mean of ``z`` over e's directed edges, parallel edges
+    counted once each, or 0 when e has no edge."""
+    indptr, nbr = adj.indptr, adj.nbr
+    degree = np.diff(indptr)
+    out = np.zeros_like(z)
+    per_block = max(1, TRAIN_CHUNK_CELLS // z.shape[1])
+    lo, n = 0, len(degree)
+    while lo < n:
+        # the most whole entities whose edges fit one block, at least one
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + per_block, "right")) - 1)
+        rows = lo + np.flatnonzero(degree[lo:hi])
+        if len(rows):
+            a = indptr[lo]
+            sums = np.add.reduceat(z[nbr[a : indptr[hi]]], indptr[rows] - a, axis=0)
+            out[rows] = sums / degree[rows, None]
+        lo = hi
+    return out
 
 
 def train(
@@ -348,116 +170,33 @@ def train(
     pair: KnowledgeGraphPair,
     positives: PseudoLabelSet | Sequence[PseudoLabelSet],
 ) -> TrainReport:
-    """Fit the embeddings to the labeled pairs; returns per-epoch losses.
+    """Recompute both graphs' features from the labeled pairs; returns the
+    L1 feature change of each propagation step.
 
-    The positives are the rows of the label sets, concatenated in the
-    order given; each row's confidence is its term weight.
-
-    Two loss families share the margin and the negatives-per-positive
-    count k.  For each positive pair (e, e') and each of its k negatives
-    e~', drawn uniformly from the target entities, the alignment term is
-    max(0, margin - cos(e, e') + cos(e, e~')).  For each directed triple
-    (h, d, t) and k corrupted tails t~, the translational term is
-    max(0, margin + |h + d - t|^2 - |h + d - t~|^2), scaled by
-    ``triple_weight``.
-    With k = 0 neither family has any term and the loss is identically
-    zero.
-
-    Duplicate positives are kept as-is: each occurrence contributes its
-    own loss terms, so a pair listed twice pulls twice as hard.
-
-    Each epoch draws the alignment negatives, then the source graph's
-    corrupted tails, then the target graph's.  The alignment hinges and
-    the source graph's alignment rows are computed a block of positives
-    at a time, so the (n, k, d) negatives are never held whole.  The two
-    graphs' gradients touch disjoint arrays, so ``_side_gradients`` runs
-    the source graph on the calling thread and the target graph on one
-    worker thread at once, bit for bit as one after the other; both are
-    joined before the weights move, and the worker ends with the call.
-    Besides the O(n * (k + d)) alignment arrays, working memory is
-    O(T * k) scalars plus one chunk of ``TRAIN_CHUNK_CELLS`` values per
-    graph, where T counts triples; it does not grow with T * d.
+    The rows of the label sets, concatenated in the order given, are the
+    n anchors; a pair listed twice is two anchors.  Anchor i draws vector
+    P[i] (``_anchor_vectors``, from ``model.rng``), and each graph's start
+    X holds at entity e the sum of conf[i] * P[i] over the anchors at e.
+    Each of ``epochs`` steps then sets, on each graph,
+    Z <- (1 - TELEPORT) * (mean of Z over e's directed edges) + TELEPORT * X,
+    from Z = X.  The features are Z with unit rows; an entity no anchor
+    reaches keeps a zero row, whose cosine with anything is 0.
     """
     hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
-    if not sum(map(len, sets)):
-        raise TrainingError("no positive pairs to train on")
-    src_idx = np.concatenate([ls.src for ls in sets])
-    tgt_idx = np.concatenate([ls.tgt for ls in sets])
-    w = np.concatenate([ls.conf for ls in sets])
-
-    k = hp.negatives
-    if k == 0:
-        return TrainReport(epoch_losses=[0.0] * hp.epochs)
-    gamma = hp.margin
-    lr = hp.learning_rate
-    rng = model.rng
-    n_t = model.ent_target.shape[0]
-    n_pos = len(src_idx)
-    d = model.ent_source.shape[1]
-    ones = np.ones((n_pos, 1))
-
-    trip_s = _directed_triple_arrays(pair.source)
-    trip_t = _directed_triple_arrays(pair.target)
-    n_terms = k * (n_pos + len(trip_s[0]) + len(trip_t[0]))
-    # Every buffer is allocated here, on the calling thread: memory the
-    # worker thread allocates stays in its own allocator arena when freed.
-    work_s = _side_work(model.ent_source, model.rel_source, len(trip_s[0]), hp)
-    work_t = _side_work(model.ent_target, model.rel_target, len(trip_t[0]), hp)
-    block = max(1, TRAIN_CHUNK_CELLS // (k * d))
-    hinge = np.empty((n_pos, k))
-    act_w = np.empty((n_pos, k))
-    act_count = np.empty(n_pos)
-    rows_s = np.empty((n_pos, d))
-    rows_t = np.empty((2 * n_pos, d))
-    align_s = [(src_idx[:, None], ones)]
-
-    def draw_tails(ents: np.ndarray, work: _SideWork | None) -> np.ndarray | None:
-        return None if work is None else rng.integers(0, len(ents), size=work.hinge.shape)
-
-    losses: list[float] = []
-    with ThreadPoolExecutor(1) as pool:
-        for _ in range(hp.epochs):
-            neg = rng.integers(0, n_t, size=(n_pos, k))
-            # A sampled negative equal to the true counterpart carries no
-            # signal; nudge it to the next id.
-            clash = neg == tgt_idx[:, None]
-            neg[clash] = (neg[clash] + 1) % n_t
-            corrupt_s = draw_tails(model.ent_source, work_s)
-            corrupt_t = draw_tails(model.ent_target, work_t)
-
-            su = model.ent_source[src_idx]
-            tv = model.ent_target[tgt_idx]
-            pos_score = np.einsum("id,id->i", su, tv)
-            # one block of the (n, k, d) negatives at a time; each row's
-            # values are computed from that row alone, so the bits match
-            for b in (slice(lo, lo + block) for lo in range(0, n_pos, block)):
-                nt = model.ent_target[neg[b]]
-                np.add(gamma - pos_score[b, None], np.einsum("id,ikd->ik", su[b], nt), out=hinge[b])
-                act_w[b] = np.where(hinge[b] > 0.0, w[b, None], 0.0)
-                act_count[b] = act_w[b].sum(axis=1)
-                rows_s[b] = -tv[b] * act_count[b, None] + np.einsum("ik,ikd->id", act_w[b], nt)
-            loss_sum = float((w[:, None] * np.maximum(hinge, 0.0)).sum())
-            rows_t[:n_pos] = -su * act_count[:, None]
-            rows_t[n_pos:] = su
-
-            align_t = [(tgt_idx[:, None], ones), (neg, act_w)]
-            target = pool.submit(
-                _side_gradients, work_t, rows_t, align_t, model.ent_target, model.rel_target,
-                trip_t, hp, corrupt_t,
-            )
-            loss_s, g_es, g_rs = _side_gradients(
-                work_s, rows_s, align_s, model.ent_source, model.rel_source, trip_s, hp, corrupt_s
-            )
-            loss_t, g_et, g_rt = target.result()
-            loss_sum = loss_sum + loss_s + loss_t
-
-            model.ent_source = _unit_rows(model.ent_source - lr * g_es)
-            model.ent_target = _unit_rows(model.ent_target - lr * g_et)
-            model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
-            model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
-            losses.append(loss_sum / n_terms)
-    return TrainReport(epoch_losses=losses)
+    src, tgt, conf = (np.concatenate([getattr(ls, col) for ls in sets]) for col in ("src", "tgt", "conf"))
+    anchors = conf[:, None] * _anchor_vectors(model.rng, len(conf), hp.dim)
+    losses = np.zeros(hp.epochs)
+    features = []
+    for ids, graph in ((src, pair.source), (tgt, pair.target)):
+        x = z = _anchor_start(ids, anchors, graph.n_entities)
+        for step in range(hp.epochs):
+            nxt = (1.0 - TELEPORT) * _neighbour_mean(graph.directed_adj, z) + TELEPORT * x
+            losses[step] += np.abs(nxt - z).sum()
+            z = nxt
+        features.append(_unit_rows(z))
+    model.ent_source, model.ent_target = features
+    return TrainReport(epoch_losses=losses.tolist())
 
 
 def score_pair(model: NeuralModel, e: np.ndarray | int, e_prime: np.ndarray | int) -> np.ndarray:

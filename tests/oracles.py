@@ -3,8 +3,8 @@
 Everything here recomputes the definitions literally: dense loops over
 all entity pairs, per-relation counting without shared tables, and
 product-graph walks for rule enumeration.  Nothing imports the engine's
-table types beyond plain graphs (the reference trainer takes the
-embedder's label and report types, the explain loop the explainer's
+table types beyond plain graphs (the propagation reference takes the
+embedder's label type and step weight, the explain loop the explainer's
 result type and exhaustive walk enumeration, the ingest loops and the
 dataset writer the data module's file names, error and bundle types,
 the M-step loop the engine's re-estimation call, and the table helpers
@@ -23,6 +23,7 @@ estimator guarantees and hand-built test tables must respect.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
-from kgalign.embedder import PseudoLabelSet, TrainingError, TrainReport, _unit_rows
+from kgalign.embedder import TELEPORT, PseudoLabelSet
 from kgalign.explain import RuleExplanation, _walks
 from kgalign.graph import (
     DirectedAdjacency,
@@ -428,120 +429,41 @@ def rule_confidence(
     return w
 
 
-def _loop_directed_triples(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Head/relation/tail index arrays with both directions materialized."""
-    triples = triple_tuples(kg)
-    if not triples:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    h, r, t = (np.array(col, dtype=np.int64) for col in zip(*triples))
-    heads = np.concatenate([h, t])
-    rels = np.concatenate([2 * r, 2 * r + 1])
-    tails = np.concatenate([t, h])
-    return heads, rels, tails
+def dense_propagate(model, pair: KnowledgeGraphPair, positives) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Anchor propagation with dense matrices: source features, target
+    features and the per-step L1 changes, leaving ``model`` untouched.
 
-
-def loop_train(model, pair: KnowledgeGraphPair, positives) -> TrainReport:
-    """The trainer written with one ``np.add.at`` scatter per term family.
-
-    Same loss, same draws and the same summation order as
-    ``embedder.train``, so the two must agree bit for bit: every weight
-    array, every epoch loss and the generator state afterwards.
+    The anchor vectors come from a copy of ``model.rng``.  Each graph's
+    adjacency is a dense matrix with one count per triple endpoint pair in
+    both directions, parallel edges and self-loops included, divided by
+    its row sums; each step is one product with it.
     """
-    hp = model.hyperparams
     sets = [positives] if isinstance(positives, PseudoLabelSet) else list(positives)
-
-    pos_src: list[int] = []
-    pos_tgt: list[int] = []
-    pos_w: list[float] = []
-    for ls in sets:
-        for s, t, conf in zip(ls.src.tolist(), ls.tgt.tolist(), ls.conf.tolist()):
-            pos_src.append(s)
-            pos_tgt.append(t)
-            pos_w.append(conf)
-    if not pos_src:
-        raise TrainingError("no positive pairs to train on")
-
-    src_idx = np.array(pos_src, dtype=np.int64)
-    tgt_idx = np.array(pos_tgt, dtype=np.int64)
-    w = np.array(pos_w, dtype=np.float64)
-
-    h1, r1, t1 = _loop_directed_triples(pair.source)
-    h2, r2, t2 = _loop_directed_triples(pair.target)
-
-    k = hp.negatives
-    gamma = hp.margin
-    lr = hp.learning_rate
-    rng = model.rng
-    n_t = model.ent_target.shape[0]
-    n_pos = len(src_idx)
-    n_terms = k * (n_pos + len(h1) + len(h2))
-
-    losses: list[float] = []
-    for _ in range(hp.epochs):
-        loss_sum = 0.0
-        g_es = np.zeros_like(model.ent_source)
-        g_et = np.zeros_like(model.ent_target)
-
-        if k > 0:
-            neg = rng.integers(0, n_t, size=(n_pos, k))
-            # A sampled negative equal to the true counterpart carries no
-            # signal; nudge it to the next id.
-            clash = neg == tgt_idx[:, None]
-            neg[clash] = (neg[clash] + 1) % n_t
-
-            su = model.ent_source[src_idx]
-            tv = model.ent_target[tgt_idx]
-            nt = model.ent_target[neg]
-            pos_score = np.einsum("id,id->i", su, tv)
-            neg_score = np.einsum("id,ikd->ik", su, nt)
-            hinge = gamma - pos_score[:, None] + neg_score
-            active = hinge > 0.0
-            loss_sum += float((w[:, None] * np.maximum(hinge, 0.0)).sum())
-
-            act_w = np.where(active, w[:, None], 0.0)
-            act_count = act_w.sum(axis=1)
-            g_su = -tv * act_count[:, None] + np.einsum("ik,ikd->id", act_w, nt)
-            np.add.at(g_es, src_idx, g_su)
-            np.add.at(g_et, tgt_idx, -su * act_count[:, None])
-            np.add.at(g_et, neg.reshape(-1), (act_w[:, :, None] * su[:, None, :]).reshape(-1, su.shape[1]))
-
-        g_rs = np.zeros_like(model.rel_source)
-        g_rt = np.zeros_like(model.rel_target)
-        if k > 0 and hp.triple_weight > 0.0:
-            for ents, rels, grads_e, grads_r, (hh, rr, tt) in (
-                (model.ent_source, model.rel_source, g_es, g_rs, (h1, r1, t1)),
-                (model.ent_target, model.rel_target, g_et, g_rt, (h2, r2, t2)),
-            ):
-                if len(hh) == 0:
-                    continue
-                corrupt = rng.integers(0, ents.shape[0], size=(len(hh), k))
-                resid = ents[hh] + rels[rr] - ents[tt]
-                resid_neg = (ents[hh] + rels[rr])[:, None, :] - ents[corrupt]
-                d_pos = np.einsum("id,id->i", resid, resid)
-                d_neg = np.einsum("ikd,ikd->ik", resid_neg, resid_neg)
-                hinge = gamma + d_pos[:, None] - d_neg
-                active = (hinge > 0.0).astype(np.float64)
-                loss_sum += hp.triple_weight * float(np.maximum(hinge, 0.0).sum())
-
-                cw = hp.triple_weight
-                n_active = active.sum(axis=1)
-                pull = cw * 2.0 * resid * n_active[:, None]
-                push = cw * 2.0 * (active[:, :, None] * resid_neg)
-                push_total = push.sum(axis=1)
-                np.add.at(grads_e, hh, pull - push_total)
-                np.add.at(grads_r, rr, pull - push_total)
-                np.add.at(grads_e, tt, -pull)
-                np.add.at(grads_e, corrupt.reshape(-1), push.reshape(-1, ents.shape[1]))
-
-        if k > 0:
-            model.ent_source = _unit_rows(model.ent_source - lr * g_es)
-            model.ent_target = _unit_rows(model.ent_target - lr * g_et)
-            model.rel_source = _unit_rows(model.rel_source - lr * g_rs)
-            model.rel_target = _unit_rows(model.rel_target - lr * g_rt)
-
-        losses.append(loss_sum / n_terms if n_terms else 0.0)
-    return TrainReport(epoch_losses=losses)
+    src = np.concatenate([ls.src for ls in sets])
+    tgt = np.concatenate([ls.tgt for ls in sets])
+    conf = np.concatenate([ls.conf for ls in sets])
+    n, d, steps = len(conf), model.hyperparams.dim, model.hyperparams.epochs
+    q, _ = np.linalg.qr(copy.deepcopy(model.rng).normal(size=(max(n, d), min(n, d))))
+    anchors = conf[:, None] * (q.T if n <= d else q)
+    losses = np.zeros(steps)
+    features = []
+    for ids, kg in ((src, pair.source), (tgt, pair.target)):
+        m = kg.n_entities
+        adj = np.zeros((m, m))
+        for h, _, t in zip(*(col.tolist() for col in kg.triple_columns)):
+            adj[h, t] += 1.0
+            adj[t, h] += 1.0
+        degree = adj.sum(axis=1, keepdims=True)
+        adj = np.divide(adj, degree, out=np.zeros_like(adj), where=degree > 0)
+        x = np.eye(m)[:, ids] @ anchors
+        z = x
+        for step in range(steps):
+            nxt = (1.0 - TELEPORT) * (adj @ z) + TELEPORT * x
+            losses[step] += np.abs(nxt - z).sum()
+            z = nxt
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        features.append(np.divide(z, norms, out=np.zeros_like(z), where=norms > 0))
+    return features[0], features[1], losses.tolist()
 
 
 def sorted_greedy(scored_pairs: Iterable[tuple[int, int, float]]) -> list[tuple[int, int, float]]:

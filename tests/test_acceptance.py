@@ -33,7 +33,7 @@ from kgalign import embedder as emb
 from kgalign.em import EmConfig, e_step, fuse_predictions, init_state, run_em
 from kgalign.explain import explain, hard_anchors, soft_anchors
 from kgalign.graph import KnowledgeGraphPair, load_graph
-from kgalign.metrics import MetricsReport, evaluate_ranking
+from kgalign.metrics import evaluate_ranking
 from kgalign.symbolic import (
     TruthScoreTable,
     compute_functionalities,
@@ -343,20 +343,35 @@ def _ranking_cases(rng, n: int) -> str:
     return f"ranking-metrics:{n}"
 
 
+def _within_hops(kg, start: set[int], hops: int) -> set[int]:
+    """The entities at most ``hops`` directed edges from ``start``."""
+    reached, frontier = set(start), set(start)
+    for _ in range(hops):
+        frontier = {t for e in frontier for _, t in kg.neighbors(e)} - reached
+        reached |= frontier
+    return reached
+
+
 def _norm_cases(rng, n: int) -> str:
     from kgalign.em import Origin
     from kgalign.embedder import Hyperparams, PseudoLabelSet, init_model
 
     for case in range(n):
         pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=12)
-        hp = Hyperparams(dim=8, epochs=1 + case % 3, negatives=2)
+        hp = Hyperparams(dim=8, epochs=case % 3)
         model = init_model(pair, hp, seed=case)
         pairs = [(int(rng.integers(8)), int(rng.integers(8)), 1.0) for _ in range(2)]
         positives = PseudoLabelSet(*oracles.offer_columns(pairs), Origin.OBSERVED)
         emb.train(model, pair, [positives])
-        for arr in (model.ent_source, model.ent_target):
+        for arr, kg, anchored in (
+            (model.ent_source, pair.source, {s for s, _, _ in pairs}),
+            (model.ent_target, pair.target, {t for _, t, _ in pairs}),
+        ):
             norms = np.linalg.norm(arr, axis=1)
-            np.testing.assert_allclose(norms, 1.0, atol=1e-6, rtol=0)
+            unit = np.abs(norms - 1.0) <= 1e-12
+            assert np.all(unit | (norms == 0.0)), "a feature row is neither unit nor zero"
+            near = sorted(_within_hops(kg, anchored, hp.epochs))
+            assert unit[near].all(), "an entity near an anchor has no feature"
     return f"unit-norms:{n}"
 
 
@@ -447,7 +462,9 @@ def test_synthetic_end_to_end(capsys):
 
 
 def test_low_resource_trend(capsys):
-    """Held-out hit@1 does not degrade as the seed ratio increases."""
+    """Held-out hit@1 is at least 0.95 at every seed ratio, down to 1%, and
+    does not degrade as the ratio increases.  The SGD embedder read 0.004
+    and 0.659 at 1% and 5%."""
     started = time.monotonic()
     ratios = (0.01, 0.05, 0.10, 0.20)
     scores: list[float] = []
@@ -465,12 +482,13 @@ def test_low_resource_trend(capsys):
         scores.append(hits / len(test.pairs))
     elapsed = time.monotonic() - started
     trend = all(a <= b for a, b in zip(scores, scores[1:]))
+    floor = min(scores) >= 0.95
     detail = ", ".join(f"{r:.0%}->{h:.3f}" for r, h in zip(ratios, scores))
     _verdict(
         capsys,
         "low-resource trend",
-        trend and elapsed < 1200.0,
-        f"hit@1 by seed ratio {detail}, non-decreasing={trend}, {elapsed:.1f}s",
+        trend and floor and elapsed < 1200.0,
+        f"hit@1 by seed ratio {detail} (floor 0.95), non-decreasing={trend}, {elapsed:.1f}s",
     )
 
 
@@ -489,60 +507,61 @@ def _bench_generators(monkeypatch, capsys, name: str):
 
 @pytest.mark.parametrize("ratio", [0.05, 0.20])
 def test_joint_keeps_pace_on_noisy_pair(capsys, monkeypatch, tmp_path, ratio):
-    """Joint mode stays level with symbolic-only on a noisy pair at 5% and
-    20% seeds.
+    """Joint mode stays level with symbolic-only on noisy pairs at 5% and
+    20% seeds, at each of the generator seeds 407-411.
 
-    The pair drops 30% of the base triples on each side.  When the M-step
-    re-estimated p_sub from the embedder's matches alone, joint mode's
-    inferred positives fell round by round (636, 301, 119, 74, 52) and
-    its binary hit@1 was 0.386 against 0.777 for symbolic-only.  At 20%
-    seeds, generator seeds 407-411 give joint 0.786 / 0.745 / 0.808 /
-    0.804 / 0.790 against symbolic-only 0.781 / 0.713 / 0.778 / 0.788 /
-    0.764.
+    Each pair drops 30% of the base triples on each side.  Joint binary
+    hit@1 must be at least symbolic-only's less 0.05, and so must joint
+    ranked MRR; joint mode's inferred positives must not fall below half
+    of the first round's.
 
-    Its ranked lists must keep pace too: joint ranked MRR at least
-    symbolic-only's less 0.05.  When joint mode ranked by embedder score
-    alone it read 0.820 against 0.906.
+    At 5% seeds, binary hit@1 by generator seed read:
 
-    At 5% seeds joint mode collapsed while the embedder's labels were its
-    greedy matches over every pair with (cos + 1) / 2 above 0.5: binary
-    hit@1 0.026 against 0.790, inferred 208, 4, 0, 0, 0.  Mutual nearest
-    neighbours keep it level at generator seed 407, but not at every
-    seed: 408-411 give joint 0.669 / 0.774 / 0.006 / 0.066 against
-    0.732 / 0.774 / 0.776 / 0.744.
+    | mode | 407 | 408 | 409 | 410 | 411 |
+    | --- | --- | --- | --- | --- | --- |
+    | symbolic-only | 0.790 | 0.735 | 0.763 | 0.790 | 0.756 |
+    | joint, SGD embedder | 0.782 | 0.618 | 0.234 | 0.692 | 0.738 |
+    | joint, anchor propagation | 0.813 | 0.774 | 0.822 | 0.816 | 0.806 |
+
+    The SGD embedder failed the gate at seeds 408, 409 and 410.
     """
-    name = f"joint keeps pace on noisy pair, {ratio:.0%} seeds"
+    name = f"joint keeps pace on noisy pairs, {ratio:.0%} seeds"
     generators = _bench_generators(monkeypatch, capsys, name)
     monkeypatch.setattr(generators, "DROP", 0.30)
-    generators.write_dataset(generators.noisy_pair(407, 1000, 10, 3000), tmp_path)
-    bundle = data.load_dataset(tmp_path)
-    train, valid, test = data.split_seed(bundle.links, ratio, 0.05, 407)
-    hit1: dict[bool, float] = {}
-    ranked: dict[bool, MetricsReport] = {}
-    inferred: dict[bool, list[int]] = {}
-    for symbolic_only in (False, True):
-        config = EmConfig(seed=407, symbolic_only=symbolic_only, neural=emb.Hyperparams(epochs=10))
-        state = run_em(bundle.pair, train, config, validation=valid)
-        fused = fuse_predictions(state, config, rank_sources=[s for s, _ in test.pairs])
-        binary = {s: t for s, t, _, _ in fused.binary}
-        hit1[symbolic_only] = sum(binary.get(s) == t for s, t in test.pairs) / len(test.pairs)
-        ranked[symbolic_only] = evaluate_ranking(fused.rankings, test.by_source)
-        inferred[symbolic_only] = [st.inferred_pairs for st in state.history]
-    joint = inferred[False]
-    ok = (
-        hit1[False] >= hit1[True] - 0.05
-        and ranked[False].mrr >= ranked[True].mrr - 0.05
-        and joint[-1] >= joint[0] / 2
-    )
+    details, failed = [], []
+    for seed in range(407, 412):
+        directory = tmp_path / str(seed)
+        generators.write_dataset(generators.noisy_pair(seed, 1000, 10, 3000), directory)
+        bundle = data.load_dataset(directory)
+        train, valid, test = data.split_seed(bundle.links, ratio, 0.05, 407)
+        hit1: dict[bool, float] = {}
+        mrr: dict[bool, float] = {}
+        inferred: dict[bool, list[int]] = {}
+        for symbolic_only in (False, True):
+            config = EmConfig(seed=407, symbolic_only=symbolic_only)
+            state = run_em(bundle.pair, train, config, validation=valid)
+            fused = fuse_predictions(state, config, rank_sources=[s for s, _ in test.pairs])
+            binary = {s: t for s, t, _, _ in fused.binary}
+            hit1[symbolic_only] = sum(binary.get(s) == t for s, t in test.pairs) / len(test.pairs)
+            mrr[symbolic_only] = evaluate_ranking(fused.rankings, test.by_source).mrr
+            inferred[symbolic_only] = [st.inferred_pairs for st in state.history]
+        joint = inferred[False]
+        if not (
+            hit1[False] >= hit1[True] - 0.05
+            and mrr[False] >= mrr[True] - 0.05
+            and joint[-1] >= joint[0] / 2
+        ):
+            failed.append(seed)
+        details.append(
+            f"seed {seed}: hit@1 {hit1[False]:.3f} vs {hit1[True]:.3f}, "
+            f"MRR {mrr[False]:.3f} vs {mrr[True]:.3f}, inferred {joint}"
+        )
     _verdict(
         capsys,
         name,
-        ok,
-        f"binary hit@1 joint {hit1[False]:.3f} vs symbolic-only {hit1[True]:.3f} "
-        f"(margin 0.05), ranked MRR joint {ranked[False].mrr:.3f} vs symbolic-only "
-        f"{ranked[True].mrr:.3f} (margin 0.05), ranked hit@10 joint "
-        f"{ranked[False].hits_at[10]:.3f} vs symbolic-only {ranked[True].hits_at[10]:.3f}, "
-        f"joint inferred {joint} (last >= first / 2)",
+        not failed,
+        f"joint vs symbolic-only (margins 0.05; last inferred >= first / 2): "
+        f"{'; '.join(details)}; failed at {failed or 'no seed'}",
     )
 
 

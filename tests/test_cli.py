@@ -27,7 +27,7 @@ def dataset_dir(tmp_path_factory):
     bundle = DatasetBundle(pair=pair, links=tuple(sorted(gold.items())), provenance={})
     oracles.save_dataset(bundle, root)
     (root / "run.conf").write_text(
-        "# fast settings for tests\nneural.epochs=10\nneural.dim=8\nneural.negatives=2\n",
+        "# fast settings for tests\nneural.epochs=10\nneural.dim=8\n",
         encoding="utf-8",
     )
     labels = [
@@ -127,9 +127,6 @@ class TestAlign:
     @pytest.mark.parametrize(
         "line",
         [
-            "neural.learning_rate=-1",
-            "neural.margin=0",
-            "neural.triple_weight=-0.5",
             "hidden_weight=-1",
             "rank_depth=0",
             # removed keys: a config that still sets one fails as unknown
@@ -137,12 +134,16 @@ class TestAlign:
             "pseudo_budget=ten",
             "confidence_floor=7",
             "top_c=50",
-            "iterations=None",
-            "workers=2",
+            "neural.learning_rate=-1",
             "neural.learning_rate=nan",
             "neural.learning_rate=inf",
+            "neural.margin=0",
             "neural.margin=inf",
+            "neural.negatives=2",
+            "neural.triple_weight=-0.5",
             "neural.triple_weight=nan",
+            "iterations=None",
+            "workers=2",
             "hidden_weight=inf",
             "hidden_weight=nan",
             "train_ratio=nan",

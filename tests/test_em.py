@@ -40,7 +40,7 @@ def label_rows(labels) -> list[tuple]:
 
 
 def tiny_neural(**overrides) -> Hyperparams:
-    base = dict(dim=8, epochs=5, negatives=2)
+    base = dict(dim=8, epochs=5)
     base.update(overrides)
     return Hyperparams(**base)
 
@@ -195,7 +195,7 @@ class TestMStep:
 
 def _random_m_state(rng, neural: bool, kind: str):
     """An EmState after a made-up E-step: random graphs, seeds, and
-    embeddings with one zero source row.
+    random features with one zero source row.
 
     ``kind`` "random": a truth table whose rows mix random pairs with
     each source's best target by cosine, split at 0.5.  "none": that
@@ -209,6 +209,8 @@ def _random_m_state(rng, neural: bool, kind: str):
     state = init_state(pair, train_seed(seeds), config)
     rows: dict[int, dict[int, float]] = {s: {t: 1.0} for s, t in seeds}
     if neural:
+        state.model.ent_source = rng.normal(size=state.model.ent_source.shape)
+        state.model.ent_target = rng.normal(size=state.model.ent_target.shape)
         state.model.ent_source[int(rng.integers(n_s))] = 0.0
     if kind == "empty":
         state.last_split = ThresholdSplit(*em._no_pairs())

@@ -1,8 +1,7 @@
-"""Tests for the embedding model and its matching helpers."""
+"""Tests for the anchor-propagation scorer and its matching helpers."""
 
 from __future__ import annotations
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -12,9 +11,9 @@ from kgalign import embedder
 from kgalign.em import _top_candidates
 from kgalign.embedder import (
     Hyperparams,
+    NeuralModel,
     Origin,
     PseudoLabelSet,
-    TrainingError,
     greedy_one_to_one,
     init_model,
     rank_candidates,
@@ -24,7 +23,7 @@ from kgalign.embedder import (
 from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair, load_graph
 
 import oracles
-from conftest import isomorphic_pair, random_graph, random_pair, split_gold
+from conftest import isomorphic_pair, random_pair, split_gold
 
 
 def tiny_pair() -> KnowledgeGraphPair:
@@ -48,17 +47,81 @@ def greedy_rows(offers) -> list[tuple]:
     return oracles.column_tuples(col[accepted] for col in columns)
 
 
+def random_features(pair: KnowledgeGraphPair, dim: int, seed: int) -> NeuralModel:
+    """A model whose features are Gaussian unit rows drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    model = init_model(pair, Hyperparams(dim=dim), seed)
+    model.ent_source = embedder._unit_rows(rng.normal(size=model.ent_source.shape))
+    model.ent_target = embedder._unit_rows(rng.normal(size=model.ent_target.shape))
+    return model
+
+
+def bare_graph(prefix: str, n_entities: int, triples=()) -> KnowledgeGraph:
+    return KnowledgeGraph([f"{prefix}{i}" for i in range(n_entities)], ["r", "s"], list(triples))
+
+
+def sparse_graph(rng, prefix: str, n_entities: int) -> KnowledgeGraph:
+    """Random triples among a random prefix of the entities, so the rest
+    are isolated, with four triples repeated as parallel edges and
+    self-loops allowed."""
+    used = int(rng.integers(1, n_entities + 1))
+    rows = [
+        (int(rng.integers(used)), int(rng.integers(2)), int(rng.integers(used)))
+        for _ in range(int(rng.integers(0, 3 * used)))
+    ]
+    if rows:
+        rows += [rows[int(i)] for i in rng.integers(0, len(rows), size=4)]
+    return bare_graph(prefix, n_entities, rows)
+
+
+def random_label_sets(rng, pair: KnowledgeGraphPair, n: int) -> list[PseudoLabelSet]:
+    """n label rows, some repeated, split into an observed set at 1 and a
+    symbolic set weighted as the E-step weighs it (``hidden_weight`` x
+    score, zero included)."""
+    n_s, n_t = pair.source.n_entities, pair.target.n_entities
+    rows = [(int(rng.integers(n_s)), int(rng.integers(n_t))) for _ in range(n)]
+    rows[n - n // 4 :] = rows[: n // 4]  # repeated label rows
+    cut = int(rng.integers(0, n + 1))
+    weight = float(rng.choice([1.0, 0.7, 0.0]))
+    inferred = [(s, t, weight * float(rng.uniform(0.9, 1.0))) for s, t in rows[cut:]]
+    return [
+        labels([(s, t, 1.0) for s, t in rows[:cut]], Origin.OBSERVED),
+        labels(inferred, Origin.SYMBOLIC),
+    ]
+
+
+def assert_propagates_like_reference(pair, hp, seed, positives):
+    """``train`` and ``oracles.dense_propagate`` agree on the features and
+    the per-step changes, and ``train`` leaves one entry per step."""
+    model = init_model(pair, hp, seed)
+    want_s, want_t, want_losses = oracles.dense_propagate(model, pair, positives)
+    report = train(model, pair, positives)
+    assert len(report.epoch_losses) == hp.epochs
+    np.testing.assert_allclose(model.ent_source, want_s, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.ent_target, want_t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.epoch_losses, want_losses, rtol=1e-10, atol=1e-12)
+    return model
+
+
 class TestHyperparams:
     def test_defaults_valid(self):
         Hyperparams().validate()
+        assert Hyperparams() == Hyperparams(dim=64, epochs=10)
 
     def test_dim_too_small(self):
         with pytest.raises(ValueError, match="dimension"):
             Hyperparams(dim=1).validate()
 
     def test_negative_negatives(self):
-        with pytest.raises(ValueError, match="negatives"):
-            Hyperparams(negatives=-1).validate()
+        # the SGD knobs are gone, so setting one is an error
+        for knob in ("negatives", "learning_rate", "margin", "triple_weight"):
+            with pytest.raises(TypeError, match=knob):
+                Hyperparams(**{knob: -1})
+
+    def test_negative_epochs(self):
+        Hyperparams(epochs=0).validate()
+        with pytest.raises(ValueError, match="epochs"):
+            Hyperparams(epochs=-1).validate()
 
 
 class TestPseudoLabelSet:
@@ -86,98 +149,69 @@ class TestInitModel:
         model = init_model(pair, Hyperparams(dim=8), seed=3)
         assert model.ent_source.shape == (pair.source.n_entities, 8)
         assert model.ent_target.shape == (pair.target.n_entities, 8)
-        assert model.rel_source.shape == (2 * pair.source.n_relations, 8)
-        assert model.rel_target.shape == (2 * pair.target.n_relations, 8)
 
-    def test_rows_unit_norm(self, rng):
+    def test_features_start_at_zero(self, rng):
+        # zero rows have cosine 0 with everything, so an untrained model
+        # labels nothing
         pair = random_pair(rng)
         model = init_model(pair, Hyperparams(dim=16), seed=0)
-        for mat in (model.ent_source, model.ent_target, model.rel_source, model.rel_target):
-            np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
+        assert not model.ent_source.any() and not model.ent_target.any()
+        assert all(len(col) == 0 for col in _top_candidates(model, range(10), range(10)))
 
     def test_same_seed_identical(self, rng):
         pair = random_pair(rng)
         a = init_model(pair, Hyperparams(dim=8), seed=11)
         b = init_model(pair, Hyperparams(dim=8), seed=11)
+        positives = observed((0, 0, 1.0), (3, 4, 0.9))
+        train(a, pair, positives)
+        train(b, pair, positives)
         assert np.array_equal(a.ent_source, b.ent_source)
-        assert np.array_equal(a.rel_target, b.rel_target)
+        assert np.array_equal(a.ent_target, b.ent_target)
 
     def test_different_seed_differs(self, rng):
         pair = random_pair(rng)
         a = init_model(pair, Hyperparams(dim=8), seed=1)
         b = init_model(pair, Hyperparams(dim=8), seed=2)
+        positives = observed((0, 0, 1.0), (3, 4, 0.9))
+        train(a, pair, positives)
+        train(b, pair, positives)
         assert not np.array_equal(a.ent_source, b.ent_source)
 
 
 class TestTrain:
-    def test_no_positives_raises(self):
-        pair = tiny_pair()
-        model = init_model(pair, Hyperparams(dim=4), seed=0)
-        with pytest.raises(TrainingError, match="no positive"):
-            train(model, pair, observed())
-
-    def test_zero_negatives_is_inert(self):
-        pair = tiny_pair()
-        hp = Hyperparams(dim=4, negatives=0, epochs=3)
-        model = init_model(pair, hp, seed=0)
-        before = model.ent_source.copy()
-        report = train(model, pair, observed((0, 0, 1.0)))
-        assert report.epoch_losses == [0.0, 0.0, 0.0]
-        assert np.array_equal(model.ent_source, before)
-
     def test_loss_decreases_on_isomorphic_pair(self):
+        # the per-step feature change shrinks as the propagation settles
         pair, gold = isomorphic_pair(5, n_entities=20, n_relations=3, n_triples=60)
         train_seed, _ = split_gold(gold, 0.5, seed=1)
-        hp = Hyperparams(dim=16, epochs=60, negatives=4)
-        model = init_model(pair, hp, seed=2)
+        model = init_model(pair, Hyperparams(dim=16, epochs=60), seed=2)
         positives = observed(*[(s, t, 1.0) for s, t in train_seed.pairs])
         report = train(model, pair, positives)
-        assert report.final < report.epoch_losses[0]
+        assert report.final < 1e-3 * report.epoch_losses[0]
 
     def test_trained_pairs_score_high(self):
         pair, gold = isomorphic_pair(9, n_entities=20, n_relations=3, n_triples=60)
-        train_seed, _ = split_gold(gold, 0.5, seed=4)
-        hp = Hyperparams(dim=16, epochs=80, negatives=4)
-        model = init_model(pair, hp, seed=0)
+        train_seed, test_seed = split_gold(gold, 0.5, seed=4)
+        model = init_model(pair, Hyperparams(dim=16, epochs=10), seed=0)
         train(model, pair, observed(*[(s, t, 1.0) for s, t in train_seed.pairs]))
         targets = list(range(pair.target.n_entities))
-        hits = sum(
-            1 for s, t in train_seed.pairs if t in rank_candidates(model, [s], targets, 3)[0]
-        )
-        assert hits >= int(0.7 * len(train_seed.pairs))
+        for seed in (train_seed, test_seed):
+            hits = sum(1 for s, t in seed.pairs if t in rank_candidates(model, [s], targets, 3)[0])
+            assert hits >= int(0.7 * len(seed.pairs))
 
     def test_unit_norms_preserved(self, rng):
-        pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
-        hp = Hyperparams(dim=8, epochs=10, negatives=4)
-        model = init_model(pair, hp, seed=1)
+        # rows are unit or exactly zero, and zero only where no anchor reaches
+        pair = KnowledgeGraphPair(source=sparse_graph(rng, "a", 12), target=sparse_graph(rng, "b", 12))
+        model = init_model(pair, Hyperparams(dim=8, epochs=3), seed=1)
         train(model, pair, observed((0, 0, 1.0), (1, 1, 1.0)))
-        for mat in (model.ent_source, model.ent_target, model.rel_source, model.rel_target):
-            np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-6)
-
-    def test_duplicate_equals_double_weight(self):
-        # the target graph has two entities, so every uniform negative of
-        # the pair (0, 0) is nudged off its counterpart onto entity 1 and
-        # the draws cannot differ; listing a pair twice must then match
-        # giving it confidence 2 exactly
-        hp = Hyperparams(dim=4, negatives=2, epochs=1, triple_weight=0.0)
-        pair = tiny_pair()
-        assert pair.target.n_entities == 2
-
-        dup = init_model(pair, hp, seed=7)
-        rep_dup = train(dup, pair, observed((0, 0, 1.0), (0, 0, 1.0)))
-
-        wtd = init_model(pair, hp, seed=7)
-        rep_wtd = train(wtd, pair, observed((0, 0, 2.0)))
-
-        assert np.array_equal(dup.ent_source, wtd.ent_source)
-        assert np.array_equal(dup.ent_target, wtd.ent_target)
-        # same loss mass; the mean divides by the term count, which
-        # includes 4 directed triples next to the 2 vs 1 positives
-        assert rep_dup.final * (2 + 4) == pytest.approx(rep_wtd.final * (1 + 4), rel=1e-12)
+        for mat in (model.ent_source, model.ent_target):
+            norms = np.linalg.norm(mat, axis=1)
+            zero = norms == 0.0
+            np.testing.assert_allclose(norms[~zero], 1.0, rtol=0, atol=1e-12)
+            assert zero.any() and not zero[:2].any()
 
     def test_multiple_label_sets_concatenate(self):
         pair = tiny_pair()
-        hp = Hyperparams(dim=4, negatives=2, epochs=1)
+        hp = Hyperparams(dim=4, epochs=1)
         a = init_model(pair, hp, seed=3)
         train(a, pair, [observed((0, 0, 1.0)), observed((1, 1, 1.0))])
         b = init_model(pair, hp, seed=3)
@@ -185,166 +219,134 @@ class TestTrain:
         assert np.array_equal(a.ent_source, b.ent_source)
         assert np.array_equal(a.ent_target, b.ent_target)
 
+    def test_no_labels_leave_zero_features(self):
+        pair = tiny_pair()
+        model = init_model(pair, Hyperparams(dim=4, epochs=3), seed=0)
+        report = train(model, pair, [observed(), labels([], Origin.SYMBOLIC)])
+        assert report.epoch_losses == [0.0, 0.0, 0.0]
+        assert not model.ent_source.any() and not model.ent_target.any()
 
-def assert_trains_like_reference(pair, hp, seed, positives):
-    """``train`` and the ``np.add.at`` reference, run from the same seed,
-    agree bit for bit: weights, epoch losses and the next generator draw."""
-    got, ref = init_model(pair, hp, seed), init_model(pair, hp, seed)
-    rep_got = train(got, pair, positives)
-    rep_ref = oracles.loop_train(ref, pair, positives)
-    for name in ("ent_source", "ent_target", "rel_source", "rel_target"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert rep_got.epoch_losses == rep_ref.epoch_losses
-    assert got.rng.integers(1 << 62) == ref.rng.integers(1 << 62)
+    def test_anchor_inner_products_exact(self):
+        # with no more anchors than dimensions the anchor vectors are
+        # orthonormal, so without edges each anchored pair scores exactly
+        # its own anchor: cosine 1 to its counterpart, 0 to the others
+        pair = KnowledgeGraphPair(source=bare_graph("a", 5), target=bare_graph("b", 5))
+        model = init_model(pair, Hyperparams(dim=4, epochs=2), seed=6)
+        train(model, pair, observed((0, 1, 1.0), (1, 0, 0.5), (2, 3, 1.0), (3, 2, 0.7)))
+        cos = oracles.dense_cosines(model, range(4), range(4))
+        np.testing.assert_allclose(cos, np.eye(4)[[1, 0, 3, 2]], rtol=0, atol=1e-12)
+        assert not model.ent_source[4].any() and not model.ent_target[4].any()
 
+    def test_unreached_entities_never_labelled(self):
+        # entity 3 of each graph sits in a component without anchors, so
+        # its zero row scores 0 against everything and the cos > 0 rule
+        # of the M-step never pairs it
+        rows = [(0, 0, 1), (1, 0, 2), (3, 1, 4)]
+        pair = KnowledgeGraphPair(source=bare_graph("a", 5, rows), target=bare_graph("b", 5, rows))
+        model = init_model(pair, Hyperparams(dim=4, epochs=4), seed=2)
+        train(model, pair, observed((0, 0, 1.0)))
+        assert np.flatnonzero(np.linalg.norm(model.ent_source, axis=1)).tolist() == [0, 1, 2]
+        src, tgt, _ = _top_candidates(model, [1, 2, 3, 4], [1, 2, 3, 4])
+        assert not {3, 4} & set(src.tolist()) and not {3, 4} & set(tgt.tolist())
+        assert len(src) > 0
 
-def bare_graph(prefix: str, n_entities: int, triples=()) -> KnowledgeGraph:
-    return KnowledgeGraph([f"{prefix}{i}" for i in range(n_entities)], ["r"], list(triples))
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 40])
+    def test_anchor_vectors_orthonormal(self, n):
+        # rows while they fit the dimension, columns once they do not
+        p = embedder._anchor_vectors(np.random.default_rng(n), n, 8)
+        assert p.shape == (n, 8)
+        gram = p @ p.T if n <= 8 else p.T @ p
+        np.testing.assert_allclose(gram, np.eye(min(n, 8)), rtol=0, atol=1e-12)
 
 
 class TestTrainMatchesReference:
-    """The sparse-product trainer against the loop trainer in ``oracles``."""
+    """The blocked propagation against the dense reference in ``oracles``."""
 
     def test_random_family(self, rng):
-        for _ in range(60):
-            pair = random_pair(
-                rng,
-                n_entities=int(rng.integers(2, 30)),
-                n_relations=int(rng.integers(1, 4)),
-                n_triples=int(rng.integers(0, 60)),
+        seen = {"few": 0, "many": 0, "no steps": 0}
+        for case in range(120):
+            pair = KnowledgeGraphPair(
+                source=sparse_graph(rng, "a", int(rng.integers(1, 25))),
+                target=sparse_graph(rng, "b", int(rng.integers(1, 25))),
             )
-            n_s, n_t = pair.source.n_entities, pair.target.n_entities
-            hp = Hyperparams(
-                dim=int(rng.integers(2, 9)),
-                negatives=int(rng.integers(0, 6)),
-                epochs=int(rng.integers(1, 5)),
-                triple_weight=float(rng.choice([0.0, 0.25, 1.0])),
-            )
-            pairs = [
-                (int(rng.integers(n_s)), int(rng.integers(n_t)), float(rng.choice([1.0, 0.5, 0.0])))
-                for _ in range(int(rng.integers(1, 12)))
-            ]
-            pairs += pairs[: int(rng.integers(0, 3))]  # duplicate positives
-            cut = int(rng.integers(0, len(pairs) + 1))
-            # weighted labels, as the E-step hands over hidden_weight * score
-            scale = float(rng.choice([1.0, 0.7]))
-            inferred = [(s, t, scale * v) for s, t, v in pairs[cut:]]
-            sets = [labels(pairs[:cut], Origin.OBSERVED), labels(inferred, Origin.SYMBOLIC)]
-            assert_trains_like_reference(pair, hp, int(rng.integers(1 << 30)), sets)
+            hp = Hyperparams(dim=int(rng.integers(2, 9)), epochs=int(rng.integers(0, 6)))
+            n = int(rng.integers(0, 14))
+            seen["few"] += 0 < n <= hp.dim
+            seen["many"] += n > hp.dim
+            seen["no steps"] += hp.epochs == 0
+            sets = random_label_sets(rng, pair, n)
+            assert_propagates_like_reference(pair, hp, int(rng.integers(1 << 30)), sets)
+        assert min(seen.values()) > 10, seen
 
     @pytest.mark.parametrize("empty_side", ["source", "target"])
     def test_one_graph_without_triples(self, rng, empty_side):
-        full = random_graph(rng, 12, 2, 30)
+        full = sparse_graph(rng, "a", 12)
         empty = bare_graph("x", 12)
         pair = (
             KnowledgeGraphPair(source=empty, target=full)
             if empty_side == "source"
             else KnowledgeGraphPair(source=full, target=empty)
         )
-        hp = Hyperparams(dim=6, negatives=3, epochs=3, triple_weight=0.5)
-        assert_trains_like_reference(pair, hp, 5, observed((0, 1, 1.0), (2, 2, 0.8), (3, 4, 1.0)))
+        hp = Hyperparams(dim=6, epochs=3)
+        positives = observed((0, 1, 1.0), (2, 2, 0.8), (3, 4, 1.0))
+        model = assert_propagates_like_reference(pair, hp, 5, positives)
+        bare = model.ent_source if empty_side == "source" else model.ent_target
+        anchored = [0, 2, 3] if empty_side == "source" else [1, 2, 4]
+        assert np.flatnonzero(np.linalg.norm(bare, axis=1)).tolist() == anchored
 
 
 class TestTrainChunks:
-    """The trainer walks the corrupted residuals in chunks of triples; sums
-    carried across chunk boundaries must still match the reference."""
+    """The neighbour mean walks the edges a block of whole entities at a
+    time; splitting the blocks must not change a bit."""
 
-    @pytest.mark.parametrize("per_chunk", [1, 7])
-    def test_matches_loop_reference_across_chunks(self, rng, monkeypatch, per_chunk):
-        crossed = ragged = 0
-        for case in range(40):
-            pair = random_pair(
-                rng,
-                n_entities=int(rng.integers(2, 30)),
-                n_relations=int(rng.integers(1, 4)),
-                n_triples=int(rng.integers(0, 60)),
+    @pytest.mark.parametrize("per_block", [1, 7])
+    def test_matches_dense_reference_across_blocks(self, rng, monkeypatch, per_block):
+        split = oversized = 0
+        for _ in range(40):
+            pair = KnowledgeGraphPair(
+                source=sparse_graph(rng, "a", int(rng.integers(1, 25))),
+                target=sparse_graph(rng, "b", int(rng.integers(1, 25))),
             )
-            if case % 8 == 0:
-                pair = KnowledgeGraphPair(source=pair.source, target=bare_graph("x", pair.target.n_entities))
-            n_s, n_t = pair.source.n_entities, pair.target.n_entities
-            hp = Hyperparams(
-                dim=int(rng.integers(2, 9)),
-                negatives=0 if case % 10 == 1 else int(rng.integers(1, 6)),
-                epochs=int(rng.integers(1, 4)),
-                triple_weight=0.0 if case % 10 == 2 else float(rng.choice([0.25, 1.0])),
-            )
-            monkeypatch.setattr(embedder, "TRAIN_CHUNK_CELLS", per_chunk * hp.negatives * hp.dim)
-            n2 = 2 * len(pair.source.triple_columns[0])
-            chunked = hp.negatives > 0 and hp.triple_weight > 0.0
-            crossed += chunked and n2 > per_chunk
-            ragged += chunked and n2 % per_chunk != 0
-            pairs = [
-                (int(rng.integers(n_s)), int(rng.integers(n_t)), float(rng.choice([1.0, 0.5, 0.0])))
-                for _ in range(int(rng.integers(1, 12)))
-            ]
+            hp = Hyperparams(dim=int(rng.integers(2, 9)), epochs=int(rng.integers(1, 4)))
+            sets = random_label_sets(rng, pair, int(rng.integers(1, 14)))
             seed = int(rng.integers(1 << 30))
-            assert_trains_like_reference(pair, hp, seed, labels(pairs))
-        assert crossed > 20
-        assert per_chunk == 1 or ragged > 20  # a last chunk shorter than the others
+            whole = init_model(pair, hp, seed)
+            train(whole, pair, sets)
+            monkeypatch.setattr(embedder, "TRAIN_CHUNK_CELLS", per_block * hp.dim)
+            blocked = assert_propagates_like_reference(pair, hp, seed, sets)
+            monkeypatch.undo()
+            assert np.array_equal(blocked.ent_source, whole.ent_source)
+            assert np.array_equal(blocked.ent_target, whole.ent_target)
+            degree = np.diff(pair.source.directed_adj.indptr)
+            split += degree.sum() > per_block
+            oversized += degree.max(initial=0) > per_block
+        assert split > 20 and oversized > 10  # blocks did split, and some entity outgrew one
 
-    @staticmethod
-    def _train_peaks(settings) -> list[int]:
-        """tracemalloc's peak during one epoch of ``train`` for each
-        (negatives, triples) setting, on 1000-entity graphs at d = 64."""
-        import scipy.sparse  # noqa: F401  (its import would count as trainer memory)
-
+    def test_peak_memory_flat_in_triples(self):
+        # tracemalloc sees numpy's buffers.  One step holds the n x d
+        # features and one block of TRAIN_CHUNK_CELLS gathered values, so
+        # going from 6000 to 24,000 directed edges per graph adds almost
+        # nothing; gathering a row per edge would add 18,000 * 64 * 8
+        # bytes, about 9 MB, per graph.
         peaks = []
-        for k, n_triples in settings:
-            rng = np.random.default_rng(5)
-            pair = random_pair(rng, n_entities=1000, n_relations=4, n_triples=n_triples)
+        for n_triples in (3000, 12000):
+            pair = random_pair(np.random.default_rng(5), n_entities=1000, n_relations=4, n_triples=n_triples)
             positives = observed(*[(i, i, 1.0) for i in range(0, 1000, 5)])
-            model = init_model(pair, Hyperparams(dim=64, negatives=k, epochs=1), seed=1)
+            model = init_model(pair, Hyperparams(dim=64, epochs=1), seed=1)
             tracemalloc.start()
             try:
                 train(model, pair, positives)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        return peaks
-
-    def test_peak_memory_flat_in_negatives(self):
-        # tracemalloc sees numpy's buffers, on the worker thread too.
-        # Holding every corrupted residual would add (16 - 2) * 2T * 64 * 8
-        # bytes, about 43 MB here.
-        peaks = self._train_peaks([(2, 3000), (16, 3000)])
         assert peaks[1] - peaks[0] < 8 << 20, peaks
-
-    def test_peak_memory_flat_in_triples(self):
-        # At k = 4 a chunk holds 4096 of the 6000 or 24,000 directed triples
-        # of each graph, so only the O(T * k) scalars grow with T: about
-        # 3.5 MB for both graphs.  A row of d values per triple term would
-        # add 4 * 9000 * 64 * 8 bytes, about 18 MB.
-        peaks = self._train_peaks([(4, 3000), (4, 12000)])
-        assert peaks[1] - peaks[0] < 8 << 20, peaks
-
-
-class TestTrainThreads:
-    """The target graph's side runs on a worker thread that ends with ``train``."""
-
-    @pytest.mark.parametrize("side", ["source", "target"])
-    def test_failing_side_raises_and_leaves_no_thread(self, monkeypatch, side):
-        pair = random_pair(np.random.default_rng(3), n_entities=12, n_relations=2, n_triples=30)
-        model = init_model(pair, Hyperparams(dim=4, negatives=2, epochs=3), seed=0)
-        failing_ents = model.ent_source if side == "source" else model.ent_target
-        side_gradients = embedder._side_gradients
-
-        def fail_on_one_side(work, align_rows, align_terms, ents, *rest):
-            if ents is failing_ents:
-                raise RuntimeError(f"{side} side failed")
-            return side_gradients(work, align_rows, align_terms, ents, *rest)
-
-        monkeypatch.setattr(embedder, "_side_gradients", fail_on_one_side)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"^{side} side failed$"):
-            train(model, pair, observed((0, 0, 1.0), (1, 1, 1.0)))
-        assert threading.active_count() == before
 
 
 class TestScoring:
     def _model_with_rows(self, rows: dict[int, list[float]], n_targets: int = 10):
         rng = np.random.default_rng(0)
         pair = random_pair(rng, n_entities=n_targets, n_relations=2, n_triples=12)
-        model = init_model(pair, Hyperparams(dim=2), seed=0)
+        model = random_features(pair, dim=2, seed=0)
         model.ent_source[0] = np.array([1.0, 0.0])
         for t, vec in rows.items():
             model.ent_target[t] = np.array(vec)
@@ -364,7 +366,7 @@ class TestScoring:
 
     def test_id_arrays_match_scalar_calls(self, rng):
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
-        model = init_model(pair, Hyperparams(dim=2), seed=5)
+        model = random_features(pair, dim=2, seed=5)
         n_s, n_t = len(model.ent_source), len(model.ent_target)
         model.ent_source *= rng.uniform(0.1, 10.0, size=(n_s, 1))  # scoring must not assume unit rows
         # a pair whose unclipped cosine rounds to 1 + 2^-52, its negation, and a zero row
@@ -389,7 +391,7 @@ class TestScoring:
 
     def test_top_candidates_scores_match_score_pair(self, rng):
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
-        model = init_model(pair, Hyperparams(dim=8), seed=5)
+        model = random_features(pair, dim=8, seed=5)
         model.ent_target *= rng.uniform(0.5, 3.0, size=(12, 1))  # scoring must not assume unit rows
         sources = [0, 4, 7, 9, 11, 2]
         got = oracles.column_tuples(_top_candidates(model, sources, list(range(12))))
@@ -419,7 +421,7 @@ class TestScoring:
 
     def test_rank_permutation_invariant(self, rng):
         pair = random_pair(rng, n_entities=12, n_relations=2, n_triples=20)
-        model = init_model(pair, Hyperparams(dim=8), seed=5)
+        model = random_features(pair, dim=8, seed=5)
         cands = list(range(12))
         base = rank_candidates(model, [3], cands, 12)[0]
         for _ in range(10):
@@ -432,7 +434,7 @@ def tied_model(rng, n_entities: int, dim: int = 4):
     rows copying a repeated target row, so that exact score ties sit at
     the top of those rows and straddle small cuts."""
     pair = random_pair(rng, n_entities=n_entities, n_relations=2, n_triples=2 * n_entities)
-    model = init_model(pair, Hyperparams(dim=dim), seed=int(rng.integers(1 << 30)))
+    model = random_features(pair, dim, seed=int(rng.integers(1 << 30)))
     n_t = model.ent_target.shape[0]
     for _ in range(int(rng.integers(1, 4))):
         group = rng.choice(n_t, size=int(rng.integers(2, min(6, n_t) + 1)), replace=False)
@@ -481,11 +483,9 @@ class TestTopK:
         # 4000 x 4000 scores would take 128 MB at once; one block holds
         # TOP_K_BLOCK_CELLS scores, and argpartition as many int64 ids
         rng = np.random.default_rng(8)
-        model = embedder.NeuralModel(
+        model = NeuralModel(
             ent_source=rng.normal(size=(4000, 8)),
             ent_target=rng.normal(size=(4000, 8)),
-            rel_source=np.zeros((0, 8)),
-            rel_target=np.zeros((0, 8)),
             hyperparams=Hyperparams(dim=8),
         )
         tracemalloc.start()
@@ -548,11 +548,9 @@ class TestTopK:
     def test_top_candidates_need_positive_cosine(self):
         # both sources have a mutual nearest neighbour, but at a negative
         # cosine, so a model pointing away labels nothing
-        model = embedder.NeuralModel(
+        model = NeuralModel(
             ent_source=np.eye(2),
             ent_target=-np.array([[1.0, 2.0], [2.0, 1.0]]),
-            rel_source=np.zeros((0, 2)),
-            rel_target=np.zeros((0, 2)),
             hyperparams=Hyperparams(dim=2),
         )
         src, tgt, cos = embedder.mutual_nearest(model, [1, 0], [1, 0])
@@ -566,11 +564,9 @@ class TestTopK:
         # the 4000 x 4000 cosines would take 128 MB at once; one block
         # holds TOP_K_BLOCK_CELLS of them
         rng = np.random.default_rng(8)
-        model = embedder.NeuralModel(
+        model = NeuralModel(
             ent_source=rng.normal(size=(4000, 8)),
             ent_target=rng.normal(size=(4000, 8)),
-            rel_source=np.zeros((0, 8)),
-            rel_target=np.zeros((0, 8)),
             hyperparams=Hyperparams(dim=8),
         )
         tracemalloc.start()
