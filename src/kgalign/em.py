@@ -338,10 +338,11 @@ def _rank_truth_scores(
     table: TruthScoreTable, obs_tgt: np.ndarray, sources: list[int], depth: int
 ) -> list[list[int]]:
     """Per sorted source, its top ``depth`` unobserved targets by descending
-    truth score, ties by ascending target id."""
+    truth score, ties by ascending target id: the table's own order, which
+    the stable sort keeps."""
     keep = ~obs_tgt[table.tgt]
     src, tgt = table.src[keep], table.tgt[keep]
-    order = np.lexsort((tgt, -table.val[keep], src))
+    order = np.lexsort((-table.val[keep], src))
     src, tgt = src[order], tgt[order]
     rank = np.arange(len(src)) - np.searchsorted(src, src)
     src, tgt = src[rank < depth], tgt[rank < depth].tolist()

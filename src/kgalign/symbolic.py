@@ -78,31 +78,19 @@ def _pair_keys(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return (src << 32) | tgt
 
 
-def _lookup(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each key in the sorted ``table`` and whether it is there."""
-    if not len(table):
-        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
-    at = np.searchsorted(table, keys)
-    return at, table[np.minimum(at, len(table) - 1)] == keys
-
-
 @dataclass(frozen=True, eq=False)
 class TruthScoreTable:
     """Sparse (source entity, target entity) -> alignment probability table.
 
-    The constructor requires row-grouped entries: ``src`` is
-    non-decreasing, so each source entity's counterparts form one run of
-    ``tgt`` and ``val``, and no pair repeats.  Within a row, entries keep
-    the order they are given in; a sweep lists counterparts by first
-    supporting term.  Retention keeps that order, and the next sweep
-    multiplies in it, so the within-row order is part of the bit-for-bit
-    result.
+    Entries are unique and ascending by the ``s << 32 | t`` key: each
+    source entity's counterparts form one run of ``tgt`` and ``val``, by
+    ascending target.  The constructor takes entries in any order and
+    brings them into this one; of a repeated pair, the first entry wins.
 
     ``pin_keys`` holds the observed seed pairs as sorted ``s << 32 | t``
     keys.  Pinned pairs always score exactly 1 and no sweep or retention
     pass may alter or drop them: the constructor sets pinned entries to 1
-    and appends each missing pin at the end of its row, pins by ascending
-    target.
+    and adds each missing pin.
     """
 
     src: np.ndarray
@@ -111,19 +99,12 @@ class TruthScoreTable:
     pin_keys: np.ndarray
 
     def __post_init__(self):
-        src, tgt = self.src, self.tgt
-        at, hit = _lookup(_pair_keys(src, tgt), self.pin_keys)
-        val = np.where(hit, 1.0, self.val)
-        missing = np.ones(len(self.pin_keys), dtype=bool)
-        missing[at[hit]] = False
-        if missing.any():
-            extra = self.pin_keys[missing]
-            src = np.concatenate([src, extra >> 32])
-            tgt = np.concatenate([tgt, extra & 0xFFFFFFFF])
-            val = np.concatenate([val, np.ones(len(extra))])
-            order = np.argsort(src, kind="stable")
-            src, tgt, val = src[order], tgt[order], val[order]
-        for name, col in (("src", src), ("tgt", tgt), ("val", val)):
+        # The pins go first, so a pinned pair's first occurrence reads 1.
+        keys, first = np.unique(
+            np.concatenate([self.pin_keys, _pair_keys(self.src, self.tgt)]), return_index=True
+        )
+        val = np.concatenate([np.ones(len(self.pin_keys)), self.val])[first]
+        for name, col in (("src", keys >> 32), ("tgt", keys & 0xFFFFFFFF), ("val", val)):
             object.__setattr__(self, name, col)
 
     @classmethod
@@ -133,13 +114,14 @@ class TruthScoreTable:
         return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), keys)
 
     def pinned_mask(self) -> np.ndarray:
-        """Which entries are pinned pairs."""
-        return _lookup(_pair_keys(self.src, self.tgt), self.pin_keys)[1]
+        """Which entries are pinned pairs; every pin is one of them."""
+        mask = np.zeros(len(self.src), dtype=bool)
+        mask[np.searchsorted(_pair_keys(self.src, self.tgt), self.pin_keys)] = True
+        return mask
 
     def items(self) -> Iterable[tuple[int, int, float]]:
-        """(source, target, score) ascending by source, then target."""
-        order = np.lexsort((self.tgt, self.src))
-        return zip(self.src[order].tolist(), self.tgt[order].tolist(), self.val[order].tolist())
+        """(source, target, score) in table order: ascending by source, then target."""
+        return zip(self.src.tolist(), self.tgt.tolist(), self.val.tolist())
 
     def __len__(self) -> int:
         return len(self.src)
@@ -182,9 +164,9 @@ def propagate_entity_scores(
     observed pairs re-pinned at 1.
 
     The triples are joined as arrays, a block of source entities at a
-    time.  Each product runs in source-edge, ``prev``-row and target-edge
-    order and each row lists counterparts by first term, so a sweep over
-    its own output repeats the same arithmetic bit for bit.
+    time.  Each product runs in source-edge, ``prev``-row (ascending
+    target) and target-edge order, and the blocks emit their pairs in
+    the table's key order.
     """
     adj_s = pair.source.directed_adj
     adj_t = pair.target.directed_adj
@@ -199,7 +181,7 @@ def propagate_entity_scores(
     src_rel = adj_s.rel * n_rel_t
     tgt_rel = adj_t.rel ^ 1  # directed triple (e2, d2, e_t2)
 
-    # prev's row-grouped entries are a CSR over source entities.
+    # prev's entries, ascending by (source, target), are a CSR over source entities.
     n_s, n_t = pair.source.n_entities, pair.target.n_entities
     row_len = np.bincount(prev.src, minlength=n_s)
     row_start = np.cumsum(row_len) - row_len
@@ -232,18 +214,15 @@ def propagate_entity_scores(
         keep = (s_fwd != 0.0) | (s_bwd != 0.0)
         term, s_fwd, s_bwd = term[keep], s_fwd[keep], s_bwd[keep]
 
-        # Group terms by (e, e'), keeping term order inside each group.
+        # Group terms by (e, e'), keeping term order inside each group; the
+        # groups come out by key, and the blocks by ascending source entity.
         key = edge_owner[edges][via_edge[via_entry[term]]] * n_t + adj_t.nbr[tgt_edge[term]]
         order = np.argsort(key, kind="stable")
         first = np.flatnonzero(np.diff(key[order], prepend=-1))
         factors = np.empty(2 * len(order))
         factors[0::2], factors[1::2] = 1.0 - s_fwd[order], 1.0 - s_bwd[order]
         score = 1.0 - np.multiply.reduceat(factors, 2 * first)
-
-        # Emit each row's counterparts in the order of their first term;
-        # blocks and the terms inside them run by ascending source entity.
-        emit = np.argsort(order[first])
-        emit = emit[score[emit] > 0.0]
+        emit = score > 0.0
         e, e2 = np.divmod(key[order[first[emit]]], n_t)
         blocks.append((e, e2, score[emit]))
     return TruthScoreTable(*(np.concatenate(col) for col in zip(*blocks)), prev.pin_keys)
@@ -255,8 +234,7 @@ def retain_best(table: TruthScoreTable, rho: float = 1.0) -> TruthScoreTable:
     A pair survives when its score is within factor ``rho`` of the best
     score of its source row or of its target column (``rho = 1.0`` keeps
     argmax entries only; ties are all retained).  A best starts at 0, so
-    a pair scored exactly 0 is kept too.  Pinned pairs always survive,
-    and the kept entries keep their order.
+    a pair scored exactly 0 is kept too.  Pinned pairs always survive.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"retention factor must be in (0, 1], got {rho}")
@@ -396,7 +374,8 @@ def update_subrelation_probs(
 class ThresholdSplit:
     """The non-pinned pairs scored above the positive threshold.
 
-    ``src``, ``tgt`` and ``val`` hold them ascending by (source, target).
+    ``src``, ``tgt`` and ``val`` hold them in the truth table's order,
+    ascending by (source, target).
     """
 
     src: np.ndarray
@@ -415,9 +394,7 @@ def extract_positive_pairs(scores: TruthScoreTable, delta: float) -> ThresholdSp
     if not 0.0 < delta < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {delta}")
     keep = ~scores.pinned_mask() & (scores.val > delta)
-    src, tgt, val = scores.src[keep], scores.tgt[keep], scores.val[keep]
-    order = np.lexsort((tgt, src))
-    return ThresholdSplit(src[order], tgt[order], val[order])
+    return ThresholdSplit(scores.src[keep], scores.tgt[keep], scores.val[keep])
 
 
 def dump_truth_scores(table: TruthScoreTable, labels_source, labels_target) -> str:

@@ -13,7 +13,6 @@ from kgalign.graph import (
     pack_direction,
 )
 from kgalign.symbolic import SubrelationTable, TruthScoreTable
-from oracles import triple_tuples
 
 
 def psub_table(
@@ -208,7 +207,7 @@ def isomorphic_pair(
     source = connected_graph(rng, n_entities, n_relations, n_triples, "src_e", "src_r")
     perm = rng.permutation(n_entities)
     records = [
-        (f"tgt_e{perm[h]}", f"tgt_r{r}", f"tgt_e{perm[t]}") for h, r, t in triple_tuples(source)
+        (f"tgt_e{perm[h]}", f"tgt_r{r}", f"tgt_e{perm[t]}") for h, r, t in zip(*source.triple_columns)
     ]
     order = rng.permutation(len(records))
     target = load_graph([records[i] for i in order])

@@ -142,11 +142,12 @@ def loop_propagate(
 
     Walks, for every source entity e in id order, its adjacency in graph
     order, then each scored counterpart row of the neighbor in dict
-    order, then the counterpart's adjacency, multiplying each candidate's
-    miss product term by term.  Rows list counterparts by first
-    supporting term.  ``eta_*`` are the functionality arrays, read at the
+    order (ascending target, as ``table_rows`` gives it), then the
+    counterpart's adjacency, multiplying each candidate's miss product
+    term by term.  ``eta_*`` are the functionality arrays, read at the
     flipped direction ``d ^ 1`` of each traversed direction d.  The array
-    sweep must match this bit for bit, including row and key order.
+    sweep must match every value bit for bit; rows list counterparts by
+    first supporting term, so compare them sorted by target.
     """
 
     out: dict[int, dict[int, float]] = {}
@@ -200,7 +201,7 @@ def loop_retain(
 ) -> dict[int, dict[int, float]]:
     """Retention as a dict loop: a pair stays when pinned or within factor
     ``rho`` of its row's or its column's best score, each best starting
-    at 0.  Rows and the entries inside them keep their order."""
+    at 0.  Kept entries keep their input order."""
     row_best: dict[int, float] = {}
     col_best: dict[int, float] = {}
     for s, row in rows.items():
@@ -559,15 +560,16 @@ def table_from_rows(
     rows: dict[int, dict[int, float]],
     pinned: Iterable[tuple[int, int]] = (),
 ) -> TruthScoreTable:
-    """The engine's truth table of ``{source: {target: score}}`` rows:
-    sources ascending, each row in dict order, ``pinned`` pairs pinned."""
-    entries = [(s, t, v) for s in sorted(rows) for t, v in rows[s].items()]
+    """The engine's truth table of ``{source: {target: score}}`` rows,
+    ``pinned`` pairs pinned; the constructor sorts the entries by key."""
+    entries = [(s, t, v) for s, row in rows.items() for t, v in row.items()]
     pin_keys = np.unique(np.array([s << 32 | t for s, t in pinned], dtype=np.int64))
     return TruthScoreTable(*offer_columns(entries), pin_keys)
 
 
 def table_rows(table: TruthScoreTable) -> dict[int, dict[int, float]]:
-    """A truth table's entries as ``{source: {target: score}}``, in table order."""
+    """A truth table's entries as ``{source: {target: score}}``, in table
+    order: sources ascending, each row by ascending target."""
     rows: dict[int, dict[int, float]] = {}
     for s, t, v in column_tuples((table.src, table.tgt, table.val)):
         rows.setdefault(s, {})[t] = v

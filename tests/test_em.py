@@ -401,6 +401,17 @@ class TestFusion:
             assert len(set(ranked)) == len(ranked)
             assert 0 not in ranked
 
+    def test_tied_truth_scores_rank_by_target(self):
+        pair = chain_fixture(6)
+        config = EmConfig(symbolic_only=True, rank_depth=4)
+        state = init_state(pair, train_seed([(0, 0)]), config)
+        # below delta, ties at 0.6 listed by descending target around a 0.7
+        state.truth_scores = oracles.table_from_rows({1: {5: 0.6, 4: 0.7, 3: 0.6, 2: 0.6}}, [(0, 0)])
+        state.last_split = extract_positive_pairs(state.truth_scores, config.delta)
+        m_step(state, config)
+        fused = fuse_predictions(state, config, rank_sources=[1])
+        assert fused.rankings == {1: [4, 2, 3, 5]}
+
     def test_rank_sources_restrict_output(self):
         pair = chain_fixture()
         config = EmConfig(iterations=2, rule_length=2, symbolic_only=True)

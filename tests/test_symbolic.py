@@ -101,6 +101,25 @@ def _random_records(rng) -> list[tuple[str, str, str]]:
     ]
 
 
+def _strictly_ascending(table: TruthScoreTable) -> bool:
+    """Whether the entries are unique and ascending by ``s << 32 | t`` key."""
+    return bool(np.all(np.diff((table.src << 32) | table.tgt) > 0))
+
+
+class TestTruthScoreTable:
+    def test_constructor_sorts_dedupes_and_pins(self):
+        # row 1 by descending target, (1, 4) twice, pin (1, 2) at 0.3, pin (1, 3) missing
+        table = TruthScoreTable(
+            np.array([1, 1, 1, 1], dtype=np.int64),
+            np.array([5, 4, 4, 2], dtype=np.int64),
+            np.array([0.5, 0.4, 0.9, 0.3]),
+            np.array([1 << 32 | 2, 1 << 32 | 3], dtype=np.int64),
+        )
+        assert _strictly_ascending(table)
+        assert list(table.items()) == [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 0.4), (1, 5, 0.5)]
+        assert table.pinned_mask().tolist() == [True, True, False, False]
+
+
 class TestPropagate:
     def _single_evidence_pair(self):
         src = load_graph([("e", "r", "n")])
@@ -223,7 +242,7 @@ class TestPropagate:
     def test_matches_loop_reference(self, rng, monkeypatch):
         for case in range(60):
             # a small block puts block boundaries between entities
-            monkeypatch.setattr(symbolic, "SWEEP_BLOCK_TERMS", 3 if case % 2 else 1 << 14)
+            monkeypatch.setattr(symbolic, "SWEEP_BLOCK_TERMS", (1, 3, 1 << 14)[case % 3])
             pair = random_pair(rng, n_entities=12, n_relations=3, n_triples=30)
             psub = random_psub(rng, pair, density=0.6)
             labels = random_labels(rng, pair, 8 if case % 10 else 0)
@@ -255,11 +274,13 @@ class TestPropagate:
 
 
 def _ordered(table: TruthScoreTable) -> list[tuple[int, list[tuple[int, float]]]]:
-    return [(s, list(row.items())) for s, row in oracles.table_rows(table).items()]
+    """A table's rows by ascending source, each sorted by target."""
+    return [(s, sorted(row.items())) for s, row in sorted(oracles.table_rows(table).items())]
 
 
 def _assert_matches_loop(pair, psub, prev: TruthScoreTable) -> TruthScoreTable:
-    """The array sweep equals the dict loop: values, row and key order."""
+    """The array sweep equals the dict loop in every pair and value, and
+    lists its pairs by ascending key."""
     eta_s = compute_functionalities(pair.source)
     eta_t = compute_functionalities(pair.target)
     got = propagate_entity_scores(pair, eta_s, eta_t, psub, prev)
@@ -271,6 +292,7 @@ def _assert_matches_loop(pair, psub, prev: TruthScoreTable) -> TruthScoreTable:
         oracles.table_rows(prev),
     )
     assert _ordered(got) == _ordered(oracles.table_from_rows(rows, oracles.pinned_pairs(prev)))
+    assert _strictly_ascending(got)
     return got
 
 
@@ -520,7 +542,7 @@ class TestRetention:
             assert got.pin_keys is table.pin_keys
 
     def test_sweep_output_matches_loop_reference(self, rng):
-        # rows in first-term order with re-pinned pairs appended
+        # a sweep's own output, re-pinned pairs included, as retention's input
         for case in range(60):
             pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
             labels = random_labels(rng, pair, 6)
