@@ -88,7 +88,7 @@ def _split_ratios(args, file_items: dict[str, str]) -> tuple[float, float]:
         train = _file_ratio(file_items, "train_ratio", 0.2)
     valid = getattr(args, "valid_ratio", None)
     if valid is None:
-        valid = _file_ratio(file_items, "valid_ratio", train / 2.0)
+        valid = _file_ratio(file_items, "valid_ratio", max(0.0, min(train / 2.0, 1.0 - train)))
     return train, valid
 
 
@@ -138,6 +138,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     file_items = data.read_config_file(args.config) if args.config else {}
     train_ratio, valid_ratio = _split_ratios(args, file_items)
     config = _build_config(args, file_items)
+    queries = data.load_links(args.explain_pairs, bundle.pair) if args.explain_pairs else ()
 
     train, valid, test = data.split_seed(bundle.links, train_ratio, valid_ratio, config.seed)
     logger.info(
@@ -207,7 +208,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
         )
         reports = _explain_reports(
             bundle.pair,
-            args.explain_pairs,
+            queries,
             anchor_set,
             state.eta_source,
             state.eta_target,
@@ -225,19 +226,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lookup_pair(pair: KnowledgeGraphPair, s_label: str, t_label: str) -> tuple[int, int]:
-    s = pair.source.entity_ids.get(s_label)
-    t = pair.target.entity_ids.get(t_label)
-    if s is None:
-        raise data.DatasetError(f"unknown source entity {s_label!r}")
-    if t is None:
-        raise data.DatasetError(f"unknown target entity {t_label!r}")
-    return s, t
-
-
 def _explain_reports(
     pair: KnowledgeGraphPair,
-    pairs_file: str | Path,
+    queries: typing.Iterable[tuple[int, int]],
     anchors: AnchorSet,
     eta_source: np.ndarray,
     eta_target: np.ndarray,
@@ -246,10 +237,8 @@ def _explain_reports(
     exhaustive: bool = False,
     top: int | None = None,
 ) -> typing.Iterator[str]:
-    """The rendered report of each source<TAB>target label pair in
-    ``pairs_file``, in file order."""
-    for s_label, t_label in data.load_label_pairs(pairs_file):
-        query = _lookup_pair(pair, s_label, t_label)
+    """The rendered report of each (source, target) query, in order."""
+    for query in queries:
         exps = explain(
             pair, query, anchors, eta_source, eta_target, psub, rule_length, exhaustive=exhaustive
         )
@@ -270,21 +259,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     train_file = state_dir / "splits" / "train_links"
     if not train_file.is_file():
         raise data.DatasetError(f"missing {train_file} (produce it with align --full-output)")
-    seed_pairs = [
-        _lookup_pair(bundle.pair, s, t) for s, t in data.load_label_pairs(train_file)
-    ]
+    seed_pairs = data.load_links(train_file, bundle.pair)
     if args.mode == "hard":
         anchors = hard_anchors(seed_pairs)
     else:
         pred_file = state_dir / "predictions.tsv"
         if not pred_file.is_file():
             raise data.DatasetError(f"missing {pred_file} in state directory")
-        _, pred_pairs = data.load_prediction_file(pred_file)
-        inferred = [_lookup_pair(bundle.pair, s, t) for s, t in pred_pairs or []]
-        anchors = soft_anchors(seed_pairs, inferred)
+        # binary predictions: source, target, score, origin
+        anchors = soft_anchors(seed_pairs, data.load_links(pred_file, bundle.pair, 4))
+    queries = data.load_links(args.pairs, bundle.pair)
 
     reports = _explain_reports(
-        bundle.pair, args.pairs, anchors, eta_s, eta_t, psub, args.rule_length, args.exhaustive, args.top
+        bundle.pair, queries, anchors, eta_s, eta_t, psub, args.rule_length, args.exhaustive, args.top
     )
     for report in reports:
         sys.stdout.write(report)

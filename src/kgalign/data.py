@@ -122,7 +122,7 @@ def read_tsv(
 
 
 def _link_ids(rows: TsvRows, pair: KnowledgeGraphPair) -> tuple[tuple[int, int], ...]:
-    src_labels, tgt_labels = rows.columns
+    src_labels, tgt_labels = rows.columns[:2]
     src = list(map(pair.source.entity_ids.get, src_labels))
     tgt = list(map(pair.target.entity_ids.get, tgt_labels))
     if None in src or None in tgt:
@@ -130,6 +130,15 @@ def _link_ids(rows: TsvRows, pair: KnowledgeGraphPair) -> tuple[tuple[int, int],
         side, label = ("source", src_labels[row]) if src[row] is None else ("target", tgt_labels[row])
         raise DatasetError(f"{rows.where(row)}: link references unknown {side} entity {label!r}")
     return tuple(zip(src, tgt))
+
+
+def load_links(
+    path: str | Path, pair: KnowledgeGraphPair, n_fields: int = 2
+) -> tuple[tuple[int, int], ...]:
+    """The (source, target) entity ids named by the first two fields of
+    each line of an ``n_fields``-column TSV file, in file order; a label
+    that is not an entity of its graph is reported as ``file:line``."""
+    return read_tsv(Path(path), n_fields, lambda rows: _link_ids(rows, pair))
 
 
 def load_dataset(directory: str | Path) -> DatasetBundle:
@@ -147,7 +156,7 @@ def load_dataset(directory: str | Path) -> DatasetBundle:
         except IngestError as exc:
             raise DatasetError(f"{name}: {exc}") from exc
     pair = KnowledgeGraphPair(source=graphs[0], target=graphs[1])
-    links = read_tsv(root / LINKS_FILE, 2, lambda rows: _link_ids(rows, pair))
+    links = load_links(root / LINKS_FILE, pair)
 
     provenance = {name: _sha256(root / name) for name in (*TRIPLE_FILES, LINKS_FILE)}
     return DatasetBundle(pair=pair, links=links, provenance=provenance)

@@ -9,8 +9,8 @@ maximization phase holds both components fixed and re-estimates the
 subrelation probabilities from the round's one-to-one alignment: the
 observed pairs, greedy matches over the engine's positives between the
 other entities, then the embedder's mutual nearest neighbours with a
-positive cosine among the entities still free.  ``m_step`` keeps that alignment on the state, and
-``fuse_predictions`` outputs it.
+positive cosine among the entities still free.  ``m_step`` keeps that
+alignment on the state, and ``fuse_predictions`` outputs it.
 
 A symbolic-only mode has no embedder, so the alignment stops after the
 engine's matches, which reduces the loop to the classic
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import embedder as emb
 from .embedder import Hyperparams, NeuralModel, Origin, PseudoLabelSet
-from .graph import AlignmentSeed, KnowledgeGraphPair
+from .graph import AlignmentSeed, KnowledgeGraphPair, is_one_to_one
 from .symbolic import (
     SubrelationTable,
     ThresholdSplit,
@@ -90,7 +90,7 @@ class IterationStats:
 @dataclass
 class EmState:
     pair: KnowledgeGraphPair
-    train: AlignmentSeed
+    observed: PseudoLabelSet  # the train seed pairs at 1, in seed order
     validation: AlignmentSeed | None
     eta_source: np.ndarray  # functionalities, by packed directed relation
     eta_target: np.ndarray
@@ -110,13 +110,24 @@ def init_state(
     config: EmConfig,
     validation: AlignmentSeed | None = None,
 ) -> EmState:
-    """Pin the seeds, bootstrap subrelations from them, set up the model.
+    """Check and pin the seeds, bootstrap subrelations from them, set up
+    the model.
 
-    The seeds are the only labels available before the first round, so
-    the initial subrelation table comes from re-estimation against the
-    seed-only truth table.
+    The seeds must be one-to-one pairs of entity ids of the two graphs,
+    or a ``ValueError`` names the fault.  They are the only labels
+    available before the first round, so the initial subrelation table
+    comes from re-estimation against the seed-only truth table.
     """
     config.validate()
+    pairs = np.array(train.pairs, dtype=np.int64).reshape(-1, 2)
+    observed = PseudoLabelSet(pairs[:, 0], pairs[:, 1], np.ones(len(pairs)), Origin.OBSERVED)
+    for side, ids, kg in (("source", observed.src, pair.source), ("target", observed.tgt, pair.target)):
+        outside = ids[(ids < 0) | (ids >= kg.n_entities)]
+        if len(outside):
+            msg = f"seed {side} id {outside[0]} is not one of the {kg.n_entities} {side} entities"
+            raise ValueError(msg)
+    if not is_one_to_one(observed.src, observed.tgt):
+        raise ValueError("train seed set is not one-to-one")
     truth = TruthScoreTable.from_seeds(train.pairs)
     psub = update_subrelation_probs(pair, truth.src, truth.tgt, truth.val)
     model = None
@@ -124,7 +135,7 @@ def init_state(
         model = emb.init_model(pair, config.neural, config.seed)
     return EmState(
         pair=pair,
-        train=train,
+        observed=observed,
         validation=validation,
         eta_source=compute_functionalities(pair.source),
         eta_target=compute_functionalities(pair.target),
@@ -161,28 +172,20 @@ def e_step(state: EmState, config: EmConfig) -> EmState:
     state.last_split = split
 
     if state.model is not None:
-        obs = _train_pairs(state)
-        observed = PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)
         inferred = PseudoLabelSet(split.src, split.tgt, config.hidden_weight * split.val, Origin.SYMBOLIC)
-        report = emb.train(state.model, state.pair, [observed, inferred])
+        report = emb.train(state.model, state.pair, [state.observed, inferred])
         state.last_loss = report.final
     else:
         state.last_loss = None
     return state
 
 
-def _train_pairs(state: EmState) -> np.ndarray:
-    """The observed pairs as an ``(n, 2)`` int array."""
-    return np.array(state.train.pairs, dtype=np.int64).reshape(-1, 2)
-
-
 def _observed(state: EmState) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the source and target entities in the observed pairs."""
-    pairs = _train_pairs(state)
     obs_src = np.zeros(state.pair.source.n_entities, dtype=bool)
     obs_tgt = np.zeros(state.pair.target.n_entities, dtype=bool)
-    obs_src[pairs[:, 0]] = True
-    obs_tgt[pairs[:, 1]] = True
+    obs_src[state.observed.src] = True
+    obs_tgt[state.observed.tgt] = True
     return obs_src, obs_tgt
 
 
@@ -213,8 +216,7 @@ def _alignment(state: EmState) -> list[PseudoLabelSet]:
     still free (``_top_candidates``).
     """
     obs_src, obs_tgt = _observed(state)
-    obs = _train_pairs(state)
-    parts = [PseudoLabelSet(obs[:, 0], obs[:, 1], np.ones(len(obs)), Origin.OBSERVED)]
+    parts = [state.observed]
     split = state.last_split
     src, tgt, val = (split.src, split.tgt, split.val) if split is not None else _no_pairs()
     free = np.flatnonzero(~obs_src[src] & ~obs_tgt[tgt])

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DirectedAdjacency, KnowledgeGraphPair
+from .graph import DirectedAdjacency, KnowledgeGraphPair, is_one_to_one
 
 
 class Origin(str, Enum):
@@ -53,9 +53,7 @@ class PseudoLabelSet:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not len(self.src) == len(self.tgt) == len(self.conf):
             raise ValueError("pseudo-label columns must have equal lengths")
-        if self.origin is Origin.NEURAL and (
-            len(np.unique(self.src)) != len(self.src) or len(np.unique(self.tgt)) != len(self.tgt)
-        ):
+        if self.origin is Origin.NEURAL and not is_one_to_one(self.src, self.tgt):
             raise ValueError("neural pseudo-labels must be one-to-one")
 
     def __len__(self) -> int:
@@ -138,10 +136,8 @@ def _anchor_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 def _anchor_start(ids: np.ndarray, anchors: np.ndarray, n_entities: int) -> np.ndarray:
     """Row e is the sum of the anchor rows i with ``ids[i] == e``."""
-    order = np.argsort(ids, kind="stable")
-    ents, first = np.unique(ids[order], return_index=True)
     start = np.zeros((n_entities, anchors.shape[1]))
-    start[ents] = np.add.reduceat(anchors[order], first, axis=0)
+    np.add.at(start, ids, anchors)
     return start
 
 

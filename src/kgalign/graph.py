@@ -223,13 +223,16 @@ class KnowledgeGraphPair:
         return (self.source if side == "source" else self.target).edge_index
 
 
+def is_one_to_one(src: Sequence[int], tgt: Sequence[int]) -> bool:
+    """Whether no source and no target repeats among the pairs (src[i], tgt[i])."""
+    return len(np.unique(src)) == len(src) and len(np.unique(tgt)) == len(tgt)
+
+
 def validate_seed_sets(
     train: AlignmentSeed, validation: AlignmentSeed, test: AlignmentSeed
 ) -> None:
     """Check the one-to-one train property and pairwise disjointness."""
-    sources = [s for s, _ in train.pairs]
-    targets = [t for _, t in train.pairs]
-    if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
+    if not is_one_to_one([s for s, _ in train.pairs], [t for _, t in train.pairs]):
         raise IngestError("train seed set is not one-to-one")
     sets = {
         "train": set(train.pairs),

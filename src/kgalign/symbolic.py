@@ -86,6 +86,8 @@ class TruthScoreTable:
     source entity's counterparts form one run of ``tgt`` and ``val``, by
     ascending target.  The constructor takes entries in any order and
     brings them into this one; of a repeated pair, the first entry wins.
+    The columns are held as int64, int64 and float64 arrays, whatever
+    array-likes were passed.
 
     ``pin_keys`` holds the observed seed pairs as sorted ``s << 32 | t``
     keys.  Pinned pairs always score exactly 1 and no sweep or retention
@@ -99,9 +101,10 @@ class TruthScoreTable:
     pin_keys: np.ndarray
 
     def __post_init__(self):
+        src, tgt = (np.asarray(col, dtype=np.int64) for col in (self.src, self.tgt))
         # The pins go first, so a pinned pair's first occurrence reads 1.
         keys, first = np.unique(
-            np.concatenate([self.pin_keys, _pair_keys(self.src, self.tgt)]), return_index=True
+            np.concatenate([self.pin_keys, _pair_keys(src, tgt)]), return_index=True
         )
         val = np.concatenate([np.ones(len(self.pin_keys)), self.val])[first]
         for name, col in (("src", keys >> 32), ("tgt", keys & 0xFFFFFFFF), ("val", val)):
@@ -211,8 +214,6 @@ def propagate_entity_scores(
         rel, v = rel[term], prev_val[entry[via_entry[term]]]
         s_fwd = w_fwd[rel] * v
         s_bwd = w_bwd[rel] * v
-        keep = (s_fwd != 0.0) | (s_bwd != 0.0)
-        term, s_fwd, s_bwd = term[keep], s_fwd[keep], s_bwd[keep]
 
         # Group terms by (e, e'), keeping term order inside each group; the
         # groups come out by key, and the blocks by ascending source entity.

@@ -519,7 +519,7 @@ def loop_m_step(state, config) -> list[tuple[int, int, float]]:
     (:func:`loop_mutual_nearest`) with a positive cosine, at
     q = (cos + 1) / 2.  Those labels, in that order, re-estimate p_sub.
     """
-    labels = [(s, t, 1.0) for s, t in state.train.pairs]
+    labels = [(s, t, 1.0) for s, t in zip(state.observed.src.tolist(), state.observed.tgt.tolist())]
     used_src = {s for s, _, _ in labels}
     used_tgt = {t for _, t, _ in labels}
     split = state.last_split

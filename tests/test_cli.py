@@ -103,6 +103,31 @@ class TestAlign:
         report = (out / "explanations" / "0001.txt").read_text(encoding="utf-8")
         assert report.startswith("query\t")
 
+    def test_unknown_explain_label_fails_before_the_run(self, dataset_dir, tmp_path, capsys, caplog):
+        queries = tmp_path / "queries.tsv"
+        good = (dataset_dir / "query_pairs").read_text(encoding="utf-8")
+        queries.write_text(good + "\nzzz\t" + good.split("\t")[1], encoding="utf-8")
+        out = tmp_path / "run"
+        with caplog.at_level("INFO"):
+            rc = run_align(dataset_dir, out, "--explain-pairs", str(queries))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: queries.tsv:3: link references unknown source entity 'zzz'"
+        ]
+        assert not any("iteration" in r.getMessage() for r in caplog.records)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train, valid", [("0.6", 0.3), ("0.7", 0.3), ("0.9", 0.1), ("1", 0.0)])
+    def test_default_valid_ratio_fits_the_train_ratio(self, dataset_dir, tmp_path, train, valid):
+        out = tmp_path / "run"
+        args = ["--out", str(out), "--iterations", "1", "--symbolic-only", "--train-ratio", train]
+        rc = main(["align", str(dataset_dir), *args])
+        assert rc == 0
+        manifest = dict(
+            line.split("\t", 1) for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        )
+        assert float(manifest["config.valid_ratio"]) == pytest.approx(valid, abs=1e-12)
+
     def test_symbolic_only_has_no_model(self, dataset_dir, tmp_path):
         out = tmp_path / "sym"
         rc = run_align(dataset_dir, out, "--symbolic-only", "--full-output")
@@ -348,6 +373,42 @@ class TestExplain:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: {name}:2: p_sub must be a number in [0, 1], got {value!r}"
+        ]
+
+    def test_unknown_query_label_prints_no_report(self, dataset_dir, run_dir, tmp_path, capsys):
+        queries = tmp_path / "queries.tsv"
+        good = (dataset_dir / "query_pairs").read_text(encoding="utf-8")
+        queries.write_text(good + good.split("\t")[0] + "\tzzz\n", encoding="utf-8")
+        rc = main(["explain", str(dataset_dir), "--pairs", str(queries), "--state", str(run_dir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: queries.tsv:2: link references unknown target entity 'zzz'"
+        ]
+
+    def test_soft_mode_rejects_ranked_predictions(self, dataset_dir, run_dir, tmp_path, capsys):
+        state = tmp_path / "state"
+        shutil.copytree(run_dir, state)
+        shutil.copy(state / "rankings.tsv", state / "predictions.tsv")
+        first = (state / "predictions.tsv").read_text(encoding="utf-8").splitlines()[0]
+        rc = main(
+            [
+                "explain",
+                str(dataset_dir),
+                "--pairs",
+                str(dataset_dir / "query_pairs"),
+                "--state",
+                str(state),
+                "--mode",
+                "soft",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: predictions.tsv:1: expected 4 non-empty tab-separated fields, got {first!r}"
         ]
 
     def test_state_without_dumps_fails(self, dataset_dir, tmp_path, capsys):

@@ -93,6 +93,29 @@ class TestInitState:
         )
         assert adjacent.psub.source_in_target[0, 0] > 0.999
 
+    def test_observed_labels_in_seed_order(self):
+        seed = AlignmentSeed(pairs=((2, 2), (0, 1)))
+        state = init_state(chain_fixture(), seed, EmConfig(symbolic_only=True))
+        assert label_rows(state.observed) == [(2, 2, 1.0), (0, 1, 1.0)]
+        assert state.observed.origin is Origin.OBSERVED
+
+    @pytest.mark.parametrize("symbolic_only", [True, False])
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((0, 0), (0, 1)), "train seed set is not one-to-one"),
+            (((0, 1), (1, 1)), "train seed set is not one-to-one"),
+            (((-1, 0),), "seed source id -1 is not one of the 3 source entities"),
+            (((0, -2),), "seed target id -2 is not one of the 3 target entities"),
+            (((3, 0),), "seed source id 3 is not one of the 3 source entities"),
+            (((1, 1), (2, 7)), "seed target id 7 is not one of the 3 target entities"),
+        ],
+    )
+    def test_bad_seeds_rejected(self, pairs, message, symbolic_only):
+        config = EmConfig(symbolic_only=symbolic_only, neural=tiny_neural())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            init_state(chain_fixture(), AlignmentSeed(pairs=pairs), config)
+
 
 class TestEStep:
     def test_chain_infers_next_pair(self):
@@ -259,7 +282,7 @@ class TestMStepMatchesLoop:
             assert got == want
             assert np.array_equal(want_psub[0], state.psub.source_in_target)
             assert np.array_equal(want_psub[1], state.psub.target_in_source)
-            inferred += len(got) - len(state.train.pairs)
+            inferred += len(got) - len(state.observed)
         assert inferred > 0 or (kind != "random" and not neural)
 
     def test_labels_avoid_observed_entities(self, monkeypatch):
@@ -270,7 +293,7 @@ class TestMStepMatchesLoop:
         touching = 0
         for _ in range(25):
             state, config = _random_m_state(rng, False, "random")
-            observed = set(state.train.pairs)
+            observed = set(zip(state.observed.src.tolist(), state.observed.tgt.tolist()))
             obs_src = {s for s, _ in observed}
             obs_tgt = {t for _, t in observed}
             positives = oracles.split_rows(state.last_split)

@@ -119,6 +119,23 @@ class TestTruthScoreTable:
         assert list(table.items()) == [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 0.4), (1, 5, 0.5)]
         assert table.pinned_mask().tolist() == [True, True, False, False]
 
+    @pytest.mark.parametrize(
+        "src, tgt, val",
+        [
+            (
+                np.array([1, 0], dtype=np.int32),
+                np.array([2, 3], dtype=np.int32),
+                np.array([0.5, 1.0], dtype=np.float32),
+            ),
+            ([1, 0], [2, 3], [0.5, 1]),
+        ],
+    )
+    def test_constructor_coerces_column_types(self, src, tgt, val):
+        table = TruthScoreTable(src, tgt, val, np.array([1 << 32 | 2], dtype=np.int64))
+        assert (table.src.dtype, table.tgt.dtype, table.val.dtype) == (np.int64, np.int64, np.float64)
+        assert list(table.items()) == [(0, 3, 1.0), (1, 2, 1.0)]
+        assert table.pinned_mask().tolist() == [False, True]
+
 
 class TestPropagate:
     def _single_evidence_pair(self):
