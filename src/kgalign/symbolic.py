@@ -135,7 +135,9 @@ class TruthScoreTable:
 # ---------------------------------------------------------------------------
 
 # Most terms a sweep block expands before filtering; a larger entity is its own block.
-SWEEP_BLOCK_TERMS = 1 << 14
+# On a noisy 10k-entity pair, 2^16 swept faster than 2^14, 2^15 and 2^17,
+# for under 1 MB more peak memory than 2^14; 2^17 added 3.5 MB.
+SWEEP_BLOCK_TERMS = 1 << 16
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -434,7 +434,9 @@ def dense_propagate(model, pair: KnowledgeGraphPair, positives) -> tuple[np.ndar
     """Anchor propagation with dense matrices: source features, target
     features and the per-step L1 changes, leaving ``model`` untouched.
 
-    The anchor vectors come from a copy of ``model.rng``.  Each graph's
+    The anchor vectors come from a copy of ``model.rng``, through LAPACK's
+    Householder QR with each column of Q signed so that R's diagonal is
+    positive, which makes the thin Q unique.  Each graph's
     adjacency is a dense matrix with one count per triple endpoint pair in
     both directions, parallel edges and self-loops included, divided by
     its row sums; each step is one product with it.
@@ -444,7 +446,8 @@ def dense_propagate(model, pair: KnowledgeGraphPair, positives) -> tuple[np.ndar
     tgt = np.concatenate([ls.tgt for ls in sets])
     conf = np.concatenate([ls.conf for ls in sets])
     n, d, steps = len(conf), model.hyperparams.dim, model.hyperparams.epochs
-    q, _ = np.linalg.qr(copy.deepcopy(model.rng).normal(size=(max(n, d), min(n, d))))
+    q, r = np.linalg.qr(copy.deepcopy(model.rng).normal(size=(max(n, d), min(n, d))))
+    q = q * np.sign(np.diag(r))
     anchors = conf[:, None] * (q.T if n <= d else q)
     losses = np.zeros(steps)
     features = []

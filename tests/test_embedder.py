@@ -250,13 +250,14 @@ class TestTrain:
         assert not {3, 4} & set(src.tolist()) and not {3, 4} & set(tgt.tolist())
         assert len(src) > 0
 
-    @pytest.mark.parametrize("n", [1, 5, 8, 9, 40])
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 8, 9, 40, 400])
     def test_anchor_vectors_orthonormal(self, n):
         # rows while they fit the dimension, columns once they do not
-        p = embedder._anchor_vectors(np.random.default_rng(n), n, 8)
-        assert p.shape == (n, 8)
-        gram = p @ p.T if n <= 8 else p.T @ p
-        np.testing.assert_allclose(gram, np.eye(min(n, 8)), rtol=0, atol=1e-12)
+        for seed in range(200):
+            p = embedder._anchor_vectors(np.random.default_rng(seed), n, 8)
+            assert p.shape == (n, 8)
+            gram = p @ p.T if n <= 8 else p.T @ p
+            np.testing.assert_allclose(gram, np.eye(min(n, 8)), rtol=0, atol=1e-12)
 
 
 class TestTrainMatchesReference:
@@ -479,9 +480,37 @@ class TestTopK:
         for _ in range(100):
             self._check_against_loop(rng, tied_model(rng, int(rng.integers(2, 15))))
 
+    def test_zero_rows_tie_at_the_cut(self, rng):
+        # One block holds every row: zero source rows, whose scores all tie
+        # at 0, beside rows whose cut falls among the zero target rows'
+        # tied 0 scores, beside untied rows; k runs past the candidate count.
+        n_s, n_t = 42, 30
+        assert embedder.TOP_K_BLOCK_CELLS >= n_s * n_t
+        model = NeuralModel(
+            ent_source=rng.normal(size=(n_s, 3)),
+            ent_target=rng.normal(size=(n_t, 3)),
+            hyperparams=Hyperparams(dim=3),
+        )
+        model.ent_source[::7] = 0.0
+        model.ent_target[::3] = 0.0
+        zero_targets = set(range(0, n_t, 3))
+        cands = [int(t) for t in rng.permutation(n_t)]
+        full = {s: oracles.loop_rank(model, s, cands) for s in range(n_s)}
+        cut_in_zeros = untied = 0
+        for k in range(1, n_t + 3):
+            got = rank_candidates(model, range(n_s), cands, k)
+            for s, ranked in zip(range(n_s), got):
+                assert ranked == full[s][:k]
+                if s % 7 and k < n_t:
+                    tie = {full[s][k - 1], full[s][k]} <= zero_targets
+                    cut_in_zeros += tie
+                    untied += not tie
+        assert cut_in_zeros > 20 and untied > 100
+
     def test_peak_memory_flat_in_candidates(self):
         # 4000 x 4000 scores would take 128 MB at once; one block holds
-        # TOP_K_BLOCK_CELLS scores, and argpartition as many int64 ids
+        # TOP_K_BLOCK_CELLS scores, and np.partition a copy of them while
+        # it reads each row's k-th score
         rng = np.random.default_rng(8)
         model = NeuralModel(
             ent_source=rng.normal(size=(4000, 8)),
