@@ -16,7 +16,7 @@ import numpy as np
 from . import data, em, metrics as met
 from .embedder import Hyperparams
 from .explain import AnchorSet, explain, hard_anchors, render_report, soft_anchors
-from .graph import IngestError, KnowledgeGraphPair, pack_direction
+from .graph import IngestError, KnowledgeGraphPair
 from .symbolic import SubrelationTable, compute_functionalities, dump_subrelations, dump_truth_scores
 
 logger = logging.getLogger(__name__)
@@ -93,18 +93,32 @@ def _split_ratios(args, file_items: dict[str, str]) -> tuple[float, float]:
 
 
 def _psub_from_dump(path: Path, left, right) -> np.ndarray:
-    """A ``(2R_left, 2R_right)`` p_sub array read from a dump; unlisted pairs hold 0."""
+    """A ``(2R_left, 2R_right)`` p_sub array read from a dump; unlisted pairs hold 0.
 
-    def parse_directed(label: str, kg, rows: data.TsvRows, row: int) -> int:
-        inverse = label.endswith("^-1")
-        base_label = label[:-3] if inverse else label
-        base = kg.relation_ids.get(base_label)
-        if base is None:
-            raise data.DatasetError(f"{rows.where(row)}: unknown relation label {base_label!r}")
-        return pack_direction(base, inverse)
+    Each label names the directed relation whose ``directed_label`` it
+    is; a label two directed relations share (``r^-1`` when both ``r``
+    and ``r^-1`` are relations) is rejected as ambiguous.
+    """
+
+    def directed_ids(kg) -> dict[str, int]:
+        ids: dict[str, int] = {}
+        for d in range(2 * kg.n_relations):
+            label = kg.directed_label(d)
+            ids[label] = -1 if label in ids else d
+        return ids
+
+    def directed(label: str, ids: dict[str, int], rows: data.TsvRows, row: int) -> int:
+        d = ids.get(label)
+        if d is None:
+            raise data.DatasetError(f"{rows.where(row)}: unknown relation label {label!r}")
+        if d < 0:
+            msg = f"{rows.where(row)}: ambiguous relation label {label!r}: both a relation and an inverse"
+            raise data.DatasetError(msg)
+        return d
 
     def parse(rows: data.TsvRows) -> np.ndarray:
         weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
+        left_ids, right_ids = directed_ids(left), directed_ids(right)
         for row, (a, b, v) in enumerate(zip(*rows.columns)):
             try:
                 p = float(v)
@@ -113,7 +127,7 @@ def _psub_from_dump(path: Path, left, right) -> np.ndarray:
             if not 0.0 <= p <= 1.0:
                 msg = f"{rows.where(row)}: p_sub must be a number in [0, 1], got {v!r}"
                 raise data.DatasetError(msg)
-            weights[parse_directed(a, left, rows, row), parse_directed(b, right, rows, row)] = p
+            weights[directed(a, left_ids, rows, row), directed(b, right_ids, rows, row)] = p
         return weights
 
     return data.read_tsv(path, 3, parse)

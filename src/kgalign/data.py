@@ -171,8 +171,8 @@ def split_seed(
     """Shuffle deterministically and cut into train/validation/test.
 
     Sizes are rounded from the ratios; the remainder is the test set.
-    An empty train cut is an error, down to 1% ratios the round keeps
-    at least one pair per requested non-zero cut.
+    A train cut that rounds to 0 pairs is an error; a validation cut
+    may round to 0 pairs (10 links at a ratio of 0.01 do).
     """
     if not (train_ratio > 0 and valid_ratio >= 0):  # false for NaN too
         raise DatasetError(

@@ -91,7 +91,6 @@ class IterationStats:
 class EmState:
     pair: KnowledgeGraphPair
     observed: PseudoLabelSet  # the train seed pairs at 1, in seed order
-    validation: AlignmentSeed | None
     eta_source: np.ndarray  # functionalities, by packed directed relation
     eta_target: np.ndarray
     truth_scores: TruthScoreTable
@@ -104,12 +103,7 @@ class EmState:
     alignment: list[PseudoLabelSet] | None = None
 
 
-def init_state(
-    pair: KnowledgeGraphPair,
-    train: AlignmentSeed,
-    config: EmConfig,
-    validation: AlignmentSeed | None = None,
-) -> EmState:
+def init_state(pair: KnowledgeGraphPair, train: AlignmentSeed, config: EmConfig) -> EmState:
     """Check and pin the seeds, bootstrap subrelations from them, set up
     the model.
 
@@ -136,7 +130,6 @@ def init_state(
     return EmState(
         pair=pair,
         observed=observed,
-        validation=validation,
         eta_source=compute_functionalities(pair.source),
         eta_target=compute_functionalities(pair.target),
         truth_scores=truth,
@@ -262,7 +255,7 @@ def run_em(
     callback: Callable[[EmState], None] | None = None,
 ) -> EmState:
     """Alternate the two phases for the configured number of rounds."""
-    state = init_state(pair, train, config, validation=validation)
+    state = init_state(pair, train, config)
     for it in range(config.iterations):
         e_step(state, config)
         m_step(state, config)

@@ -7,8 +7,9 @@ length.  Its confidence is the product over the aligned steps of
     eta(d_k) * eta(d_k') * (p_sub(d_k in d_k') + p_sub(d_k' in d_k)) / 2
 
 with the step relations read along the anchor-to-query direction.
-Anchors come either from the observed seeds only (hard mode) or from
-seeds plus inferred pairs (soft mode).
+The path searches walk out from the query and record each path in that
+direction as they go.  Anchors come either from the observed seeds only
+(hard mode) or from seeds plus inferred pairs (soft mode).
 """
 
 from __future__ import annotations
@@ -59,15 +60,16 @@ class RuleExplanation:
 
 
 def bfs_reachable(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, Path]:
-    """Shortest path (as (relation, entity) steps from e) per reachable entity.
+    """Shortest path per entity reachable from e, read from it back to e.
 
     Breadth-first over the graph's CSR adjacency in its deterministic
     order, so among equal-length paths the first-discovered one (through
     the lower-ordered neighbor) is kept.  The start entity itself is not
-    reported.  The path to an entity is the path reported for its parent
-    (the entity it was reached from) plus one step, so every prefix of a
-    reported path is itself reported.  Raises ``KeyError`` for an
-    unknown id.
+    reported.  Each path is written in the direction a rule reads it:
+    one step back over the edge the entity was reached by, to its parent,
+    then the path reported for that parent, so every non-empty suffix of
+    a reported path is itself reported.
+    Raises ``KeyError`` for an unknown id.
     """
     if max_len < 1:
         raise ValueError(f"path length bound must be >= 1, got {max_len}")
@@ -80,61 +82,32 @@ def bfs_reachable(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, Path]:
         next_frontier: list[tuple[int, Path]] = []
         for node, path in frontier:
             lo, hi = indptr[node], indptr[node + 1]
-            for step in zip(rel[lo:hi].tolist(), nbr[lo:hi].tolist()):
-                end = step[1]
+            for d, end in zip(rel[lo:hi].tolist(), nbr[lo:hi].tolist()):
                 if end == e or end in found:
                     continue
-                found[end] = step_path = path + (step,)
+                found[end] = end_path = ((d ^ 1, node),) + path
                 if depth < max_len:
-                    next_frontier.append((end, step_path))
+                    next_frontier.append((end, end_path))
         frontier = next_frontier
     return found
 
 
 def _walks(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, list[Path]]:
-    """Every walk of length <= max_len from e, grouped by end entity."""
+    """Every walk of length <= max_len from e, grouped by end entity and
+    read from the end back to e."""
     out: dict[int, list[Path]] = {}
     frontier: list[tuple[int, Path]] = [(e, ())]
     for _ in range(max_len):
         next_frontier: list[tuple[int, Path]] = []
         for node, path in frontier:
-            for rel, nbr in kg.neighbors(node):
+            for d, nbr in kg.neighbors(node):
                 if nbr == e:
                     continue
-                step_path = path + ((rel, nbr),)
-                out.setdefault(nbr, []).append(step_path)
-                next_frontier.append((nbr, step_path))
+                end_path = ((d ^ 1, node),) + path
+                out.setdefault(nbr, []).append(end_path)
+                next_frontier.append((nbr, end_path))
         frontier = next_frontier
     return out
-
-
-def _reverse(path: Path, query: int) -> Path:
-    """Flip a query-to-anchor path into anchor-to-query orientation."""
-    nodes = [query] + [entity for _, entity in path]
-    return tuple((path[k][0] ^ 1, nodes[k]) for k in range(len(path) - 1, -1, -1))
-
-
-def _reversed_paths(found: dict[int, Path], query: int) -> Callable[[int], Path]:
-    """Anchor-to-query flips of ``bfs_reachable``'s paths from ``query``.
-
-    The flip of the path to x is one step back to x's parent followed by
-    the parent's flip, and the parent is itself reached (or is the
-    query), so one dict keyed by end entity shares those suffixes.
-    """
-    flipped: dict[int, Path] = {query: ()}
-
-    def flip(x: int) -> Path:
-        path = flipped.get(x)
-        if path is None:
-            steps = found[x]
-            parent = steps[-2][1] if len(steps) > 1 else query
-            suffix = flipped.get(parent)
-            if suffix is None:
-                suffix = flip(parent)
-            path = flipped[x] = ((steps[-1][0] ^ 1, parent),) + suffix
-        return path
-
-    return flip
 
 
 def _rule_weights(
@@ -178,58 +151,43 @@ def explain(
     source's frontier and whose target side sits in the query target's
     frontier.  By default one shortest path per side is parsed for each
     anchor; ``exhaustive`` enumerates every walk pair instead (this
-    grows exponentially and is meant for small studies).  Anchor pairs
-    whose two paths have different lengths are dropped, and so are
-    zero-confidence explanations.  Only the anchors reachable from the
-    query source are visited.
+    grows exponentially and is meant for small studies).  Both searches
+    write each path from the reached entity back to the query, the
+    order a rule reads it in, so the paths are weighed and reported as
+    found.  Anchor pairs whose two paths have different lengths are
+    dropped, and so are zero-confidence explanations.  Only the anchors
+    reachable from the query source are visited.
 
     Within one call the step weights of each relation pair are computed
-    once, and by default the flipped path of each reached entity is
-    built once and shared as the suffix of every longer flipped path
-    through it.  Nothing is kept between calls.  The result is sorted by
-    (-confidence, anchor), plus both paths in exhaustive mode; by
-    default each anchor has at most one explanation and anchors are
-    one-to-one, so that shorter key is already total and the result
-    does not depend on the visiting order.
+    once; nothing is kept between calls.  The result is sorted by
+    (-confidence, anchor, source path, target path), a total order, so
+    it does not depend on the visiting order.
     """
     if max_len < 1:
         raise ValueError(f"path length bound must be >= 1, got {max_len}")
     e_q, e_q_prime = query
+    if exhaustive:
+        src_paths = _walks(pair.source, e_q, max_len)
+        tgt_paths = _walks(pair.target, e_q_prime, max_len)
+    else:
+        src_paths, tgt_paths = (
+            {end: (path,) for end, path in bfs_reachable(kg, e, max_len).items()}
+            for kg, e in ((pair.source, e_q), (pair.target, e_q_prime))
+        )
     targets = anchors._targets
     weight = _rule_weights(eta_source, eta_target, psub)
     results: list[RuleExplanation] = []
-    if exhaustive:
-        src_walks = _walks(pair.source, e_q, max_len)
-        tgt_walks = _walks(pair.target, e_q_prime, max_len)
-        for a in src_walks.keys() & targets.keys():
-            a_prime = targets[a]
-            for sp in src_walks[a]:
-                for tp in tgt_walks.get(a_prime, ()):
-                    if len(sp) != len(tp):
-                        continue
-                    rev_s, rev_t = _reverse(sp, e_q), _reverse(tp, e_q_prime)
-                    w = weight(rev_s, rev_t)
-                    if w > 0.0:
-                        results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
-        results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
-        return results
-
-    src_found = bfs_reachable(pair.source, e_q, max_len)
-    tgt_found = bfs_reachable(pair.target, e_q_prime, max_len)
-    flip_s = _reversed_paths(src_found, e_q)
-    flip_t = _reversed_paths(tgt_found, e_q_prime)
-    for a, sp in src_found.items():
+    for a, source_paths in src_paths.items():
         a_prime = targets.get(a)
         if a_prime is None:
             continue
-        tp = tgt_found.get(a_prime)
-        if tp is None or len(tp) != len(sp):
-            continue
-        rev_s, rev_t = flip_s(a), flip_t(a_prime)
-        w = weight(rev_s, rev_t)
-        if w > 0.0:
-            results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
-    results.sort(key=lambda ex: (-ex.confidence, ex.anchor))
+        for sp in source_paths:
+            for tp in tgt_paths.get(a_prime, ()):
+                if len(sp) == len(tp):
+                    w = weight(sp, tp)
+                    if w > 0.0:
+                        results.append(RuleExplanation((a, a_prime), sp, tp, w))
+    results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
     return results
 
 

@@ -33,14 +33,8 @@ import numpy as np
 
 from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
 from kgalign.embedder import TELEPORT, PseudoLabelSet
-from kgalign.explain import RuleExplanation, _walks
-from kgalign.graph import (
-    DirectedAdjacency,
-    IngestError,
-    KnowledgeGraph,
-    KnowledgeGraphPair,
-    pack_direction,
-)
+from kgalign.explain import RuleExplanation
+from kgalign.graph import DirectedAdjacency, IngestError, KnowledgeGraph, KnowledgeGraphPair
 from kgalign.symbolic import TruthScoreTable, update_subrelation_probs
 
 
@@ -585,10 +579,12 @@ def pinned_pairs(table: TruthScoreTable) -> frozenset[tuple[int, int]]:
 
 
 def loop_bfs_reachable(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, tuple]:
-    """``bfs_reachable`` over ``kg.neighbors`` lists, one level at a time.
+    """``bfs_reachable`` over ``kg.neighbors`` lists, one level at a time,
+    with each path read from e out to the entity it reaches.
 
     Every reached entity keeps the first path that found it, and every
     level's entities are expanded, the last one's included.
+    ``loop_reverse`` of each path is ``bfs_reachable``'s path.
     """
     if max_len < 1:
         raise ValueError(f"path length bound must be >= 1, got {max_len}")
@@ -615,6 +611,25 @@ def loop_reverse(path: tuple, query: int) -> tuple:
         came_from = query if k == 0 else path[k - 1][1]
         steps.insert(0, (rel ^ 1, came_from))
     return tuple(steps)
+
+
+def loop_walks(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, list[tuple]]:
+    """Every walk of length <= max_len from e over ``kg.neighbors`` that
+    does not return to e, grouped by end entity; each walk is built from
+    e outwards and then flipped by ``loop_reverse``."""
+    walks: dict[int, list[tuple]] = {}
+    frontier: list[tuple[int, tuple]] = [(e, ())]
+    for _ in range(max_len):
+        next_frontier = []
+        for node, path in frontier:
+            for rel, nbr in kg.neighbors(node):
+                if nbr == e:
+                    continue
+                step_path = path + ((rel, nbr),)
+                walks.setdefault(nbr, []).append(step_path)
+                next_frontier.append((nbr, step_path))
+        frontier = next_frontier
+    return {end: [loop_reverse(path, e) for path in paths] for end, paths in walks.items()}
 
 
 def path_confidence(source_path, target_path, eta_source, eta_target, psub) -> float:
@@ -646,17 +661,19 @@ def loop_explain(
 
     Each anchor whose two sides sit in the query's two frontiers
     contributes one explanation per equal-length path pair with positive
-    weight; every path is flipped step by step and weighed from scratch,
-    and the result is sorted by (-confidence, anchor, source path,
-    target path).
+    weight; every path is searched from the query out, flipped step by
+    step and weighed from scratch, and the result is sorted by
+    (-confidence, anchor, source path, target path).
     """
     e_q, e_q_prime = query
     if exhaustive:
-        src_paths = _walks(pair.source, e_q, max_len)
-        tgt_paths = _walks(pair.target, e_q_prime, max_len)
+        src_paths = loop_walks(pair.source, e_q, max_len)
+        tgt_paths = loop_walks(pair.target, e_q_prime, max_len)
     else:
-        src_paths = {k: [v] for k, v in loop_bfs_reachable(pair.source, e_q, max_len).items()}
-        tgt_paths = {k: [v] for k, v in loop_bfs_reachable(pair.target, e_q_prime, max_len).items()}
+        src_paths, tgt_paths = (
+            {end: [loop_reverse(path, e)] for end, path in loop_bfs_reachable(kg, e, max_len).items()}
+            for kg, e in ((pair.source, e_q), (pair.target, e_q_prime))
+        )
     results = []
     for a, a_prime in anchor_pairs:
         if a not in src_paths or a_prime not in tgt_paths:
@@ -665,10 +682,9 @@ def loop_explain(
             for tp in tgt_paths[a_prime]:
                 if len(sp) != len(tp):
                     continue
-                rev_s, rev_t = loop_reverse(sp, e_q), loop_reverse(tp, e_q_prime)
-                w = path_confidence(rev_s, rev_t, eta_source, eta_target, psub)
+                w = path_confidence(sp, tp, eta_source, eta_target, psub)
                 if w > 0.0:
-                    results.append(RuleExplanation((a, a_prime), rev_s, rev_t, w))
+                    results.append(RuleExplanation((a, a_prime), sp, tp, w))
     results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
     return results
 
@@ -820,12 +836,13 @@ def loop_psub_from_dump(path: Path, left: KnowledgeGraph, right: KnowledgeGraph)
     """A p_sub dump read line by line into a ``(2R_left, 2R_right)`` array."""
 
     def parse_directed(label: str, kg, lineno: int) -> int:
-        inverse = label.endswith("^-1")
-        base_label = label[:-3] if inverse else label
-        base = kg.relation_ids.get(base_label)
-        if base is None:
-            raise DatasetError(f"{path.name}:{lineno}: unknown relation label {base_label!r}")
-        return pack_direction(base, inverse)
+        matches = [d for d in range(2 * kg.n_relations) if kg.directed_label(d) == label]
+        if not matches:
+            raise DatasetError(f"{path.name}:{lineno}: unknown relation label {label!r}")
+        if len(matches) > 1:
+            msg = f"{path.name}:{lineno}: ambiguous relation label {label!r}: both a relation and an inverse"
+            raise DatasetError(msg)
+        return matches[0]
 
     weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
     for lineno, (a, b, v) in read_tsv_rows(path, 3):

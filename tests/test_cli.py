@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from kgalign import embedder
 from kgalign.cli import _psub_from_dump, main
-from kgalign.data import DatasetBundle, DatasetError
+from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
 from kgalign.em import EmConfig
 from kgalign.embedder import Hyperparams
 from kgalign.graph import load_graph, pack_direction
@@ -584,13 +585,16 @@ DUMP_FAULTS = (
     " ",
     "q\tr'\t0.5",
     "r\tq'\t0.5",
+    "t^-1\tr'\t0.5",  # both the relation t^-1 and the inverse of t
 )
 
 
 class TestPsubDump:
     """``explain --state`` p_sub dumps against the line-by-line ``oracles.loop_psub_from_dump``."""
 
-    left = load_graph([("a", "r", "b"), ("b", "s", "c")])
+    left = load_graph(
+        [("a", "r", "b"), ("b", "s", "c"), ("c", "t", "a"), ("a", "t^-1", "b"), ("b", "u^-1", "a")]
+    )
     right = load_graph([("x", "r'", "y")])
     good = ("r\tr'\t0.5", "s^-1\tr'^-1\t1", "", "r^-1\tr'\t0")
 
@@ -610,6 +614,15 @@ class TestPsubDump:
         assert np.array_equal(weights, reference)
         assert weights[pack_direction(1, True), pack_direction(0, True)] == 1.0
 
+    def test_labels_ending_in_inverse_marker(self, tmp_path):
+        path = tmp_path / "psub_source_in_target.tsv"
+        path.write_text("t^-1^-1\tr'\t0.5\nu^-1\tr'^-1\t1\n", encoding="utf-8")
+        weights, reference = self.read_both(path)
+        assert np.array_equal(weights, reference)
+        # relation 3 is t^-1 and relation 4 is u^-1; no relation u exists
+        assert weights[pack_direction(3, True), pack_direction(0, False)] == 0.5
+        assert weights[pack_direction(4, False), pack_direction(0, True)] == 1.0
+
     @pytest.mark.parametrize("fault", DUMP_FAULTS)
     def test_fault_same_message(self, tmp_path, fault):
         path = tmp_path / "psub_source_in_target.tsv"
@@ -624,3 +637,42 @@ class TestPsubDump:
         path.write_text("\n".join([first, "", second]), encoding="utf-8")
         message, reference = self.read_both(path)
         assert message == reference and message.startswith(f"{path.name}:1: ")
+
+
+def suffixed_relation_run(tmp_path, relations: tuple[str, ...]) -> list[str]:
+    """``explain --state`` arguments for an ``align --full-output`` run on a
+    30-entity ring pair with chords whose relation labels are ``relations``."""
+    n = 30
+    records = [(f"e{i}", relations[i % len(relations)], f"e{(i + 1) % n}") for i in range(n)]
+    records += [(f"e{i}", relations[-1], f"e{(7 * i + 3) % n}") for i in range(n)]
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    for name, prime in zip(TRIPLE_FILES, ("", "'")):
+        rows = "".join(f"{h}{prime}\t{r}\t{t}{prime}\n" for h, r, t in records)
+        (dataset / name).write_text(rows, encoding="utf-8")
+    (dataset / LINKS_FILE).write_text("".join(f"e{i}\te{i}'\n" for i in range(n)), encoding="utf-8")
+    (tmp_path / "queries.tsv").write_text("e5\te5'\n", encoding="utf-8")
+    out = tmp_path / "run"
+    align = ["align", str(dataset), "--out", str(out), "--full-output", "--symbolic-only"]
+    assert main([*align, "--train-ratio", "0.5"]) == 0
+    return ["explain", str(dataset), "--pairs", str(tmp_path / "queries.tsv"), "--state", str(out)]
+
+
+def test_explain_state_reads_label_ending_in_inverse_marker(tmp_path, capsys):
+    args = suffixed_relation_run(tmp_path, ("likes^-1",))
+    capsys.readouterr()
+    assert main([*args, "--mode", "hard"]) == 0
+    rules = [line.split("\t")[1:3] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert ["likes^-1", "likes^-1"] in rules
+
+
+def test_explain_state_rejects_ambiguous_label(tmp_path, capsys):
+    args = suffixed_relation_run(tmp_path, ("likes", "likes^-1"))
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert re.fullmatch(
+        r"error: psub_source_in_target\.tsv:\d+: ambiguous relation label 'likes\^-1': .+", line
+    )

@@ -39,10 +39,10 @@ class TestBfsReachable:
     def test_chain_two_steps(self):
         kg = load_graph([("a", "r", "b"), ("b", "r", "c")])
         got = bfs_reachable(kg, kg.entity_ids["a"], max_len=2)
-        b, c = kg.entity_ids["b"], kg.entity_ids["c"]
+        a, b, c = kg.entity_ids["a"], kg.entity_ids["b"], kg.entity_ids["c"]
         assert got == {
-            b: ((fwd(0), b),),
-            c: ((fwd(0), b), (fwd(0), c)),
+            b: ((inv(0), a),),
+            c: ((inv(0), b), (inv(0), a)),
         }
 
     def test_chain_one_step(self):
@@ -55,15 +55,14 @@ class TestBfsReachable:
             [("a", "r", "b"), ("a", "r", "c"), ("b", "r", "d"), ("c", "r", "d")]
         )
         got = bfs_reachable(kg, kg.entity_ids["a"], max_len=2)
-        d = kg.entity_ids["d"]
+        ids = kg.entity_ids
         # b was interned before c, so the b route wins the tie
-        assert got[d] == ((fwd(0), kg.entity_ids["b"]), (fwd(0), d))
+        assert got[ids["d"]] == ((inv(0), ids["b"]), (inv(0), ids["a"]))
 
     def test_inverse_steps_traversed(self):
         kg = load_graph([("child", "parent_of", "root")])
         got = bfs_reachable(kg, kg.entity_ids["root"], max_len=1)
-        child = kg.entity_ids["child"]
-        assert got == {child: ((inv(0), child),)}
+        assert got == {kg.entity_ids["child"]: ((fwd(0), kg.entity_ids["root"]),)}
 
     def test_start_not_reported(self):
         kg = load_graph([("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a")])
@@ -85,12 +84,15 @@ class TestBfsReachable:
             pair = random_pair(rng, n_entities=9, n_relations=3, n_triples=20)
             kg = pair.source
             e = int(rng.integers(kg.n_entities))
-            for end, path in bfs_reachable(kg, e, max_len=3).items():
-                node = e
-                for rel, nbr in path:
+            found = bfs_reachable(kg, e, max_len=3)
+            for end, path in found.items():
+                node = end
+                for k, (rel, nbr) in enumerate(path):
                     assert (rel, nbr) in list(kg.neighbors(node))
+                    # every non-empty suffix of a reported path is itself reported
+                    assert nbr == e or found[nbr] == path[k + 1 :]
                     node = nbr
-                assert node == end
+                assert node == e
 
     def test_matches_neighbor_list_loop(self, rng):
         # self-loops, parallel edges and isolated ids included
@@ -103,7 +105,11 @@ class TestBfsReachable:
             kg = load_graph(records)
             for e in range(kg.n_entities):
                 for max_len in range(1, 5):
-                    assert bfs_reachable(kg, e, max_len) == oracles.loop_bfs_reachable(kg, e, max_len)
+                    expected = {
+                        end: oracles.loop_reverse(path, e)
+                        for end, path in oracles.loop_bfs_reachable(kg, e, max_len).items()
+                    }
+                    assert bfs_reachable(kg, e, max_len) == expected
 
 
 def hop_fixture(hops: int):
@@ -150,7 +156,7 @@ class TestPathConfidence:
         )
         assert len(got) == 1
         assert got[0].confidence == pytest.approx(0.64, abs=1e-15)
-        # the depth-2 anchor's parent s1 is no anchor; its flip still ends the path
+        # the depth-2 anchor's parent s1 is no anchor; its path still ends the anchor's
         ids = pair.source.entity_ids
         assert got[0].source_path == ((inv(0), ids["s1"]), (inv(0), ids["s0"]))
 
