@@ -14,10 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import data, em, metrics as met
-from .embedder import Hyperparams
+from .embedder import Hyperparams, Origin
 from .explain import AnchorSet, explain, hard_anchors, render_report, soft_anchors
 from .graph import IngestError, KnowledgeGraphPair
-from .symbolic import SubrelationTable, compute_functionalities, dump_subrelations, dump_truth_scores
+from .symbolic import (
+    SubrelationTable,
+    compute_functionalities,
+    dump_subrelations,
+    dump_truth_scores,
+    update_subrelation_probs,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +59,7 @@ def _build_config(args: argparse.Namespace, file_items: dict[str, str]) -> em.Em
             neural_kwargs[name] = _coerce(key, value, Hyperparams)
         elif key in ("train_ratio", "valid_ratio"):
             continue  # split settings, handled by the caller
-        elif key in {f.name for f in fields(em.EmConfig)}:
+        elif key in {f.name for f in fields(em.EmConfig)} - {"workers"}:
             setattr(config, key, _coerce(key, value, em.EmConfig))
         else:
             raise data.DatasetError(f"unknown config key {key!r}")
@@ -90,61 +96,6 @@ def _split_ratios(args, file_items: dict[str, str]) -> tuple[float, float]:
     if valid is None:
         valid = _file_ratio(file_items, "valid_ratio", max(0.0, min(train / 2.0, 1.0 - train)))
     return train, valid
-
-
-def _psub_from_dump(path: Path, left, right) -> np.ndarray:
-    """A ``(2R_left, 2R_right)`` p_sub array read from a dump; unlisted pairs hold 0.
-
-    Each label names the directed relation whose ``directed_label`` it
-    is; a label two directed relations share (``r^-1`` when both ``r``
-    and ``r^-1`` are relations) is rejected as ambiguous.
-    """
-
-    def directed_ids(kg) -> dict[str, int]:
-        ids: dict[str, int] = {}
-        for d in range(2 * kg.n_relations):
-            label = kg.directed_label(d)
-            ids[label] = -1 if label in ids else d
-        return ids
-
-    def directed(label: str, ids: dict[str, int], rows: data.TsvRows, row: int) -> int:
-        d = ids.get(label)
-        if d is None:
-            raise data.DatasetError(f"{rows.where(row)}: unknown relation label {label!r}")
-        if d < 0:
-            msg = f"{rows.where(row)}: ambiguous relation label {label!r}: both a relation and an inverse"
-            raise data.DatasetError(msg)
-        return d
-
-    def parse(rows: data.TsvRows) -> np.ndarray:
-        weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
-        left_ids, right_ids = directed_ids(left), directed_ids(right)
-        for row, (a, b, v) in enumerate(zip(*rows.columns)):
-            try:
-                p = float(v)
-            except ValueError:
-                p = math.nan
-            if not 0.0 <= p <= 1.0:
-                msg = f"{rows.where(row)}: p_sub must be a number in [0, 1], got {v!r}"
-                raise data.DatasetError(msg)
-            weights[directed(a, left_ids, rows, row), directed(b, right_ids, rows, row)] = p
-        return weights
-
-    return data.read_tsv(path, 3, parse)
-
-
-def _load_state_tables(state_dir: Path, pair: KnowledgeGraphPair) -> SubrelationTable:
-    fwd = state_dir / "psub_source_in_target.tsv"
-    bwd = state_dir / "psub_target_in_source.tsv"
-    for p in (fwd, bwd):
-        if not p.is_file():
-            raise data.DatasetError(
-                f"missing {p.name} in state directory (produce it with align --full-output)"
-            )
-    return SubrelationTable(
-        source_in_target=_psub_from_dump(fwd, pair.source, pair.target),
-        target_in_source=_psub_from_dump(bwd, pair.target, pair.source),
-    )
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
@@ -265,23 +216,16 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.rule_length < 1:
         raise ValueError(f"path length bound must be >= 1, got {args.rule_length}")
     bundle = data.load_dataset(args.dataset)
-    state_dir = Path(args.state)
-    psub = _load_state_tables(state_dir, bundle.pair)
+    # the run's alignment, from which its last M-step built p_sub
+    src, tgt, score, origin = data.read_predictions(
+        Path(args.state) / "predictions.tsv", bundle.pair
+    )
+    psub = update_subrelation_probs(bundle.pair, src, tgt, score)
     eta_s = compute_functionalities(bundle.pair.source)
     eta_t = compute_functionalities(bundle.pair.target)
-
-    train_file = state_dir / "splits" / "train_links"
-    if not train_file.is_file():
-        raise data.DatasetError(f"missing {train_file} (produce it with align --full-output)")
-    seed_pairs = data.load_links(train_file, bundle.pair)
-    if args.mode == "hard":
-        anchors = hard_anchors(seed_pairs)
-    else:
-        pred_file = state_dir / "predictions.tsv"
-        if not pred_file.is_file():
-            raise data.DatasetError(f"missing {pred_file} in state directory")
-        # binary predictions: source, target, score, origin
-        anchors = soft_anchors(seed_pairs, data.load_links(pred_file, bundle.pair, 4))
+    pairs = list(zip(src.tolist(), tgt.tolist()))
+    observed = [p for p, o in zip(pairs, origin) if o is Origin.OBSERVED]
+    anchors = hard_anchors(observed) if args.mode == "hard" else soft_anchors(observed, pairs)
     queries = data.load_links(args.pairs, bundle.pair)
 
     reports = _explain_reports(
@@ -370,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--pairs", required=True, help="file of source<TAB>target labels")
     p_explain.add_argument("--mode", choices=("hard", "soft"), default="hard")
     p_explain.add_argument("--rule-length", type=int, default=2, dest="rule_length")
-    p_explain.add_argument("--state", required=True, help="output directory of align --full-output")
+    p_explain.add_argument(
+        "--state", required=True, help="output directory of align; its predictions.tsv is read"
+    )
     p_explain.add_argument("--exhaustive", action="store_true")
     p_explain.add_argument("--top", type=int, default=None, help="print at most this many rules")
     p_explain.set_defaults(func=_cmd_explain)

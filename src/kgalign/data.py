@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -132,13 +133,11 @@ def _link_ids(rows: TsvRows, pair: KnowledgeGraphPair) -> tuple[tuple[int, int],
     return tuple(zip(src, tgt))
 
 
-def load_links(
-    path: str | Path, pair: KnowledgeGraphPair, n_fields: int = 2
-) -> tuple[tuple[int, int], ...]:
-    """The (source, target) entity ids named by the first two fields of
-    each line of an ``n_fields``-column TSV file, in file order; a label
-    that is not an entity of its graph is reported as ``file:line``."""
-    return read_tsv(Path(path), n_fields, lambda rows: _link_ids(rows, pair))
+def load_links(path: str | Path, pair: KnowledgeGraphPair) -> tuple[tuple[int, int], ...]:
+    """The (source, target) entity ids named by each line of a
+    ``source<TAB>target`` file, in file order; a label that is not an
+    entity of its graph is reported as ``file:line``."""
+    return read_tsv(Path(path), 2, lambda rows: _link_ids(rows, pair))
 
 
 def load_dataset(directory: str | Path) -> DatasetBundle:
@@ -217,6 +216,46 @@ def format_predictions(
         for s, t, score, origin in binary
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def read_predictions(
+    path: str | Path, pair: KnowledgeGraphPair
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Origin, ...]]:
+    """The source and target ids, scores and origins of a predictions file
+    as ``format_predictions`` writes it, one array or tuple per column.
+
+    Every score must be a number in [0, 1] and every origin an ``Origin``
+    value, and no source or target may repeat.  The first faulty line,
+    unknown entity labels included, is reported as ``file:line``.
+    """
+    origins = {o.value: o for o in Origin}
+
+    def parse(rows: TsvRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Origin, ...]]:
+        scores, sources, targets = [], set(), set()
+        for row, (s, t, score, origin) in enumerate(zip(*rows.columns)):
+            try:
+                value = float(score)
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value <= 1.0:
+                fault = f"score must be a number in [0, 1], got {score!r}"
+            elif origin not in origins:
+                fault = f"unknown origin {origin!r}, expected observed, symbolic or neural"
+            elif s in sources or t in targets:
+                side, label = ("source", s) if s in sources else ("target", t)
+                fault = f"repeated {side} entity {label!r}"
+            else:
+                scores.append(value)
+                sources.add(s)
+                targets.add(t)
+                continue
+            # an unknown label on this line or an earlier one is reported first
+            _link_ids(TsvRows(rows.name, tuple(c[: row + 1] for c in rows.columns), rows.lines), pair)
+            raise DatasetError(f"{rows.where(row)}: {fault}")
+        src, tgt = np.array(_link_ids(rows, pair), dtype=np.int64).reshape(-1, 2).T
+        return src, tgt, np.array(scores), tuple(map(origins.get, rows.columns[3]))
+
+    return read_tsv(Path(path), 4, parse)
 
 
 def format_rankings(

@@ -412,7 +412,10 @@ def dump_truth_scores(table: TruthScoreTable, labels_source, labels_target) -> s
 def dump_subrelations(
     psub: SubrelationTable, source: KnowledgeGraph, target: KnowledgeGraph
 ) -> tuple[str, str]:
-    """Dumps of both orientations as ``r<TAB>r'<TAB>p_sub`` text, non-zero entries row-major."""
+    """Dumps of both orientations as ``r<TAB>r'<TAB>p_sub`` text, non-zero entries row-major.
+
+    They are for people to read; nothing reads them back.  With relations ``r``
+    and ``r^-1``, both ``r^-1`` and the inverse of ``r`` are written ``r^-1``."""
 
     def fmt(weights: np.ndarray, left: KnowledgeGraph, right: KnowledgeGraph) -> str:
         a, b = np.nonzero(weights)

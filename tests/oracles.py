@@ -24,7 +24,6 @@ estimator guarantees and hand-built test tables must respect.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -830,28 +829,3 @@ def loop_load_dataset(
             )
         links.append((s, t))
     return source, target, tuple(links)
-
-
-def loop_psub_from_dump(path: Path, left: KnowledgeGraph, right: KnowledgeGraph) -> np.ndarray:
-    """A p_sub dump read line by line into a ``(2R_left, 2R_right)`` array."""
-
-    def parse_directed(label: str, kg, lineno: int) -> int:
-        matches = [d for d in range(2 * kg.n_relations) if kg.directed_label(d) == label]
-        if not matches:
-            raise DatasetError(f"{path.name}:{lineno}: unknown relation label {label!r}")
-        if len(matches) > 1:
-            msg = f"{path.name}:{lineno}: ambiguous relation label {label!r}: both a relation and an inverse"
-            raise DatasetError(msg)
-        return matches[0]
-
-    weights = np.zeros((2 * left.n_relations, 2 * right.n_relations))
-    for lineno, (a, b, v) in read_tsv_rows(path, 3):
-        try:
-            p = float(v)
-        except ValueError:
-            p = math.nan
-        if not 0.0 <= p <= 1.0:
-            msg = f"{path.name}:{lineno}: p_sub must be a number in [0, 1], got {v!r}"
-            raise DatasetError(msg)
-        weights[parse_directed(a, left, lineno), parse_directed(b, right, lineno)] = p
-    return weights

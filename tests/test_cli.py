@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -11,11 +10,10 @@ import numpy as np
 import pytest
 
 from kgalign import embedder
-from kgalign.cli import _psub_from_dump, main
-from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, DatasetError
+from kgalign.cli import main
+from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle
 from kgalign.em import EmConfig
 from kgalign.embedder import Hyperparams
-from kgalign.graph import load_graph, pack_direction
 
 import oracles
 from conftest import isomorphic_pair
@@ -169,6 +167,8 @@ class TestAlign:
             "neural.triple_weight=-0.5",
             "neural.triple_weight=nan",
             "iterations=None",
+            # kept on EmConfig for library callers only; no config file sets it
+            "workers=1",
             "workers=2",
             "hidden_weight=inf",
             "hidden_weight=nan",
@@ -243,6 +243,23 @@ def run_dir(dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("state") / "run"
     assert run_align(dataset_dir, out, "--full-output") == 0
     return out
+
+
+def explain_edited_predictions(capsys, dataset_dir, run_dir, tmp_path, edit):
+    """Run ``explain`` on a copy of ``run_dir`` whose second predictions
+    line is ``edit(first line's fields, second line's fields)``; check
+    that it fails with nothing on stdout, and return what it printed."""
+    state = tmp_path / "state"
+    shutil.copytree(run_dir, state)
+    lines = (state / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) >= 2
+    lines[1] = "\t".join(edit(lines[0].split("\t"), lines[1].split("\t")))
+    (state / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    queries = str(dataset_dir / "query_pairs")
+    assert main(["explain", str(dataset_dir), "--pairs", queries, "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured
 
 
 class TestExplain:
@@ -341,40 +358,31 @@ class TestExplain:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: path length bound must be >= 1, got {length}"]
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("psub_source_in_target.tsv", "7.0"),
-            ("psub_target_in_source.tsv", "-0.5"),
-            ("psub_target_in_source.tsv", "nan"),
-            ("psub_source_in_target.tsv", "inf"),
-            ("psub_source_in_target.tsv", "abc"),
-        ],
-    )
-    def test_bad_psub_value_fails(self, dataset_dir, run_dir, tmp_path, capsys, name, value):
-        state = tmp_path / "state"
-        shutil.copytree(run_dir, state)
-        lines = (state / name).read_text(encoding="utf-8").splitlines()
-        assert len(lines) >= 2
-        a, b, _ = lines[1].split("\t")
-        lines[1] = f"{a}\t{b}\t{value}"
-        (state / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        rc = main(
-            [
-                "explain",
-                str(dataset_dir),
-                "--pairs",
-                str(dataset_dir / "query_pairs"),
-                "--state",
-                str(state),
-            ]
+    @pytest.mark.parametrize("value", ["7.0", "-0.5", "nan", "inf", "abc"])
+    def test_bad_score_fails(self, dataset_dir, run_dir, tmp_path, capsys, value):
+        captured = explain_edited_predictions(
+            capsys, dataset_dir, run_dir, tmp_path, lambda first, second: [*second[:2], value, second[3]]
         )
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: {name}:2: p_sub must be a number in [0, 1], got {value!r}"
+            f"error: predictions.tsv:2: score must be a number in [0, 1], got {value!r}"
         ]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda first, second: [*second[:3], "seed"],
+                "unknown origin 'seed', expected observed, symbolic or neural",
+            ),
+            (lambda first, second: [first[0], *second[1:]], "repeated source entity {0!r}"),
+            (lambda first, second: [second[0], first[1], *second[2:]], "repeated target entity {1!r}"),
+        ],
+        ids=["origin", "source", "target"],
+    )
+    def test_bad_prediction_line_fails(self, dataset_dir, run_dir, tmp_path, capsys, edit, message):
+        captured = explain_edited_predictions(capsys, dataset_dir, run_dir, tmp_path, edit)
+        first = (run_dir / "predictions.tsv").read_text(encoding="utf-8").splitlines()[0].split("\t")
+        assert captured.err.splitlines() == [f"error: predictions.tsv:2: {message.format(*first)}"]
 
     def test_unknown_query_label_prints_no_report(self, dataset_dir, run_dir, tmp_path, capsys):
         queries = tmp_path / "queries.tsv"
@@ -388,7 +396,7 @@ class TestExplain:
             "error: queries.tsv:2: link references unknown target entity 'zzz'"
         ]
 
-    def test_soft_mode_rejects_ranked_predictions(self, dataset_dir, run_dir, tmp_path, capsys):
+    def rejects_ranked_predictions(self, dataset_dir, run_dir, tmp_path, capsys, mode):
         state = tmp_path / "state"
         shutil.copytree(run_dir, state)
         shutil.copy(state / "rankings.tsv", state / "predictions.tsv")
@@ -402,7 +410,7 @@ class TestExplain:
                 "--state",
                 str(state),
                 "--mode",
-                "soft",
+                mode,
             ]
         )
         assert rc == 2
@@ -411,6 +419,12 @@ class TestExplain:
         assert captured.err.splitlines() == [
             f"error: predictions.tsv:1: expected 4 non-empty tab-separated fields, got {first!r}"
         ]
+
+    def test_soft_mode_rejects_ranked_predictions(self, dataset_dir, run_dir, tmp_path, capsys):
+        self.rejects_ranked_predictions(dataset_dir, run_dir, tmp_path, capsys, "soft")
+
+    def test_hard_mode_rejects_ranked_predictions(self, dataset_dir, run_dir, tmp_path, capsys):
+        self.rejects_ranked_predictions(dataset_dir, run_dir, tmp_path, capsys, "hard")
 
     def test_state_without_dumps_fails(self, dataset_dir, tmp_path, capsys):
         rc = main(
@@ -424,7 +438,22 @@ class TestExplain:
             ]
         )
         assert rc == 2
-        assert "--full-output" in capsys.readouterr().err
+        assert "predictions.tsv" in capsys.readouterr().err
+
+    def test_state_of_a_minimal_run(self, dataset_dir, run_dir, tmp_path, capsys):
+        # a run without --full-output writes predictions.tsv, all explain reads
+        minimal = tmp_path / "minimal"
+        assert run_align(dataset_dir, minimal) == 0
+        assert not (minimal / "psub_source_in_target.tsv").exists()
+        queries = str(dataset_dir / "query_pairs")
+        for mode in ("hard", "soft"):
+            reports = []
+            for state in (minimal, run_dir):
+                capsys.readouterr()
+                args = ["explain", str(dataset_dir), "--pairs", queries, "--state", str(state)]
+                assert main([*args, "--mode", mode]) == 0
+                reports.append(capsys.readouterr().out)
+            assert reports[0] == reports[1] and f"mode={mode}" in reports[0]
 
 
 class TestEval:
@@ -575,73 +604,10 @@ def test_readme_lists_every_config_key_once():
     assert sorted(rows) == sorted(keys)
 
 
-DUMP_FAULTS = (
-    "r\tr'\t7.0",
-    "r\tr'\tabc",
-    "r\tr'\tnan",
-    "r\tr'",
-    "r\t\t0.5",
-    "\t",
-    " ",
-    "q\tr'\t0.5",
-    "r\tq'\t0.5",
-    "t^-1\tr'\t0.5",  # both the relation t^-1 and the inverse of t
-)
-
-
-class TestPsubDump:
-    """``explain --state`` p_sub dumps against the line-by-line ``oracles.loop_psub_from_dump``."""
-
-    left = load_graph(
-        [("a", "r", "b"), ("b", "s", "c"), ("c", "t", "a"), ("a", "t^-1", "b"), ("b", "u^-1", "a")]
-    )
-    right = load_graph([("x", "r'", "y")])
-    good = ("r\tr'\t0.5", "s^-1\tr'^-1\t1", "", "r^-1\tr'\t0")
-
-    def read_both(self, path):
-        results = []
-        for read in (_psub_from_dump, oracles.loop_psub_from_dump):
-            try:
-                results.append(read(path, self.left, self.right))
-            except DatasetError as exc:
-                results.append(str(exc))
-        return results
-
-    def test_valid_dump_equal(self, tmp_path):
-        path = tmp_path / "psub_source_in_target.tsv"
-        path.write_text("\r\n".join(self.good), encoding="utf-8")
-        weights, reference = self.read_both(path)
-        assert np.array_equal(weights, reference)
-        assert weights[pack_direction(1, True), pack_direction(0, True)] == 1.0
-
-    def test_labels_ending_in_inverse_marker(self, tmp_path):
-        path = tmp_path / "psub_source_in_target.tsv"
-        path.write_text("t^-1^-1\tr'\t0.5\nu^-1\tr'^-1\t1\n", encoding="utf-8")
-        weights, reference = self.read_both(path)
-        assert np.array_equal(weights, reference)
-        # relation 3 is t^-1 and relation 4 is u^-1; no relation u exists
-        assert weights[pack_direction(3, True), pack_direction(0, False)] == 0.5
-        assert weights[pack_direction(4, False), pack_direction(0, True)] == 1.0
-
-    @pytest.mark.parametrize("fault", DUMP_FAULTS)
-    def test_fault_same_message(self, tmp_path, fault):
-        path = tmp_path / "psub_source_in_target.tsv"
-        path.write_text("\n".join([*self.good, fault, "r\tr'\t0.25"]) + "\n", encoding="utf-8")
-        message, reference = self.read_both(path)
-        assert isinstance(message, str) and message == reference
-        assert message.startswith(f"{path.name}:5: ")
-
-    @pytest.mark.parametrize("first, second", [("r\tr'\t2", "r\tr'"), ("r\tr'", "r\tr'\t2")])
-    def test_first_fault_wins(self, tmp_path, first, second):
-        path = tmp_path / "psub_target_in_source.tsv"
-        path.write_text("\n".join([first, "", second]), encoding="utf-8")
-        message, reference = self.read_both(path)
-        assert message == reference and message.startswith(f"{path.name}:1: ")
-
-
-def suffixed_relation_run(tmp_path, relations: tuple[str, ...]) -> list[str]:
+def suffixed_relation_run(tmp_path, relations: tuple[str, ...]) -> tuple[list[str], str]:
     """``explain --state`` arguments for an ``align --full-output`` run on a
-    30-entity ring pair with chords whose relation labels are ``relations``."""
+    30-entity ring pair with chords whose relation labels are ``relations``,
+    and the run's own hard-mode report of the query."""
     n = 30
     records = [(f"e{i}", relations[i % len(relations)], f"e{(i + 1) % n}") for i in range(n)]
     records += [(f"e{i}", relations[-1], f"e{(7 * i + 3) % n}") for i in range(n)]
@@ -651,28 +617,50 @@ def suffixed_relation_run(tmp_path, relations: tuple[str, ...]) -> list[str]:
         rows = "".join(f"{h}{prime}\t{r}\t{t}{prime}\n" for h, r, t in records)
         (dataset / name).write_text(rows, encoding="utf-8")
     (dataset / LINKS_FILE).write_text("".join(f"e{i}\te{i}'\n" for i in range(n)), encoding="utf-8")
-    (tmp_path / "queries.tsv").write_text("e5\te5'\n", encoding="utf-8")
+    queries = str(tmp_path / "queries.tsv")
+    Path(queries).write_text("e5\te5'\n", encoding="utf-8")
     out = tmp_path / "run"
     align = ["align", str(dataset), "--out", str(out), "--full-output", "--symbolic-only"]
-    assert main([*align, "--train-ratio", "0.5"]) == 0
-    return ["explain", str(dataset), "--pairs", str(tmp_path / "queries.tsv"), "--state", str(out)]
+    align += ["--train-ratio", "0.5", "--explain-pairs", queries, "--explain-mode", "hard"]
+    assert main(align) == 0
+    report = (out / "explanations" / "0001.txt").read_text(encoding="utf-8")
+    return ["explain", str(dataset), "--pairs", queries, "--state", str(out), "--mode", "hard"], report
 
 
 def test_explain_state_reads_label_ending_in_inverse_marker(tmp_path, capsys):
-    args = suffixed_relation_run(tmp_path, ("likes^-1",))
+    args, report = suffixed_relation_run(tmp_path, ("likes^-1",))
     capsys.readouterr()
-    assert main([*args, "--mode", "hard"]) == 0
-    rules = [line.split("\t")[1:3] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out == report
+    rules = [line.split("\t")[1:3] for line in out.splitlines()[1:]]
     assert ["likes^-1", "likes^-1"] in rules
 
 
-def test_explain_state_rejects_ambiguous_label(tmp_path, capsys):
-    args = suffixed_relation_run(tmp_path, ("likes", "likes^-1"))
+def test_explain_state_reads_relation_and_its_inverse_label(tmp_path, capsys):
+    # the p_sub dumps write both the inverse of likes and the relation
+    # likes^-1 as likes^-1; explain rebuilds p_sub from predictions.tsv
+    args, report = suffixed_relation_run(tmp_path, ("likes", "likes^-1"))
     capsys.readouterr()
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert re.fullmatch(
-        r"error: psub_source_in_target\.tsv:\d+: ambiguous relation label 'likes\^-1': .+", line
-    )
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out == report
+    assert len(out.splitlines()) > 1 and "(no supporting rules)" not in out
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_explain_state_matches_the_runs_own_reports(tmp_path, capsys, mode):
+    """``explain --state`` rebuilds p_sub from predictions.tsv as the run's
+    last M-step built it, so it prints the run's ``--explain-pairs`` reports."""
+    pair, gold = isomorphic_pair(407, 500, 20, 1500)
+    dataset = tmp_path / "dataset"
+    oracles.save_dataset(DatasetBundle(pair=pair, links=tuple(sorted(gold.items())), provenance={}), dataset)
+    queries = str(dataset / LINKS_FILE)
+    out = tmp_path / "run"
+    align = ["align", str(dataset), "--out", str(out), "--full-output"]
+    assert main([*align, "--explain-pairs", queries, "--explain-mode", mode]) == 0
+    capsys.readouterr()
+    assert main(["explain", str(dataset), "--pairs", queries, "--state", str(out), "--mode", mode]) == 0
+    reports = sorted((out / "explanations").iterdir())
+    assert len(reports) == len(gold)
+    assert capsys.readouterr().out == "".join(path.read_text(encoding="utf-8") for path in reports)

@@ -20,11 +20,12 @@ from kgalign.data import (
     load_label_pairs,
     load_prediction_file,
     read_config_file,
+    read_predictions,
     split_seed,
 )
 from kgalign.em import EmConfig, IterationStats
 from kgalign.embedder import Origin
-from kgalign.graph import load_graph
+from kgalign.graph import KnowledgeGraphPair, load_graph
 
 import oracles
 
@@ -313,6 +314,53 @@ class TestFormatters:
         tgt = load_graph([("x", "s", "y")])
         assert format_predictions([], src, tgt) == ""
         assert format_rankings({}, src, tgt) == ""
+
+
+class TestReadPredictions:
+    pair = KnowledgeGraphPair(
+        source=load_graph([("a", "r", "b"), ("b", "r", "c")]),
+        target=load_graph([("x", "s", "y"), ("y", "s", "z")]),
+    )
+    binary = [(0, 0, 1.0, Origin.OBSERVED), (2, 1, 0.5, Origin.SYMBOLIC), (1, 2, 0.25, Origin.NEURAL)]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        text = format_predictions(self.binary, self.pair.source, self.pair.target)
+        path.write_text(text, encoding="utf-8")
+        src, tgt, score, origin = read_predictions(path, self.pair)
+        assert (src.dtype, tgt.dtype, score.dtype) == (np.int64, np.int64, np.float64)
+        assert list(zip(src.tolist(), tgt.tolist(), score.tolist(), origin)) == self.binary
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("", encoding="utf-8")
+        src, tgt, score, origin = read_predictions(path, self.pair)
+        assert (len(src), len(tgt), len(score), origin) == (0, 0, 0, ())
+        assert src.dtype == tgt.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # each kind of fault, then one after an earlier fault of another kind
+            (["a\tq\t1\tobserved", "b\ty\t2\tsymbolic"], "1: link references unknown target entity 'q'"),
+            (["a\tx\t2\tobserved", "q\ty\t1\tsymbolic"], "1: score must be a number in [0, 1], got '2'"),
+            (
+                ["a\tx\t1\tseed", "b\tx\t1\tsymbolic"],
+                "1: unknown origin 'seed', expected observed, symbolic or neural",
+            ),
+            (["a\tx\t1\tobserved", "a\ty\t1\tobserved", "q"], "2: repeated source entity 'a'"),
+            (["a\tx\t1\tobserved", "b\tx\t1\tobserved", "\t"], "2: repeated target entity 'x'"),
+            (
+                ["a\tx\t1\tobserved", "", "b\ty\t0.5"],
+                "3: expected 4 non-empty tab-separated fields, got 'b\\ty\\t0.5'",
+            ),
+        ],
+        ids=["label", "score", "origin", "source", "target", "width"],
+    )
+    def test_first_fault_names_its_line(self, tmp_path, lines, message):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert error_of(lambda p: read_predictions(p, self.pair), path) == f"predictions.tsv:{message}"
 
 
 class TestManifest:
