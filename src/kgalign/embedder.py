@@ -10,9 +10,14 @@ anchors end up with close features.  Scoring is plain cosine similarity.
 
 The anchor vectors come from the generator kept on the model, so a fixed
 seed reproduces the features bit for bit.  The neighbour mean walks a
-graph's directed adjacency a block of whole entities at a time, so the
-working memory is O(n * d) for n entities plus one block of
-``TRAIN_CHUNK_CELLS`` values, whatever the triple count.
+graph's directed adjacency a block of whole entities at a time, and the
+propagation steps of a graph with n entities run in two n x d buffers
+that swap roles, beside the start features times TELEPORT.  So a graph's
+propagation holds three n x d arrays plus one block of
+``TRAIN_CHUNK_CELLS`` values, whatever the triple count or the number of
+steps.  Ranking holds two
+buffers of ``TOP_K_BLOCK_CELLS`` scores, allocated once per call,
+whatever the source or candidate count.
 """
 
 from __future__ import annotations
@@ -94,9 +99,12 @@ class TrainReport:
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    """``mat`` with unit rows; a zero row stays zero."""
+    """Scales ``mat``'s rows to unit length in place and returns it; a row
+    whose norm is 0 becomes 0."""
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    return np.divide(mat, norms, out=np.zeros_like(mat), where=norms > 0.0)
+    np.divide(mat, norms, out=mat, where=norms > 0.0)
+    mat[norms[:, 0] == 0.0] = 0.0
+    return mat
 
 
 def init_model(pair: KnowledgeGraphPair, hyperparams: Hyperparams, seed: int) -> NeuralModel:
@@ -116,19 +124,27 @@ TELEPORT = 0.2
 
 # Gathered values (directed edges x dimension) one block of the neighbour
 # mean holds.  A block takes whole entities, so an entity with more edges
-# than that forms a block of its own.  2^15 float64 values are 256 KB, so
-# a block's gathered rows stay in a core's L2 cache.  On graphs of 5,000
-# and 20,882 entities at d = 64 (a 2-core x86-64 host with 2 MB of L2 per
-# core), 2^15 and 2^16 ran fastest; a 2 MB block of 2^18 values ran 1.4x
-# slower per call, and 2^19 2.6x.
+# than that forms a block of its own; a block's edge sums and means take
+# at most as much again.  2^15 float64 values are 256 KB, so a block's
+# gathered rows stay in a core's L2 cache.  On graphs of 5,000 and 20,882
+# entities at d = 64 (a 2-core x86-64 host with 2 MB of L2 per core),
+# 2^15 and 2^16 ran fastest; a 2 MB block of 2^18 values ran 1.4x slower
+# per call, and 2^19 2.6x.
 TRAIN_CHUNK_CELLS = 1 << 15
 
 # Score cells (sources x candidates) one block of ``top_k`` or
 # ``mutual_nearest`` holds; the row count follows from the candidate count,
-# so memory stays flat as the target side grows.  ``top_k`` also holds the
-# partitioned copy of a block while it reads each row's k-th score, and
-# that pair sets the ranking's peak.
-TOP_K_BLOCK_CELLS = 1 << 21
+# so memory stays flat as the target side grows.  Each call allocates its
+# block once.  ``top_k`` holds a second buffer of the same size, where it
+# partitions a copy of the block to read each row's k-th score and then
+# builds the mask of the scores at or above it; that pair, 8 MB at 2^19,
+# sets the ranking's peak.  Median of 15 ``top_k`` and ``mutual_nearest``
+# calls on a 4,250 x 4,500 and a 4,500 x 4,500 ranking, on the host above:
+#   2^17: 133 ms, 118 ms    2^18: 118 ms, 101 ms    2^19: 116 ms, 99 ms
+#   2^20: 112 ms,  94 ms    2^21: 126 ms,  95 ms
+# 2^20 ran 3-5% faster than 2^19 but doubles both buffers; the rankings
+# were the same at every size, with scores within 4.4e-16.
+TOP_K_BLOCK_CELLS = 1 << 19
 
 
 def _anchor_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -157,12 +173,15 @@ def _anchor_start(ids: np.ndarray, anchors: np.ndarray, n_entities: int) -> np.n
     return start
 
 
-def _neighbour_mean(adj: DirectedAdjacency, z: np.ndarray) -> np.ndarray:
+def _neighbour_mean(adj: DirectedAdjacency, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row e is the mean of ``z`` over e's directed edges, parallel edges
-    counted once each, or 0 when e has no edge."""
+    counted once each, or 0 when e has no edge.  Written to ``out`` when
+    given, whatever it held before; it must not be ``z``."""
     indptr, nbr = adj.indptr, adj.nbr
     degree = np.diff(indptr)
-    out = np.zeros_like(z)
+    if out is None:
+        out = np.empty_like(z)
+    out[degree == 0] = 0.0
     per_block = max(1, TRAIN_CHUNK_CELLS // z.shape[1])
     lo, n = 0, len(degree)
     while lo < n:
@@ -175,6 +194,26 @@ def _neighbour_mean(adj: DirectedAdjacency, z: np.ndarray) -> np.ndarray:
             out[rows] = sums / degree[rows, None]
         lo = hi
     return out
+
+
+def _propagate(adj: DirectedAdjacency, x: np.ndarray, epochs: int, losses: np.ndarray) -> np.ndarray:
+    """The unit rows of ``epochs`` steps from start ``x``, which is
+    overwritten; adds each step's L1 change to ``losses``.
+
+    Two n x d buffers swap roles each step and TELEPORT * x is formed
+    once, so a step holds three n x d arrays beside one neighbour-mean
+    block."""
+    restart = TELEPORT * x
+    z, spare = x, np.empty_like(x)
+    for step in range(epochs):
+        nxt = _neighbour_mean(adj, z, out=spare)
+        nxt *= 1.0 - TELEPORT
+        nxt += restart
+        # the L1 change, taken in the buffer the next step overwrites
+        losses[step] += np.abs(np.subtract(nxt, z, out=z), out=z).sum()
+        z, spare = nxt, z
+    del restart, spare  # freed before the row norms' temporary
+    return _unit_rows(z)
 
 
 def train(
@@ -199,15 +238,14 @@ def train(
     src, tgt, conf = (np.concatenate([getattr(ls, col) for ls in sets]) for col in ("src", "tgt", "conf"))
     anchors = conf[:, None] * _anchor_vectors(model.rng, len(conf), hp.dim)
     losses = np.zeros(hp.epochs)
-    features = []
-    for ids, graph in ((src, pair.source), (tgt, pair.target)):
-        x = z = _anchor_start(ids, anchors, graph.n_entities)
-        for step in range(hp.epochs):
-            nxt = (1.0 - TELEPORT) * _neighbour_mean(graph.directed_adj, z) + TELEPORT * x
-            losses[step] += np.abs(nxt - z).sum()
-            z = nxt
-        features.append(_unit_rows(z))
-    model.ent_source, model.ent_target = features
+    # the old features go before the new ones are built
+    model.ent_source = model.ent_target = None  # type: ignore[assignment]
+    model.ent_source = _propagate(
+        pair.source.directed_adj, _anchor_start(src, anchors, pair.source.n_entities), hp.epochs, losses
+    )
+    model.ent_target = _propagate(
+        pair.target.directed_adj, _anchor_start(tgt, anchors, pair.target.n_entities), hp.epochs, losses
+    )
     return TrainReport(epoch_losses=losses.tolist())
 
 
@@ -234,10 +272,10 @@ def top_k(
     Returns target ids and their clipped cosine scores, both shaped
     (len(sources), min(k, len(candidates))), each row in descending score
     order.  Scores come from one matrix product per block of source rows,
-    and ``np.partition`` gives each row's k-th best score.  A row with
-    exactly k scores at or above it keeps those columns; a row with more,
-    an exact tie at the cut, re-selects among them by (score, id) so the
-    cut keeps the lowest ids of the tie.
+    and an in-place partition of a copy of the block gives each row's k-th
+    best score.  A row with exactly k scores at or above it keeps those
+    columns; a row with more, an exact tie at the cut, re-selects among
+    them by (score, id) so the cut keeps the lowest ids of the tie.
     """
     if len(candidates) == 0:
         raise ValueError("candidate set must be non-empty")
@@ -245,31 +283,38 @@ def top_k(
         raise ValueError(f"k must be >= 1, got {k}")
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     src = np.asarray(sources, dtype=np.int64)
-    k = min(k, len(cand))
+    n, k = len(cand), min(k, len(cand))
     tmat = _unit_rows(model.ent_target[cand])
     cols = np.empty((len(src), k), dtype=np.int64)
     vals = np.empty((len(src), k), dtype=np.float64)
-    rows = max(1, TOP_K_BLOCK_CELLS // len(cand))
+    rows = max(1, TOP_K_BLOCK_CELLS // n)
+    block = np.empty((min(rows, len(src)), n))
+    # a partitioned copy of the block, whose bytes then hold the mask
+    spare = np.empty_like(block)
     for start in range(0, len(src), rows):
         smat = _unit_rows(model.ent_source[src[start : start + rows]])
-        scores = smat @ tmat.T
+        m = len(smat)
+        scores = np.matmul(smat, tmat.T, out=block[:m])
         np.clip(scores, -1.0, 1.0, out=scores)
-        # copied out, since a view would keep the partitioned block alive
-        kth = np.partition(scores, len(cand) - k, axis=1)[:, len(cand) - k, None].copy()
-        near = scores >= kth
-        tied = np.count_nonzero(near, axis=1) > k
-        part = np.empty((len(scores), k), dtype=np.int64)
-        # an untied row's mask holds exactly its k columns
-        part[~tied] = np.flatnonzero(near[~tied]).reshape(-1, k) % len(cand)
-        for r in np.flatnonzero(tied):
+        parted = spare[:m]
+        np.copyto(parted, scores)
+        parted.partition(n - k, axis=1)
+        kth = parted[:, n - k, None].copy()  # the mask overwrites the copy
+        near = np.greater_equal(scores, kth, out=spare.reshape(-1).view(np.bool_)[: m * n].reshape(m, n))
+        # each row's columns at or above its k-th score, ascending; a 2-d
+        # np.nonzero took 8x as long as this
+        at, hits = np.divmod(np.flatnonzero(near), n)
+        count = np.bincount(at, minlength=m)
+        first = np.cumsum(count) - count
+        part = hits[first[:, None] + np.arange(k)]  # all of them in a row without a tie
+        for r in np.flatnonzero(count > k):
             # columns ascend with target id, so a stable sort keeps id order
-            at_cut = np.flatnonzero(near[r])
+            at_cut = hits[first[r] : first[r] + count[r]]
             part[r] = at_cut[np.argsort(-scores[r, at_cut], kind="stable")[:k]]
-        del near  # else it lives on beside the next block's partitioned copy
         top = np.take_along_axis(scores, part, axis=1)
         order = np.lexsort((part, -top))
-        cols[start : start + rows] = np.take_along_axis(part, order, axis=1)
-        vals[start : start + rows] = np.take_along_axis(top, order, axis=1)
+        cols[start : start + m] = np.take_along_axis(part, order, axis=1)
+        vals[start : start + m] = np.take_along_axis(top, order, axis=1)
     return cand[cols], vals
 
 
@@ -293,13 +338,15 @@ def mutual_nearest(
     col_best = np.zeros(len(cand), dtype=np.int64)
     rows = max(1, TOP_K_BLOCK_CELLS // len(cand))
     block = np.empty((min(rows, len(src)), len(cand)))
+    is_top = np.empty(block.shape, dtype=np.bool_)
     for start in range(0, len(src), rows):
         smat = _unit_rows(model.ent_source[src[start : start + rows]])
         scores = np.matmul(smat, tmat.T, out=block[: len(smat)])
         np.clip(scores, -1.0, 1.0, out=scores)
         row_best[start : start + rows] = scores.argmax(axis=1)
         top = scores.max(axis=0)
-        arg = (scores == top).argmax(axis=0)  # scores.argmax(axis=0) would copy the block
+        # scores.argmax(axis=0) would copy the block
+        arg = np.equal(scores, top, out=is_top[: len(smat)]).argmax(axis=0)
         better = top > col_val  # strictly: an earlier block holds the lower source ids
         col_val[better] = top[better]
         col_best[better] = start + arg[better]

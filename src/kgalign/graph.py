@@ -81,6 +81,13 @@ class KnowledgeGraph:
         self.entity_ids: dict[str, int] = dict(zip(self.entity_labels, range(self.n_entities)))
         self.relation_ids: dict[str, int] = dict(zip(self.relation_labels, range(self.n_relations)))
         check_key_space(self.n_entities, self.n_relations)
+        for label in self.relation_labels:
+            if f"{label}^-1" in self.relation_ids:
+                logger.warning(
+                    "relations %r and %r: reports and p_sub dumps print the first's inverse like the second",
+                    label,
+                    f"{label}^-1",
+                )
 
         columns = np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
         columns.flags.writeable = False

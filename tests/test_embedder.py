@@ -342,6 +342,52 @@ class TestTrainChunks:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 << 20, peaks
 
+    def test_peak_memory_flat_in_steps(self):
+        # The steps swap two n x d buffers, so ten steps hold what one
+        # does: the first graph's finished features, the two buffers and
+        # TELEPORT times the start, plus the anchors and one neighbour-mean
+        # block (its gathered rows, their sums and their means).  A new
+        # array per step would add an n x d array, 2 MB here.  The old
+        # features are traced too: train releases them first.
+        n, d = 4000, 64
+        pair = random_pair(np.random.default_rng(5), n_entities=n, n_relations=4, n_triples=12000)
+        positives = observed(*[(i, i, 1.0) for i in range(0, n, 5)])
+        peaks = []
+        for epochs in (1, 10):
+            tracemalloc.start()
+            try:
+                model = init_model(pair, Hyperparams(dim=d, epochs=epochs), seed=1)
+                train(model, pair, positives)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+        budget = (4 * n * d + len(positives) * d + 3 * embedder.TRAIN_CHUNK_CELLS) * 8
+        assert max(peaks) < budget, (peaks, budget)
+
+    def test_unit_rows_zero_a_row_whose_norm_underflows(self):
+        # in place, a row whose squares underflow to a norm of 0 must
+        # still become 0, as a zero row does
+        mat = np.array([[3.0, 4.0], [1e-170, -1e-170], [0.0, 0.0]])
+        assert embedder._unit_rows(mat) is mat
+        assert mat.tolist() == [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_neighbour_mean_overwrites_out(self, rng):
+        # ``out`` starts as garbage, so every row, an entity without edges
+        # too, must be written
+        isolated = 0
+        for _ in range(40):
+            graph = sparse_graph(rng, "a", int(rng.integers(1, 25)))
+            z = rng.normal(size=(graph.n_entities, int(rng.integers(1, 9))))
+            want = embedder._neighbour_mean(graph.directed_adj, z)
+            buf = np.full_like(z, np.nan)
+            buf[::2] = rng.normal(size=buf[::2].shape)
+            got = embedder._neighbour_mean(graph.directed_adj, z, out=buf)
+            assert got is buf
+            assert np.array_equal(got, want)
+            isolated += np.any(np.diff(graph.directed_adj.indptr) == 0)
+        assert isolated > 10
+
 
 class TestScoring:
     def _model_with_rows(self, rows: dict[int, list[float]], n_targets: int = 10):
@@ -480,6 +526,13 @@ class TestTopK:
         for _ in range(100):
             self._check_against_loop(rng, tied_model(rng, int(rng.integers(2, 15))))
 
+    def test_matches_loop_reference_short_last_block(self, rng, monkeypatch):
+        # blocks of several rows, the last one shorter, so the last block
+        # uses the front of each buffer
+        monkeypatch.setattr(embedder, "TOP_K_BLOCK_CELLS", 40)
+        for _ in range(100):
+            self._check_against_loop(rng, tied_model(rng, int(rng.integers(2, 15))))
+
     def test_zero_rows_tie_at_the_cut(self, rng):
         # One block holds every row: zero source rows, whose scores all tie
         # at 0, beside rows whose cut falls among the zero target rows'
@@ -508,22 +561,30 @@ class TestTopK:
         assert cut_in_zeros > 20 and untied > 100
 
     def test_peak_memory_flat_in_candidates(self):
-        # 4000 x 4000 scores would take 128 MB at once; one block holds
-        # TOP_K_BLOCK_CELLS scores, and np.partition a copy of them while
-        # it reads each row's k-th score
+        # 4000 x 4000 scores would take 128 MB at once.  A call holds one
+        # block of TOP_K_BLOCK_CELLS scores and a second buffer as large,
+        # for the partitioned copy and then the mask; beside them, the
+        # candidates' unit rows, the outputs (ids, scores and the
+        # returned target ids, k of each per source) and per-block row
+        # temporaries, under 256 KB.
         rng = np.random.default_rng(8)
+        n, d, k = 4000, 8, 10
         model = NeuralModel(
-            ent_source=rng.normal(size=(4000, 8)),
-            ent_target=rng.normal(size=(4000, 8)),
-            hyperparams=Hyperparams(dim=8),
+            ent_source=rng.normal(size=(n, d)),
+            ent_target=rng.normal(size=(n, d)),
+            hyperparams=Hyperparams(dim=d),
         )
-        tracemalloc.start()
-        try:
-            embedder.top_k(model, range(4000), range(4000), 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * embedder.TOP_K_BLOCK_CELLS * 8, peak
+        peaks = []
+        for n_sources in (1000, 4000):
+            tracemalloc.start()
+            try:
+                embedder.top_k(model, range(n_sources), range(n), k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            budget = (2 * embedder.TOP_K_BLOCK_CELLS + n * d + n_sources * k * 3) * 8 + (256 << 10)
+            assert peaks[-1] < budget, (peaks, budget)
+        assert peaks[1] - peaks[0] < 1 << 20, peaks
 
     def test_depth_beyond_candidates(self, rng):
         model = tied_model(rng, 10)

@@ -172,6 +172,21 @@ class TestPackedDirection:
         assert kg.directed_label(pack_direction(0, False)) == "spouse"
         assert kg.directed_label(pack_direction(0, True)) == "spouse^-1"
 
+    def test_label_shadowing_an_inverse_warns_once_per_pair(self, caplog):
+        # the inverse of likes and the relation likes^-1 print alike; the
+        # graph still keeps them apart
+        with caplog.at_level("WARNING", logger="kgalign.graph"):
+            kg = load_graph([("a", "likes", "b"), ("b", "likes^-1", "c"), ("c", "likes^-1^-1", "a")])
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 2
+        assert "'likes' and 'likes^-1'" in warned[0]
+        assert "'likes^-1' and 'likes^-1^-1'" in warned[1]
+        assert kg.directed_label(pack_direction(0, True)) == kg.directed_label(pack_direction(1, False))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="kgalign.graph"):
+            load_graph([("a", "likes", "b"), ("b", "likes-1", "c"), ("c", "^-1", "a")])
+        assert not caplog.records
+
 
 class TestRoundTrip:
     def test_triple_records_roundtrip(self, rng):
