@@ -110,7 +110,7 @@ def init_state(pair: KnowledgeGraphPair, train: AlignmentSeed, config: EmConfig)
     The seeds must be one-to-one pairs of entity ids of the two graphs,
     or a ``ValueError`` names the fault.  They are the only labels
     available before the first round, so the initial subrelation table
-    comes from re-estimation against the seed-only truth table.
+    is re-estimated from them alone, and the truth table pins them.
     """
     config.validate()
     pairs = np.array(train.pairs, dtype=np.int64).reshape(-1, 2)
@@ -122,8 +122,7 @@ def init_state(pair: KnowledgeGraphPair, train: AlignmentSeed, config: EmConfig)
             raise ValueError(msg)
     if not is_one_to_one(observed.src, observed.tgt):
         raise ValueError("train seed set is not one-to-one")
-    truth = TruthScoreTable.from_seeds(train.pairs)
-    psub = update_subrelation_probs(pair, truth.src, truth.tgt, truth.val)
+    psub = update_subrelation_probs(pair, observed.src, observed.tgt, observed.conf)
     model = None
     if not config.symbolic_only:
         model = emb.init_model(pair, config.neural, config.seed)
@@ -132,7 +131,7 @@ def init_state(pair: KnowledgeGraphPair, train: AlignmentSeed, config: EmConfig)
         observed=observed,
         eta_source=compute_functionalities(pair.source),
         eta_target=compute_functionalities(pair.target),
-        truth_scores=truth,
+        truth_scores=TruthScoreTable.from_seeds(train.pairs),
         psub=psub,
         model=model,
     )

@@ -64,6 +64,11 @@ class KnowledgeGraph:
     ``triple_columns`` holds the triples once more as read-only int64
     head, relation and tail arrays in triple order, and ``edge_index``
     the directed edges keyed by endpoint pair.
+
+    Triples are assumed distinct, as :func:`load_graph` leaves them:
+    ``compute_functionalities`` counts each (h, t) once, and the
+    subrelation update, which also takes a one-to-one alignment, finds
+    each d' joining a counterpart pair in ``edge_index`` at most once.
     """
 
     def __init__(

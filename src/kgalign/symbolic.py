@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import KnowledgeGraph, KnowledgeGraphPair
+from .graph import KnowledgeGraph, KnowledgeGraphPair, is_one_to_one
 
 logger = logging.getLogger(__name__)
 
@@ -291,53 +291,38 @@ def _estimate_one_way(
 ) -> np.ndarray:
     """Estimate P(d implies d') for all directed d of ``kg_from`` as a (2R, 2R') array.
 
-    For each directed triple (u, v) of d, the numerator term is the
-    noisy-OR over counterpart pairs (u', v') that are themselves connected
-    by d', and the denominator term the noisy-OR over all counterpart
-    pairs whether connected or not.  Only labeled counterparts contribute
-    (absent labels read as 0, i.e. factor 1).  Inverse-direction entries
-    mirror the forward ones, so only forward triples are walked.
-
-    ``labels`` holds (own entity, counterpart, value) arrays.  Each product
-    runs in ascending counterpart order and each sum in triple order.
+    ``labels`` holds (own entity, counterpart, value) arrays and must be
+    one-to-one, and each graph's triples distinct.  A forward triple
+    (u, v) of d whose ends both have counterparts (u', v') then weighs
+    w = q(u) * q(v), the noisy-OR over its one counterpart pair.  It adds
+    w to the denominator of d, and to the numerator of each d' joining
+    (u', v') in ``kg_to``, at most once per d' as triples are distinct.
+    Unlabeled ends read as 0, so their triples add nothing.  Sums run in
+    triple order.  Inverse-direction entries mirror the forward ones,
+    so only forward triples are walked.
     """
     n_rel_to = 2 * kg_to.n_relations
     own, other, val = labels
-    by_row = np.lexsort((other, own))
-    other, val = other[by_row], val[by_row]
-    row_len = np.bincount(own, minlength=kg_from.n_entities)
-    row_start = np.cumsum(row_len) - row_len
+    match = np.zeros(kg_from.n_entities, dtype=np.int64)
+    conf = np.zeros(kg_from.n_entities)
+    match[own], conf[own] = other, val
     h, r, t = kg_from.triple_columns
+    # 1 - (1 - x) rounds the product as the one-factor noisy-OR does.
+    w = 1.0 - (1.0 - conf[h] * conf[t])
+    ok = np.flatnonzero(w > 0.0)
+    h, r, t, w = h[ok], r[ok], t[ok], w[ok]
+    denominator = np.bincount(r, w, kg_from.n_relations)
 
-    # Expand forward triple x label row at h x label row at t.
-    via_h, at_h = _ranges(row_start[h], row_len[h])
-    via_t, at_t = _ranges(row_start[t[via_h]], row_len[t[via_h]])
-    triple, at_h = via_h[via_t], at_h[via_t]
-    f = 1.0 - val[at_h] * val[at_t]
-    n_terms = row_len[h] * row_len[t]
-    den_term = np.zeros(len(h))
-    has = np.flatnonzero(n_terms)
-    den_term[has] = 1.0 - np.multiply.reduceat(f, (np.cumsum(n_terms) - n_terms)[has])
-    ok = den_term > 0.0
-    denominator = np.bincount(r[ok], den_term[ok], kg_from.n_relations)
-
-    # Look each counterpart pair (u', v') of a kept triple up in kg_to's edge
-    # index, in key order, which keeps the binary searches cache-friendly.
-    kept = ok[triple]
-    pair_key = other[at_h[kept]] * kg_to.n_entities + other[at_t[kept]]
+    # Look each counterpart pair (u', v') up in kg_to's edge index, in key
+    # order, which keeps the binary searches cache-friendly.
+    pair_key = match[h] * kg_to.n_entities + match[t]
     by_key = np.argsort(pair_key)
     lo, hi = np.empty_like(by_key), np.empty_like(by_key)
     lo[by_key] = np.searchsorted(edges_to[0], pair_key[by_key])
     hi[by_key] = np.searchsorted(edges_to[0], pair_key[by_key], "right")
-    via_term, slot = _ranges(lo, hi - lo)
-
-    # One noisy-OR per (triple, d'), then numerators summed in triple order.
-    group = triple[kept][via_term] * n_rel_to + edges_to[1][slot]
-    order = np.argsort(group, kind="stable")
-    first = np.flatnonzero(np.diff(group[order], prepend=-1))
-    tri, d2 = np.divmod(group[order][first], n_rel_to)
-    keys, where = np.unique(2 * r[tri] * n_rel_to + d2, return_inverse=True)
-    numerator = np.bincount(where, 1.0 - np.multiply.reduceat(f[kept][via_term][order], first))
+    tri, slot = _ranges(lo, hi - lo)
+    keys, where = np.unique(2 * r[tri] * n_rel_to + edges_to[1][slot], return_inverse=True)
+    numerator = np.bincount(where, w[tri])
 
     keep = numerator >= PSUB_MIN_SUPPORT
     d, d2 = np.divmod(keys[keep], n_rel_to)
@@ -352,17 +337,20 @@ def _estimate_one_way(
 def update_subrelation_probs(
     pair: KnowledgeGraphPair, src: np.ndarray, tgt: np.ndarray, val: np.ndarray
 ) -> SubrelationTable:
-    """Re-estimate both subrelation orientations from labeled pairs.
+    """Re-estimate both subrelation orientations from a one-to-one alignment.
 
     Label i says source entity ``src[i]`` matches target entity
     ``tgt[i]`` with confidence ``val[i]``; normally these are the
-    observed pairs at 1 plus the current pseudo-labels.  The pairs must
-    be distinct but may come in any order, since each orientation walks
-    them sorted by its own entity, then the counterpart.  Estimates whose
-    accumulated support falls below ``PSUB_MIN_SUPPORT`` are dropped;
-    ``PSUB_EPSILON`` smooths the denominator against division by zero.
-    Both constants are read at call time.
+    observed pairs at 1 plus the round's other matches.  No source and
+    no target may repeat, or a ``ValueError`` is raised; the labels may
+    come in any order.  Both graphs' triples must be distinct, as ingest
+    leaves them.  Estimates whose accumulated support falls below
+    ``PSUB_MIN_SUPPORT`` are dropped; ``PSUB_EPSILON`` smooths the
+    denominator against division by zero.  Both constants are read at
+    call time.
     """
+    if not is_one_to_one(src, tgt):
+        raise ValueError("subrelation labels must be one-to-one: a source or target entity repeats")
     forward = _estimate_one_way(pair.source, pair.target, pair.edge_relations("target"), (src, tgt, val))
     backward = _estimate_one_way(pair.target, pair.source, pair.edge_relations("source"), (tgt, src, val))
     return SubrelationTable(source_in_target=forward, target_in_source=backward)

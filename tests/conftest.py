@@ -166,6 +166,22 @@ def random_labels(
     return labels
 
 
+def one_to_one(labels: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
+    """The labels whose source and target no earlier label holds, in order.
+
+    The one-to-one subset of a ``random_labels`` table, as the subrelation
+    update requires; sweeps and retention take many-to-many tables.
+    """
+    kept: dict[tuple[int, int], float] = {}
+    sources, targets = set(), set()
+    for (s, t), v in labels.items():
+        if s not in sources and t not in targets:
+            kept[(s, t)] = v
+            sources.add(s)
+            targets.add(t)
+    return kept
+
+
 def random_psub(
     rng: np.random.Generator,
     pair: KnowledgeGraphPair,

@@ -23,6 +23,7 @@ import oracles
 from conftest import (
     isomorphic_pair,
     matched_psub,
+    one_to_one,
     psub_dicts,
     random_labels,
     random_pair,
@@ -89,8 +90,11 @@ def test_symbolic_oracle_equivalence(capsys):
             for d, value in oracles.brute_functionalities(kg).items():
                 worst = max(worst, abs(eta[d ^ 1] - value))
 
-        est = update_subrelation_probs(pair, prev.src, prev.tgt, prev.val)
-        exp_fwd, exp_bwd = oracles.brute_subrelation(pair, labels)
+        # p_sub from a one-to-one subset, as the M-step feeds it; the sweep reads all of prev
+        aligned = one_to_one(labels)
+        columns = oracles.offer_columns((s, t, v) for (s, t), v in aligned.items())
+        est = update_subrelation_probs(pair, *columns)
+        exp_fwd, exp_bwd = oracles.brute_subrelation(pair, aligned)
         est_fwd, est_bwd = psub_dicts(est)
         for key in set(est_fwd) | set(exp_fwd):
             worst = max(worst, abs(est_fwd.get(key, 0.0) - exp_fwd.get(key, 0.0)))

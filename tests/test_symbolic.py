@@ -21,6 +21,7 @@ import oracles
 from conftest import (
     chain_pair,
     matched_psub,
+    one_to_one,
     psub_dicts,
     psub_table,
     random_labels,
@@ -357,10 +358,27 @@ class TestSubrelationUpdate:
         rp = pack_direction(tgt.relation_ids["r'"], False)
         assert psub.source_in_target[r, rp] == 0.5
 
+    def test_repeated_entity_raises(self):
+        src = load_graph([("a", "r", "b"), ("b", "r", "c")])
+        tgt = load_graph([("a'", "r'", "b'"), ("b'", "r'", "c'")])
+        pair = KnowledgeGraphPair(source=src, target=tgt)
+        repeated_source = [(0, 0, 1.0), (1, 1, 1.0), (0, 2, 0.5)]
+        repeated_target = [(0, 0, 1.0), (1, 1, 1.0), (2, 1, 0.5)]
+        for labels in (repeated_source, repeated_target):
+            with pytest.raises(ValueError, match="one-to-one"):
+                update_subrelation_probs(pair, *oracles.offer_columns(labels))
+
+    def test_no_labels_give_zero_tables(self):
+        pair = random_pair(np.random.default_rng(3), n_entities=6, n_relations=2, n_triples=10)
+        psub = update_subrelation_probs(pair, *_columns({}))
+        shape = (2 * pair.source.n_relations, 2 * pair.target.n_relations)
+        assert psub.source_in_target.shape == shape and psub.target_in_source.shape == shape[::-1]
+        assert not psub.source_in_target.any() and not psub.target_in_source.any()
+
     def test_matches_brute_force(self, rng):
         for _ in range(30):
             pair = random_pair(rng, n_entities=7, n_relations=2, n_triples=12)
-            labels = random_labels(rng, pair, n_labels=7)
+            labels = one_to_one(random_labels(rng, pair, n_labels=7))
             got = update_subrelation_probs(pair, *_columns(labels))
             exp_fwd, exp_bwd = oracles.brute_subrelation(pair, labels)
             got_fwd, got_bwd = psub_dicts(got)
@@ -374,7 +392,7 @@ class TestSubrelationUpdate:
     def test_mirror_symmetry(self, rng):
         for _ in range(30):
             pair = random_pair(rng, n_entities=7, n_relations=3, n_triples=14)
-            psub = update_subrelation_probs(pair, *_columns(random_labels(rng, pair, 6)))
+            psub = update_subrelation_probs(pair, *_columns(one_to_one(random_labels(rng, pair, 6))))
             flip_s = np.arange(2 * pair.source.n_relations) ^ 1
             flip_t = np.arange(2 * pair.target.n_relations) ^ 1
             fwd, bwd = psub.source_in_target, psub.target_in_source
@@ -390,12 +408,12 @@ class TestSubrelationUpdate:
             src = load_graph(pair.source.triple_records() + [("a0", "r0", "a0"), ("a3", "r1", "a3")])
             tgt = load_graph(pair.target.triple_records() + [("b0", "s0", "b0"), ("b3", "s1", "b3")])
             pair = KnowledgeGraphPair(source=src, target=tgt)
-            # rows of 0 to 3 counterparts, some labels exactly 0 or 1
-            rows: dict[int, dict[int, float]] = {}
-            for s in range(pair.source.n_entities):
-                targets = rng.choice(pair.target.n_entities, int(rng.integers(0, 4)), replace=False)
-                values = rng.choice([0.0, 1.0, *rng.uniform(0.05, 1.0, 4)], len(targets))
-                rows[s] = {int(t): float(v) for t, v in zip(targets, values)}
+            # at most one counterpart per entity, some labels exactly 0 or 1
+            n_s, n_t = pair.source.n_entities, pair.target.n_entities
+            n = int(rng.integers(0, min(n_s, n_t) + 1))
+            sources, targets = rng.choice(n_s, n, replace=False), rng.choice(n_t, n, replace=False)
+            values = rng.choice([0.0, 1.0, *rng.uniform(0.05, 1.0, 4)], n)
+            rows = {int(s): {int(t): float(v)} for s, t, v in zip(sources, targets, values)}
             labels = oracles.offer_columns((s, t, v) for s, row in rows.items() for t, v in row.items())
             for eps, min_support in (defaults, (0.0, 0.0)):
                 monkeypatch.setattr(symbolic, "PSUB_EPSILON", eps)
@@ -408,11 +426,11 @@ class TestSubrelationUpdate:
                 assert np.array_equal(got.target_in_source, expected.target_in_source)
 
     def test_label_order_does_not_matter(self, rng):
-        # each orientation sorts its labels, so any order of distinct pairs
-        # gives the same estimate bit for bit
+        # each orientation reads its labels by entity, so any order of a
+        # one-to-one alignment gives the same estimate bit for bit
         for _ in range(60):
             pair = random_pair(rng, n_entities=12, n_relations=3, n_triples=40)
-            labels = _columns(random_labels(rng, pair, int(rng.integers(0, 30))))
+            labels = _columns(one_to_one(random_labels(rng, pair, int(rng.integers(0, 30)))))
             want = update_subrelation_probs(pair, *labels)
             shuffle = rng.permutation(len(labels[0]))
             got = update_subrelation_probs(pair, *(col[shuffle] for col in labels))
@@ -422,7 +440,7 @@ class TestSubrelationUpdate:
     def test_values_bounded(self, rng):
         for _ in range(30):
             pair = random_pair(rng, n_entities=8, n_relations=2, n_triples=16)
-            psub = update_subrelation_probs(pair, *_columns(random_labels(rng, pair, 8)))
+            psub = update_subrelation_probs(pair, *_columns(one_to_one(random_labels(rng, pair, 8))))
             for weights in (psub.source_in_target, psub.target_in_source):
                 assert np.all((weights >= 0.0) & (weights <= 1.0 + 1e-12))
 
