@@ -35,6 +35,8 @@ FORMAT_VERSION = 1
 
 TRIPLE_FILES = ("rel_triples_1", "rel_triples_2")
 LINKS_FILE = "ent_links"
+# The origin column of a predictions file, by value.
+_ORIGINS = {o.value: o for o in Origin}
 
 T = TypeVar("T")
 
@@ -218,6 +220,40 @@ def format_predictions(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _prediction_scores(
+    rows: TsvRows, check_head: Callable[[TsvRows], object] = lambda head: None
+) -> list[float]:
+    """The scores of a four-column predictions file's rows, each row checked.
+
+    Every score must be a number in [0, 1] and every origin an ``Origin``
+    value, and no source or target may repeat.  The first faulty row is
+    reported as ``file:line``, after ``check_head`` has seen the rows up
+    to and including it, so that a fault ``check_head`` raises on one of
+    them is reported instead.
+    """
+    scores, sources, targets = [], set(), set()
+    for row, (s, t, score, origin) in enumerate(zip(*rows.columns)):
+        try:
+            value = float(score)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value <= 1.0:
+            fault = f"score must be a number in [0, 1], got {score!r}"
+        elif origin not in _ORIGINS:
+            fault = f"unknown origin {origin!r}, expected observed, symbolic or neural"
+        elif s in sources or t in targets:
+            side, label = ("source", s) if s in sources else ("target", t)
+            fault = f"repeated {side} entity {label!r}"
+        else:
+            scores.append(value)
+            sources.add(s)
+            targets.add(t)
+            continue
+        check_head(TsvRows(rows.name, tuple(c[: row + 1] for c in rows.columns), rows.lines))
+        raise DatasetError(f"{rows.where(row)}: {fault}")
+    return scores
+
+
 def read_predictions(
     path: str | Path, pair: KnowledgeGraphPair
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Origin, ...]]:
@@ -228,32 +264,12 @@ def read_predictions(
     value, and no source or target may repeat.  The first faulty line,
     unknown entity labels included, is reported as ``file:line``.
     """
-    origins = {o.value: o for o in Origin}
 
     def parse(rows: TsvRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Origin, ...]]:
-        scores, sources, targets = [], set(), set()
-        for row, (s, t, score, origin) in enumerate(zip(*rows.columns)):
-            try:
-                value = float(score)
-            except ValueError:
-                value = math.nan
-            if not 0.0 <= value <= 1.0:
-                fault = f"score must be a number in [0, 1], got {score!r}"
-            elif origin not in origins:
-                fault = f"unknown origin {origin!r}, expected observed, symbolic or neural"
-            elif s in sources or t in targets:
-                side, label = ("source", s) if s in sources else ("target", t)
-                fault = f"repeated {side} entity {label!r}"
-            else:
-                scores.append(value)
-                sources.add(s)
-                targets.add(t)
-                continue
-            # an unknown label on this line or an earlier one is reported first
-            _link_ids(TsvRows(rows.name, tuple(c[: row + 1] for c in rows.columns), rows.lines), pair)
-            raise DatasetError(f"{rows.where(row)}: {fault}")
+        # an unknown label on the faulty line or an earlier one is reported first
+        scores = _prediction_scores(rows, lambda head: _link_ids(head, pair))
         src, tgt = np.array(_link_ids(rows, pair), dtype=np.int64).reshape(-1, 2).T
-        return src, tgt, np.array(scores), tuple(map(origins.get, rows.columns[3]))
+        return src, tgt, np.array(scores), tuple(map(_ORIGINS.get, rows.columns[3]))
 
     return read_tsv(Path(path), 4, parse)
 
@@ -378,6 +394,7 @@ def _parse_predictions(
             by_rank[r] = t
         return {s: [by_rank[r] for r in sorted(by_rank)] for s, by_rank in ranked.items()}, None
     if len(rows.columns) == 4:
+        _prediction_scores(rows)
         return None, list(zip(*rows.columns[:2]))
     raise DatasetError(f"{rows.name}: unrecognized prediction format ({len(rows.columns)} columns)")
 
@@ -391,7 +408,9 @@ def load_prediction_file(
     (``source<TAB>rank<TAB>target``), each source's targets ordered by
     rank; a rank below 1 or a source's repeated rank is an error.  Four
     columns are binary predictions
-    (``source<TAB>target<TAB>score<TAB>origin``).  Returns (rankings,
-    None) or (None, pairs).
+    (``source<TAB>target<TAB>score<TAB>origin``), checked row by row as
+    ``read_predictions`` checks them: a score outside [0, 1], an unknown
+    origin or a repeated source or target is an error.  Returns
+    (rankings, None) or (None, pairs).
     """
     return read_tsv(Path(path), None, _parse_predictions)

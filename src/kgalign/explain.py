@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,13 @@ class AnchorSet:
         return dict(self._targets)
 
 
-@dataclass(frozen=True)
-class RuleExplanation:
+class RuleExplanation(NamedTuple):
+    """One supporting rule: an anchor pair, its two paths and their weight.
+
+    A NamedTuple, so records are immutable, hashable and built by
+    position.
+    """
+
     anchor: tuple[int, int]
     source_path: Path
     target_path: Path
@@ -110,31 +115,6 @@ def _walks(kg: KnowledgeGraph, e: int, max_len: int) -> dict[int, list[Path]]:
     return out
 
 
-def _rule_weights(
-    eta_source: np.ndarray, eta_target: np.ndarray, psub: SubrelationTable
-) -> Callable[[Path, Path], float]:
-    """One query's rule weight of two equal-length anchor-to-query paths.
-
-    Each step pair (d, d') weighs ``eta(d) * eta(d') * (p_sub(d in d') +
-    p_sub(d' in d)) / 2``, memoized as a float the first time it is
-    seen; the path weight multiplies the steps in anchor-to-query order.
-    """
-    sit, tis = psub.source_in_target, psub.target_in_source
-    steps: dict[tuple[int, int], float] = {}
-
-    def weight(source_path: Path, target_path: Path) -> float:
-        w = 1.0
-        for (d, _), (dp, _) in zip(source_path, target_path):
-            step = steps.get((d, dp))
-            if step is None:
-                both_ways = sit[d, dp] + tis[dp, d]
-                step = steps[d, dp] = float(eta_source[d] * eta_target[dp] * both_ways / 2.0)
-            w *= step
-        return w
-
-    return weight
-
-
 def explain(
     pair: KnowledgeGraphPair,
     query: tuple[int, int],
@@ -158,37 +138,57 @@ def explain(
     dropped, and so are zero-confidence explanations.  Only the anchors
     reachable from the query source are visited.
 
-    Within one call the step weights of each relation pair are computed
-    once; nothing is kept between calls.  The result is sorted by
-    (-confidence, anchor, source path, target path), a total order, so
-    it does not depend on the visiting order.
+    Each step pair (d, d') weighs ``eta(d) * eta(d') * (p_sub(d in d') +
+    p_sub(d' in d)) / 2``, computed from Python floats (the same bits as
+    from numpy scalars) the first time it is seen and memoized for the
+    rest of the call under the int key ``d * 2R' + d'``; a rule
+    multiplies its steps in anchor-to-query order.  Rules are collected
+    and sorted as plain (-confidence, anchor, source path, target path)
+    tuples, a total order, so the result does not depend on the
+    visiting order; the records are built from the sorted tuples.
+    Nothing is kept between calls.
     """
     if max_len < 1:
         raise ValueError(f"path length bound must be >= 1, got {max_len}")
     e_q, e_q_prime = query
-    if exhaustive:
-        src_paths = _walks(pair.source, e_q, max_len)
-        tgt_paths = _walks(pair.target, e_q_prime, max_len)
-    else:
-        src_paths, tgt_paths = (
-            {end: (path,) for end, path in bfs_reachable(kg, e, max_len).items()}
-            for kg, e in ((pair.source, e_q), (pair.target, e_q_prime))
-        )
     targets = anchors._targets
-    weight = _rule_weights(eta_source, eta_target, psub)
-    results: list[RuleExplanation] = []
-    for a, source_paths in src_paths.items():
-        a_prime = targets.get(a)
-        if a_prime is None:
+    if exhaustive:
+        src_walks = _walks(pair.source, e_q, max_len)
+        tgt_walks = _walks(pair.target, e_q_prime, max_len)
+        joined = [
+            (a, a_prime, sp, tp)
+            for a, source_walks in src_walks.items()
+            if (a_prime := targets.get(a)) is not None
+            for sp in source_walks
+            for tp in tgt_walks.get(a_prime, ())
+        ]
+    else:
+        src_paths = bfs_reachable(pair.source, e_q, max_len)
+        tgt_paths = bfs_reachable(pair.target, e_q_prime, max_len)
+        joined = [
+            (a, a_prime, sp, tgt_paths[a_prime])
+            for a, sp in src_paths.items()
+            if (a_prime := targets.get(a)) is not None and a_prime in tgt_paths
+        ]
+    eta_s, eta_t = eta_source.item, eta_target.item
+    sit, tis = psub.source_in_target.item, psub.target_in_source.item
+    n_target = psub.source_in_target.shape[1]
+    steps: dict[int, float] = {}
+    rows: list[tuple[float, int, int, Path, Path]] = []
+    for a, a_prime, sp, tp in joined:
+        if len(sp) != len(tp):
             continue
-        for sp in source_paths:
-            for tp in tgt_paths.get(a_prime, ()):
-                if len(sp) == len(tp):
-                    w = weight(sp, tp)
-                    if w > 0.0:
-                        results.append(RuleExplanation((a, a_prime), sp, tp, w))
-    results.sort(key=lambda ex: (-ex.confidence, ex.anchor, ex.source_path, ex.target_path))
-    return results
+        w = 1.0
+        for (d, _), (dp, _) in zip(sp, tp):
+            key = d * n_target + dp
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = eta_s(d) * eta_t(dp) * (sit(d, dp) + tis(dp, d)) / 2.0
+            w *= step
+        if w > 0.0:
+            rows.append((-w, a, a_prime, sp, tp))
+    rows.sort()
+    return [RuleExplanation((a, a_prime), sp, tp, -neg_w) for neg_w, a, a_prime, sp, tp in rows]
 
 
 def _chain(path: Path, kg: KnowledgeGraph) -> str:

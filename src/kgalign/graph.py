@@ -26,11 +26,6 @@ class IngestError(ValueError):
     """Raised when triple or link records cannot be parsed."""
 
 
-def pack_direction(base: int, inverse: bool) -> int:
-    """The packed directed relation of base relation ``base``, inverse if ``inverse``."""
-    return base * 2 + int(inverse)
-
-
 @dataclass(frozen=True)
 class AlignmentSeed:
     """A list of (source-entity, target-entity) id pairs."""

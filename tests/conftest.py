@@ -10,9 +10,13 @@ from kgalign.graph import (
     KnowledgeGraph,
     KnowledgeGraphPair,
     load_graph,
-    pack_direction,
 )
 from kgalign.symbolic import SubrelationTable, TruthScoreTable
+
+
+def pack_direction(base: int, inverse: bool) -> int:
+    """The packed directed relation of base relation ``base``, inverse if ``inverse``."""
+    return base * 2 + int(inverse)
 
 
 def psub_table(

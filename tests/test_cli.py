@@ -11,9 +11,11 @@ import pytest
 
 from kgalign import embedder
 from kgalign.cli import main
-from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle
+from kgalign.data import LINKS_FILE, TRIPLE_FILES, DatasetBundle, load_dataset, read_predictions
 from kgalign.em import EmConfig
-from kgalign.embedder import Hyperparams
+from kgalign.embedder import Hyperparams, Origin
+from kgalign.explain import explain, hard_anchors, render_report, soft_anchors
+from kgalign.symbolic import compute_functionalities, update_subrelation_probs
 
 import oracles
 from conftest import isomorphic_pair
@@ -299,6 +301,32 @@ class TestExplain:
         assert rc == 0
         assert "mode=soft" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_exhaustive_reports_every_walk_pair(self, dataset_dir, run_dir, capsys, mode):
+        bundle = load_dataset(dataset_dir)
+        pair = bundle.pair
+        src, tgt, score, origin = read_predictions(run_dir / "predictions.tsv", pair)
+        args = (
+            compute_functionalities(pair.source),
+            compute_functionalities(pair.target),
+            update_subrelation_probs(pair, src, tgt, score),
+            2,
+        )
+        pairs = list(zip(src.tolist(), tgt.tolist()))
+        observed = [p for p, o in zip(pairs, origin) if o is Origin.OBSERVED]
+        anchors = hard_anchors(observed) if mode == "hard" else soft_anchors(observed, pairs)
+        expected, widened = [], 0
+        for query in bundle.links:
+            exps = explain(pair, query, anchors, *args, exhaustive=True)
+            expected.append(render_report(pair, query, exps, anchors.mode))
+            widened += exps != explain(pair, query, anchors, *args)
+        # the walks find rules the shortest paths miss
+        assert widened > 0
+        queries_file = str(dataset_dir / LINKS_FILE)
+        argv = ["explain", str(dataset_dir), "--pairs", queries_file, "--state", str(run_dir)]
+        assert main([*argv, "--mode", mode, "--exhaustive"]) == 0
+        assert capsys.readouterr().out == "".join(expected)
+
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_bad_top_fails(self, dataset_dir, run_dir, capsys, top):
         rc = main(
@@ -524,6 +552,29 @@ class TestEval:
         (tmp_path / "rankings.tsv").write_text(text, encoding="utf-8")
         (tmp_path / "gold").write_text("a\ty\n", encoding="utf-8")
         rc = main(["eval", "--predictions", str(tmp_path / "rankings.tsv"), "--gold", str(tmp_path / "gold")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tx\t1\tobserved\na\ty\t0.5\tsymbolic\n", "predictions.tsv:2: repeated source entity 'a'"),
+            ("a\tx\t1\tobserved\nb\tx\t0.5\tneural\n", "predictions.tsv:2: repeated target entity 'x'"),
+            ("a\tx\t1.5\tobserved\n", "predictions.tsv:1: score must be a number in [0, 1], got '1.5'"),
+            (
+                "a\tx\t1\tseed\n",
+                "predictions.tsv:1: unknown origin 'seed', expected observed, symbolic or neural",
+            ),
+        ],
+        ids=["source", "target", "score", "origin"],
+    )
+    def test_bad_binary_row_fails(self, tmp_path, capsys, text, message):
+        # a repeated source would otherwise count both of its targets
+        (tmp_path / "predictions.tsv").write_text(text, encoding="utf-8")
+        (tmp_path / "gold").write_text("a\ty\n", encoding="utf-8")
+        rc = main(["eval", "--predictions", str(tmp_path / "predictions.tsv"), "--gold", str(tmp_path / "gold")])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""

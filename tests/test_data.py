@@ -487,6 +487,26 @@ class TestPredictionFiles:
         path.write_text("\n\n", encoding="utf-8")
         assert load_prediction_file(path) == (None, [])
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["a\tx\t2\tobserved", "q"], "1: score must be a number in [0, 1], got '2'"),
+            (["a\tx\tnan\tobserved"], "1: score must be a number in [0, 1], got 'nan'"),
+            (
+                ["a\tx\t1\tobserved", "b\ty\t1\tseed"],
+                "2: unknown origin 'seed', expected observed, symbolic or neural",
+            ),
+            (["a\tx\t1\tobserved", "", "a\ty\t1\tobserved", "q"], "3: repeated source entity 'a'"),
+            (["a\tx\t1\tobserved", "b\tx\t1\tobserved"], "2: repeated target entity 'x'"),
+        ],
+        ids=["score", "nan", "origin", "source", "target"],
+    )
+    def test_binary_rows_checked_as_read_predictions(self, tmp_path, lines, message):
+        # the same checks and messages as read_predictions, without the graphs
+        path = tmp_path / "predictions.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert error_of(load_prediction_file, path) == f"predictions.tsv:{message}"
+
     def test_unknown_width(self, tmp_path):
         path = tmp_path / "odd.tsv"
         path.write_text("a\tb\n", encoding="utf-8")

@@ -11,20 +11,22 @@ import pytest
 
 from kgalign import data
 from kgalign.em import EmConfig, fuse_predictions, run_em
+from kgalign.embedder import Origin
 from kgalign.explain import (
     AnchorMode,
     AnchorSet,
+    RuleExplanation,
     bfs_reachable,
     explain,
     hard_anchors,
     render_report,
     soft_anchors,
 )
-from kgalign.graph import KnowledgeGraphPair, load_graph, pack_direction
+from kgalign.graph import KnowledgeGraphPair, load_graph
 from kgalign.symbolic import compute_functionalities
 
 import oracles
-from conftest import matched_psub, psub_dicts, random_pair, random_psub
+from conftest import matched_psub, pack_direction, psub_dicts, random_pair, random_psub
 
 
 def fwd(r: int) -> int:
@@ -428,6 +430,25 @@ class TestExplain:
         assert explain(*args, max_len=2) == explain(*args, max_len=2)
 
 
+class TestRuleExplanation:
+    record = RuleExplanation((0, 1), ((2, 3),), ((4, 5),), 0.5)
+
+    def test_fields_in_order(self):
+        assert RuleExplanation._fields == ("anchor", "source_path", "target_path", "confidence")
+        assert tuple(self.record) == ((0, 1), ((2, 3),), ((4, 5),), 0.5)
+        assert self.record.anchor == (0, 1) and self.record.confidence == 0.5
+
+    @pytest.mark.parametrize("field", ["anchor", "source_path", "target_path", "confidence"])
+    def test_assignment_raises(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.record, field, None)
+
+    def test_hashable(self):
+        twin = RuleExplanation((0, 1), ((2, 3),), ((4, 5),), 0.5)
+        assert hash(twin) == hash(self.record)
+        assert {self.record, twin} == {self.record}
+
+
 class TestAnchorSets:
     def test_one_to_one_enforced(self):
         with pytest.raises(ValueError, match="one-to-one"):
@@ -510,13 +531,12 @@ class TestRenderReport:
 BENCH_GENERATORS = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
 
 
-@pytest.fixture(scope="module")
-def noisy_run(tmp_path_factory):
-    """A symbolic-only run on the bench generator's noisy 1k pair at 20% seeds.
+def _noisy_run(tmp_path_factory, symbolic_only: bool):
+    """A run on the bench generator's noisy 1k pair at 20% seeds.
 
     ``bench/generators.py`` is loaded read-only as a fresh module.
-    Returns the pair, the held-out queries, both anchor sets and the
-    final state.
+    Returns the pair, the held-out queries, both anchor sets, the final
+    state and the fused binary set.
     """
     if not BENCH_GENERATORS.is_file():
         pytest.skip("bench/generators.py not present")
@@ -530,35 +550,59 @@ def noisy_run(tmp_path_factory):
         generators.write_dataset(generators.noisy_pair(407, 1000, 10, 3000), directory)
     bundle = data.load_dataset(directory)
     train, valid, test = data.split_seed(bundle.links, 0.20, 0.05, 407)
-    config = EmConfig(seed=407, symbolic_only=True)
+    config = EmConfig(seed=407, symbolic_only=symbolic_only)
     state = run_em(bundle.pair, train, config, validation=valid)
     fused = fuse_predictions(state, config)
     anchors = {
         AnchorMode.HARD: hard_anchors(train.pairs),
         AnchorMode.SOFT: soft_anchors(train.pairs, [(s, t) for s, t, _, _ in fused.binary]),
     }
-    return bundle.pair, test.pairs, anchors, state
+    return bundle.pair, test.pairs, anchors, state, fused.binary
+
+
+@pytest.fixture(scope="module")
+def noisy_run(tmp_path_factory):
+    """A symbolic-only run on the noisy 1k pair."""
+    return _noisy_run(tmp_path_factory, symbolic_only=True)
+
+
+@pytest.fixture(scope="module")
+def joint_noisy_run(tmp_path_factory):
+    """A joint-mode run on the noisy 1k pair: soft anchors hold neural pairs too."""
+    return _noisy_run(tmp_path_factory, symbolic_only=False)
+
+
+def assert_matches_loop(run, mode: AnchorMode) -> None:
+    """``explain`` equals the all-anchor loop, report and all, on every
+    held-out query of the run."""
+    pair, queries, anchors, state, _ = run
+    args = (state.eta_source, state.eta_target, state.psub, 2)
+    anchor_set = anchors[mode]
+    explained = two_hop = 0
+    for query in queries:
+        got = explain(pair, query, anchor_set, *args)
+        expected = oracles.loop_explain(pair, query, anchor_set.pairs, *args)
+        assert got == expected, query
+        assert render_report(pair, query, got, mode) == render_report(pair, query, expected, mode)
+        explained += bool(got)
+        two_hop += any(len(ex.source_path) == 2 for ex in got)
+    # nearly every query has rules, and most of them need two-step paths
+    assert explained > 0.9 * len(queries) and two_hop > len(queries) / 2
 
 
 class TestMatchesLoopAtScale:
     @pytest.mark.parametrize("mode", [AnchorMode.HARD, AnchorMode.SOFT])
     def test_every_held_out_query(self, noisy_run, mode):
-        pair, queries, anchors, state = noisy_run
-        args = (state.eta_source, state.eta_target, state.psub, 2)
-        anchor_set = anchors[mode]
-        explained = two_hop = 0
-        for query in queries:
-            got = explain(pair, query, anchor_set, *args)
-            expected = oracles.loop_explain(pair, query, anchor_set.pairs, *args)
-            assert got == expected, query
-            assert render_report(pair, query, got, mode) == render_report(pair, query, expected, mode)
-            explained += bool(got)
-            two_hop += any(len(ex.source_path) == 2 for ex in got)
-        # nearly every query has rules, and most of them need two-step paths
-        assert explained > 0.9 * len(queries) and two_hop > len(queries) / 2
+        assert_matches_loop(noisy_run, mode)
+
+    @pytest.mark.parametrize("mode", [AnchorMode.HARD, AnchorMode.SOFT])
+    def test_joint_run_every_held_out_query(self, joint_noisy_run, mode):
+        *_, binary = joint_noisy_run
+        assert any(origin is Origin.NEURAL for *_, origin in binary)
+        assert_matches_loop(joint_noisy_run, mode)
 
     def test_exhaustive_queries(self, noisy_run):
-        pair, queries, anchors, state = noisy_run
+        pair, queries, anchors, state, _ = noisy_run
         args = (state.eta_source, state.eta_target, state.psub, 2)
         anchor_set = anchors[AnchorMode.SOFT]
         ranked = 0

@@ -12,12 +12,11 @@ from kgalign.graph import (
     KnowledgeGraphPair,
     check_key_space,
     load_graph,
-    pack_direction,
     validate_seed_sets,
 )
 
 import oracles
-from conftest import random_graph
+from conftest import pack_direction, random_graph
 
 
 class TestLoadGraph:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgalign import symbolic
-from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair, load_graph, pack_direction
+from kgalign.graph import KnowledgeGraph, KnowledgeGraphPair, load_graph
 from kgalign.symbolic import (
     TruthScoreTable,
     compute_functionalities,
@@ -22,6 +22,7 @@ from conftest import (
     chain_pair,
     matched_psub,
     one_to_one,
+    pack_direction,
     psub_dicts,
     psub_table,
     random_labels,
