@@ -249,7 +249,7 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     ks = _parse_ks(args.ks)
-    gold_pairs = data.load_label_pairs(args.gold)
+    gold_pairs = data.load_gold_links(args.gold)
     rankings, pairs = data.load_prediction_file(args.predictions)
     if rankings is not None:
         report = met.evaluate_ranking(rankings, dict(gold_pairs), ks=ks)

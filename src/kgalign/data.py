@@ -220,6 +220,20 @@ def format_predictions(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _first_repeat(sources: Sequence[str], targets: Sequence[str]) -> tuple[int, str]:
+    """The first row whose source or target an earlier row holds, and its
+    fault; ``(len(sources), "")`` when the rows are one-to-one."""
+    seen_sources: set[str] = set()
+    seen_targets: set[str] = set()
+    for row, (s, t) in enumerate(zip(sources, targets)):
+        if s in seen_sources or t in seen_targets:
+            side, label = ("source", s) if s in seen_sources else ("target", t)
+            return row, f"repeated {side} entity {label!r}"
+        seen_sources.add(s)
+        seen_targets.add(t)
+    return len(sources), ""
+
+
 def _prediction_scores(
     rows: TsvRows, check_head: Callable[[TsvRows], object] = lambda head: None
 ) -> list[float]:
@@ -231,8 +245,9 @@ def _prediction_scores(
     to and including it, so that a fault ``check_head`` raises on one of
     them is reported instead.
     """
-    scores, sources, targets = [], set(), set()
-    for row, (s, t, score, origin) in enumerate(zip(*rows.columns)):
+    scores = []
+    repeat, repeat_fault = _first_repeat(*rows.columns[:2])
+    for row, (score, origin) in enumerate(zip(*rows.columns[2:])):
         try:
             value = float(score)
         except ValueError:
@@ -241,13 +256,10 @@ def _prediction_scores(
             fault = f"score must be a number in [0, 1], got {score!r}"
         elif origin not in _ORIGINS:
             fault = f"unknown origin {origin!r}, expected observed, symbolic or neural"
-        elif s in sources or t in targets:
-            side, label = ("source", s) if s in sources else ("target", t)
-            fault = f"repeated {side} entity {label!r}"
+        elif row == repeat:
+            fault = repeat_fault
         else:
             scores.append(value)
-            sources.add(s)
-            targets.add(t)
             continue
         check_head(TsvRows(rows.name, tuple(c[: row + 1] for c in rows.columns), rows.lines))
         raise DatasetError(f"{rows.where(row)}: {fault}")
@@ -372,6 +384,20 @@ def load_label_pairs(path: str | Path) -> list[tuple[str, str]]:
     return list(zip(*read_tsv(Path(path), 2).columns))
 
 
+def load_gold_links(path: str | Path) -> list[tuple[str, str]]:
+    """The (source, target) label pairs of a gold links file, which must be
+    one-to-one: a repeated source or target is reported as ``file:line``,
+    as ``read_predictions`` reports it."""
+
+    def parse(rows: TsvRows) -> list[tuple[str, str]]:
+        repeat, fault = _first_repeat(*rows.columns)
+        if fault:
+            raise DatasetError(f"{rows.where(repeat)}: {fault}")
+        return list(zip(*rows.columns))
+
+    return read_tsv(Path(path), 2, parse)
+
+
 def _parse_predictions(
     rows: TsvRows,
 ) -> tuple[dict[str, list[str]] | None, list[tuple[str, str]] | None]:
@@ -379,6 +405,7 @@ def _parse_predictions(
         return None, []
     if len(rows.columns) == 3:
         ranked: dict[str, dict[int, str]] = {}
+        listed: dict[str, set[str]] = {}
         for row, (s, rank, t) in enumerate(zip(*rows.columns)):
             try:
                 r = int(rank)
@@ -391,7 +418,11 @@ def _parse_predictions(
             by_rank = ranked.setdefault(s, {})
             if r in by_rank:
                 raise DatasetError(f"{rows.where(row)}: repeated rank {r} for source {s!r}")
+            targets = listed.setdefault(s, set())
+            if t in targets:
+                raise DatasetError(f"{rows.where(row)}: repeated target {t!r} for source {s!r}")
             by_rank[r] = t
+            targets.add(t)
         return {s: [by_rank[r] for r in sorted(by_rank)] for s, by_rank in ranked.items()}, None
     if len(rows.columns) == 4:
         _prediction_scores(rows)
@@ -406,8 +437,8 @@ def load_prediction_file(
 
     Three columns with an integer middle field are ranked lists
     (``source<TAB>rank<TAB>target``), each source's targets ordered by
-    rank; a rank below 1 or a source's repeated rank is an error.  Four
-    columns are binary predictions
+    rank; a rank below 1, or a rank or a target that a source repeats, is
+    an error.  Four columns are binary predictions
     (``source<TAB>target<TAB>score<TAB>origin``), checked row by row as
     ``read_predictions`` checks them: a score outside [0, 1], an unknown
     origin or a repeated source or target is an error.  Returns

@@ -6,7 +6,9 @@ the pair's confidence (LightEA, Mao et al., EMNLP 2022).  Each graph
 then mixes its features along its own edges with personalized-PageRank
 steps (APPNP, Gasteiger et al., ICLR 2019), so an entity takes on the
 anchors near it, and two entities whose neighbourhoods hold the same
-anchors end up with close features.  Scoring is plain cosine similarity.
+anchors end up with close features.  Scoring is plain cosine similarity,
+and ranking sorts only the few cells at or above a cheap lower bound on
+each source's k-th best score.
 
 The anchor vectors come from the generator kept on the model, so a fixed
 seed reproduces the features bit for bit.  The neighbour mean walks a
@@ -15,9 +17,9 @@ propagation steps of a graph with n entities run in two n x d buffers
 that swap roles, beside the start features times TELEPORT.  So a graph's
 propagation holds three n x d arrays plus one block of
 ``TRAIN_CHUNK_CELLS`` values, whatever the triple count or the number of
-steps.  Ranking holds two
-buffers of ``TOP_K_BLOCK_CELLS`` scores, allocated once per call,
-whatever the source or candidate count.
+steps.  Ranking holds one buffer of ``TOP_K_BLOCK_CELLS`` scores and
+a bool mask of the same shape, allocated once per call, whatever the
+source or candidate count.
 """
 
 from __future__ import annotations
@@ -135,16 +137,21 @@ TRAIN_CHUNK_CELLS = 1 << 15
 # Score cells (sources x candidates) one block of ``top_k`` or
 # ``mutual_nearest`` holds; the row count follows from the candidate count,
 # so memory stays flat as the target side grows.  Each call allocates its
-# block once.  ``top_k`` holds a second buffer of the same size, where it
-# partitions a copy of the block to read each row's k-th score and then
-# builds the mask of the scores at or above it; that pair, 8 MB at 2^19,
-# sets the ranking's peak.  Median of 15 ``top_k`` and ``mutual_nearest``
-# calls on a 4,250 x 4,500 and a 4,500 x 4,500 ranking, on the host above:
-#   2^17: 133 ms, 118 ms    2^18: 118 ms, 101 ms    2^19: 116 ms, 99 ms
-#   2^20: 112 ms,  94 ms    2^21: 126 ms,  95 ms
-# 2^20 ran 3-5% faster than 2^19 but doubles both buffers; the rankings
-# were the same at every size, with scores within 4.4e-16.
+# block once, 4 MB at 2^19, beside one bool mask of the same shape.
+# Median of 15 ``top_k`` and ``mutual_nearest`` calls on a 4,250 x 4,500
+# ranking at k = 10 (joint-iso5000-rank, seed 407) and a 4,500 x 4,500
+# matching, on the host above:
+#   2^18: 72 ms, 90 ms    2^19: 65 ms, 85 ms    2^20: 64 ms, 85 ms
+# 2^20 ran within 2% of 2^19 at twice the memory; the rankings were the
+# same at every size, with scores within 4.5e-16.
 TOP_K_BLOCK_CELLS = 1 << 19
+
+# Column groups per ranked place in ``top_k``.  More groups give a tighter
+# bound on each row's k-th score, so fewer cells pass it, at the cost of a
+# longer partition of the group maxima.  Median of 15 calls on the ranking
+# above, where about 11.6 cells per row pass at 16:
+#   4: 67 ms    8: 62 ms    16: 61 ms    32: 61 ms    64: 62 ms
+TOP_K_GROUPS_PER_K = 16
 
 
 def _anchor_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -271,11 +278,12 @@ def top_k(
 
     Returns target ids and their clipped cosine scores, both shaped
     (len(sources), min(k, len(candidates))), each row in descending score
-    order.  Scores come from one matrix product per block of source rows,
-    and an in-place partition of a copy of the block gives each row's k-th
-    best score.  A row with exactly k scores at or above it keeps those
-    columns; a row with more, an exact tie at the cut, re-selects among
-    them by (score, id) so the cut keeps the lowest ids of the tie.
+    order.  Scores come from one matrix product per block of source rows.
+    The columns fall into c = min(TOP_K_GROUPS_PER_K * k, n) groups of
+    every c-th column, and the k-th largest group max is a lower bound on
+    the row's k-th score, as k distinct cells reach it.  Only the cells
+    at or above the bound are clipped, and one stable sort by (row,
+    -score) orders them; an exact tie at the cut keeps the lowest ids.
     """
     if len(candidates) == 0:
         raise ValueError("candidate set must be non-empty")
@@ -289,32 +297,31 @@ def top_k(
     vals = np.empty((len(src), k), dtype=np.float64)
     rows = max(1, TOP_K_BLOCK_CELLS // n)
     block = np.empty((min(rows, len(src)), n))
-    # a partitioned copy of the block, whose bytes then hold the mask
-    spare = np.empty_like(block)
+    near = np.empty(block.shape, dtype=np.bool_)
+    # group j holds columns j, j + c, j + 2c, ...; the n % c columns past
+    # the last whole stride join no group, which only loosens the bound
+    groups = min(TOP_K_GROUPS_PER_K * k, n)
+    whole = n - n % groups
+    steps = np.arange(k)
     for start in range(0, len(src), rows):
         smat = _unit_rows(model.ent_source[src[start : start + rows]])
         m = len(smat)
         scores = np.matmul(smat, tmat.T, out=block[:m])
-        np.clip(scores, -1.0, 1.0, out=scores)
-        parted = spare[:m]
-        np.copyto(parted, scores)
-        parted.partition(n - k, axis=1)
-        kth = parted[:, n - k, None].copy()  # the mask overwrites the copy
-        near = np.greater_equal(scores, kth, out=spare.reshape(-1).view(np.bool_)[: m * n].reshape(m, n))
-        # each row's columns at or above its k-th score, ascending; a 2-d
-        # np.nonzero took 8x as long as this
-        at, hits = np.divmod(np.flatnonzero(near), n)
-        count = np.bincount(at, minlength=m)
-        first = np.cumsum(count) - count
-        part = hits[first[:, None] + np.arange(k)]  # all of them in a row without a tie
-        for r in np.flatnonzero(count > k):
-            # columns ascend with target id, so a stable sort keeps id order
-            at_cut = hits[first[r] : first[r] + count[r]]
-            part[r] = at_cut[np.argsort(-scores[r, at_cut], kind="stable")[:k]]
-        top = np.take_along_axis(scores, part, axis=1)
-        order = np.lexsort((part, -top))
-        cols[start : start + m] = np.take_along_axis(part, order, axis=1)
-        vals[start : start + m] = np.take_along_axis(top, order, axis=1)
+        peaks = scores[:, :whole].reshape(m, -1, groups).max(axis=1)
+        peaks.partition(groups - k, axis=1)
+        # clip(s) >= clip(bound), read on the unclipped scores
+        bound = np.minimum(peaks[:, groups - k], 1.0)
+        bound[bound <= -1.0] = -np.inf
+        at = np.flatnonzero(np.greater_equal(scores, bound[:, None], out=near[:m]))
+        row, col = np.divmod(at, n)
+        top = np.clip(scores.reshape(-1)[at], -1.0, 1.0)
+        # a row's cells come by ascending column, so by target id, and the
+        # sort is stable; every row holds at least k of them
+        order = np.lexsort((-top, row))
+        count = np.bincount(row, minlength=m)
+        pick = order[(np.cumsum(count) - count)[:, None] + steps]
+        cols[start : start + m] = col[pick]
+        vals[start : start + m] = top[pick]
     return cand[cols], vals
 
 

@@ -60,10 +60,11 @@ class KnowledgeGraph:
     head, relation and tail arrays in triple order, and ``edge_index``
     the directed edges keyed by endpoint pair.
 
-    Triples are assumed distinct, as :func:`load_graph` leaves them:
-    ``compute_functionalities`` counts each (h, t) once, and the
-    subrelation update, which also takes a one-to-one alignment, finds
-    each d' joining a counterpart pair in ``edge_index`` at most once.
+    Triples are distinct: the constructor keeps the first of each
+    repeated row.  So ``compute_functionalities`` counts each (h, t)
+    once, and the subrelation update, which also takes a one-to-one
+    alignment, finds each d' joining a counterpart pair in
+    ``edge_index`` at most once.
     """
 
     def __init__(
@@ -74,7 +75,8 @@ class KnowledgeGraph:
     ):
         """``triples`` holds (h, r, t) id rows, as tuples or a ``(T, 3)`` int array.
 
-        Rows are kept as given, duplicates included.
+        Rows keep the order given; a repeated row is dropped, its first
+        occurrence kept, and the count is logged.
         """
         self.entity_labels: tuple[str, ...] = tuple(entity_labels)
         self.relation_labels: tuple[str, ...] = tuple(relation_labels)
@@ -89,19 +91,30 @@ class KnowledgeGraph:
                     f"{label}^-1",
                 )
 
-        columns = np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
-        columns.flags.writeable = False
+        columns = np.array(triples, dtype=np.int64).reshape(-1, 3).T
         h, r, t = columns
-        self.triple_columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (h, r, t)
         owner, nbr = np.concatenate([h, t]), np.concatenate([t, h])
         rel = np.concatenate([2 * r, 2 * r + 1])
         # The packed (owner, base relation, neighbor, direction) key sorts
-        # in the order of those four keys.  Equal keys are duplicate edges
-        # with equal ``rel`` and ``nbr``, so the sort need not be stable.
+        # in the order of those four keys.  Equal keys are the edges of
+        # one repeated triple, with equal ``rel`` and ``nbr``, so the sort
+        # need not be stable: each run of them keeps one edge, and the
+        # triple keeps its first row, the least slot of its forward run.
         key = ((owner * self.n_relations + (rel >> 1)) * self.n_entities + nbr) * 2 + (rel & 1)
         order = np.argsort(key)
+        runs = np.flatnonzero(np.diff(key[order], prepend=-1))
+        if len(runs) < len(order):
+            first = np.minimum.reduceat(order, runs)
+            keep = np.zeros(len(h), dtype=np.bool_)
+            keep[first[first < len(h)]] = True
+            logger.info("dropped %d repeated triples", len(h) - len(runs) // 2)
+            columns, order = columns[:, keep], order[runs]
+        columns = np.ascontiguousarray(columns)
+        columns.flags.writeable = False
+        h, r, t = columns
+        self.triple_columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (h, r, t)
         self.directed_adj = DirectedAdjacency(
-            indptr=np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.n_entities))]),
+            indptr=np.concatenate([[0], np.cumsum(np.bincount(owner[order], minlength=self.n_entities))]),
             rel=rel[order],
             nbr=nbr[order],
         )
@@ -171,10 +184,10 @@ def check_key_space(n_entities: int, n_relations: int) -> None:
 def load_graph(triple_records: Iterable[Sequence[str]]) -> KnowledgeGraph:
     """Build a :class:`KnowledgeGraph` from (head, relation, tail) label records.
 
-    Labels are interned in first-seen order; exact duplicate triples are
-    dropped, the first kept (a count is logged), so that the noisy-OR
-    evidence products do not double-count.  A record with the wrong
-    arity or an empty field raises :class:`IngestError` naming the
+    Labels are interned in first-seen order; the graph drops exact
+    duplicate triples, the first kept (a count is logged), so that the
+    noisy-OR evidence products do not double-count.  A record with the
+    wrong arity or an empty field raises :class:`IngestError` naming the
     1-based record number.
     """
     # The records are freed before the graph builds its indexes.
@@ -182,7 +195,7 @@ def load_graph(triple_records: Iterable[Sequence[str]]) -> KnowledgeGraph:
 
 
 def _intern(records: list[Sequence[str]]) -> tuple[list[str], list[str], np.ndarray]:
-    """Entity labels, relation labels and the ``(T, 3)`` id rows of the distinct triples."""
+    """Entity labels, relation labels and the ``(T, 3)`` id rows of the records."""
     ends = list(chain.from_iterable(records))
     if set(map(len, records)) - {3} or not all(ends):
         lineno, record = next(
@@ -198,20 +211,12 @@ def _intern(records: list[Sequence[str]]) -> tuple[list[str], list[str], np.ndar
     del ends[1::3]  # leaves heads and tails interleaved, in first-seen order
     entity_labels = list(dict.fromkeys(ends))
     relation_labels = list(dict.fromkeys(rels))
-    n_entities, n_relations = len(entity_labels), len(relation_labels)
-    check_key_space(n_entities, n_relations)
-    entity_ids = dict(zip(entity_labels, range(n_entities)))
-    relation_ids = dict(zip(relation_labels, range(n_relations)))
+    entity_ids = dict(zip(entity_labels, range(len(entity_labels))))
+    relation_ids = dict(zip(relation_labels, range(len(relation_labels))))
     end_ids = np.fromiter(map(entity_ids.__getitem__, ends), dtype=np.int64, count=len(ends))
     h, t = end_ids[0::2], end_ids[1::2]
     r = np.fromiter(map(relation_ids.__getitem__, rels), dtype=np.int64, count=len(rels))
-    _, first = np.unique((h * n_relations + r) * n_entities + t, return_index=True)
-    first.sort()
-
-    dropped = len(records) - len(first)
-    if dropped:
-        logger.info("dropped %d duplicate triples on ingest", dropped)
-    return entity_labels, relation_labels, np.column_stack([h, r, t])[first]
+    return entity_labels, relation_labels, np.column_stack([h, r, t])
 
 
 @dataclass(frozen=True)
@@ -231,16 +236,20 @@ class KnowledgeGraphPair:
 
 
 def is_one_to_one(src: Sequence[int], tgt: Sequence[int]) -> bool:
-    """Whether no source and no target repeats among the pairs (src[i], tgt[i])."""
-    return len(np.unique(src)) == len(src) and len(np.unique(tgt)) == len(tgt)
+    """Whether no source and no target repeats among the pairs (src[i],
+    tgt[i]) of non-negative int ids."""
+    return all(np.bincount(np.asarray(ids, dtype=np.int64)).max(initial=0) <= 1 for ids in (src, tgt))
 
 
 def validate_seed_sets(
     train: AlignmentSeed, validation: AlignmentSeed, test: AlignmentSeed
 ) -> None:
-    """Check the one-to-one train property and pairwise disjointness."""
-    if not is_one_to_one([s for s, _ in train.pairs], [t for _, t in train.pairs]):
-        raise IngestError("train seed set is not one-to-one")
+    """Check the one-to-one train property and pairwise disjointness.
+
+    The pairs may hold ids or labels (``kgalign split`` passes labels)."""
+    for ends in zip(*train.pairs):
+        if len(set(ends)) < len(ends):
+            raise IngestError("train seed set is not one-to-one")
     sets = {
         "train": set(train.pairs),
         "validation": set(validation.pairs),

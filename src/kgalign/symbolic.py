@@ -40,12 +40,22 @@ def compute_functionalities(kg: KnowledgeGraph) -> np.ndarray:
     entry is (distinct heads) / (distinct head-tail pairs) and the inverse
     entry (distinct tails) / (distinct head-tail pairs).  Relations without
     triples carry 0.
+
+    The counts come from one walk of ``directed_adj``, which lists each
+    entity's edges by base relation: a run of edges with one owner and
+    one base relation r holds a forward edge when its owner is a head of
+    r, and an inverse edge when it is a tail.
     """
-    h, r, t = kg.triple_columns
+    adj = kg.directed_adj
     n_rel = kg.n_relations
-    pairs = np.bincount(r, minlength=n_rel)  # triples are deduplicated: distinct (h, t)
-    heads = np.bincount(np.unique(r * kg.n_entities + h) // kg.n_entities, minlength=n_rel)
-    tails = np.bincount(np.unique(r * kg.n_entities + t) // kg.n_entities, minlength=n_rel)
+    pairs = np.bincount(kg.triple_columns[1], minlength=n_rel)  # triples are distinct: distinct (h, t)
+    owner = np.repeat(np.arange(kg.n_entities), np.diff(adj.indptr))
+    run = np.flatnonzero(np.diff(owner * n_rel + (adj.rel >> 1), prepend=-1))
+    inverse = np.add.reduceat(adj.rel & 1, run)
+    forward = np.diff(run, append=len(adj.rel)) - inverse
+    base = adj.rel[run] >> 1
+    heads = np.bincount(base[forward > 0], minlength=n_rel)
+    tails = np.bincount(base[inverse > 0], minlength=n_rel)
     values = np.zeros(2 * n_rel, dtype=np.float64)
     has = pairs > 0
     values[0::2][has] = heads[has] / pairs[has]
@@ -321,16 +331,19 @@ def _estimate_one_way(
     lo[by_key] = np.searchsorted(edges_to[0], pair_key[by_key])
     hi[by_key] = np.searchsorted(edges_to[0], pair_key[by_key], "right")
     tri, slot = _ranges(lo, hi - lo)
-    keys, where = np.unique(2 * r[tri] * n_rel_to + edges_to[1][slot], return_inverse=True)
-    numerator = np.bincount(where, w[tri])
-
-    keep = numerator >= PSUB_MIN_SUPPORT
-    d, d2 = np.divmod(keys[keep], n_rel_to)
-    out = np.zeros((2 * kg_from.n_relations, n_rel_to))
-    out[d, d2] = numerator[keep] / (denominator[d >> 1] + PSUB_EPSILON)
+    # The numerators, summed into the forward rows d = 2r of the result.
+    n_rel_from = 2 * kg_from.n_relations
+    out = np.bincount(2 * r[tri] * n_rel_to + edges_to[1][slot], w[tri], n_rel_from * n_rel_to)
+    out = out.astype(np.float64, copy=False).reshape(n_rel_from, n_rel_to)  # int64 when empty
+    forward = out[0::2]
+    forward[forward < PSUB_MIN_SUPPORT] = 0.0
+    # A relation without support has no numerator either, and stays 0
+    # even when PSUB_EPSILON is 0.
+    supported = (denominator > 0.0)[:, None]
+    np.divide(forward, (denominator + PSUB_EPSILON)[:, None], out=forward, where=supported)
     # A triple (u,v) of d with counterparts joined by d' is identically a
     # triple (v,u) of flip(d) with counterparts joined by flip(d').
-    out[d ^ 1, d2 ^ 1] = out[d, d2]
+    out[1::2, 0::2], out[1::2, 1::2] = forward[:, 1::2], forward[:, 0::2]
     return out
 
 

@@ -546,6 +546,7 @@ class TestEval:
             ("a\t1.5\tx\n", "rankings.tsv:1: expected source<TAB>rank<TAB>target, got 'a\\t1.5\\tx'"),
             ("a\t\u00b2\tx\n", "rankings.tsv:1: expected source<TAB>rank<TAB>target, got 'a\\t\u00b2\\tx'"),
             ("a\t1\tx\nb\t1\tx\n\na\t1\ty\n", "rankings.tsv:4: repeated rank 1 for source 'a'"),
+            ("a\t1\tx\nb\t2\tx\na\t3\ty\n\na\t2\tx\n", "rankings.tsv:5: repeated target 'x' for source 'a'"),
         ],
     )
     def test_bad_rank_fails(self, tmp_path, capsys, text, message):
@@ -574,6 +575,25 @@ class TestEval:
         # a repeated source would otherwise count both of its targets
         (tmp_path / "predictions.tsv").write_text(text, encoding="utf-8")
         (tmp_path / "gold").write_text("a\ty\n", encoding="utf-8")
+        rc = main(["eval", "--predictions", str(tmp_path / "predictions.tsv"), "--gold", str(tmp_path / "gold")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "gold, message",
+        [
+            ("a\ty\nb\tz\n\na\tx\n", "gold:4: repeated source entity 'a'"),
+            ("a\ty\nb\ty\n", "gold:2: repeated target entity 'y'"),
+        ],
+        ids=["source", "target"],
+    )
+    @pytest.mark.parametrize("predictions", ["a\t1\ty\n", "a\ty\t1\tobserved\n"], ids=["ranked", "binary"])
+    def test_gold_must_be_one_to_one(self, tmp_path, capsys, predictions, gold, message):
+        # a repeated gold source would count once when ranked and twice when binary
+        (tmp_path / "predictions.tsv").write_text(predictions, encoding="utf-8")
+        (tmp_path / "gold").write_text(gold, encoding="utf-8")
         rc = main(["eval", "--predictions", str(tmp_path / "predictions.tsv"), "--gold", str(tmp_path / "gold")])
         assert rc == 2
         captured = capsys.readouterr()

@@ -17,6 +17,7 @@ from kgalign.data import (
     format_predictions,
     format_rankings,
     load_dataset,
+    load_gold_links,
     load_label_pairs,
     load_prediction_file,
     read_config_file,
@@ -517,3 +518,18 @@ class TestPredictionFiles:
         path = tmp_path / "links"
         path.write_text("a\tx\nb\ty\n", encoding="utf-8")
         assert load_label_pairs(path) == [("a", "x"), ("b", "y")]
+        assert load_gold_links(path) == [("a", "x"), ("b", "y")]
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["a\tx", "a\ty", "q"], "2: repeated source entity 'a'"),
+            (["a\tx", "", "b\tx"], "3: repeated target entity 'x'"),
+            (["a\tx", "q", "a\ty"], "2: expected 2 non-empty tab-separated fields, got 'q'"),
+        ],
+        ids=["source", "target", "width"],
+    )
+    def test_gold_links_first_fault_names_its_line(self, tmp_path, lines, message):
+        path = tmp_path / "gold"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert error_of(load_gold_links, path) == f"gold:{message}"

@@ -62,15 +62,15 @@ def bare_graph(prefix: str, n_entities: int, triples=()) -> KnowledgeGraph:
 
 def sparse_graph(rng, prefix: str, n_entities: int) -> KnowledgeGraph:
     """Random triples among a random prefix of the entities, so the rest
-    are isolated, with four triples repeated as parallel edges and
-    self-loops allowed."""
+    are isolated, with four triples repeated under the other relation as
+    parallel edges and self-loops allowed."""
     used = int(rng.integers(1, n_entities + 1))
     rows = [
         (int(rng.integers(used)), int(rng.integers(2)), int(rng.integers(used)))
         for _ in range(int(rng.integers(0, 3 * used)))
     ]
     if rows:
-        rows += [rows[int(i)] for i in rng.integers(0, len(rows), size=4)]
+        rows += [(h, 1 - r, t) for h, r, t in (rows[int(i)] for i in rng.integers(0, len(rows), size=4))]
     return bare_graph(prefix, n_entities, rows)
 
 
@@ -562,11 +562,11 @@ class TestTopK:
 
     def test_peak_memory_flat_in_candidates(self):
         # 4000 x 4000 scores would take 128 MB at once.  A call holds one
-        # block of TOP_K_BLOCK_CELLS scores and a second buffer as large,
-        # for the partitioned copy and then the mask; beside them, the
-        # candidates' unit rows, the outputs (ids, scores and the
-        # returned target ids, k of each per source) and per-block row
-        # temporaries, under 256 KB.
+        # block of TOP_K_BLOCK_CELLS scores and a bool mask of the same
+        # shape; beside them, the candidates' unit rows, the outputs (ids,
+        # scores and the returned target ids, k of each per source), and
+        # per-block temporaries under 512 KB: the group maxima, 16 k per
+        # row, and the cells that pass the bound, about k per row.
         rng = np.random.default_rng(8)
         n, d, k = 4000, 8, 10
         model = NeuralModel(
@@ -582,9 +582,71 @@ class TestTopK:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            budget = (2 * embedder.TOP_K_BLOCK_CELLS + n * d + n_sources * k * 3) * 8 + (256 << 10)
+            budget = (embedder.TOP_K_BLOCK_CELLS + n * d + n_sources * k * 3) * 8
+            budget += embedder.TOP_K_BLOCK_CELLS + (512 << 10)
             assert peaks[-1] < budget, (peaks, budget)
         assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+    def test_matches_loop_reference_in_column_groups(self, rng):
+        # more candidates than column groups, mostly not a multiple of the
+        # group count, so the bound comes from group maxima and some columns
+        # past the last whole stride join no group
+        folded = 0
+        for _ in range(60):
+            model = tied_model(rng, int(rng.integers(80, 200)))
+            n_s, n_t = model.ent_source.shape[0], model.ent_target.shape[0]
+            k = int(rng.integers(1, 3))
+            cands = [int(t) for t in rng.permutation(n_t)[: int(rng.integers(40, n_t + 1))]]
+            groups = embedder.TOP_K_GROUPS_PER_K * k
+            assert len(cands) > groups
+            folded += len(cands) % groups > 0
+            sources = [int(s) for s in rng.permutation(n_s)[: int(rng.integers(1, n_s + 1))]]
+            for s, ranked in zip(sources, rank_candidates(model, sources, cands, k)):
+                assert ranked == oracles.loop_rank(model, s, cands)[:k]
+        assert folded > 40
+
+    def test_group_bound_ties_in_zero_rows(self, rng):
+        # Fewer than k targets score above 0 for source 0, and the rest
+        # score 0 (zero rows) or below, so the k-th group maximum is a 0:
+        # every zero row passes the bound and the cut falls among them.
+        n_t, k = 100, 5
+        groups = embedder.TOP_K_GROUPS_PER_K * k
+        assert groups < n_t and n_t % groups
+        target = np.zeros((n_t, 3))
+        target[1::2] = -np.abs(rng.normal(size=(n_t // 2, 3)))
+        target[[7, 40, 95]] = [[1.0, 0.5, 0.0], [2.0, 0.1, 0.3], [0.2, 0.0, 1.0]]
+        model = NeuralModel(
+            ent_source=np.array([[1.0, 0.2, 0.1], [0.0, 0.0, 0.0], [-1.0, -1.0, -1.0]]),
+            ent_target=target,
+            hyperparams=Hyperparams(dim=3),
+        )
+        cands = [int(t) for t in rng.permutation(n_t)]
+        got = rank_candidates(model, range(3), cands, k)
+        for s, ranked in enumerate(got):
+            assert ranked == oracles.loop_rank(model, s, cands)[:k]
+        assert got[0] == [40, 7, 95, 0, 2] and got[1] == [0, 1, 2, 3, 4]
+
+    def test_clipping_ties_scores_beyond_one(self):
+        # Unit rows of a vector and of a multiple of it can score 1 + 2^-52
+        # and exactly 1 against the vector; both clip to 1, so the lower id
+        # wins, although the bound on the unclipped scores sits above 1.
+        # Against the negated vector they score -1 - 2^-52 and -1, and
+        # clip to -1 alike.
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            a = rng.normal(size=3)
+            target = np.stack([5.0 * a, a, 5.0 * a])
+            unit_a = embedder._unit_rows(a[None].copy())
+            unclipped = np.matmul(unit_a, embedder._unit_rows(target.copy()).T)[0]
+            if unclipped[0] == 1.0 < unclipped[1]:
+                break
+        else:
+            raise AssertionError("no vector rounds above a cosine of 1")
+        model = NeuralModel(ent_source=np.stack([a, -a]), ent_target=target, hyperparams=Hyperparams(dim=3))
+        for s, cands, best in ((0, [1, 0], 0), (1, [2, 1], 1)):
+            ids, scores = embedder.top_k(model, [s], cands, 1)
+            assert ids.tolist() == [[best]] and abs(scores[0, 0]) == 1.0
+            assert rank_candidates(model, [s], cands, 2) == [oracles.loop_rank(model, s, cands)]
 
     def test_depth_beyond_candidates(self, rng):
         model = tied_model(rng, 10)

@@ -11,6 +11,7 @@ from kgalign.graph import (
     KnowledgeGraph,
     KnowledgeGraphPair,
     check_key_space,
+    is_one_to_one,
     load_graph,
     validate_seed_sets,
 )
@@ -80,12 +81,14 @@ def assert_index_matches_loop(kg: KnowledgeGraph, triples) -> None:
 
 
 class TestIndex:
-    def test_duplicate_rows_kept_in_order(self):
-        rows = [(0, 1, 2), (2, 0, 0), (0, 1, 2), (1, 1, 1), (2, 0, 0), (1, 1, 1)]
-        kg = KnowledgeGraph(["a", "b", "c"], ["r", "s"], rows)
-        assert oracles.triple_tuples(kg) == tuple(rows)
-        assert kg.n_triples == 6
-        assert_index_matches_loop(kg, rows)
+    def test_repeated_rows_keep_the_first(self, caplog):
+        rows = [(0, 1, 2), (2, 0, 0), (0, 1, 2), (1, 1, 1), (2, 0, 0), (1, 1, 1), (2, 0, 0)]
+        with caplog.at_level("INFO", logger="kgalign.graph"):
+            kg = KnowledgeGraph(["a", "b", "c"], ["r", "s"], rows)
+        assert oracles.triple_tuples(kg) == ((0, 1, 2), (2, 0, 0), (1, 1, 1))
+        assert kg.n_triples == 3
+        assert_index_matches_loop(kg, [(0, 1, 2), (2, 0, 0), (1, 1, 1)])
+        assert "dropped 4 repeated triples" in caplog.text
 
     def test_matches_lexsort_index(self, rng):
         for _ in range(100):
@@ -100,8 +103,9 @@ class TestIndex:
                 )
             ]
             labels = [f"e{i}" for i in range(n_entities)], [f"r{i}" for i in range(n_relations)]
-            assert_index_matches_loop(KnowledgeGraph(*labels, rows), rows)
-            assert_index_matches_loop(KnowledgeGraph(*labels, np.array(rows).reshape(-1, 3)), rows)
+            distinct = list(dict.fromkeys(rows))  # the first of each repeated row
+            assert_index_matches_loop(KnowledgeGraph(*labels, rows), distinct)
+            assert_index_matches_loop(KnowledgeGraph(*labels, np.array(rows).reshape(-1, 3)), distinct)
 
 
 class TestKeySpace:
@@ -208,6 +212,24 @@ class TestSeeds:
         empty_t = AlignmentSeed(pairs=())
         with pytest.raises(IngestError, match="one-to-one"):
             validate_seed_sets(train, empty_v, empty_t)
+
+    def test_labels_checked_one_to_one(self):
+        # ``kgalign split`` passes label pairs, not ids
+        empty = AlignmentSeed(pairs=())
+        validate_seed_sets(AlignmentSeed(pairs=(("a", "x"), ("b", "y"))), empty, empty)
+        for pairs in ((("a", "x"), ("a", "y")), (("a", "x"), ("b", "x"))):
+            with pytest.raises(IngestError, match="one-to-one"):
+                validate_seed_sets(AlignmentSeed(pairs=pairs), empty, empty)
+
+    def test_is_one_to_one(self, rng):
+        assert is_one_to_one([], [])
+        assert is_one_to_one(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert is_one_to_one([3], [0]) and is_one_to_one([0, 9, 4], [9, 0, 2])
+        assert not is_one_to_one([0, 9, 0], [1, 2, 3]) and not is_one_to_one([0, 1, 2], [5, 6, 5])
+        for _ in range(200):
+            n = int(rng.integers(0, 12))
+            src, tgt = rng.integers(0, 15, size=n), rng.integers(0, 15, size=n)
+            assert is_one_to_one(src, tgt) == (len(set(src.tolist())) == len(set(tgt.tolist())) == n)
 
     def test_disjointness_enforced(self):
         train = AlignmentSeed(pairs=((0, 5),))

@@ -81,6 +81,21 @@ class TestFunctionalities:
         assert np.array_equal(values, oracles.loop_functionalities(kg))
         assert values.dtype == np.float64 and values.tolist() == [1.0, 1.0, 0.0, 0.0]
 
+    def test_matches_loop_reference_parallel_edges_and_self_loops(self, rng):
+        # rows straight into the constructor: parallel edges under several
+        # relations, self loops, and repeated rows, which count once
+        for _ in range(200):
+            n_e, n_r = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            rows = [tuple(int(x) for x in rng.integers(0, (n_e, n_r, n_e))) for _ in range(int(rng.integers(0, 20)))]
+            rows += [(h, (r + 1) % n_r, t) for h, r, t in rows[:3]] + [(h, r, h) for h, r, _ in rows[3:5]]
+            rows += rows[: int(rng.integers(0, len(rows) + 1))]
+            kg = KnowledgeGraph([f"e{i}" for i in range(n_e)], [f"r{i}" for i in range(n_r)], rows)
+            assert np.array_equal(compute_functionalities(kg), oracles.loop_functionalities(kg))
+
+    def test_repeated_row_counts_once(self):
+        kg = KnowledgeGraph(["a", "b"], ["r"], [(0, 0, 1), (0, 0, 1)])
+        assert compute_functionalities(kg).tolist() == [1.0, 1.0]
+
     def test_bounds_invariant(self, rng):
         for _ in range(60):
             kg = load_graph(_random_records(rng))
@@ -358,6 +373,45 @@ class TestSubrelationUpdate:
         r = pack_direction(src.relation_ids["r"], False)
         rp = pack_direction(tgt.relation_ids["r'"], False)
         assert psub.source_in_target[r, rp] == 0.5
+
+    def test_repeated_row_counts_once(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "PSUB_EPSILON", 0.0)
+        graph = KnowledgeGraph(["a", "b"], ["r"], [(0, 0, 1), (0, 0, 1)])
+        pair = KnowledgeGraphPair(source=graph, target=graph)
+        psub = update_subrelation_probs(pair, *_columns({(0, 0): 1.0, (1, 1): 1.0}))
+        assert psub.source_in_target.tolist() == psub.target_in_source.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_support_floor_drops_weak_estimates(self, monkeypatch):
+        # the one triple pair weighs 1e-4 * 1e-4 = 1e-8, under the floor
+        src = load_graph([("a", "r", "b")])
+        tgt = load_graph([("a'", "r'", "b'")])
+        pair = KnowledgeGraphPair(source=src, target=tgt)
+        labels = _columns({(0, 0): 1e-4, (1, 1): 1e-4})
+        assert len(update_subrelation_probs(pair, *labels)) == 0
+        monkeypatch.setattr(symbolic, "PSUB_MIN_SUPPORT", 0.0)
+        psub = update_subrelation_probs(pair, *labels)
+        assert len(psub) == 4 and psub.source_in_target[0, 0] == pytest.approx(1e-8 / (1e-8 + 1e-9))
+
+    def test_relation_without_support_stays_zero(self, monkeypatch):
+        # u's triple has an unlabeled end, so u has no denominator; with no
+        # smoothing and no support floor its rows must read 0, not 0 / 0
+        monkeypatch.setattr(symbolic, "PSUB_EPSILON", 0.0)
+        monkeypatch.setattr(symbolic, "PSUB_MIN_SUPPORT", 0.0)
+        src = load_graph([("a", "r", "b"), ("b", "u", "c")])
+        tgt = load_graph([("a'", "r'", "b'"), ("b'", "u'", "c'")])
+        pair = KnowledgeGraphPair(source=src, target=tgt)
+        labels = {(0, 0): 1.0, (1, 1): 0.5}
+        psub = update_subrelation_probs(pair, *_columns(labels))
+        rows = {s: {t: v} for (s, t), v in labels.items()}
+        expected = psub_table(src, tgt, *oracles.loop_subrelation(pair, rows, eps=0.0, min_support=0.0))
+        for got, want in (
+            (psub.source_in_target, expected.source_in_target),
+            (psub.target_in_source, expected.target_in_source),
+        ):
+            assert not np.isnan(got).any() and np.array_equal(got, want)
+        u, u2 = pack_direction(src.relation_ids["u"], False), pack_direction(tgt.relation_ids["u'"], False)
+        assert not psub.source_in_target[[u, u ^ 1]].any() and not psub.target_in_source[[u2, u2 ^ 1]].any()
+        assert psub.source_in_target[0, 0] == 1.0
 
     def test_repeated_entity_raises(self):
         src = load_graph([("a", "r", "b"), ("b", "r", "c")])
